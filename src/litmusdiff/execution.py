@@ -1,9 +1,13 @@
 """Candidate executions and outcome sets.
 
 A test's threads are turned into memory events (reads, writes, fences), then
-every combination of per-location coherence order and reads-from choice is
-enumerated.  A memory model module decides which candidates are consistent;
-the final states of the survivors form the test's outcome set.
+the coherent candidates are enumerated: each location's coherence orders and
+reads-from choices are searched on their own, those that make per-location
+program order, reads-from, coherence and from-reads cyclic are dropped, and
+the rest are combined across locations.  Both models demand this
+per-location coherence, so the candidates are exactly the brute-force ones
+that are coherent.  A memory model module decides which candidates are
+consistent; the final states of the survivors form the test's outcome set.
 
 Value flow is static: every write's value is either a program constant or a
 copy of what some earlier read in the same thread returned, so a candidate's
@@ -16,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import itertools
+import math
 from functools import cached_property
 from typing import Iterator
 
@@ -41,7 +46,7 @@ from .litmus import (
 MODEL_C11 = "c11"
 MODEL_AARCH64 = "aarch64"
 MODEL_SC = "sc"
-KNOWN_MODELS = (MODEL_C11, MODEL_AARCH64)
+KNOWN_MODELS = (MODEL_C11, MODEL_AARCH64, MODEL_SC)
 
 DEFAULT_MAX_CANDIDATES = 1_000_000
 DEFAULT_MAX_STATES = 1_000_000
@@ -140,6 +145,19 @@ class EventGraph:
             for a in self.events
             for b in self.events
             if self.program_order(a, b)
+        }
+
+    @cached_property
+    def po_loc(self) -> set[tuple[int, int]]:
+        """Program order between a thread's own accesses to one location.
+        Init writes are left out: they precede everything in coherence."""
+        by_thread_loc: dict[tuple[int, str], list[int]] = {}
+        for e in self.events:
+            if e.loc is not None and not e.is_init:
+                by_thread_loc.setdefault((e.tid, e.loc), []).append(e.eid)
+        return {
+            (a, b) for eids in by_thread_loc.values()
+            for i, a in enumerate(eids) for b in eids[i + 1:]
         }
 
 
@@ -309,56 +327,129 @@ def _solve_values(graph: EventGraph, rf: dict[int, int]) -> dict[int, int] | Non
     return values
 
 
+def _merges(chains: list[list[int]]) -> Iterator[tuple[int, ...]]:
+    """Every interleaving of the chains that keeps each chain's own order:
+    the first chain takes any set of slots, a merge of the rest the others."""
+    if len(chains) <= 1:
+        yield tuple(chains[0]) if chains else ()
+        return
+    first = chains[0]
+    size = sum(map(len, chains))
+    for tail in _merges(chains[1:]):
+        for slots in itertools.combinations(range(size), len(first)):
+            merged = list(tail)
+            for slot, w in zip(slots, first):
+                merged.insert(slot, w)
+            yield tuple(merged)
+
+
+def _location_choices(
+    init: int,
+    chains: list[list[int]],
+    plain: list[int],
+    forced: list[tuple[int, int]],
+    pairs: list[tuple[int, int]],
+    count,
+) -> list[tuple[tuple[int, ...], tuple[tuple[int, int], ...]]]:
+    """The coherent (co, rf) choices on one location.
+
+    ``chains`` holds each thread's writes in program order, ``forced`` the
+    exchange reads paired with their own writes, ``pairs`` the po-loc pairs.
+    Coherence orders are ``init`` followed by a merge of the chains (CoWW);
+    exchange reads read the write just before their own.  Every event gets
+    a key: twice its coherence position for a write, one more than its rf
+    source's key for a read.  Communication on one location then runs from
+    lower to higher keys, so ``po-loc | rf | co | fr`` is acyclic exactly
+    when no po-loc pair goes down in key (CoWR, CoRW, CoRR).  ``count`` is
+    told how many choices are about to be examined before they are.
+    """
+    choices = []
+    for tail in _merges(chains):
+        co = (init, *tail)
+        key = {w: 2 * i for i, w in enumerate(co)}
+        fixed = []
+        for r, w in forced:
+            source = co[co.index(w) - 1]
+            key[r] = key[source] + 1
+            fixed.append((r, source))
+        count(len(co) ** len(plain))
+        for sources in itertools.product(co, repeat=len(plain)):
+            for r, w in zip(plain, sources):
+                key[r] = key[w] + 1
+            for a, b in pairs:
+                if key[a] > key[b]:
+                    break
+            else:
+                choices.append((co, (*zip(plain, sources), *fixed)))
+    return choices
+
+
 def enumerate_candidates(
     graph: EventGraph, max_candidates: int | None = None
 ) -> Iterator[Execution]:
-    """Yield every value-consistent candidate execution.
+    """Yield every coherent, value-consistent candidate execution.
 
-    Coherence orders keep the init write first.  An exchange's read is forced
-    to read from the write immediately before its own write in coherence
-    order; that bakes in read-modify-write atomicity instead of generating
-    and filtering the violations.  Raises ResourceLimitError once more than
-    ``max_candidates`` combinations have been examined.
+    Each location's coherence order and reads-from choices are searched on
+    their own, and only choices that keep ``po-loc | rf | co | fr`` acyclic
+    on that location survive; candidates are the product of the survivors
+    across locations.  Both models require this per-location coherence, so
+    no consistent candidate is lost.  Coherence orders keep the init write
+    first.  An exchange's read is forced to read from the write immediately
+    before its own write in coherence order; that bakes in read-modify-write
+    atomicity instead of generating and filtering the violations.  Raises
+    ResourceLimitError, before doing the work, once more than
+    ``max_candidates`` choices would be examined: each per-location choice
+    and each combination of them counts once.
     """
     limit = DEFAULT_MAX_CANDIDATES if max_candidates is None else max_candidates
-    locs = graph.test.sorted_locations()
-    co_options = []
-    for loc in locs:
-        eids = graph.writes_by_loc[loc]
-        init = eids[0]
-        assert graph.event(init).is_init
-        rest = eids[1:]
-        co_options.append([
-            (init,) + perm for perm in itertools.permutations(rest)
-        ])
-    rmw_reads = {r for r, _ in graph.rmw_pairs}
-    plain_reads = [r for r in graph.reads if r.eid not in rmw_reads]
-    rf_options = [graph.writes_by_loc[r.loc] for r in plain_reads]
-
     examined = 0
-    for co_combo in itertools.product(*co_options):
-        co = dict(zip(locs, co_combo))
-        forced: dict[int, int] = {}
-        for r_eid, w_eid in graph.rmw_pairs:
-            order = co[graph.event(w_eid).loc]
-            forced[r_eid] = order[order.index(w_eid) - 1]
-        for rf_combo in itertools.product(*rf_options):
-            examined += 1
-            if examined > limit:
-                raise ResourceLimitError(
-                    f"candidate executions exceed the limit of {limit}")
-            rf = dict(forced)
-            for read, w_eid in zip(plain_reads, rf_combo):
-                rf[read.eid] = w_eid
-            values = _solve_values(graph, rf)
-            if values is None:
-                continue
-            registers = {}
-            for key, src in graph.final_defs.items():
-                registers[key] = src[1] if src[0] == "const" else values[src[1]]
-            execution = Execution(graph, rf, co, values, registers)
-            _assert_sound(execution)
-            yield execution
+
+    def count(choices: int) -> None:
+        nonlocal examined
+        examined += choices
+        if examined > limit:
+            raise ResourceLimitError(
+                f"candidate executions exceed the limit of {limit}")
+
+    locs = graph.test.sorted_locations()
+    rmw_write = dict(graph.rmw_pairs)
+    chains: dict[str, dict[int, list[int]]] = {loc: {} for loc in locs}
+    plain: dict[str, list[int]] = {loc: [] for loc in locs}
+    forced: dict[str, list[tuple[int, int]]] = {loc: [] for loc in locs}
+    pairs: dict[str, list[tuple[int, int]]] = {loc: [] for loc in locs}
+    for r in graph.reads:
+        if r.eid in rmw_write:
+            forced[r.loc].append((r.eid, rmw_write[r.eid]))
+        else:
+            plain[r.loc].append(r.eid)
+    for w in graph.writes:
+        if not w.is_init:
+            chains[w.loc].setdefault(w.tid, []).append(w.eid)
+    for a, b in graph.po_loc:
+        pairs[graph.events[a].loc].append((a, b))
+    per_loc = [
+        _location_choices(graph.writes_by_loc[loc][0],
+                          list(chains[loc].values()), plain[loc],
+                          forced[loc], pairs[loc], count)
+        for loc in locs
+    ]
+
+    count(math.prod(map(len, per_loc)))
+    for combo in itertools.product(*per_loc):
+        co = {}
+        rf = {}
+        for loc, (order, sources) in zip(locs, combo):
+            co[loc] = order
+            rf.update(sources)
+        values = _solve_values(graph, rf)
+        if values is None:
+            continue
+        registers = {}
+        for key, src in graph.final_defs.items():
+            registers[key] = src[1] if src[0] == "const" else values[src[1]]
+        execution = Execution(graph, rf, co, values, registers)
+        _assert_sound(execution)
+        yield execution
 
 
 def _assert_sound(execution: Execution) -> None:
@@ -432,7 +523,11 @@ def allowed_outcomes(
     max_candidates: int | None = None,
     legacy_zero_register: bool = False,
 ) -> OutcomeSet:
-    """Outcome set of a test under one of the axiomatic models."""
+    """Outcome set of a test under one of the axiomatic models, or under the
+    interleaving oracle for ``sc`` (whose state count ``max_candidates``
+    bounds)."""
+    if model == MODEL_SC:
+        return sc_oracle_outcomes(test, max_states=max_candidates)
     if model == MODEL_C11:
         if test.dialect is not Dialect.SOURCE:
             raise DialectMismatchError("the c11 model applies to source tests only")

@@ -19,9 +19,6 @@ from .execution import Event, EventKind, Execution
 from .litmus import Dialect, DmbDomain
 from .relations import Relation, is_acyclic, transitive_closure
 
-MODEL_ID = "aarch64"
-
-
 @dataclasses.dataclass
 class ObRelations:
     obs: Relation
@@ -109,14 +106,8 @@ def derive_ob(
     obs = _observed(execution)
     bob = _barrier_ordered(execution, legacy_zero_register)
     ob = transitive_closure(obs | bob)
-    po_loc = {
-        (a, b) for a, b in graph.po_pairs
-        if not graph.event(a).is_init
-        and graph.event(a).kind is not EventKind.FENCE
-        and graph.event(b).kind is not EventKind.FENCE
-        and graph.event(a).loc == graph.event(b).loc
-    }
-    internal = po_loc | execution.rf_pairs() | execution.co_pairs() | execution.fr_pairs()
+    internal = (graph.po_loc | execution.rf_pairs() | execution.co_pairs()
+                | execution.fr_pairs())
     return ObRelations(obs, bob, ob, internal)
 
 

@@ -21,9 +21,6 @@ from .relations import (
     transitive_closure,
 )
 
-MODEL_ID = "c11"
-
-
 @dataclasses.dataclass
 class C11Relations:
     sb: Relation

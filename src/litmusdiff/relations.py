@@ -11,13 +11,6 @@ from typing import Iterable
 Relation = set[tuple[int, int]]
 
 
-def compose(first: Iterable[tuple[int, int]], second: Iterable[tuple[int, int]]) -> Relation:
-    by_source: dict[int, set[int]] = {}
-    for a, b in second:
-        by_source.setdefault(a, set()).add(b)
-    return {(a, c) for a, b in first for c in by_source.get(b, ())}
-
-
 def transitive_closure(relation: Iterable[tuple[int, int]]) -> Relation:
     succ: dict[int, set[int]] = {}
     for a, b in relation:

@@ -2,10 +2,19 @@
 
 import dataclasses
 
+import naive_oracle
 from litmusdiff.difftest import translate_outcome
-from litmusdiff.execution import MODEL_AARCH64, MODEL_C11, allowed_outcomes
+from litmusdiff.execution import (
+    MODEL_AARCH64,
+    MODEL_C11,
+    allowed_outcomes,
+    build_events,
+    enumerate_candidates,
+)
 from litmusdiff.litmus import MemoryOrder, StmtKind
 from litmusdiff.lowering import dead_register_pass, lower_test
+from litmusdiff.model_aarch64 import aarch64_consistent
+from litmusdiff.model_c11 import c11_consistent
 from litmusdiff.testgen import GenParams, Variant, generate_mp_family
 
 # Every variant crossed with a spread of orders per slot.  216 tests, each
@@ -54,3 +63,61 @@ def strengthen(test):
 def has_fence(test):
     return any(s.kind is StmtKind.FENCE
                for t in test.threads for s in t.stmts)
+
+
+def coherent(events, rf, co):
+    """Whether po-loc | rf | co | fr is acyclic, for a naive candidate over
+    ``naive_oracle.flatten_events`` dicts.  Kept free of package code: the
+    edges are listed pair by pair and cycles found by peeling sources."""
+    edges = set()
+    accesses = [e for e in events if e["kind"] in ("R", "W")]
+    for a in accesses:
+        for b in accesses:
+            if (a["tid"] == b["tid"] != "init" and a["loc"] == b["loc"]
+                    and a["id"] < b["id"]):
+                edges.add((a["id"], b["id"]))
+    for order in co.values():
+        edges.update(zip(order, order[1:]))
+    for r, w in rf.items():
+        edges.add((w, r))
+        order = co[events[r]["loc"]]
+        edges.update((r, later) for later in order[order.index(w) + 1:])
+    nodes = {n for edge in edges for n in edge}
+    while nodes:
+        sources = {n for n in nodes
+                   if not any(b == n and a in nodes for a, b in edges)}
+        if not sources:
+            return False
+        nodes -= sources
+    return True
+
+
+def coherent_naive_fingerprints(test):
+    """Fingerprints of the brute-force candidates that are coherent."""
+    events, _, _ = naive_oracle.flatten_events(test)
+    return {
+        naive_oracle.fingerprint(rf, co, values)
+        for rf, co, values, _ in naive_oracle.naive_candidates(test)
+        if coherent(events, rf, co)
+    }
+
+
+def candidate_fingerprints(test):
+    graph = build_events(test)
+    return {
+        naive_oracle.fingerprint(ex.rf, ex.co, ex.values)
+        for ex in enumerate_candidates(graph)
+    }
+
+
+def assert_outcomes_match_brute_force(test):
+    """Pruned outcome sets equal the model applied to every brute-force
+    candidate: c11 on the source, aarch64 on its lowering with and without
+    the dead-register rewrite."""
+    assert allowed_outcomes(test, MODEL_C11).outcomes \
+        == naive_oracle.naive_final_states(test, c11_consistent), test.name
+    compiled, _ = lower_test(test)
+    for subject in (compiled, dead_register_pass(compiled)):
+        assert allowed_outcomes(subject, MODEL_AARCH64).outcomes \
+            == naive_oracle.naive_final_states(subject, aarch64_consistent), \
+            test.name

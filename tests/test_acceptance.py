@@ -17,7 +17,6 @@ from litmusdiff.execution import (
     Outcome,
     allowed_outcomes,
     build_events,
-    enumerate_candidates,
     sc_oracle_outcomes,
 )
 from litmusdiff.lowering import lower_test
@@ -120,14 +119,7 @@ def test_model_laws_hold_across_corpus(corpus):
             <= support.lowered_outcomes(test, dead=True), test.name
 
         for subject in (test, lower_test(test)[0]):
-            graph = build_events(subject)
-            assert len(graph.events) <= 8, subject.name
-            ours = {
-                naive_oracle.fingerprint(ex.rf, ex.co, ex.values)
-                for ex in enumerate_candidates(graph)
-            }
-            naive = {
-                naive_oracle.fingerprint(rf, co, values)
-                for rf, co, values, _ in naive_oracle.naive_candidates(subject)
-            }
-            assert ours == naive, subject.name
+            assert len(build_events(subject).events) <= 8, subject.name
+            assert support.candidate_fingerprints(subject) \
+                == support.coherent_naive_fingerprints(subject), subject.name
+        support.assert_outcomes_match_brute_force(test)

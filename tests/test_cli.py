@@ -92,6 +92,34 @@ def test_simulate_model_mismatch(capsys):
     assert err.startswith("error:") and "source tests only" in err
 
 
+@pytest.mark.parametrize("path", [SOURCE, BUGGY], ids=["source", "asm"])
+def test_simulate_sc_model(capsys, path):
+    code, table, err = run(capsys, "simulate", path, "--model", "sc")
+    assert code == 0 and err == ""
+    assert table.splitlines()[0].endswith(" sc")
+    code, blob, _ = run(capsys, "simulate", path, "--model", "sc",
+                        "--format", "json")
+    assert code == 0
+    sc = json.loads(blob)
+    assert sc["model"] == "sc"
+    rows = {line.rstrip(" *") for line in table.splitlines()[1:-1]}
+    assert rows == {
+        " ".join(f"{k}={v};" for k, v in sorted(state.items()))
+        for state in sc["outcomes"]
+    }
+    # the interleaving outcomes are among the dialect model's own
+    _, blob, _ = run(capsys, "simulate", path, "--format", "json")
+    native = json.loads(blob)["outcomes"]
+    assert sc["outcomes"] and all(state in native for state in sc["outcomes"])
+
+
+def test_simulate_sc_model_weak_outcome_absent(capsys):
+    # the WZR miscompilation's stale read needs a weak model to show up
+    code, out, _ = run(capsys, "simulate", BUGGY, "--model", "sc")
+    assert code == 0
+    assert "1:W3=0; y=2" not in out and out.endswith("No\n")
+
+
 def test_simulate_unknown_model_flag(capsys):
     code, _, err = run(capsys, "simulate", SOURCE, "--model", "x86")
     assert code == 2

@@ -1,5 +1,7 @@
 """Event construction, candidate enumeration, and the SC reference oracle."""
 
+import time
+
 import pytest
 
 from litmusdiff.execution import (
@@ -48,6 +50,8 @@ def test_program_order(discard_source):
     assert (4, 5) in po and (4, 7) in po
     assert (2, 4) not in po        # no cross-thread order
     assert (5, 4) not in po
+    # same-location accesses only: the exchange's read and write on y
+    assert graph.po_loc == {(4, 5)}
 
 
 def test_mov_produces_no_event(compiled_w15):
@@ -116,6 +120,50 @@ def test_candidate_limit(discard_source):
         list(enumerate_candidates(graph, 2))
     with pytest.raises(ResourceLimitError):
         allowed_outcomes(discard_source, "c11", max_candidates=2)
+
+
+def _one_location_writes(threads, per_thread):
+    bodies = []
+    for tid in range(threads):
+        stores = "\n".join(
+            f"  atomic_store_explicit(x, {k + 1}, memory_order_relaxed);"
+            for k in range(per_thread))
+        bodies.append(f"P{tid} {{\n{stores}\n}}\n")
+    return parse_litmus("\n".join(
+        ["C writes", "", "{ x = 0; }", "", *bodies, "exists (x = 1)", ""]))
+
+
+@pytest.mark.parametrize("per_thread", [2, 4])
+def test_candidate_limit_bounds_per_location_search(per_thread):
+    # 8 or 16 writes to x across four threads: 2,520 or about 6.3e7 orders
+    # that respect program order, out of 8! or 16! permutations.  The
+    # search counts each order it examines and stops at the limit instead
+    # of listing them all first.
+    graph = build_events(_one_location_writes(4, per_thread))
+    started = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="limit of 1000"):
+        list(enumerate_candidates(graph, 1000))
+    assert time.perf_counter() - started < 1.0
+
+
+def test_incoherent_choices_never_yielded():
+    # P0's writes fix co to init, 1, 2 (CoWW).  Of the 9 rf choices of
+    # P1's two reads, CoRR keeps the 6 where the second read sees the same
+    # write as the first or a later one.
+    test = parse_litmus("\n".join([
+        "C corr", "", "{ x = 0; }", "",
+        "P0 {", "  atomic_store_explicit(x, 1, memory_order_relaxed);",
+        "  atomic_store_explicit(x, 2, memory_order_relaxed);", "}", "",
+        "P1 {",
+        "  int r0 = atomic_load_explicit(x, memory_order_relaxed);",
+        "  int r1 = atomic_load_explicit(x, memory_order_relaxed);", "}", "",
+        "exists (P1:r0 = 2 /\\ P1:r1 = 1)", "",
+    ]))
+    candidates = list(enumerate_candidates(build_events(test)))
+    assert len(candidates) == 6
+    for ex in candidates:
+        assert ex.co["x"] == (0, 1, 2)
+        assert ex.values[ex.rf[3]] <= ex.values[ex.rf[4]]
 
 
 def test_relation_helpers(discard_source):
@@ -203,3 +251,10 @@ def test_sc_oracle_store_buffering():
 def test_sc_oracle_state_limit(discard_source):
     with pytest.raises(ResourceLimitError):
         sc_oracle_outcomes(discard_source, max_states=2)
+
+
+def test_sc_model_routes_to_oracle(discard_source, compiled_wzr):
+    for test in (discard_source, compiled_wzr):
+        assert allowed_outcomes(test, "sc") == sc_oracle_outcomes(test)
+    with pytest.raises(ResourceLimitError, match="limit of 2"):
+        allowed_outcomes(discard_source, "sc", max_candidates=2)

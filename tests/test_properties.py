@@ -2,20 +2,16 @@
 
 Four families: interleaving outcomes are always allowed, strengthening
 memory orders never adds behaviour, the dead-register rewrite never removes
-behaviour, and the candidate enumerator agrees with a brute-force oracle.
+behaviour, and the candidate enumerator agrees with a brute-force oracle:
+its candidates are exactly the oracle's coherent ones, and its outcome sets
+are exactly those of the models applied to every oracle candidate.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import naive_oracle
 import support
-from litmusdiff.execution import (
-    allowed_outcomes,
-    build_events,
-    enumerate_candidates,
-    sc_oracle_outcomes,
-)
+from litmusdiff.execution import allowed_outcomes, sc_oracle_outcomes
 from litmusdiff.litmus import (
     Atom,
     Dialect,
@@ -30,7 +26,7 @@ from litmusdiff.litmus import (
     Thread,
     validate_test,
 )
-from litmusdiff.lowering import dead_register_pass, lower_test
+from litmusdiff.lowering import lower_test
 from litmusdiff.syntax import parse_litmus, render_litmus
 
 CORPUS = support.make_corpus()
@@ -63,26 +59,18 @@ def test_dead_register_rewrite_never_shrinks(test):
     assert plain <= rewritten
 
 
-def candidate_fingerprints(test):
-    graph = build_events(test)
-    return {
-        naive_oracle.fingerprint(ex.rf, ex.co, ex.values)
-        for ex in enumerate_candidates(graph)
-    }
-
-
-def naive_fingerprints(test):
-    return {
-        naive_oracle.fingerprint(rf, co, values)
-        for rf, co, values, _ in naive_oracle.naive_candidates(test)
-    }
+@pytest.mark.parametrize("test", CORPUS, ids=IDS)
+def test_enumeration_matches_brute_force(test):
+    assert support.candidate_fingerprints(test) \
+        == support.coherent_naive_fingerprints(test)
+    compiled, _ = lower_test(test)
+    assert support.candidate_fingerprints(compiled) \
+        == support.coherent_naive_fingerprints(compiled)
 
 
 @pytest.mark.parametrize("test", CORPUS, ids=IDS)
-def test_enumeration_matches_brute_force(test):
-    assert candidate_fingerprints(test) == naive_fingerprints(test)
-    compiled, _ = lower_test(test)
-    assert candidate_fingerprints(compiled) == naive_fingerprints(compiled)
+def test_outcomes_match_brute_force(test):
+    support.assert_outcomes_match_brute_force(test)
 
 
 # random source tests, kept small enough to enumerate instantly
@@ -159,4 +147,11 @@ def test_single_location_model_collapses_to_interleavings(test):
 @settings(max_examples=40, deadline=None)
 @given(small_source_tests(max_stmts=2))
 def test_enumeration_matches_brute_force_on_random_tests(test):
-    assert candidate_fingerprints(test) == naive_fingerprints(test)
+    assert support.candidate_fingerprints(test) \
+        == support.coherent_naive_fingerprints(test)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_source_tests(max_stmts=2))
+def test_outcomes_match_brute_force_on_random_tests(test):
+    support.assert_outcomes_match_brute_force(test)
