@@ -22,7 +22,6 @@ from .litmus import (
     LitmusTest,
     MemoryObservable,
     Neg,
-    RegisterObservable,
     condition_observables,
     observable_label,
 )

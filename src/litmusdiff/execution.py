@@ -25,7 +25,6 @@ from functools import cached_property
 from typing import Iterator
 
 from .litmus import (
-    AsmInstr,
     Dialect,
     DmbDomain,
     LitmusError,
@@ -160,6 +159,12 @@ class EventGraph:
             for i, a in enumerate(eids) for b in eids[i + 1:]
         }
 
+    @cached_property
+    def memo(self) -> dict:
+        """Per-graph results of the model modules, each under keys its own
+        module owns.  Only what no rf or co choice can change belongs here."""
+        return {}
+
 
 class _ThreadBuilder:
     """Appends a thread's events with per-thread positions.  An exchange
@@ -290,6 +295,17 @@ class Execution:
 
     def final_memory(self) -> dict[str, int]:
         return {loc: self.values[order[-1]] for loc, order in self.co.items()}
+
+
+def atomicity_holds(execution: Execution) -> bool:
+    """No write lies in coherence order between an exchange's rf source and
+    its own write: ``rmw & (fr; co)`` is empty."""
+    graph = execution.graph
+    for r_eid, w_eid in graph.rmw_pairs:
+        order = execution.co[graph.events[w_eid].loc]
+        if order.index(w_eid) - order.index(execution.rf[r_eid]) > 1:
+            return False
+    return True
 
 
 def _solve_values(graph: EventGraph, rf: dict[int, int]) -> dict[int, int] | None:
@@ -462,9 +478,7 @@ def _assert_sound(execution: Execution) -> None:
         w = execution.rf[r.eid]
         assert graph.event(w).loc == r.loc
         assert execution.values[r.eid] == execution.values[w]
-    for r_eid, w_eid in graph.rmw_pairs:
-        order = execution.co[graph.event(w_eid).loc]
-        assert execution.rf[r_eid] == order[order.index(w_eid) - 1]
+    assert atomicity_holds(execution)
 
 
 @dataclasses.dataclass(frozen=True, order=True)

@@ -3,6 +3,11 @@
 Ordered-before style model: external communication (obs) plus barrier and
 acquire/release ordering (bob) must be acyclic, and per-location ordering
 plus communication must agree with program order (internal consistency).
+Exchanges must be atomic, by the same axiom as the source model.
+
+Only obs and internal depend on a candidate's rf and co; they are derived
+per candidate.  bob depends on the events alone, so it is built once per
+event graph and zero-register reading, and kept in the graph's memo.
 
 The zero register is the one subtlety.  A load-acquire barrier orders loads
 that actually read into a register; an exchange whose destination is WZR
@@ -15,32 +20,15 @@ from __future__ import annotations
 
 import dataclasses
 
-from .execution import Event, EventKind, Execution
+from .execution import EventKind, Execution, atomicity_holds
 from .litmus import Dialect, DmbDomain
-from .relations import Relation, is_acyclic, transitive_closure
+from .relations import Relation, is_acyclic
 
 @dataclasses.dataclass
 class ObRelations:
     obs: Relation
     bob: Relation
-    ob: Relation
     internal: Relation
-
-
-def _external(a: Event, b: Event) -> bool:
-    # Init writes belong to no thread, so they are external to every thread.
-    if a.is_init or b.is_init:
-        return True
-    return a.tid != b.tid
-
-
-def _observed(execution: Execution) -> Relation:
-    graph = execution.graph
-    obs: Relation = set()
-    for a, b in execution.rf_pairs() | execution.co_pairs() | execution.fr_pairs():
-        if _external(graph.event(a), graph.event(b)):
-            obs.add((a, b))
-    return obs
 
 
 @dataclasses.dataclass(frozen=True)
@@ -68,8 +56,7 @@ def effective_sets(graph, *, legacy_zero_register: bool = False) -> EffectiveSet
     return EffectiveSets(frozenset(reads), frozenset(acquires), frozenset(releases))
 
 
-def _barrier_ordered(execution: Execution, legacy_zero_register: bool) -> Relation:
-    graph = execution.graph
+def _barrier_ordered(graph, legacy_zero_register: bool) -> frozenset:
     po = graph.po_pairs
     sets = effective_sets(graph, legacy_zero_register=legacy_zero_register)
     # Barriers order a thread's own accesses; init writes belong to no thread.
@@ -94,43 +81,28 @@ def _barrier_ordered(execution: Execution, legacy_zero_register: bool) -> Relati
             bob.update((e.eid, m.eid) for m in memory if (e.eid, m.eid) in po)
         elif e.eid in sets.releases:
             bob.update((m.eid, e.eid) for m in memory if (m.eid, e.eid) in po)
-    return bob
+    return frozenset(bob)
 
 
 def derive_ob(
     execution: Execution, *, legacy_zero_register: bool = False
 ) -> ObRelations:
-    if execution.graph.test.dialect is not Dialect.ASM:
+    graph = execution.graph
+    if graph.test.dialect is not Dialect.ASM:
         raise ValueError("the ordered-before relations are defined over asm tests")
-    graph = execution.graph
-    obs = _observed(execution)
-    bob = _barrier_ordered(execution, legacy_zero_register)
-    ob = transitive_closure(obs | bob)
-    internal = (graph.po_loc | execution.rf_pairs() | execution.co_pairs()
-                | execution.fr_pairs())
-    return ObRelations(obs, bob, ob, internal)
-
-
-def _atomicity_holds(execution: Execution) -> bool:
-    # Between an exchange's rf source and its own write, no other thread's
-    # write may appear in coherence order.
-    graph = execution.graph
-    for r_eid, w_eid in graph.rmw_pairs:
-        source = execution.rf[r_eid]
-        order = execution.co[graph.event(w_eid).loc]
-        between = order[order.index(source) + 1:order.index(w_eid)]
-        own_tid = graph.event(w_eid).tid
-        if any(graph.event(x).tid != own_tid for x in between):
-            return False
-    return True
+    key = ("aarch64.bob", legacy_zero_register)
+    if key not in graph.memo:
+        graph.memo[key] = _barrier_ordered(graph, legacy_zero_register)
+    com = execution.rf_pairs() | execution.co_pairs() | execution.fr_pairs()
+    # Init writes have a tid of their own, so they are external to every thread.
+    events = graph.events
+    obs = {(a, b) for a, b in com if events[a].tid != events[b].tid}
+    return ObRelations(obs, graph.memo[key], graph.po_loc | com)
 
 
 def aarch64_consistent(
     execution: Execution, *, legacy_zero_register: bool = False
 ) -> bool:
     rel = derive_ob(execution, legacy_zero_register=legacy_zero_register)
-    if not is_acyclic(rel.ob):
-        return False
-    if not is_acyclic(rel.internal):
-        return False
-    return _atomicity_holds(execution)
+    return (is_acyclic(rel.obs | rel.bob) and is_acyclic(rel.internal)
+            and atomicity_holds(execution))

@@ -5,13 +5,17 @@ built from program order and synchronizes-with edges, where a release write
 (or fence) synchronizes with an acquire read (or fence) through a release
 sequence.  Release sequences follow chains of read-modify-writes, so an
 exchange that picks up a release store passes its ordering along.
+
+What sw draws on apart from rf (release heads, acquire ends, the rmw map)
+and the seq_cst events are built once per event graph and kept in the
+graph's memo; each candidate adds only its rf, mo and fr.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-from .execution import Execution
+from .execution import Execution, atomicity_holds
 from .litmus import Dialect
 from .relations import (
     Relation,
@@ -32,81 +36,66 @@ class C11Relations:
     eco: Relation
 
 
-def _release_sequence(execution: Execution, head: int) -> set[int]:
-    """Writes whose ordering the head write carries: the head itself plus
-    every RMW write reached by an unbroken rf chain of RMWs."""
-    graph = execution.graph
-    rmw_write_of_read = {r: w for r, w in graph.rmw_pairs}
+def _sync_sets(graph):
+    """(heads, ends, rmw_write, sc_events): each release head as (sync
+    source, head write), where a release write heads its own sequence and a
+    release fence adopts every write program-ordered after it; the acquire
+    ends of each read (itself if acquire, then every acquire fence after
+    it); each exchange read's write; and the seq_cst events."""
+    po = graph.po_pairs
+    heads = [(w.eid, w.eid) for w in graph.writes if w.release]
+    heads += [(f.eid, w.eid) for f in graph.fences if f.release
+              for w in graph.writes if (f.eid, w.eid) in po]
+    acquire_fences = [f.eid for f in graph.fences if f.acquire]
+    ends = {
+        r.eid: ([r.eid] if r.acquire else [])
+        + [f for f in acquire_fences if (r.eid, f) in po]
+        for r in graph.reads
+    }
+    sc_events = {e.eid for e in graph.events if e.seq_cst}
+    return heads, ends, dict(graph.rmw_pairs), sc_events
+
+
+def _graph_sync_sets(graph):
+    if "c11.sync" not in graph.memo:
+        graph.memo["c11.sync"] = _sync_sets(graph)
+    return graph.memo["c11.sync"]
+
+
+def _synchronizes_with(execution: Execution, sync_sets) -> Relation:
+    """Each head's release sequence is the head plus every RMW write reached
+    by an unbroken rf chain of RMWs; its source synchronizes with the acquire
+    ends of every read of a write in the sequence."""
+    heads, ends, rmw_write, _ = sync_sets
     readers: dict[int, list[int]] = {}
     for r_eid, w_eid in execution.rf.items():
         readers.setdefault(w_eid, []).append(r_eid)
-    sequence = {head}
-    frontier = [head]
-    while frontier:
-        w = frontier.pop()
-        for r in readers.get(w, ()):
-            follow = rmw_write_of_read.get(r)
-            if follow is not None and follow not in sequence:
-                sequence.add(follow)
-                frontier.append(follow)
-    return sequence
-
-
-def _synchronizes_with(execution: Execution) -> Relation:
-    graph = execution.graph
-    po = graph.po_pairs
-    acquire_fences = [f.eid for f in graph.fences if f.acquire]
-    release_fences = [f.eid for f in graph.fences if f.release]
-
-    # Release side: a release write heads its own sequence; a release fence
-    # adopts every write program-ordered after it.
-    heads: list[tuple[int, int]] = []  # (sync source event, head write)
-    for w in graph.writes:
-        if w.release:
-            heads.append((w.eid, w.eid))
-    for f in release_fences:
-        for w in graph.writes:
-            if (f, w.eid) in po:
-                heads.append((f, w.eid))
-
     sw: Relation = set()
     for source, head in heads:
-        sequence = _release_sequence(execution, head)
-        for r_eid, w_eid in execution.rf.items():
-            if w_eid not in sequence:
-                continue
-            read = graph.event(r_eid)
-            if read.acquire:
-                sw.add((source, r_eid))
-            for f in acquire_fences:
-                if (r_eid, f) in po:
-                    sw.add((source, f))
+        sequence = {head}
+        frontier = [head]
+        while frontier:
+            for r in readers.get(frontier.pop(), ()):
+                sw.update((source, end) for end in ends[r])
+                follow = rmw_write.get(r)
+                if follow is not None and follow not in sequence:
+                    sequence.add(follow)
+                    frontier.append(follow)
     return sw
 
 
 def derive_hb(execution: Execution) -> C11Relations:
-    if execution.graph.test.dialect is not Dialect.SOURCE:
+    graph = execution.graph
+    if graph.test.dialect is not Dialect.SOURCE:
         raise ValueError("c11 relations are defined over source tests")
-    sb = set(execution.graph.po_pairs)
+    sb = graph.po_pairs
     rf = execution.rf_pairs()
     mo = execution.co_pairs()
     fr = execution.fr_pairs()
-    sw = _synchronizes_with(execution)
+    sw = _synchronizes_with(execution, _graph_sync_sets(graph))
     hb = transitive_closure(sb | sw)
     eco = transitive_closure(rf | mo | fr)
     return C11Relations(sb, rf, mo, fr, sw, hb, eco)
-
-
-def _atomicity_holds(execution: Execution) -> bool:
-    # No write may slip in coherence order between what an exchange read
-    # and the write it installed.
-    for r_eid, w_eid in execution.graph.rmw_pairs:
-        source = execution.rf[r_eid]
-        order = execution.co[execution.graph.event(w_eid).loc]
-        between = order[order.index(source) + 1:order.index(w_eid)]
-        if between:
-            return False
-    return True
 
 
 def c11_consistent(execution: Execution) -> bool:
@@ -118,11 +107,11 @@ def c11_consistent(execution: Execution) -> bool:
     for a, b in rel.hb:
         if (b, a) in rel.eco:
             return False
-    if not _atomicity_holds(execution):
+    if not atomicity_holds(execution):
         return False
     if not is_acyclic(rel.sb | rel.rf):
         return False
-    sc_events = {e.eid for e in execution.graph.events if e.seq_cst}
+    *_, sc_events = _graph_sync_sets(execution.graph)
     if not is_acyclic(restrict(rel.hb | rel.mo | rel.fr, sc_events)):
         return False
     return True

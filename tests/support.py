@@ -1,13 +1,16 @@
 """Corpus construction and outcome plumbing shared across test modules."""
 
 import dataclasses
+import itertools
 
 import naive_oracle
 from litmusdiff.difftest import translate_outcome
 from litmusdiff.execution import (
     MODEL_AARCH64,
     MODEL_C11,
+    Execution,
     allowed_outcomes,
+    atomicity_holds,
     build_events,
     enumerate_candidates,
 )
@@ -121,3 +124,43 @@ def assert_outcomes_match_brute_force(test):
         assert allowed_outcomes(subject, MODEL_AARCH64).outcomes \
             == naive_oracle.naive_final_states(subject, aarch64_consistent), \
             test.name
+
+
+def lenient_atomicity(events, rmw_pairs, rf, co):
+    """The asm model's former atomicity rule, kept as a reference over
+    ``naive_oracle.flatten_events`` dicts: only a write of the exchange's own
+    thread may lie between its rf source and its own write in coherence."""
+    for r, w in rmw_pairs:
+        order = co[events[w]["loc"]]
+        between = order[order.index(rf[r]) + 1:order.index(w)]
+        if any(events[x]["tid"] != events[w]["tid"] for x in between):
+            return False
+    return True
+
+
+def check_atomicity_law(test):
+    """Over every coherence order (init first) and every free rf choice,
+    exchange reads included: coherent and lenient <=> coherent and
+    ``atomicity_holds``.  Coherence is the asm model's internal axiom.
+    Returns how many candidates the two rules alone tell apart."""
+    events, rmw_pairs, _ = naive_oracle.flatten_events(test)
+    graph = build_events(test)
+    reads = [e["id"] for e in events if e["kind"] == "R"]
+    writes = {loc: [e["id"] for e in events
+                    if e["kind"] == "W" and e["loc"] == loc]
+              for loc in sorted(test.locations)}
+    co_choices = [[(init, *rest) for rest in itertools.permutations(rest)]
+                  for init, *rest in writes.values()]
+    apart = 0
+    for co_combo in itertools.product(*co_choices):
+        co = dict(zip(writes, co_combo))
+        for sources in itertools.product(
+                *(writes[events[r]["loc"]] for r in reads)):
+            rf = dict(zip(reads, sources))
+            lenient = lenient_atomicity(events, rmw_pairs, rf, co)
+            # atomicity reads only rf and co, so values are left out
+            strict = atomicity_holds(Execution(graph, rf, co, {}, {}))
+            apart += lenient != strict
+            ok = coherent(events, rf, co)
+            assert (ok and lenient) == (ok and strict), (test.name, rf, co)
+    return apart

@@ -7,8 +7,6 @@ they are generous for the fixed workloads involved.
 
 import time
 
-import pytest
-
 import naive_oracle
 import support
 from litmusdiff import golden_path

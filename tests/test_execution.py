@@ -6,7 +6,6 @@ import pytest
 
 from litmusdiff.execution import (
     DialectMismatchError,
-    EventKind,
     INIT_TID,
     Outcome,
     OutcomeSet,

@@ -2,17 +2,18 @@
 
 import pytest
 
+import support
+from litmusdiff import model_aarch64
 from litmusdiff.execution import (
     Execution,
     Outcome,
     _solve_values,
     allowed_outcomes,
+    atomicity_holds,
     build_events,
     enumerate_candidates,
 )
-from litmusdiff import model_c11
 from litmusdiff.model_aarch64 import (
-    _atomicity_holds,
     aarch64_consistent,
     derive_ob,
     effective_sets,
@@ -139,15 +140,12 @@ def test_same_thread_stale_read_is_internally_inconsistent():
     assert set(got.outcomes) == {Outcome.from_dict({"0:W3": 1})}
 
 
-def test_atomicity_tolerates_own_thread_but_not_others(compiled_w15):
+def test_atomicity_rejects_every_intervening_write(compiled_w15):
     displaced = hand_execution(
         compiled_w15, rf={4: 1, 7: 2}, co={"x": (0, 2), "y": (1, 3, 5)})
     # P0's flag store sits between the swap's source and its write
-    assert not _atomicity_holds(displaced)
+    assert not atomicity_holds(displaced)
     assert not aarch64_consistent(displaced)
-    # the stricter source-model rule rejects any intervening write, so the
-    # two checks only differ on same-thread interveners
-    assert not model_c11._atomicity_holds(displaced)
 
     own = asm(["MOV W2, #1", "SWP W2, W3, [X0]", "SWP W2, W4, [X0]"],
               exists="exists (0:W3 = 0)")
@@ -155,9 +153,45 @@ def test_atomicity_tolerates_own_thread_but_not_others(compiled_w15):
     # and its write, all inside one thread
     twisted = hand_execution(own, rf={1: 0, 3: 2},
                              co={"x": (0, 4, 2)})
-    assert _atomicity_holds(twisted)           # intervener is its own thread
-    assert not model_c11._atomicity_holds(twisted)
-    assert not aarch64_consistent(twisted)     # still dies on internal order
+    assert not atomicity_holds(twisted)
+    assert not aarch64_consistent(twisted)     # internal order rejects it too
+
+
+@pytest.mark.parametrize("other", [
+    ["MOV W5, #3", "STR W5, [X0]"],
+    ["LDR W5, [X0]", "MOV W6, #4", "SWP W6, W7, [X0]"],
+])
+def test_strict_atomicity_agrees_with_lenient_on_coherent_executions(other):
+    # an own-thread write between an exchange's source and its write is
+    # po-before the read (a po-loc;fr cycle) or po-after the write (po-loc;co)
+    test = parse_litmus("\n".join([
+        "AArch64 two-swaps", "", "{", "  x = 0;", "  0:X0 = x; 1:X0 = x;",
+        "}", "", "P0:", "  MOV W2, #1", "  SWP W2, W3, [X0]",
+        "  SWP W2, W4, [X0]", "", "P1:", *(f"  {line}" for line in other),
+        "", "exists (x = 0)", ""]))
+    assert support.check_atomicity_law(test) > 0
+
+
+def test_barrier_order_built_once_per_graph_and_flag(monkeypatch,
+                                                     compiled_wzr):
+    calls = []
+    build = model_aarch64._barrier_ordered
+
+    def counted(graph, legacy_zero_register):
+        calls.append(legacy_zero_register)
+        return build(graph, legacy_zero_register)
+
+    monkeypatch.setattr(model_aarch64, "_barrier_ordered", counted)
+    allowed_outcomes(compiled_wzr, "aarch64")
+    assert calls == [False]
+
+    calls.clear()
+    candidates = list(enumerate_candidates(build_events(compiled_wzr)))
+    assert len(candidates) > 1
+    for ex in candidates:
+        for legacy in (False, True):
+            aarch64_consistent(ex, legacy_zero_register=legacy)
+    assert calls == [False, True]
 
 
 def test_buggy_golden_admits_stale_read(compiled_wzr, compiled_w15):

@@ -3,17 +3,18 @@
 import pytest
 
 from naive_oracle import naive_final_states
+from litmusdiff import model_c11
 from litmusdiff.execution import (
     Execution,
     Outcome,
     _solve_values,
     allowed_outcomes,
+    atomicity_holds,
     build_events,
     enumerate_candidates,
     sc_oracle_outcomes,
 )
 from litmusdiff.model_c11 import (
-    _atomicity_holds,
     c11_consistent,
     derive_hb,
 )
@@ -185,13 +186,27 @@ def test_atomicity_check_rejects_displaced_exchange(discard_source):
     # write: (init y, data-thread store, exchange write)
     ex = hand_execution(discard_source,
                         rf={4: 1, 7: 2}, co={"x": (0, 2), "y": (1, 3, 5)})
-    assert not _atomicity_holds(ex)
+    assert not atomicity_holds(ex)
     assert not c11_consistent(ex)
 
     adjacent = hand_execution(discard_source,
                               rf={4: 3, 7: 2}, co={"x": (0, 2), "y": (1, 3, 5)})
-    assert _atomicity_holds(adjacent)
+    assert atomicity_holds(adjacent)
     assert c11_consistent(adjacent)
+
+
+def test_sync_sets_built_once_per_graph(monkeypatch, discard_source):
+    calls = []
+    build = model_c11._sync_sets
+
+    def counted(graph):
+        calls.append(graph)
+        return build(graph)
+
+    monkeypatch.setattr(model_c11, "_sync_sets", counted)
+    allowed_outcomes(discard_source, "c11")
+    assert len(calls) == 1
+    assert len(list(enumerate_candidates(calls[0]))) > 1
 
 
 def test_hb_relations_on_forced_candidate(discard_source):
