@@ -71,15 +71,19 @@ def _load_test(path: str):
 
 def _resolve_max_candidates(args) -> int:
     if args.max_candidates is not None:
-        return args.max_candidates
-    raw = os.environ.get(MAX_CANDIDATES_ENV)
-    if raw is None:
-        return DEFAULT_MAX_CANDIDATES
-    try:
-        return int(raw)
-    except ValueError:
-        raise LitmusError(
-            f"{MAX_CANDIDATES_ENV} must be an integer, got {raw!r}") from None
+        limit, source = args.max_candidates, "--max-candidates"
+    else:
+        raw = os.environ.get(MAX_CANDIDATES_ENV)
+        if raw is None:
+            return DEFAULT_MAX_CANDIDATES
+        try:
+            limit, source = int(raw), MAX_CANDIDATES_ENV
+        except ValueError:
+            raise LitmusError(
+                f"{MAX_CANDIDATES_ENV} must be an integer, got {raw!r}") from None
+    if limit < 1:
+        raise LitmusError(f"{source} must be positive, got {limit}")
+    return limit
 
 
 def _orders_arg(text: str, *, allow_none: bool = False):

@@ -41,6 +41,7 @@ from .litmus import (
     condition_observables,
     observable_label,
 )
+from .relations import Rows, pairs as relation_pairs
 
 MODEL_C11 = "c11"
 MODEL_AARCH64 = "aarch64"
@@ -123,41 +124,34 @@ class EventGraph:
 
     @cached_property
     def rmw_pairs(self) -> tuple[tuple[int, int], ...]:
-        by_id: dict[int, dict[EventKind, int]] = {}
-        for e in self.events:
-            if e.rmw is not None:
-                by_id.setdefault(e.rmw, {})[e.kind] = e.eid
-        return tuple(
-            (pair[EventKind.READ], pair[EventKind.WRITE])
-            for _, pair in sorted(by_id.items())
-        )
-
-    def program_order(self, a: Event, b: Event) -> bool:
-        if a.is_init:
-            return not b.is_init or a.position < b.position
-        return a.tid == b.tid and a.position < b.position
+        """(read, write) of each exchange; both carry the read's id."""
+        return tuple((w.rmw, w.eid) for w in self.writes if w.rmw is not None)
 
     @cached_property
-    def po_pairs(self) -> set[tuple[int, int]]:
-        return {
-            (a.eid, b.eid)
-            for a in self.events
-            for b in self.events
-            if self.program_order(a, b)
-        }
+    def po(self) -> Rows:
+        """Program order as rows.  Ids follow it: init writes come first and
+        precede every event, and a thread's events are numbered in order."""
+        return [sum(1 << b.eid for b in self.events[a.eid + 1:]
+                    if a.is_init or b.tid == a.tid) for a in self.events]
 
     @cached_property
-    def po_loc(self) -> set[tuple[int, int]]:
+    def po_loc(self) -> Rows:
         """Program order between a thread's own accesses to one location.
         Init writes are left out: they precede everything in coherence."""
-        by_thread_loc: dict[tuple[int, str], list[int]] = {}
-        for e in self.events:
-            if e.loc is not None and not e.is_init:
-                by_thread_loc.setdefault((e.tid, e.loc), []).append(e.eid)
-        return {
-            (a, b) for eids in by_thread_loc.values()
-            for i, a in enumerate(eids) for b in eids[i + 1:]
-        }
+        return [row & sum(1 << b.eid for b in self.events if b.loc == e.loc)
+                if e.loc is not None and not e.is_init else 0
+                for e, row in zip(self.events, self.po)]
+
+    @cached_property
+    def same_thread(self) -> Rows:
+        """Per event, the mask of its own thread's events, itself included."""
+        return [sum(1 << b.eid for b in self.events if b.tid == a.tid)
+                for a in self.events]
+
+    @cached_property
+    def final_observables(self) -> list[tuple[str, object]]:
+        """The exists clause's observables with their labels, by label."""
+        return _labelled(self.test.final, self.test.dialect)
 
     @cached_property
     def memo(self) -> dict:
@@ -274,24 +268,26 @@ class Execution:
     values: dict[int, int]
     registers: dict[tuple[int, str], int]
 
-    def rf_pairs(self) -> set[tuple[int, int]]:
-        return {(w, r) for r, w in self.rf.items()}
-
-    def co_pairs(self) -> set[tuple[int, int]]:
-        pairs = set()
+    @cached_property
+    def location_rows(self) -> list[tuple[Rows, Rows]]:
+        """Each location's ``_location_rows``, derived here from rf and co
+        unless the enumerator set them, built once per location choice."""
+        rows = []
         for order in self.co.values():
-            for i, a in enumerate(order):
-                for b in order[i + 1:]:
-                    pairs.add((a, b))
-        return pairs
+            key = {w: 2 * i for i, w in enumerate(order)}
+            key.update((r, key[w] + 1) for r, w in self.rf.items() if w in key)
+            rows.append(_location_rows(key, len(self.graph.events)))
+        return rows
 
-    def fr_pairs(self) -> set[tuple[int, int]]:
-        pairs = set()
-        for r_eid, w_eid in self.rf.items():
-            order = self.co[self.graph.event(r_eid).loc]
-            after = order[order.index(w_eid) + 1:]
-            pairs.update((r_eid, w2) for w2 in after)
-        return pairs
+    @cached_property
+    def com(self) -> Rows:
+        """``rf | co | fr`` as rows."""
+        return _union([com for com, _ in self.location_rows])
+
+    @cached_property
+    def eco_before(self) -> Rows:
+        """Per event, the mask of the events eco-before it."""
+        return _union([before for _, before in self.location_rows])
 
     def final_memory(self) -> dict[str, int]:
         return {loc: self.values[order[-1]] for loc, order in self.co.items()}
@@ -309,38 +305,48 @@ def atomicity_holds(execution: Execution) -> bool:
 
 
 def _solve_values(graph: EventGraph, rf: dict[int, int]) -> dict[int, int] | None:
+    """Each read's and write's value, or None when some value copies itself
+    through rf.  ``copies`` maps each unsolved event to its value's source."""
     values: dict[int, int] = {}
-    dependent_writes = []
-    for e in graph.writes:
-        if e.value_src[0] == "const":
-            values[e.eid] = e.value_src[1]
+    copies = {r.eid: rf[r.eid] for r in graph.reads}
+    for w in graph.writes:
+        if w.value_src[0] == "const":
+            values[w.eid] = w.value_src[1]
         else:
-            dependent_writes.append(e)
-    unresolved_reads = list(graph.reads)
-    progress = True
-    while progress:
-        progress = False
-        still = []
-        for r in unresolved_reads:
-            src = rf[r.eid]
-            if src in values:
-                values[r.eid] = values[src]
-                progress = True
-            else:
-                still.append(r)
-        unresolved_reads = still
-        still = []
-        for w in dependent_writes:
-            dep = w.value_src[1]
-            if dep in values:
-                values[w.eid] = values[dep]
-                progress = True
-            else:
-                still.append(w)
-        dependent_writes = still
-    if unresolved_reads or dependent_writes:
-        return None
+            copies[w.eid] = w.value_src[1]
+    while copies:
+        ready = [e for e, src in copies.items() if src in values]
+        if not ready:
+            return None
+        for e in ready:
+            values[e] = values[copies.pop(e)]
     return values
+
+
+def _union(parts: list[Rows]) -> Rows:
+    rows, *rest = parts
+    for more in rest:
+        rows = list(map(int.__or__, rows, more))
+    return rows
+
+
+def _location_rows(key: dict[int, int], size: int) -> tuple[Rows, Rows]:
+    """``com`` and ``eco_before`` rows of one location's events from their
+    coherence keys (see ``_location_choices``).  ``com`` runs from lower to
+    higher keys, never between reads (odd keys) nor into a read from other
+    than its rf source.  Since ``rf;co``, ``rf;rf``, ``co;fr`` and ``fr;fr``
+    are empty, ``rf;fr`` is in ``co`` and ``fr;co`` in ``fr``, its closure
+    ``eco = rf | (co | fr);rf?`` runs exactly from lower to higher keys,
+    for any co and rf."""
+    com = [0] * size
+    before = [0] * size
+    for a, ka in key.items():
+        for b, kb in key.items():
+            if ka < kb:
+                before[b] |= 1 << a
+                if kb % 2 == 0 or kb == ka + 1:
+                    com[a] |= 1 << b
+    return com, before
 
 
 def _merges(chains: list[list[int]]) -> Iterator[tuple[int, ...]]:
@@ -365,8 +371,10 @@ def _location_choices(
     plain: list[int],
     forced: list[tuple[int, int]],
     pairs: list[tuple[int, int]],
+    size: int,
     count,
-) -> list[tuple[tuple[int, ...], tuple[tuple[int, int], ...]]]:
+) -> list[tuple[tuple[int, ...], tuple[tuple[int, int], ...],
+                tuple[Rows, Rows]]]:
     """The coherent (co, rf) choices on one location.
 
     ``chains`` holds each thread's writes in program order, ``forced`` the
@@ -376,8 +384,9 @@ def _location_choices(
     a key: twice its coherence position for a write, one more than its rf
     source's key for a read.  Communication on one location then runs from
     lower to higher keys, so ``po-loc | rf | co | fr`` is acyclic exactly
-    when no po-loc pair goes down in key (CoWR, CoRW, CoRR).  ``count`` is
-    told how many choices are about to be examined before they are.
+    when no po-loc pair goes down in key (CoWR, CoRW, CoRR).  Each choice
+    carries its ``_location_rows``.  ``count`` is told how many choices are
+    about to be examined before they are.
     """
     choices = []
     for tail in _merges(chains):
@@ -396,7 +405,8 @@ def _location_choices(
                 if key[a] > key[b]:
                     break
             else:
-                choices.append((co, (*zip(plain, sources), *fixed)))
+                choices.append((co, (*zip(plain, sources), *fixed),
+                                _location_rows(key, size)))
     return choices
 
 
@@ -441,12 +451,12 @@ def enumerate_candidates(
     for w in graph.writes:
         if not w.is_init:
             chains[w.loc].setdefault(w.tid, []).append(w.eid)
-    for a, b in graph.po_loc:
+    for a, b in relation_pairs(graph.po_loc):
         pairs[graph.events[a].loc].append((a, b))
     per_loc = [
         _location_choices(graph.writes_by_loc[loc][0],
                           list(chains[loc].values()), plain[loc],
-                          forced[loc], pairs[loc], count)
+                          forced[loc], pairs[loc], len(graph.events), count)
         for loc in locs
     ]
 
@@ -454,16 +464,16 @@ def enumerate_candidates(
     for combo in itertools.product(*per_loc):
         co = {}
         rf = {}
-        for loc, (order, sources) in zip(locs, combo):
+        for loc, (order, sources, _) in zip(locs, combo):
             co[loc] = order
             rf.update(sources)
         values = _solve_values(graph, rf)
         if values is None:
             continue
-        registers = {}
-        for key, src in graph.final_defs.items():
-            registers[key] = src[1] if src[0] == "const" else values[src[1]]
+        registers = {key: src[1] if src[0] == "const" else values[src[1]]
+                     for key, src in graph.final_defs.items()}
         execution = Execution(graph, rf, co, values, registers)
+        execution.location_rows = [rows for _, _, rows in combo]
         _assert_sound(execution)
         yield execution
 
@@ -513,21 +523,26 @@ class OutcomeSet:
         }
 
 
+def _labelled(final, dialect) -> list[tuple[str, object]]:
+    return sorted(((observable_label(obs, dialect), obs)
+                   for obs in condition_observables(final)),
+                  key=lambda item: item[0])
+
+
+def _project(labelled, memory, registers) -> Outcome:
+    return Outcome(tuple(
+        (label, memory[obs.location] if isinstance(obs, MemoryObservable)
+         else registers[(obs.thread, obs.register)])
+        for label, obs in labelled))
+
+
 def final_state(execution: Execution, final=None) -> Outcome:
     """Project a candidate onto the observables of a final condition (the
     test's own exists clause unless another condition is supplied)."""
-    test = execution.graph.test
-    if final is None:
-        final = test.final
-    memory = execution.final_memory()
-    items = []
-    for obs in condition_observables(final):
-        label = observable_label(obs, test.dialect)
-        if isinstance(obs, MemoryObservable):
-            items.append((label, memory[obs.location]))
-        else:
-            items.append((label, execution.registers[(obs.thread, obs.register)]))
-    return Outcome(tuple(sorted(items)))
+    graph = execution.graph
+    labelled = (graph.final_observables if final is None
+                else _labelled(final, graph.test.dialect))
+    return _project(labelled, execution.final_memory(), execution.registers)
 
 
 def allowed_outcomes(
@@ -612,7 +627,7 @@ def sc_oracle_outcomes(
     """
     limit = DEFAULT_MAX_STATES if max_states is None else max_states
     locs = test.sorted_locations()
-    observables = condition_observables(test.final)
+    labelled = _labelled(test.final, test.dialect)
     outcomes: set[Outcome] = set()
     seen: set[tuple] = set()
 
@@ -636,14 +651,7 @@ def sc_oracle_outcomes(
             _sc_step(thread, thread.stmts[pcs[i]], next_mem, next_regs)
             explore(pcs[:i] + (pcs[i] + 1,) + pcs[i + 1:], next_mem, next_regs)
         if terminal:
-            items = []
-            for obs in observables:
-                label = observable_label(obs, test.dialect)
-                if isinstance(obs, MemoryObservable):
-                    items.append((label, mem[obs.location]))
-                else:
-                    items.append((label, regs[(obs.thread, obs.register)]))
-            outcomes.add(Outcome(tuple(sorted(items))))
+            outcomes.add(_project(labelled, mem, regs))
 
     explore(tuple(0 for _ in test.threads), dict(test.locations), {})
     return OutcomeSet(test.name, MODEL_SC, frozenset(outcomes))

@@ -5,9 +5,11 @@ acquire/release ordering (bob) must be acyclic, and per-location ordering
 plus communication must agree with program order (internal consistency).
 Exchanges must be atomic, by the same axiom as the source model.
 
-Only obs and internal depend on a candidate's rf and co; they are derived
-per candidate.  bob depends on the events alone, so it is built once per
-event graph and zero-register reading, and kept in the graph's memo.
+Relations are bitmask rows (see ``relations``).  Only obs and internal
+depend on rf and co: obs is ``com`` less each event's own thread, and
+internal holds when no po-loc pair goes down in coherence key, which is
+exact since com runs up in key.  bob depends on the events alone, so it is
+built once per event graph and zero-register reading, in the graph's memo.
 
 The zero register is the one subtlety.  A load-acquire barrier orders loads
 that actually read into a register; an exchange whose destination is WZR
@@ -22,13 +24,13 @@ import dataclasses
 
 from .execution import EventKind, Execution, atomicity_holds
 from .litmus import Dialect, DmbDomain
-from .relations import Relation, is_acyclic
+from .relations import Rows, bits, is_acyclic
+
 
 @dataclasses.dataclass
 class ObRelations:
-    obs: Relation
-    bob: Relation
-    internal: Relation
+    obs: Rows
+    bob: Rows
 
 
 @dataclasses.dataclass(frozen=True)
@@ -42,30 +44,22 @@ class EffectiveSets:
 
 
 def effective_sets(graph, *, legacy_zero_register: bool = False) -> EffectiveSets:
-    reads: set[int] = set()
-    acquires: set[int] = set()
-    releases: set[int] = set()
-    for e in graph.events:
-        if e.kind is EventKind.READ:
-            if legacy_zero_register or not e.zero_dest:
-                reads.add(e.eid)
-                if e.acquire:
-                    acquires.add(e.eid)
-        elif e.kind is EventKind.WRITE and e.release:
-            releases.add(e.eid)
-    return EffectiveSets(frozenset(reads), frozenset(acquires), frozenset(releases))
+    reads = [r for r in graph.reads if legacy_zero_register or not r.zero_dest]
+    return EffectiveSets(frozenset(r.eid for r in reads),
+                         frozenset(r.eid for r in reads if r.acquire),
+                         frozenset(w.eid for w in graph.writes if w.release))
 
 
-def _barrier_ordered(graph, legacy_zero_register: bool) -> frozenset:
-    po = graph.po_pairs
+def _barrier_ordered(graph, legacy_zero_register: bool) -> Rows:
+    po = graph.po
     sets = effective_sets(graph, legacy_zero_register=legacy_zero_register)
     # Barriers order a thread's own accesses; init writes belong to no thread.
-    memory = [e for e in graph.events
-              if e.kind is not EventKind.FENCE and not e.is_init]
-    writes = [e for e in memory if e.kind is EventKind.WRITE]
-    register_reads = [e for e in memory if e.eid in sets.register_reads]
+    memory = sum(1 << e.eid for e in graph.events
+                 if e.kind is not EventKind.FENCE and not e.is_init)
+    writes = sum(1 << e.eid for e in graph.writes if not e.is_init)
+    register_reads = sum(1 << eid for eid in sets.register_reads)
 
-    bob: Relation = set()
+    bob = [0] * len(graph.events)
     for f in graph.fences:
         if f.domain is DmbDomain.SY:
             before, after = memory, memory
@@ -73,15 +67,17 @@ def _barrier_ordered(graph, legacy_zero_register: bool) -> frozenset:
             before, after = register_reads, memory
         else:
             before, after = writes, writes
-        pre = [e.eid for e in before if (e.eid, f.eid) in po]
-        post = [e.eid for e in after if (f.eid, e.eid) in po]
-        bob.update((a, b) for a in pre for b in post)
-    for e in memory:
-        if e.eid in sets.acquires:
-            bob.update((e.eid, m.eid) for m in memory if (e.eid, m.eid) in po)
-        elif e.eid in sets.releases:
-            bob.update((m.eid, e.eid) for m in memory if (m.eid, e.eid) in po)
-    return frozenset(bob)
+        for a in bits(before):
+            if po[a] >> f.eid & 1:
+                bob[a] |= po[f.eid] & after
+    for e in bits(memory):
+        if e in sets.acquires:
+            bob[e] |= po[e] & memory
+        elif e in sets.releases:
+            for m in bits(memory):
+                if po[m] >> e & 1:
+                    bob[m] |= 1 << e
+    return bob
 
 
 def derive_ob(
@@ -93,16 +89,21 @@ def derive_ob(
     key = ("aarch64.bob", legacy_zero_register)
     if key not in graph.memo:
         graph.memo[key] = _barrier_ordered(graph, legacy_zero_register)
-    com = execution.rf_pairs() | execution.co_pairs() | execution.fr_pairs()
     # Init writes have a tid of their own, so they are external to every thread.
-    events = graph.events
-    obs = {(a, b) for a, b in com if events[a].tid != events[b].tid}
-    return ObRelations(obs, graph.memo[key], graph.po_loc | com)
+    obs = [c & ~t for c, t in zip(execution.com, graph.same_thread)]
+    return ObRelations(obs, graph.memo[key])
+
+
+def internal_holds(execution: Execution) -> bool:
+    """``po-loc | com`` is acyclic: no po-loc pair runs against eco, that
+    is, ``po_loc[a] & eco_before[a] == 0`` for every event ``a``."""
+    return not any(p & b for p, b in zip(execution.graph.po_loc,
+                                         execution.eco_before))
 
 
 def aarch64_consistent(
     execution: Execution, *, legacy_zero_register: bool = False
 ) -> bool:
     rel = derive_ob(execution, legacy_zero_register=legacy_zero_register)
-    return (is_acyclic(rel.obs | rel.bob) and is_acyclic(rel.internal)
-            and atomicity_holds(execution))
+    return (is_acyclic([o | b for o, b in zip(rel.obs, rel.bob)])
+            and internal_holds(execution) and atomicity_holds(execution))

@@ -6,9 +6,13 @@ built from program order and synchronizes-with edges, where a release write
 sequence.  Release sequences follow chains of read-modify-writes, so an
 exchange that picks up a release store passes its ordering along.
 
-What sw draws on apart from rf (release heads, acquire ends, the rmw map)
-and the seq_cst events are built once per event graph and kept in the
-graph's memo; each candidate adds only its rf, mo and fr.
+Relations are bitmask rows (see ``relations``).  What sw draws on apart
+from rf (release heads, acquire ends, the rmw map) and the read, write and
+seq_cst masks are built once per event graph and kept in the graph's memo.
+Per candidate, sw reads rf off the ``com`` rows, and hb is the closure of
+``po | sw``, taken only when sw is not empty (po is transitive).  eco is
+never built: it runs exactly from lower to higher coherence keys, so
+coherence is ``hb[a] & (a | eco_before[a]) == 0`` for every event ``a``.
 """
 
 from __future__ import annotations
@@ -17,43 +21,36 @@ import dataclasses
 
 from .execution import Execution, atomicity_holds
 from .litmus import Dialect
-from .relations import (
-    Relation,
-    is_acyclic,
-    is_irreflexive,
-    restrict,
-    transitive_closure,
-)
+from .relations import Rows, bits, is_acyclic, transitive_closure
+
 
 @dataclasses.dataclass
 class C11Relations:
-    sb: Relation
-    rf: Relation
-    mo: Relation
-    fr: Relation
-    sw: Relation
-    hb: Relation
-    eco: Relation
+    sw: Rows
+    hb: Rows
+
+
+def _mask(events) -> int:
+    return sum(1 << e.eid for e in events)
 
 
 def _sync_sets(graph):
-    """(heads, ends, rmw_write, sc_events): each release head as (sync
-    source, head write), where a release write heads its own sequence and a
-    release fence adopts every write program-ordered after it; the acquire
-    ends of each read (itself if acquire, then every acquire fence after
-    it); each exchange read's write; and the seq_cst events."""
-    po = graph.po_pairs
+    """(heads, ends, rmw_write, reads, writes, sc): each release head as
+    (sync source, head write), where a release write heads its own sequence
+    and a release fence adopts every write program-ordered after it; the
+    mask of acquire ends of each read (itself if acquire, then every acquire
+    fence after it); each exchange read's write; and the masks of the reads,
+    the writes and the seq_cst events."""
+    po = graph.po
     heads = [(w.eid, w.eid) for w in graph.writes if w.release]
-    heads += [(f.eid, w.eid) for f in graph.fences if f.release
-              for w in graph.writes if (f.eid, w.eid) in po]
-    acquire_fences = [f.eid for f in graph.fences if f.acquire]
-    ends = {
-        r.eid: ([r.eid] if r.acquire else [])
-        + [f for f in acquire_fences if (r.eid, f) in po]
-        for r in graph.reads
-    }
-    sc_events = {e.eid for e in graph.events if e.seq_cst}
-    return heads, ends, dict(graph.rmw_pairs), sc_events
+    heads += [(f.eid, w) for f in graph.fences if f.release
+              for w in bits(po[f.eid] & _mask(graph.writes))]
+    acquire_fences = _mask(f for f in graph.fences if f.acquire)
+    ends = [0] * len(graph.events)
+    for r in graph.reads:
+        ends[r.eid] = (1 << r.eid if r.acquire else 0) | po[r.eid] & acquire_fences
+    return (heads, ends, dict(graph.rmw_pairs), _mask(graph.reads),
+            _mask(graph.writes), _mask(e for e in graph.events if e.seq_cst))
 
 
 def _graph_sync_sets(graph):
@@ -62,21 +59,19 @@ def _graph_sync_sets(graph):
     return graph.memo["c11.sync"]
 
 
-def _synchronizes_with(execution: Execution, sync_sets) -> Relation:
+def _synchronizes_with(execution: Execution, sync_sets) -> Rows:
     """Each head's release sequence is the head plus every RMW write reached
     by an unbroken rf chain of RMWs; its source synchronizes with the acquire
     ends of every read of a write in the sequence."""
-    heads, ends, rmw_write, _ = sync_sets
-    readers: dict[int, list[int]] = {}
-    for r_eid, w_eid in execution.rf.items():
-        readers.setdefault(w_eid, []).append(r_eid)
-    sw: Relation = set()
+    heads, ends, rmw_write, reads, *_ = sync_sets
+    com = execution.com
+    sw = [0] * len(com)
     for source, head in heads:
         sequence = {head}
         frontier = [head]
         while frontier:
-            for r in readers.get(frontier.pop(), ()):
-                sw.update((source, end) for end in ends[r])
+            for r in bits(com[frontier.pop()] & reads):
+                sw[source] |= ends[r]
                 follow = rmw_write.get(r)
                 if follow is not None and follow not in sequence:
                     sequence.add(follow)
@@ -88,30 +83,25 @@ def derive_hb(execution: Execution) -> C11Relations:
     graph = execution.graph
     if graph.test.dialect is not Dialect.SOURCE:
         raise ValueError("c11 relations are defined over source tests")
-    sb = graph.po_pairs
-    rf = execution.rf_pairs()
-    mo = execution.co_pairs()
-    fr = execution.fr_pairs()
     sw = _synchronizes_with(execution, _graph_sync_sets(graph))
-    hb = transitive_closure(sb | sw)
-    eco = transitive_closure(rf | mo | fr)
-    return C11Relations(sb, rf, mo, fr, sw, hb, eco)
+    hb = (transitive_closure([p | s for p, s in zip(graph.po, sw)])
+          if any(sw) else graph.po)
+    return C11Relations(sw, hb)
 
 
 def c11_consistent(execution: Execution) -> bool:
     """COHERENCE, ATOMICITY, NO-THIN-AIR, and the global seq_cst order."""
-    rel = derive_hb(execution)
-    if not is_irreflexive(rel.hb):
-        return False
+    hb = derive_hb(execution).hb
+    before = execution.eco_before
     # hb followed by an optional eco step must not loop back.
-    for a, b in rel.hb:
-        if (b, a) in rel.eco:
+    for a, row in enumerate(hb):
+        if row & (1 << a | before[a]):
             return False
-    if not atomicity_holds(execution):
-        return False
-    if not is_acyclic(rel.sb | rel.rf):
-        return False
-    *_, sc_events = _graph_sync_sets(execution.graph)
-    if not is_acyclic(restrict(rel.hb | rel.mo | rel.fr, sc_events)):
-        return False
-    return True
+    *_, reads, writes, sc = _graph_sync_sets(execution.graph)
+    com = execution.com
+    # com into reads is rf; com into writes is mo | fr.
+    return (atomicity_holds(execution)
+            and is_acyclic([p | c & reads
+                            for p, c in zip(execution.graph.po, com)])
+            and (not sc or is_acyclic([h | c & writes
+                                       for h, c in zip(hb, com)], sc)))

@@ -1,59 +1,60 @@
-"""Binary relations over event ids, as plain sets of pairs.
+"""Binary relations over event ids, as bitmask rows.
 
-Everything here runs on graphs with at most a couple dozen events, so the
-naive algorithms are the right ones.
+A relation over events ``0 .. n-1`` is a list of ``n`` ints: bit ``b`` of
+``rows[a]`` is set when ``(a, b)`` is in the relation.  Union is ``|`` row
+by row and restriction to a set of events is ``&`` with its mask.  Graphs
+have at most a couple dozen events, so every row fits in a machine word.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Iterator
 
-Relation = set[tuple[int, int]]
+Rows = list[int]
 
 
-def transitive_closure(relation: Iterable[tuple[int, int]]) -> Relation:
-    succ: dict[int, set[int]] = {}
-    for a, b in relation:
-        succ.setdefault(a, set()).add(b)
-    closure: Relation = set()
-    for start in succ:
-        # Plain BFS from each source node.
-        frontier = list(succ[start])
-        reached: set[int] = set()
-        while frontier:
-            node = frontier.pop()
-            if node in reached:
-                continue
-            reached.add(node)
-            frontier.extend(succ.get(node, ()))
-        closure.update((start, node) for node in reached)
+def bits(mask: int) -> Iterator[int]:
+    """The ids in ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def from_pairs(pairs: Iterable[tuple[int, int]], size: int) -> Rows:
+    rows = [0] * size
+    for a, b in pairs:
+        rows[a] |= 1 << b
+    return rows
+
+
+def pairs(rows: Rows) -> set[tuple[int, int]]:
+    return {(a, b) for a, row in enumerate(rows) for b in bits(row)}
+
+
+def transitive_closure(rows: Rows) -> Rows:
+    """Warshall's algorithm: each event in turn lends its row to every row
+    that reaches it."""
+    closure = list(rows)
+    for k, row in enumerate(closure):
+        if row:
+            bit = 1 << k
+            for a, reach in enumerate(closure):
+                if reach & bit:
+                    closure[a] = reach | row
     return closure
 
 
-def is_irreflexive(relation: Iterable[tuple[int, int]]) -> bool:
-    return all(a != b for a, b in relation)
-
-
-def is_acyclic(relation: Iterable[tuple[int, int]]) -> bool:
-    succ: dict[int, set[int]] = {}
-    for a, b in relation:
-        succ.setdefault(a, set()).add(b)
-    WHITE, GREY, BLACK = 0, 1, 2
-    color: dict[int, int] = {}
-
-    def visit(node: int) -> bool:
-        color[node] = GREY
-        for nxt in succ.get(node, ()):
-            state = color.get(nxt, WHITE)
-            if state == GREY:
-                return False
-            if state == WHITE and not visit(nxt):
-                return False
-        color[node] = BLACK
-        return True
-
-    return all(visit(node) for node in succ if color.get(node, WHITE) == WHITE)
-
-
-def restrict(relation: Iterable[tuple[int, int]], nodes: set[int]) -> Relation:
-    return {(a, b) for a, b in relation if a in nodes and b in nodes}
+def is_acyclic(rows: Rows, nodes: int = -1) -> bool:
+    """Whether the relation restricted to the ``nodes`` mask has no cycle.
+    Sinks are peeled until none is left; sweeping from the highest id down
+    peels a chain running up in id order, like program order, in one go."""
+    alive = nodes & ((1 << len(rows)) - 1)
+    while alive:
+        left = alive
+        for a in range(len(rows) - 1, -1, -1):
+            if alive >> a & 1 and not rows[a] & alive:
+                alive ^= 1 << a
+        if alive == left:
+            return False
+    return True

@@ -16,8 +16,9 @@ from litmusdiff.execution import (
 )
 from litmusdiff.litmus import MemoryOrder, StmtKind
 from litmusdiff.lowering import dead_register_pass, lower_test
-from litmusdiff.model_aarch64 import aarch64_consistent
+from litmusdiff.model_aarch64 import aarch64_consistent, internal_holds
 from litmusdiff.model_c11 import c11_consistent
+from litmusdiff.relations import pairs
 from litmusdiff.testgen import GenParams, Variant, generate_mp_family
 
 # Every variant crossed with a spread of orders per slot.  216 tests, each
@@ -68,31 +69,98 @@ def has_fence(test):
                for t in test.threads for s in t.stmts)
 
 
-def coherent(events, rf, co):
-    """Whether po-loc | rf | co | fr is acyclic, for a naive candidate over
-    ``naive_oracle.flatten_events`` dicts.  Kept free of package code: the
-    edges are listed pair by pair and cycles found by peeling sources."""
-    edges = set()
-    accesses = [e for e in events if e["kind"] in ("R", "W")]
-    for a in accesses:
-        for b in accesses:
-            if (a["tid"] == b["tid"] != "init" and a["loc"] == b["loc"]
-                    and a["id"] < b["id"]):
-                edges.add((a["id"], b["id"]))
-    for order in co.values():
-        edges.update(zip(order, order[1:]))
-    for r, w in rf.items():
-        edges.add((w, r))
-        order = co[events[r]["loc"]]
-        edges.update((r, later) for later in order[order.index(w) + 1:])
-    nodes = {n for edge in edges for n in edge}
+def pair_closure(pairs):
+    """Transitive closure of a set of pairs: compose until nothing is new."""
+    closure = set(pairs)
+    while True:
+        extra = {(a, d) for a, b in closure for c, d in closure
+                 if b == c} - closure
+        if not extra:
+            return closure
+        closure |= extra
+
+
+def pair_acyclic(pairs, nodes=None):
+    """Whether a set of pairs, restricted to ``nodes`` if given, has no
+    cycle: nodes without a predecessor are peeled until none is left."""
+    if nodes is None:
+        nodes = {n for edge in pairs for n in edge}
+    pairs = {(a, b) for a, b in pairs if a in nodes and b in nodes}
+    nodes = set(nodes)
     while nodes:
         sources = {n for n in nodes
-                   if not any(b == n and a in nodes for a, b in edges)}
+                   if not any(b == n and a in nodes for a, b in pairs)}
         if not sources:
             return False
         nodes -= sources
     return True
+
+
+def po_loc_pairs(events):
+    """Program order between a thread's own accesses to one location, over
+    ``naive_oracle.flatten_events`` dicts."""
+    accesses = [e for e in events if e["kind"] in ("R", "W")]
+    return {(a["id"], b["id"]) for a in accesses for b in accesses
+            if a["tid"] == b["tid"] != "init" and a["loc"] == b["loc"]
+            and a["id"] < b["id"]}
+
+
+def com_pairs(events, rf, co):
+    """rf | co | fr of a candidate, pair by pair."""
+    edges = {(w, r) for r, w in rf.items()}
+    for order in co.values():
+        edges.update(itertools.combinations(order, 2))
+    for r, w in rf.items():
+        order = co[events[r]["loc"]]
+        edges.update((r, later) for later in order[order.index(w) + 1:])
+    return edges
+
+
+def coherent(events, rf, co):
+    """Whether po-loc | rf | co | fr is acyclic, for a naive candidate over
+    ``naive_oracle.flatten_events`` dicts.  Kept free of package code: the
+    edges are listed pair by pair and cycles found by peeling sources."""
+    return pair_acyclic(po_loc_pairs(events) | com_pairs(events, rf, co))
+
+
+def free_choices(test):
+    """Every coherence order (init first) and every reads-from choice, the
+    exchange reads' included, as (events, rmw_pairs, rf, co): a superset
+    of ``naive_oracle.naive_candidates``, incoherent choices and value
+    cycles included."""
+    events, rmw_pairs, _ = naive_oracle.flatten_events(test)
+    reads = [e["id"] for e in events if e["kind"] == "R"]
+    writes = {loc: [e["id"] for e in events
+                    if e["kind"] == "W" and e["loc"] == loc]
+              for loc in sorted(test.locations)}
+    co_choices = [[(init, *rest) for rest in itertools.permutations(rest)]
+                  for init, *rest in writes.values()]
+    for co_combo in itertools.product(*co_choices):
+        co = dict(zip(writes, co_combo))
+        for sources in itertools.product(
+                *(writes[events[r]["loc"]] for r in reads)):
+            yield events, rmw_pairs, dict(zip(reads, sources)), co
+
+
+def check_row_laws(test):
+    """Over ``free_choices``: the ``com`` rows are rf | co | fr, the
+    ``eco_before`` masks transposed are their closure, and the key-based
+    ``internal_holds`` agrees with acyclicity of po-loc | com.  Returns the
+    number of incoherent choices seen, so callers can tell the law was not
+    vacuous."""
+    graph = build_events(test)
+    incoherent = 0
+    for events, _, rf, co in free_choices(test):
+        # rows read only rf and co, so values are left out
+        execution = Execution(graph, rf, co, {}, {})
+        com = com_pairs(events, rf, co)
+        assert pairs(execution.com) == com, (test.name, rf, co)
+        assert {(b, a) for a, b in pairs(execution.eco_before)} \
+            == pair_closure(com), (test.name, rf, co)
+        ok = pair_acyclic(po_loc_pairs(events) | com)
+        assert internal_holds(execution) == ok, (test.name, rf, co)
+        incoherent += not ok
+    return incoherent
 
 
 def coherent_naive_fingerprints(test):
@@ -139,28 +207,16 @@ def lenient_atomicity(events, rmw_pairs, rf, co):
 
 
 def check_atomicity_law(test):
-    """Over every coherence order (init first) and every free rf choice,
-    exchange reads included: coherent and lenient <=> coherent and
+    """Over ``free_choices``: coherent and lenient <=> coherent and
     ``atomicity_holds``.  Coherence is the asm model's internal axiom.
     Returns how many candidates the two rules alone tell apart."""
-    events, rmw_pairs, _ = naive_oracle.flatten_events(test)
     graph = build_events(test)
-    reads = [e["id"] for e in events if e["kind"] == "R"]
-    writes = {loc: [e["id"] for e in events
-                    if e["kind"] == "W" and e["loc"] == loc]
-              for loc in sorted(test.locations)}
-    co_choices = [[(init, *rest) for rest in itertools.permutations(rest)]
-                  for init, *rest in writes.values()]
     apart = 0
-    for co_combo in itertools.product(*co_choices):
-        co = dict(zip(writes, co_combo))
-        for sources in itertools.product(
-                *(writes[events[r]["loc"]] for r in reads)):
-            rf = dict(zip(reads, sources))
-            lenient = lenient_atomicity(events, rmw_pairs, rf, co)
-            # atomicity reads only rf and co, so values are left out
-            strict = atomicity_holds(Execution(graph, rf, co, {}, {}))
-            apart += lenient != strict
-            ok = coherent(events, rf, co)
-            assert (ok and lenient) == (ok and strict), (test.name, rf, co)
+    for events, rmw_pairs, rf, co in free_choices(test):
+        lenient = lenient_atomicity(events, rmw_pairs, rf, co)
+        # atomicity reads only rf and co, so values are left out
+        strict = atomicity_holds(Execution(graph, rf, co, {}, {}))
+        apart += lenient != strict
+        ok = coherent(events, rf, co)
+        assert (ok and lenient) == (ok and strict), (test.name, rf, co)
     return apart

@@ -255,6 +255,22 @@ def test_candidate_env_var(capsys, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize("command", [("simulate", SOURCE),
+                                     ("diff", SOURCE, "--auto-compile")])
+@pytest.mark.parametrize("limit", ["0", "-1"])
+def test_candidate_limit_below_one_rejected(capsys, monkeypatch, command,
+                                            limit):
+    code, out, err = run(capsys, *command, "--max-candidates", limit)
+    assert (code, out) == (2, "")
+    assert err == f"error: --max-candidates must be positive, got {limit}\n"
+
+    monkeypatch.setenv(MAX_CANDIDATES_ENV, limit)
+    code, out, err = run(capsys, *command)
+    assert (code, out) == (2, "")
+    assert err == (f"error: {MAX_CANDIDATES_ENV} must be positive, "
+                   f"got {limit}\n")
+
+
 def test_generate_corpus(capsys, tmp_path):
     out_dir = tmp_path / "corpus"
     argv = ("generate", "--out-dir", str(out_dir),

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+import support
 from litmusdiff.execution import (
     DialectMismatchError,
     INIT_TID,
@@ -17,6 +18,7 @@ from litmusdiff.execution import (
     sc_oracle_outcomes,
 )
 from litmusdiff.litmus import Atom, LitmusError, MemoryObservable
+from litmusdiff.relations import pairs
 from litmusdiff.syntax import parse_litmus
 
 
@@ -43,14 +45,14 @@ def test_event_layout_canonical_source(discard_source):
 
 def test_program_order(discard_source):
     graph = build_events(discard_source)
-    po = graph.po_pairs
+    po = pairs(graph.po)
     assert (0, 1) in po            # init writes are ordered among themselves
     assert (0, 2) in po and (1, 7) in po
     assert (4, 5) in po and (4, 7) in po
     assert (2, 4) not in po        # no cross-thread order
     assert (5, 4) not in po
     # same-location accesses only: the exchange's read and write on y
-    assert graph.po_loc == {(4, 5)}
+    assert pairs(graph.po_loc) == {(4, 5)}
 
 
 def test_mov_produces_no_event(compiled_w15):
@@ -174,11 +176,20 @@ def test_relation_helpers(discard_source):
             break
     assert picked is not None, "expected candidate missing"
     assert picked.rf[4] == 1               # exchange read forced onto init
-    assert (1, 4) in picked.rf_pairs()
-    assert {(1, 5), (5, 3), (1, 3)} <= picked.co_pairs()
-    assert {(4, 5), (4, 3)} <= picked.fr_pairs()
+    rf = {(1, 4), (0, 7)}
+    co = {(1, 5), (5, 3), (1, 3), (0, 2)}
+    fr = {(4, 5), (4, 3), (7, 2)}
+    assert pairs(picked.com) == rf | co | fr
+    # eco is the closure of com; here every composition (rf;fr, fr;co,
+    # co;co) is already in com
+    assert {(b, a) for a, b in pairs(picked.eco_before)} == rf | co | fr
     assert picked.final_memory() == {"x": 1, "y": 1}
     assert picked.registers[(1, "r0")] == 0
+
+
+def test_row_laws_hold_on_goldens(discard_source, compiled_w15, compiled_wzr):
+    for test in (discard_source, compiled_w15, compiled_wzr):
+        assert support.check_row_laws(test) > 0, test.name
 
 
 def test_final_state_projection(discard_source):

@@ -4,7 +4,8 @@ Four families: interleaving outcomes are always allowed, strengthening
 memory orders never adds behaviour, the dead-register rewrite never removes
 behaviour, and the candidate enumerator agrees with a brute-force oracle:
 its candidates are exactly the oracle's coherent ones, and its outcome sets
-are exactly those of the models applied to every oracle candidate.
+are exactly those of the models applied to every oracle candidate.  The
+relation rows every candidate carries match their set-of-pairs reading.
 """
 
 import pytest
@@ -71,6 +72,12 @@ def test_enumeration_matches_brute_force(test):
 @pytest.mark.parametrize("test", CORPUS, ids=IDS)
 def test_outcomes_match_brute_force(test):
     support.assert_outcomes_match_brute_force(test)
+
+
+@pytest.mark.parametrize("test", CORPUS, ids=IDS)
+def test_row_laws_hold_across_corpus(test):
+    assert support.check_row_laws(test) > 0
+    assert support.check_row_laws(lower_test(test)[0]) > 0
 
 
 # random source tests, kept small enough to enumerate instantly
@@ -155,3 +162,10 @@ def test_enumeration_matches_brute_force_on_random_tests(test):
 @given(small_source_tests(max_stmts=2))
 def test_outcomes_match_brute_force_on_random_tests(test):
     support.assert_outcomes_match_brute_force(test)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_source_tests(max_stmts=2))
+def test_row_laws_hold_on_random_tests(test):
+    support.check_row_laws(test)
+    support.check_row_laws(lower_test(test)[0])
