@@ -25,7 +25,7 @@ from .execution import (
     allowed_outcomes,
 )
 from .litmus import Dialect, FinalCondition, LitmusError, evaluate_condition
-from .lowering import Mapping, dead_register_pass, lower_test
+from .lowering import Mapping, MappingError, dead_register_pass, lower_test
 from .syntax import parse_litmus, render_litmus
 from .testgen import (
     ORDER_TOKEN,
@@ -65,8 +65,15 @@ def _json_text(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise LitmusError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def _load_test(path: str):
-    return parse_litmus(Path(path).read_text(encoding="utf-8"))
+    return parse_litmus(_read_text(path))
 
 
 def _resolve_max_candidates(args) -> int:
@@ -185,7 +192,11 @@ def _cmd_diff(args) -> int:
         compiled = _load_test(args.compiled)
         mapping = None
         if args.mapping is not None:
-            raw = json.loads(Path(args.mapping).read_text(encoding="utf-8"))
+            try:
+                raw = json.loads(_read_text(args.mapping))
+            except (json.JSONDecodeError, RecursionError) as exc:
+                raise MappingError(
+                    f"{args.mapping} is not a JSON mapping: {exc}") from None
             mapping = Mapping.from_json_dict(raw)
 
     verdict = check_refinement(

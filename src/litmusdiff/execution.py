@@ -41,7 +41,7 @@ from .litmus import (
     condition_observables,
     observable_label,
 )
-from .relations import Rows, pairs as relation_pairs
+from .relations import Rows, bits
 
 MODEL_C11 = "c11"
 MODEL_AARCH64 = "aarch64"
@@ -49,7 +49,6 @@ MODEL_SC = "sc"
 KNOWN_MODELS = (MODEL_C11, MODEL_AARCH64, MODEL_SC)
 
 DEFAULT_MAX_CANDIDATES = 1_000_000
-DEFAULT_MAX_STATES = 1_000_000
 
 INIT_TID = -1
 
@@ -72,11 +71,15 @@ class EventKind(enum.Enum):
 ValueSource = tuple
 
 
+def event_mask(events) -> int:
+    """The mask of the events' ids."""
+    return sum(1 << e.eid for e in events)
+
+
 @dataclasses.dataclass(frozen=True)
 class Event:
     eid: int
     tid: int
-    position: int
     kind: EventKind
     loc: str | None = None
     acquire: bool = False
@@ -85,7 +88,6 @@ class Event:
     rmw: int | None = None
     zero_dest: bool = False
     domain: DmbDomain | None = None
-    dest: str | None = None
     value_src: ValueSource | None = None
 
     @property
@@ -131,21 +133,22 @@ class EventGraph:
     def po(self) -> Rows:
         """Program order as rows.  Ids follow it: init writes come first and
         precede every event, and a thread's events are numbered in order."""
-        return [sum(1 << b.eid for b in self.events[a.eid + 1:]
-                    if a.is_init or b.tid == a.tid) for a in self.events]
+        return [event_mask(b for b in self.events[a.eid + 1:]
+                           if a.is_init or b.tid == a.tid)
+                for a in self.events]
 
     @cached_property
     def po_loc(self) -> Rows:
         """Program order between a thread's own accesses to one location.
         Init writes are left out: they precede everything in coherence."""
-        return [row & sum(1 << b.eid for b in self.events if b.loc == e.loc)
+        return [row & event_mask(b for b in self.events if b.loc == e.loc)
                 if e.loc is not None and not e.is_init else 0
                 for e, row in zip(self.events, self.po)]
 
     @cached_property
     def same_thread(self) -> Rows:
         """Per event, the mask of its own thread's events, itself included."""
-        return [sum(1 << b.eid for b in self.events if b.tid == a.tid)
+        return [event_mask(b for b in self.events if b.tid == a.tid)
                 for a in self.events]
 
     @cached_property
@@ -161,20 +164,17 @@ class EventGraph:
 
 
 class _ThreadBuilder:
-    """Appends a thread's events with per-thread positions.  An exchange
-    produces a read then a write at consecutive positions, linked by the
-    read's eid as the pair tag."""
+    """Appends a thread's events.  An exchange produces a read then a write
+    at consecutive ids, linked by the read's eid as the pair tag."""
 
     def __init__(self, tid: int, events: list[Event]):
         self.tid = tid
         self.events = events
-        self.position = 0
         self.env: dict[str, ValueSource] = {}
 
     def add(self, kind: EventKind, **fields) -> int:
         eid = len(self.events)
-        self.events.append(Event(eid, self.tid, self.position, kind, **fields))
-        self.position += 1
+        self.events.append(Event(eid, self.tid, kind, **fields))
         return eid
 
 
@@ -189,11 +189,11 @@ def _source_events(thread, builder: _ThreadBuilder) -> None:
                         seq_cst=sc, value_src=("const", stmt.value))
         elif stmt.kind is StmtKind.LOAD:
             eid = builder.add(EventKind.READ, loc=stmt.location, acquire=acq,
-                              seq_cst=sc, dest=stmt.dest)
+                              seq_cst=sc)
             builder.env[stmt.dest] = ("read", eid)
         elif stmt.kind is StmtKind.EXCHANGE:
             eid = builder.add(EventKind.READ, loc=stmt.location, acquire=acq,
-                              seq_cst=sc, rmw=len(builder.events), dest=stmt.dest)
+                              seq_cst=sc, rmw=len(builder.events))
             builder.add(EventKind.WRITE, loc=stmt.location, release=rel,
                         seq_cst=sc, rmw=eid, value_src=("const", stmt.value))
             if stmt.dest is not None:
@@ -216,7 +216,7 @@ def _asm_events(thread, builder: _ThreadBuilder) -> None:
             builder.env[instr.dst] = ("const", instr.imm)
         elif m in (Mnemonic.LDR, Mnemonic.LDAR):
             eid = builder.add(EventKind.READ, loc=bindings[instr.addr],
-                              acquire=m is Mnemonic.LDAR, dest=instr.dst)
+                              acquire=m is Mnemonic.LDAR)
             builder.env[instr.dst] = ("read", eid)
         elif m in (Mnemonic.STR, Mnemonic.STLR):
             builder.add(EventKind.WRITE, loc=bindings[instr.addr],
@@ -227,8 +227,7 @@ def _asm_events(thread, builder: _ThreadBuilder) -> None:
             zero = instr.dst == ZERO_REGISTER
             value = register_value(instr.src)
             eid = builder.add(EventKind.READ, loc=loc, acquire=m in SWP_ACQUIRE,
-                              rmw=len(builder.events), zero_dest=zero,
-                              dest=None if zero else instr.dst)
+                              rmw=len(builder.events), zero_dest=zero)
             builder.add(EventKind.WRITE, loc=loc, release=m in SWP_RELEASE,
                         rmw=eid, value_src=value)
             if not zero:
@@ -241,10 +240,9 @@ def build_events(test: LitmusTest) -> EventGraph:
     """Turn the program into events.  Init writes come first, one per
     location in sorted order; MOV produces no event, only register state."""
     events: list[Event] = []
-    for position, loc in enumerate(test.sorted_locations()):
-        events.append(Event(
-            len(events), INIT_TID, position, EventKind.WRITE, loc=loc,
-            value_src=("const", test.locations[loc])))
+    for loc in test.sorted_locations():
+        events.append(Event(len(events), INIT_TID, EventKind.WRITE, loc=loc,
+                            value_src=("const", test.locations[loc])))
     final_defs: dict[tuple[int, str], ValueSource] = {}
     for thread in test.threads:
         builder = _ThreadBuilder(thread.tid, events)
@@ -366,47 +364,57 @@ def _merges(chains: list[list[int]]) -> Iterator[tuple[int, ...]]:
 
 
 def _location_choices(
-    init: int,
-    chains: list[list[int]],
-    plain: list[int],
-    forced: list[tuple[int, int]],
-    pairs: list[tuple[int, int]],
-    size: int,
-    count,
+    graph: EventGraph, loc: str, count
 ) -> list[tuple[tuple[int, ...], tuple[tuple[int, int], ...],
                 tuple[Rows, Rows]]]:
     """The coherent (co, rf) choices on one location.
 
-    ``chains`` holds each thread's writes in program order, ``forced`` the
-    exchange reads paired with their own writes, ``pairs`` the po-loc pairs.
-    Coherence orders are ``init`` followed by a merge of the chains (CoWW);
-    exchange reads read the write just before their own.  Every event gets
-    a key: twice its coherence position for a write, one more than its rf
-    source's key for a read.  Communication on one location then runs from
-    lower to higher keys, so ``po-loc | rf | co | fr`` is acyclic exactly
-    when no po-loc pair goes down in key (CoWR, CoRW, CoRR).  Each choice
-    carries its ``_location_rows``.  ``count`` is told how many choices are
-    about to be examined before they are.
+    Coherence orders are the init write followed by a merge of each
+    thread's writes in program order (CoWW); exchange reads read the write
+    just before their own.  Every event gets a key: twice its coherence
+    position for a write, one more than its rf source's key for a read.
+    Communication on one location then runs from lower to higher keys, so
+    ``po-loc | rf | co | fr`` is acyclic exactly when no po-loc pair goes
+    down in key (CoWR, CoRW, CoRR).  Each choice carries its
+    ``_location_rows``.  ``count`` is told how many choices are about to be
+    examined before they are.  As a sanity net, each choice asserts that co
+    permutes the location's writes with init first, that every rf source is
+    on the location and that exchange reads read their own write's
+    immediate co-predecessor.
     """
+    init, *writes = graph.writes_by_loc[loc]
+    chains: dict[int, list[int]] = {}
+    for w in writes:
+        chains.setdefault(graph.events[w].tid, []).append(w)
+    rmw_write = dict(graph.rmw_pairs)
+    reads = [r.eid for r in graph.reads if r.loc == loc]
+    plain = [r for r in reads if r not in rmw_write]
+    forced = [(r, rmw_write[r]) for r in reads if r in rmw_write]
+    po_loc = [(a, b) for a in (init, *writes, *reads)
+              for b in bits(graph.po_loc[a])]
     choices = []
-    for tail in _merges(chains):
+    for tail in _merges(list(chains.values())):
         co = (init, *tail)
         key = {w: 2 * i for i, w in enumerate(co)}
         fixed = []
         for r, w in forced:
             source = co[co.index(w) - 1]
+            assert co.index(w) - co.index(source) == 1
             key[r] = key[source] + 1
             fixed.append((r, source))
+        assert sorted(co) == [init, *writes] and graph.events[init].is_init
         count(len(co) ** len(plain))
         for sources in itertools.product(co, repeat=len(plain)):
             for r, w in zip(plain, sources):
                 key[r] = key[w] + 1
-            for a, b in pairs:
+            for a, b in po_loc:
                 if key[a] > key[b]:
                     break
             else:
-                choices.append((co, (*zip(plain, sources), *fixed),
-                                _location_rows(key, size)))
+                rf = (*zip(plain, sources), *fixed)
+                assert all(graph.events[w].loc == loc for _, w in rf)
+                choices.append(
+                    (co, rf, _location_rows(key, len(graph.events))))
     return choices
 
 
@@ -438,28 +446,7 @@ def enumerate_candidates(
                 f"candidate executions exceed the limit of {limit}")
 
     locs = graph.test.sorted_locations()
-    rmw_write = dict(graph.rmw_pairs)
-    chains: dict[str, dict[int, list[int]]] = {loc: {} for loc in locs}
-    plain: dict[str, list[int]] = {loc: [] for loc in locs}
-    forced: dict[str, list[tuple[int, int]]] = {loc: [] for loc in locs}
-    pairs: dict[str, list[tuple[int, int]]] = {loc: [] for loc in locs}
-    for r in graph.reads:
-        if r.eid in rmw_write:
-            forced[r.loc].append((r.eid, rmw_write[r.eid]))
-        else:
-            plain[r.loc].append(r.eid)
-    for w in graph.writes:
-        if not w.is_init:
-            chains[w.loc].setdefault(w.tid, []).append(w.eid)
-    for a, b in relation_pairs(graph.po_loc):
-        pairs[graph.events[a].loc].append((a, b))
-    per_loc = [
-        _location_choices(graph.writes_by_loc[loc][0],
-                          list(chains[loc].values()), plain[loc],
-                          forced[loc], pairs[loc], len(graph.events), count)
-        for loc in locs
-    ]
-
+    per_loc = [_location_choices(graph, loc, count) for loc in locs]
     count(math.prod(map(len, per_loc)))
     for combo in itertools.product(*per_loc):
         co = {}
@@ -470,25 +457,13 @@ def enumerate_candidates(
         values = _solve_values(graph, rf)
         if values is None:
             continue
+        # Sanity net: every read returns its rf source's value.
+        assert all(values[r] == values[w] for r, w in rf.items())
         registers = {key: src[1] if src[0] == "const" else values[src[1]]
                      for key, src in graph.final_defs.items()}
         execution = Execution(graph, rf, co, values, registers)
         execution.location_rows = [rows for _, _, rows in combo]
-        _assert_sound(execution)
         yield execution
-
-
-def _assert_sound(execution: Execution) -> None:
-    """Internal sanity net on every emitted candidate."""
-    graph = execution.graph
-    for loc, order in execution.co.items():
-        assert sorted(order) == sorted(graph.writes_by_loc[loc])
-        assert graph.event(order[0]).is_init
-    for r in graph.reads:
-        w = execution.rf[r.eid]
-        assert graph.event(w).loc == r.loc
-        assert execution.values[r.eid] == execution.values[w]
-    assert atomicity_holds(execution)
 
 
 @dataclasses.dataclass(frozen=True, order=True)
@@ -536,13 +511,11 @@ def _project(labelled, memory, registers) -> Outcome:
         for label, obs in labelled))
 
 
-def final_state(execution: Execution, final=None) -> Outcome:
-    """Project a candidate onto the observables of a final condition (the
-    test's own exists clause unless another condition is supplied)."""
-    graph = execution.graph
-    labelled = (graph.final_observables if final is None
-                else _labelled(final, graph.test.dialect))
-    return _project(labelled, execution.final_memory(), execution.registers)
+def final_state(execution: Execution) -> Outcome:
+    """Project a candidate onto the observables of its test's exists
+    clause."""
+    return _project(execution.graph.final_observables,
+                    execution.final_memory(), execution.registers)
 
 
 def allowed_outcomes(
@@ -625,7 +598,7 @@ def sc_oracle_outcomes(
     Memoized depth-first search over (program counters, memory, registers)
     states.  Used as the baseline any sound weak model must include.
     """
-    limit = DEFAULT_MAX_STATES if max_states is None else max_states
+    limit = DEFAULT_MAX_CANDIDATES if max_states is None else max_states
     locs = test.sorted_locations()
     labelled = _labelled(test.final, test.dialect)
     outcomes: set[Outcome] = set()

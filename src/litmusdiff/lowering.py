@@ -7,6 +7,8 @@ every thread gets the full set of bindings.  Value registers count up from
 W<number of locations> within each thread, which leaves the low registers
 for addresses in the printed form.  A discarded exchange result still needs
 a destination register; those come from a scratch range starting at W15.
+Each scratch register follows a fresh one from below W15, so the range
+never runs past W28.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .litmus import (
 )
 
 SCRATCH_BASE = 15
-REGISTER_CEILING = 28
 
 
 class LoweringError(LitmusError):
@@ -102,32 +103,29 @@ class Mapping:
 
 
 class _RegisterAllocator:
-    def __init__(self, floor: int, scratch_base: int):
+    def __init__(self, floor: int):
         self.next_value = floor
-        self.scratch_base = scratch_base
-        self.next_scratch = scratch_base
+        self.next_scratch = SCRATCH_BASE
 
     def fresh(self) -> str:
-        if self.next_value >= self.scratch_base:
+        if self.next_value >= SCRATCH_BASE:
             raise LoweringError(
                 f"register budget exhausted: thread needs more than "
-                f"W{self.scratch_base - 1}")
+                f"W{SCRATCH_BASE - 1}")
         reg = f"W{self.next_value}"
         self.next_value += 1
         return reg
 
     def scratch(self) -> str:
-        if self.next_scratch > REGISTER_CEILING:
-            raise LoweringError("register budget exhausted in the scratch range")
         reg = f"W{self.next_scratch}"
         self.next_scratch += 1
         return reg
 
 
 def _lower_thread(
-    thread: Thread, addr_regs: dict[str, str], scratch_base: int
+    thread: Thread, addr_regs: dict[str, str]
 ) -> tuple[Thread, dict[str, str]]:
-    alloc = _RegisterAllocator(len(addr_regs), scratch_base)
+    alloc = _RegisterAllocator(len(addr_regs))
     instrs: list[AsmInstr] = []
     reg_map: dict[str, str] = {}
     for stmt in thread.stmts:
@@ -157,22 +155,18 @@ def _lower_thread(
     return Thread(thread.tid, tuple(instrs), bindings), reg_map
 
 
-def lower_test(
-    test: LitmusTest, *, scratch_base: int = SCRATCH_BASE
-) -> tuple[LitmusTest, Mapping]:
+def lower_test(test: LitmusTest) -> tuple[LitmusTest, Mapping]:
     """Translate a source test to asm, returning the compiled test and the
     observable mapping for reading source outcomes off it."""
     if test.dialect is not Dialect.SOURCE:
         raise LoweringError("only source tests can be lowered")
-    if not 1 <= scratch_base <= REGISTER_CEILING:
-        raise LoweringError(f"scratch base W{scratch_base} out of range")
     locations = test.sorted_locations()
     addr_regs = {loc: f"X{i}" for i, loc in enumerate(locations)}
 
     threads = []
     register_targets: dict[tuple[int, str], str] = {}
     for thread in test.threads:
-        lowered, reg_map = _lower_thread(thread, addr_regs, scratch_base)
+        lowered, reg_map = _lower_thread(thread, addr_regs)
         threads.append(lowered)
         for src_reg, asm_reg in reg_map.items():
             register_targets[(thread.tid, src_reg)] = asm_reg

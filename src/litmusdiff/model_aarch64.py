@@ -8,8 +8,9 @@ Exchanges must be atomic, by the same axiom as the source model.
 Relations are bitmask rows (see ``relations``).  Only obs and internal
 depend on rf and co: obs is ``com`` less each event's own thread, and
 internal holds when no po-loc pair goes down in coherence key, which is
-exact since com runs up in key.  bob depends on the events alone, so it is
-built once per event graph and zero-register reading, in the graph's memo.
+exact since com runs up in key.  bob depends on the events alone, so
+``barrier_order`` builds it once per event graph and zero-register reading,
+in the graph's memo.
 
 The zero register is the one subtlety.  A load-acquire barrier orders loads
 that actually read into a register; an exchange whose destination is WZR
@@ -20,44 +21,21 @@ restores the older behaviour where such reads still participate.
 
 from __future__ import annotations
 
-import dataclasses
-
-from .execution import EventKind, Execution, atomicity_holds
+from .execution import EventKind, Execution, atomicity_holds, event_mask
 from .litmus import Dialect, DmbDomain
 from .relations import Rows, bits, is_acyclic
 
 
-@dataclasses.dataclass
-class ObRelations:
-    obs: Rows
-    bob: Rows
-
-
-@dataclasses.dataclass(frozen=True)
-class EffectiveSets:
-    """Event ids the barrier edges draw on; membership depends only on the
-    events themselves, never on rf or coherence choices."""
-
-    register_reads: frozenset[int]
-    acquires: frozenset[int]
-    releases: frozenset[int]
-
-
-def effective_sets(graph, *, legacy_zero_register: bool = False) -> EffectiveSets:
-    reads = [r for r in graph.reads if legacy_zero_register or not r.zero_dest]
-    return EffectiveSets(frozenset(r.eid for r in reads),
-                         frozenset(r.eid for r in reads if r.acquire),
-                         frozenset(w.eid for w in graph.writes if w.release))
-
-
 def _barrier_ordered(graph, legacy_zero_register: bool) -> Rows:
     po = graph.po
-    sets = effective_sets(graph, legacy_zero_register=legacy_zero_register)
     # Barriers order a thread's own accesses; init writes belong to no thread.
-    memory = sum(1 << e.eid for e in graph.events
-                 if e.kind is not EventKind.FENCE and not e.is_init)
-    writes = sum(1 << e.eid for e in graph.writes if not e.is_init)
-    register_reads = sum(1 << eid for eid in sets.register_reads)
+    memory = event_mask(e for e in graph.events
+                        if e.kind is not EventKind.FENCE and not e.is_init)
+    writes = event_mask(w for w in graph.writes if not w.is_init)
+    reads = [r for r in graph.reads if legacy_zero_register or not r.zero_dest]
+    register_reads = event_mask(reads)
+    acquires = event_mask(r for r in reads if r.acquire)
+    releases = event_mask(w for w in graph.writes if w.release)
 
     bob = [0] * len(graph.events)
     for f in graph.fences:
@@ -70,28 +48,21 @@ def _barrier_ordered(graph, legacy_zero_register: bool) -> Rows:
         for a in bits(before):
             if po[a] >> f.eid & 1:
                 bob[a] |= po[f.eid] & after
+    # An acquire orders everything after it, a release everything before.
     for e in bits(memory):
-        if e in sets.acquires:
-            bob[e] |= po[e] & memory
-        elif e in sets.releases:
-            for m in bits(memory):
-                if po[m] >> e & 1:
-                    bob[m] |= 1 << e
+        bob[e] |= po[e] & (memory if acquires >> e & 1 else releases)
     return bob
 
 
-def derive_ob(
-    execution: Execution, *, legacy_zero_register: bool = False
-) -> ObRelations:
-    graph = execution.graph
-    if graph.test.dialect is not Dialect.ASM:
-        raise ValueError("the ordered-before relations are defined over asm tests")
+def barrier_order(graph, legacy_zero_register: bool = False) -> Rows:
+    """bob as rows, built once per graph and zero-register reading."""
     key = ("aarch64.bob", legacy_zero_register)
     if key not in graph.memo:
+        if graph.test.dialect is not Dialect.ASM:
+            raise ValueError(
+                "the ordered-before relations are defined over asm tests")
         graph.memo[key] = _barrier_ordered(graph, legacy_zero_register)
-    # Init writes have a tid of their own, so they are external to every thread.
-    obs = [c & ~t for c, t in zip(execution.com, graph.same_thread)]
-    return ObRelations(obs, graph.memo[key])
+    return graph.memo[key]
 
 
 def internal_holds(execution: Execution) -> bool:
@@ -104,6 +75,10 @@ def internal_holds(execution: Execution) -> bool:
 def aarch64_consistent(
     execution: Execution, *, legacy_zero_register: bool = False
 ) -> bool:
-    rel = derive_ob(execution, legacy_zero_register=legacy_zero_register)
-    return (is_acyclic([o | b for o, b in zip(rel.obs, rel.bob)])
+    graph = execution.graph
+    bob = barrier_order(graph, legacy_zero_register)
+    # obs is com between threads; init writes have a tid of their own, so
+    # they are external to every thread.
+    return (is_acyclic([c & ~t | b for c, t, b in
+                        zip(execution.com, graph.same_thread, bob)])
             and internal_holds(execution) and atomicity_holds(execution))

@@ -9,29 +9,18 @@ exchange that picks up a release store passes its ordering along.
 Relations are bitmask rows (see ``relations``).  What sw draws on apart
 from rf (release heads, acquire ends, the rmw map) and the read, write and
 seq_cst masks are built once per event graph and kept in the graph's memo.
-Per candidate, sw reads rf off the ``com`` rows, and hb is the closure of
-``po | sw``, taken only when sw is not empty (po is transitive).  eco is
-never built: it runs exactly from lower to higher coherence keys, so
-coherence is ``hb[a] & (a | eco_before[a]) == 0`` for every event ``a``.
+Per candidate, sw reads rf off the ``com`` rows, and ``happens_before`` is
+the closure of ``po | sw``, taken only when sw is not empty (po is
+transitive).  eco is never built: it runs exactly from lower to higher
+coherence keys, so coherence is ``hb[a] & (a | eco_before[a]) == 0`` for
+every event ``a``.
 """
 
 from __future__ import annotations
 
-import dataclasses
-
-from .execution import Execution, atomicity_holds
+from .execution import Execution, atomicity_holds, event_mask
 from .litmus import Dialect
 from .relations import Rows, bits, is_acyclic, transitive_closure
-
-
-@dataclasses.dataclass
-class C11Relations:
-    sw: Rows
-    hb: Rows
-
-
-def _mask(events) -> int:
-    return sum(1 << e.eid for e in events)
 
 
 def _sync_sets(graph):
@@ -44,26 +33,29 @@ def _sync_sets(graph):
     po = graph.po
     heads = [(w.eid, w.eid) for w in graph.writes if w.release]
     heads += [(f.eid, w) for f in graph.fences if f.release
-              for w in bits(po[f.eid] & _mask(graph.writes))]
-    acquire_fences = _mask(f for f in graph.fences if f.acquire)
+              for w in bits(po[f.eid] & event_mask(graph.writes))]
+    acquire_fences = event_mask(f for f in graph.fences if f.acquire)
     ends = [0] * len(graph.events)
     for r in graph.reads:
         ends[r.eid] = (1 << r.eid if r.acquire else 0) | po[r.eid] & acquire_fences
-    return (heads, ends, dict(graph.rmw_pairs), _mask(graph.reads),
-            _mask(graph.writes), _mask(e for e in graph.events if e.seq_cst))
+    return (heads, ends, dict(graph.rmw_pairs), event_mask(graph.reads),
+            event_mask(graph.writes),
+            event_mask(e for e in graph.events if e.seq_cst))
 
 
 def _graph_sync_sets(graph):
     if "c11.sync" not in graph.memo:
+        if graph.test.dialect is not Dialect.SOURCE:
+            raise ValueError("c11 relations are defined over source tests")
         graph.memo["c11.sync"] = _sync_sets(graph)
     return graph.memo["c11.sync"]
 
 
-def _synchronizes_with(execution: Execution, sync_sets) -> Rows:
+def _synchronizes_with(execution: Execution) -> Rows:
     """Each head's release sequence is the head plus every RMW write reached
     by an unbroken rf chain of RMWs; its source synchronizes with the acquire
     ends of every read of a write in the sequence."""
-    heads, ends, rmw_write, reads, *_ = sync_sets
+    heads, ends, rmw_write, reads, *_ = _graph_sync_sets(execution.graph)
     com = execution.com
     sw = [0] * len(com)
     for source, head in heads:
@@ -79,19 +71,17 @@ def _synchronizes_with(execution: Execution, sync_sets) -> Rows:
     return sw
 
 
-def derive_hb(execution: Execution) -> C11Relations:
-    graph = execution.graph
-    if graph.test.dialect is not Dialect.SOURCE:
-        raise ValueError("c11 relations are defined over source tests")
-    sw = _synchronizes_with(execution, _graph_sync_sets(graph))
-    hb = (transitive_closure([p | s for p, s in zip(graph.po, sw)])
-          if any(sw) else graph.po)
-    return C11Relations(sw, hb)
+def happens_before(execution: Execution) -> Rows:
+    """hb, ``(po | sw)+``, as rows: po itself when sw is empty."""
+    po = execution.graph.po
+    sw = _synchronizes_with(execution)
+    return (transitive_closure([p | s for p, s in zip(po, sw)])
+            if any(sw) else po)
 
 
 def c11_consistent(execution: Execution) -> bool:
     """COHERENCE, ATOMICITY, NO-THIN-AIR, and the global seq_cst order."""
-    hb = derive_hb(execution).hb
+    hb = happens_before(execution)
     before = execution.eco_before
     # hb followed by an optional eco step must not loop back.
     for a, row in enumerate(hb):

@@ -387,6 +387,12 @@ def parse_asm(text: str) -> LitmusTest:
 # Final condition expressions.  Tokens: ( ) /\ \/ ~ and atoms 'obs = int'
 # where obs is 'P1:r0', '1:W3', or a bare location.
 
+# Deepest condition accepted: at most this many '~', '/\' and '\/' above
+# any atom, inside at most twice as many '(' and '~' (as many as printing
+# such a condition writes).  Parsing, printing and evaluating all recurse
+# over conditions, so the bound keeps them far from the recursion limit.
+MAX_CONDITION_DEPTH = 64
+
 _COND_TOKEN_RE = re.compile(
     r"\s*(/\\|\\/|~|\(|\)|=|[A-Za-z0-9_]+:[A-Za-z0-9_]+|[A-Za-z_]\w*|\d+)"
 )
@@ -410,6 +416,7 @@ class _CondParser:
             self.tokens.append((m.group(1), offset + m.start(1) + 1))
             pos = m.end()
         self.pos = 0
+        self.open = 0  # '(' and '~' enclosing the current token
 
     def _error(self, message: str) -> ParseError:
         col = self.tokens[self.pos][1] if self.pos < len(self.tokens) else (
@@ -430,36 +437,53 @@ class _CondParser:
         return tok
 
     def parse(self) -> FinalCondition:
-        cond = self.disjunction()
+        cond, _ = self.disjunction()
         if self.peek() is not None:
             raise self._error(f"unexpected token {self.peek()!r}")
         return cond
 
-    def disjunction(self) -> FinalCondition:
-        node = self.conjunction()
+    # Each rule returns its node and the node's depth in operators.  The
+    # '(' and '~' around the current token are counted on the way in, since
+    # the parser's own recursion follows them.
+
+    def _level(self, depth: int, limit: int = MAX_CONDITION_DEPTH) -> int:
+        if depth > limit:
+            raise self._error(f"condition nested too deeply (more than "
+                              f"{MAX_CONDITION_DEPTH} operators)")
+        return depth
+
+    def disjunction(self) -> tuple[FinalCondition, int]:
+        node, depth = self.conjunction()
         while self.peek() == "\\/":
             self.eat()
-            node = Disj(node, self.conjunction())
-        return node
+            right, right_depth = self.conjunction()
+            node = Disj(node, right)
+            depth = self._level(max(depth, right_depth) + 1)
+        return node, depth
 
-    def conjunction(self) -> FinalCondition:
-        node = self.unary()
+    def conjunction(self) -> tuple[FinalCondition, int]:
+        node, depth = self.unary()
         while self.peek() == "/\\":
             self.eat()
-            node = Conj(node, self.unary())
-        return node
+            right, right_depth = self.unary()
+            node = Conj(node, right)
+            depth = self._level(max(depth, right_depth) + 1)
+        return node, depth
 
-    def unary(self) -> FinalCondition:
+    def unary(self) -> tuple[FinalCondition, int]:
         tok = self.peek()
+        if tok not in ("~", "("):
+            return self.atom(), 0
+        self.eat()
+        self.open = self._level(self.open + 1, 2 * MAX_CONDITION_DEPTH)
         if tok == "~":
-            self.eat()
-            return Neg(self.unary())
-        if tok == "(":
-            self.eat()
-            node = self.disjunction()
+            node, depth = self.unary()
+            node, depth = Neg(node), self._level(depth + 1)
+        else:
+            node, depth = self.disjunction()
             self.eat(")")
-            return node
-        return self.atom()
+        self.open -= 1
+        return node, depth
 
     def atom(self) -> Atom:
         tok = self.peek()

@@ -241,6 +241,40 @@ def test_unparseable_file(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+def test_non_utf8_file(capsys, tmp_path):
+    bad = tmp_path / "bad.litmus"
+    bad.write_bytes(b"\xff" + golden_path("mp-xchg-discard.litmus").read_bytes())
+    code, out, err = run(capsys, "simulate", str(bad))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {bad} is not UTF-8 text:")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", ["{not json", "[" * 100_000 + "]" * 100_000])
+def test_malformed_mapping_file(capsys, tmp_path, text):
+    bad = tmp_path / "bad.mapping.json"
+    bad.write_text(text)
+    code, out, err = run(capsys, "diff", SOURCE, FIXED, "--mapping", str(bad))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {bad} is not a JSON mapping:")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("condition", ["(" * 5000 + "y = 1" + ")" * 5000,
+                                       "~" * 5000 + "y = 1",
+                                       " /\\ ".join(["y = 1"] * 5000)])
+def test_deeply_nested_exists_clause(capsys, tmp_path, condition):
+    text = golden_path("mp-xchg-discard.litmus").read_text()
+    deep = tmp_path / "deep.litmus"
+    deep.write_text(text.replace("exists (P1:r0 = 0 /\\ y = 2)",
+                                 f"exists ({condition})"))
+    code, out, err = run(capsys, "simulate", str(deep))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: line 16, col ")
+    assert err.endswith("condition nested too deeply (more than 64 "
+                        "operators)\n")
+
+
 def test_candidate_env_var(capsys, monkeypatch):
     monkeypatch.setenv(MAX_CANDIDATES_ENV, "abc")
     code, _, err = run(capsys, "simulate", SOURCE)

@@ -4,7 +4,9 @@ import time
 
 import pytest
 
+import naive_oracle
 import support
+from litmusdiff import model_aarch64, model_c11
 from litmusdiff.execution import (
     DialectMismatchError,
     INIT_TID,
@@ -17,7 +19,7 @@ from litmusdiff.execution import (
     final_state,
     sc_oracle_outcomes,
 )
-from litmusdiff.litmus import Atom, LitmusError, MemoryObservable
+from litmusdiff.litmus import LitmusError
 from litmusdiff.relations import pairs
 from litmusdiff.syntax import parse_litmus
 
@@ -60,17 +62,18 @@ def test_mov_produces_no_event(compiled_w15):
     assert len(graph.events) == 8
     assert [e.kind.value for e in graph.events] == \
         ["W", "W", "W", "W", "R", "W", "F", "R"]
-    # positions skip nothing: MOV only touched register state
-    assert [e.position for e in graph.events if e.tid == 0] == [0, 1]
+    # ids skip nothing: MOV only touched register state
+    assert [e.eid for e in graph.events if e.tid == 0] == [2, 3]
     swp_read = graph.event(4)
-    assert swp_read.dest == "W15" and not swp_read.zero_dest
+    assert graph.final_defs[(1, "W15")] == ("read", 4)
+    assert not swp_read.zero_dest
     assert graph.event(2).value_src == ("const", 1)
 
 
 def test_zero_destination_flag(compiled_wzr):
     graph = build_events(compiled_wzr)
     swp_read = graph.event(4)
-    assert swp_read.zero_dest and swp_read.dest is None
+    assert swp_read.zero_dest
     assert (1, "W15") not in graph.final_defs
 
 
@@ -194,11 +197,33 @@ def test_row_laws_hold_on_goldens(discard_source, compiled_w15, compiled_wzr):
 
 def test_final_state_projection(discard_source):
     graph = build_events(discard_source)
-    ex = next(iter(enumerate_candidates(graph)))
-    projected = final_state(ex, Atom(MemoryObservable("x"), 0))
-    assert [label for label, _ in projected.items] == ["x"]
-    full = final_state(ex)
-    assert {label for label, _ in full.items} == {"P1:r0", "y"}
+    for ex in enumerate_candidates(graph):
+        assert final_state(ex).as_dict() == {
+            "P1:r0": ex.registers[(1, "r0")], "y": ex.final_memory()["y"]}
+
+
+@pytest.mark.parametrize("module, name, model, golden", [
+    (model_c11, "c11_consistent", "c11", "discard_source"),
+    (model_aarch64, "aarch64_consistent", "aarch64", "compiled_wzr"),
+], ids=["c11", "aarch64"])
+def test_model_predicate_looked_up_per_call(monkeypatch, request, module,
+                                            name, model, golden):
+    # per-layer tracing wraps the predicate where its module defines it
+    test = request.getfixturevalue(golden)
+    calls = []
+    check = getattr(module, name)
+
+    def counted(execution, **flags):
+        calls.append(naive_oracle.fingerprint(
+            execution.rf, execution.co, execution.values))
+        return check(execution, **flags)
+
+    monkeypatch.setattr(module, name, counted)
+    allowed_outcomes(test, model)
+    candidates = enumerate_candidates(build_events(test))
+    assert calls == [naive_oracle.fingerprint(ex.rf, ex.co, ex.values)
+                     for ex in candidates]
+    assert len(calls) > 1
 
 
 def test_outcome_json_round_trip():

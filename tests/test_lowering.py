@@ -100,8 +100,13 @@ def test_discarded_exchange_uses_scratch_register():
                       value=2)
     compiled, _ = lower_test(one_stmt_test(stmt))
     assert compiled.thread(0).stmts[1].dst == "W15"
-    moved, _ = lower_test(one_stmt_test(stmt), scratch_base=20)
-    assert moved.thread(0).stmts[1].dst == "W20"
+    # the scratch range starts at W15 and counts up, past the value registers
+    test = LitmusTest("t", Dialect.SOURCE, {"x": 0},
+                      (Thread(0, (stmt,) * 8),), Atom(MemoryObservable("x"), 0))
+    validate_test(test)
+    compiled, _ = lower_test(test)
+    assert [i.dst for i in compiled.thread(0).stmts[1::2]] == \
+        [f"W{n}" for n in range(15, 23)]
 
 
 def test_canonical_lowering_matches_golden(discard_source, compiled_w15):
@@ -125,34 +130,17 @@ def test_bindings_cover_all_locations(discard_source):
         assert thread.bindings == (("X0", "x"), ("X1", "y"))
 
 
-def test_scratch_base_bounds(discard_source):
-    with pytest.raises(LoweringError, match="out of range"):
-        lower_test(discard_source, scratch_base=0)
-    with pytest.raises(LoweringError, match="out of range"):
-        lower_test(discard_source, scratch_base=29)
-
-
 def test_value_register_budget():
-    stmts = (SourceStmt(StmtKind.LOAD, MemoryOrder.RELAXED, location="x",
-                        dest="r0"),
-             SourceStmt(StmtKind.LOAD, MemoryOrder.RELAXED, location="x",
-                        dest="r1"))
+    # eight kept exchanges need sixteen value registers, W1 up; W14 is the
+    # last below the scratch range
+    stmts = tuple(SourceStmt(StmtKind.EXCHANGE, MemoryOrder.RELAXED,
+                             location="x", value=1, dest=f"r{i}")
+                  for i in range(8))
     test = LitmusTest("t", Dialect.SOURCE, {"x": 0}, (Thread(0, stmts),),
                       Atom(RegisterObservable(0, "r0"), 0))
     validate_test(test)
-    with pytest.raises(LoweringError, match="more than W1"):
-        lower_test(test, scratch_base=2)
-
-
-def test_scratch_register_budget():
-    xchg = SourceStmt(StmtKind.EXCHANGE, MemoryOrder.RELAXED, location="x",
-                      value=1)
-    test = LitmusTest("t", Dialect.SOURCE, {"x": 0},
-                      (Thread(0, (xchg, xchg)),),
-                      Atom(MemoryObservable("x"), 0))
-    validate_test(test)
-    with pytest.raises(LoweringError, match="scratch range"):
-        lower_test(test, scratch_base=28)
+    with pytest.raises(LoweringError, match="more than W14"):
+        lower_test(test)
 
 
 def test_lowering_refuses_asm(compiled_w15):

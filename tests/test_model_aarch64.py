@@ -15,8 +15,7 @@ from litmusdiff.execution import (
 )
 from litmusdiff.model_aarch64 import (
     aarch64_consistent,
-    derive_ob,
-    effective_sets,
+    barrier_order,
     internal_holds,
 )
 from litmusdiff.relations import pairs
@@ -39,28 +38,22 @@ def asm(lines, *, init=("x = 0;", "0:X0 = x;"), exists="exists (x = 0)"):
     return parse_litmus("\n".join(text))
 
 
-def first_candidate(test):
-    return next(iter(enumerate_candidates(build_events(test))))
+def bob(test, legacy=False):
+    return pairs(barrier_order(build_events(test), legacy))
 
 
-def test_effective_sets_of_goldens(compiled_w15, compiled_wzr):
-    live = effective_sets(build_events(compiled_w15))
-    assert live.register_reads == {4, 7}
-    assert live.acquires == frozenset()
-    assert live.releases == {3, 5}
-
-    dead = effective_sets(build_events(compiled_wzr))
-    assert dead.register_reads == {7}          # the discarded swap read is gone
-    assert dead.releases == {3, 5}
-    legacy = effective_sets(build_events(compiled_wzr), legacy_zero_register=True)
-    assert legacy.register_reads == {4, 7}
+def test_barrier_order_of_goldens(compiled_w15, compiled_wzr):
+    # releases 3 and 5 order what precedes them; DMB ISHLD (6) orders the
+    # swap's read (4) before the load (7) only while it reads a register
+    assert bob(compiled_w15) == {(2, 3), (4, 5), (4, 7)}
+    assert bob(compiled_wzr) == {(2, 3), (4, 5)}
+    assert bob(compiled_wzr, legacy=True) == {(2, 3), (4, 5), (4, 7)}
 
 
-def test_effective_sets_acquire_swap_to_zero_register():
+def test_barrier_order_acquire_swap_to_zero_register():
     test = asm(["MOV W2, #1", "SWPA W2, WZR, [X0]"])
-    graph = build_events(test)
-    assert effective_sets(graph).acquires == frozenset()
-    assert effective_sets(graph, legacy_zero_register=True).acquires == {1}
+    assert bob(test) == set()
+    assert bob(test, legacy=True) == {(1, 2)}
 
 
 def two_loc(lines, exists="exists (x = 0)"):
@@ -70,40 +63,34 @@ def two_loc(lines, exists="exists (x = 0)"):
 
 def test_full_barrier_orders_everything():
     test = two_loc(["MOV W2, #1", "STR W2, [X0]", "DMB SY", "LDR W3, [X1]"])
-    rel = derive_ob(first_candidate(test))
-    assert (2, 4) in pairs(rel.bob)
+    assert (2, 4) in bob(test)
 
 
 def test_load_barrier_orders_only_after_reads():
     test = two_loc(["LDR W2, [X0]", "DMB ISHLD", "MOV W3, #1", "STR W3, [X1]"])
-    rel = derive_ob(first_candidate(test))
-    assert (2, 4) in pairs(rel.bob)
+    assert (2, 4) in bob(test)
 
     # a write before the barrier picks up no edge
     test = two_loc(["MOV W2, #1", "STR W2, [X0]", "DMB ISHLD", "LDR W3, [X1]"])
-    rel = derive_ob(first_candidate(test))
-    assert pairs(rel.bob) == set()
+    assert bob(test) == set()
 
 
 def test_store_barrier_ignores_reads():
     test = two_loc(["MOV W2, #1", "LDR W4, [X1]", "STR W2, [X0]",
                     "DMB ISHST", "STR W2, [X1]"])
-    rel = derive_ob(first_candidate(test))
-    assert pairs(rel.bob) == {(3, 5)}
+    assert bob(test) == {(3, 5)}
 
 
 def test_acquire_load_orders_everything_after():
     test = two_loc(["LDAR W2, [X0]", "MOV W3, #1", "STR W3, [X1]",
                     "LDR W4, [X0]"])
-    rel = derive_ob(first_candidate(test))
-    assert {(2, 3), (2, 4)} <= pairs(rel.bob)
-    assert (3, 4) not in pairs(rel.bob)
+    assert {(2, 3), (2, 4)} <= bob(test)
+    assert (3, 4) not in bob(test)
 
 
 def test_release_store_orders_everything_before():
     test = two_loc(["MOV W2, #1", "LDR W3, [X1]", "STLR W2, [X0]"])
-    rel = derive_ob(first_candidate(test))
-    assert pairs(rel.bob) == {(2, 3)}
+    assert bob(test) == {(2, 3)}
 
 
 def test_zero_destination_swap_loses_load_barrier():
@@ -111,14 +98,13 @@ def test_zero_destination_swap_loses_load_barrier():
     # barrier, and the load (5)
     live = two_loc(["MOV W2, #1", "SWP W2, W3, [X0]", "DMB ISHLD",
                     "LDR W4, [X1]"])
-    rel = derive_ob(first_candidate(live))
-    assert (2, 5) in pairs(rel.bob)
+    assert (2, 5) in bob(live)
 
     dead = two_loc(["MOV W2, #1", "SWP W2, WZR, [X0]", "DMB ISHLD",
                     "LDR W4, [X1]"])
-    ex = first_candidate(dead)
-    assert (2, 5) not in pairs(derive_ob(ex).bob)
-    assert (2, 5) in pairs(derive_ob(ex, legacy_zero_register=True).bob)
+    graph = build_events(dead)   # one graph, so one memo, for both readings
+    assert (2, 5) not in pairs(barrier_order(graph))
+    assert (2, 5) in pairs(barrier_order(graph, legacy_zero_register=True))
 
 
 def test_obs_keeps_only_cross_thread_communication():
@@ -126,10 +112,10 @@ def test_obs_keeps_only_cross_thread_communication():
     graph = build_events(test)
     for ex in enumerate_candidates(graph):
         if ex.rf[2] == 1:  # load reads the same thread's store
-            rel = derive_ob(ex)
+            obs = pairs([c & ~t for c, t in zip(ex.com, graph.same_thread)])
             assert (1, 2) in pairs(ex.com)
-            assert (1, 2) not in pairs(rel.obs)
-            assert (0, 1) in pairs(rel.obs)  # init write is external to all
+            assert (1, 2) not in obs
+            assert (0, 1) in obs  # init write is external to all
             assert internal_holds(ex)
             break
     else:
@@ -214,6 +200,5 @@ def test_legacy_flag_restores_old_reading(compiled_wzr, compiled_w15):
 
 
 def test_ob_refuses_source(discard_source):
-    ex = next(iter(enumerate_candidates(build_events(discard_source))))
     with pytest.raises(ValueError, match="asm tests"):
-        derive_ob(ex)
+        barrier_order(build_events(discard_source))

@@ -20,7 +20,12 @@ from litmusdiff.litmus import (
     UnsupportedConstructError,
     ValidationError,
 )
-from litmusdiff.syntax import parse_litmus, render_condition, render_litmus
+from litmusdiff.syntax import (
+    MAX_CONDITION_DEPTH,
+    parse_litmus,
+    render_condition,
+    render_litmus,
+)
 
 GOLDEN_NAMES = [
     "mp-xchg-discard.litmus",
@@ -238,6 +243,29 @@ def test_condition_render_parenthesizes_by_precedence():
 def test_condition_errors(clause, fragment):
     with pytest.raises(ParseError, match=fragment):
         exists_of(clause)
+
+
+LIMIT = MAX_CONDITION_DEPTH
+
+
+@pytest.mark.parametrize("deepest, too_deep", [
+    ("~" * LIMIT + "x = 1", "~" * (LIMIT + 1) + "x = 1"),
+    (" /\\ ".join(["x = 1"] * (LIMIT + 1)),
+     " /\\ ".join(["x = 1"] * (LIMIT + 2))),
+    (" \\/ ".join(["x = 1"] * (LIMIT + 1)),
+     " \\/ ".join(["x = 1"] * (LIMIT + 2))),
+    ("~(x = 1 /\\ " * (LIMIT // 2) + "x = 1" + ")" * (LIMIT // 2),
+     "~(x = 1 /\\ " * (LIMIT // 2) + "~x = 1" + ")" * (LIMIT // 2)),
+    ("(" * 2 * LIMIT + "x = 1" + ")" * 2 * LIMIT,
+     "(" * (2 * LIMIT + 1) + "x = 1" + ")" * (2 * LIMIT + 1)),
+])
+def test_condition_depth_limit(deepest, too_deep):
+    cond = exists_of(f"exists ({deepest})")
+    # what the printer writes for the deepest condition parses back
+    printed = render_condition(cond, Dialect.SOURCE)
+    assert exists_of(f"exists ({printed})") == cond
+    with pytest.raises(ParseError, match="condition nested too deeply"):
+        exists_of(f"exists ({too_deep})")
 
 
 def test_trailing_input_after_exists():
