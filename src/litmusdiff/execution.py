@@ -8,6 +8,8 @@ the rest are combined across locations.  Both models demand this
 per-location coherence, so the candidates are exactly the brute-force ones
 that are coherent.  A memory model module decides which candidates are
 consistent; the final states of the survivors form the test's outcome set.
+Each candidate's final state is projected first, and the model is consulted
+only for candidates whose final state is not yet in the set.
 
 Value flow is static: every write's value is either a program constant or a
 copy of what some earlier read in the same thread returned, so a candidate's
@@ -101,9 +103,6 @@ class EventGraph:
     events: tuple[Event, ...]
     # final register environment per thread: (tid, register) -> value source
     final_defs: dict[tuple[int, str], ValueSource]
-
-    def event(self, eid: int) -> Event:
-        return self.events[eid]
 
     @cached_property
     def reads(self) -> tuple[Event, ...]:
@@ -527,7 +526,9 @@ def allowed_outcomes(
 ) -> OutcomeSet:
     """Outcome set of a test under one of the axiomatic models, or under the
     interleaving oracle for ``sc`` (whose state count ``max_candidates``
-    bounds)."""
+    bounds).  Each candidate is projected first, and the model is consulted
+    only when its outcome is not yet allowed: a candidate whose outcome is
+    already in the set cannot change it."""
     if model == MODEL_SC:
         return sc_oracle_outcomes(test, max_states=max_candidates)
     if model == MODEL_C11:
@@ -549,8 +550,9 @@ def allowed_outcomes(
     graph = build_events(test)
     outcomes = set()
     for execution in enumerate_candidates(graph, max_candidates):
-        if consistent(execution):
-            outcomes.add(final_state(execution))
+        outcome = final_state(execution)
+        if outcome not in outcomes and consistent(execution):
+            outcomes.add(outcome)
     return OutcomeSet(test.name, model, frozenset(outcomes))
 
 

@@ -8,7 +8,7 @@ have at most a couple dozen events, so every row fits in a machine word.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterator
 
 Rows = list[int]
 
@@ -19,17 +19,6 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def from_pairs(pairs: Iterable[tuple[int, int]], size: int) -> Rows:
-    rows = [0] * size
-    for a, b in pairs:
-        rows[a] |= 1 << b
-    return rows
-
-
-def pairs(rows: Rows) -> set[tuple[int, int]]:
-    return {(a, b) for a, row in enumerate(rows) for b in bits(row)}
 
 
 def transitive_closure(rows: Rows) -> Rows:

@@ -18,7 +18,7 @@ from litmusdiff.litmus import MemoryOrder, StmtKind
 from litmusdiff.lowering import dead_register_pass, lower_test
 from litmusdiff.model_aarch64 import aarch64_consistent, internal_holds
 from litmusdiff.model_c11 import c11_consistent
-from litmusdiff.relations import pairs
+from litmusdiff.relations import bits
 from litmusdiff.testgen import GenParams, Variant, generate_mp_family
 
 # Every variant crossed with a spread of orders per slot.  216 tests, each
@@ -32,6 +32,19 @@ CORPUS_PARAMS = GenParams(
     fence_orders=(MemoryOrder.ACQUIRE, MemoryOrder.SEQ_CST, None),
     data_load_orders=(MemoryOrder.RELAXED, MemoryOrder.ACQUIRE),
 )
+
+
+def from_pairs(pairs, size):
+    """Rows over events ``0 .. size-1`` from a set of pairs."""
+    rows = [0] * size
+    for a, b in pairs:
+        rows[a] |= 1 << b
+    return rows
+
+
+def pairs(rows):
+    """The set of pairs that rows hold."""
+    return {(a, b) for a, row in enumerate(rows) for b in bits(row)}
 
 
 def make_corpus():

@@ -1,12 +1,13 @@
 """Event construction, candidate enumeration, and the SC reference oracle."""
 
+import re
 import time
 
 import pytest
 
 import naive_oracle
 import support
-from litmusdiff import model_aarch64, model_c11
+from litmusdiff import execution, golden_path, model_aarch64, model_c11
 from litmusdiff.execution import (
     DialectMismatchError,
     INIT_TID,
@@ -20,12 +21,12 @@ from litmusdiff.execution import (
     sc_oracle_outcomes,
 )
 from litmusdiff.litmus import LitmusError
-from litmusdiff.relations import pairs
 from litmusdiff.syntax import parse_litmus
+from support import pairs
 
 
-def outcome_set(pairs):
-    return {Outcome.from_dict(dict(p)) for p in pairs}
+def outcome_set(items):
+    return {Outcome.from_dict(dict(i)) for i in items}
 
 
 def test_event_layout_canonical_source(discard_source):
@@ -37,11 +38,11 @@ def test_event_layout_canonical_source(discard_source):
         (1, "R", "y"), (1, "W", "y"), (1, "F", None), (1, "R", "x"),
     ]
     assert graph.rmw_pairs == ((4, 5),)
-    xchg_read, xchg_write = graph.event(4), graph.event(5)
+    xchg_read, xchg_write = graph.events[4], graph.events[5]
     assert not xchg_read.acquire  # release exchange orders only its write
     assert xchg_write.release
-    assert graph.event(6).acquire
-    assert graph.event(3).release
+    assert graph.events[6].acquire
+    assert graph.events[3].release
     assert graph.final_defs == {(1, "r0"): ("read", 7)}
 
 
@@ -64,15 +65,15 @@ def test_mov_produces_no_event(compiled_w15):
         ["W", "W", "W", "W", "R", "W", "F", "R"]
     # ids skip nothing: MOV only touched register state
     assert [e.eid for e in graph.events if e.tid == 0] == [2, 3]
-    swp_read = graph.event(4)
+    swp_read = graph.events[4]
     assert graph.final_defs[(1, "W15")] == ("read", 4)
     assert not swp_read.zero_dest
-    assert graph.event(2).value_src == ("const", 1)
+    assert graph.events[2].value_src == ("const", 1)
 
 
 def test_zero_destination_flag(compiled_wzr):
     graph = build_events(compiled_wzr)
-    swp_read = graph.event(4)
+    swp_read = graph.events[4]
     assert swp_read.zero_dest
     assert (1, "W15") not in graph.final_defs
 
@@ -83,7 +84,7 @@ def test_store_of_zero_register_is_constant():
         "P0:", "  STR WZR, [X0]", "", "exists (x = 0)", "",
     ]))
     graph = build_events(test)
-    assert graph.event(1).value_src == ("const", 0)
+    assert graph.events[1].value_src == ("const", 0)
 
 
 def test_candidate_count_canonical(discard_source):
@@ -202,28 +203,60 @@ def test_final_state_projection(discard_source):
             "P1:r0": ex.registers[(1, "r0")], "y": ex.final_memory()["y"]}
 
 
-@pytest.mark.parametrize("module, name, model, golden", [
-    (model_c11, "c11_consistent", "c11", "discard_source"),
-    (model_aarch64, "aarch64_consistent", "aarch64", "compiled_wzr"),
-], ids=["c11", "aarch64"])
-def test_model_predicate_looked_up_per_call(monkeypatch, request, module,
-                                            name, model, golden):
-    # per-layer tracing wraps the predicate where its module defines it
-    test = request.getfixturevalue(golden)
-    calls = []
-    check = getattr(module, name)
+def fingerprint(ex):
+    return naive_oracle.fingerprint(ex.rf, ex.co, ex.values)
 
-    def counted(execution, **flags):
-        calls.append(naive_oracle.fingerprint(
-            execution.rf, execution.co, execution.values))
-        return check(execution, **flags)
+
+@pytest.mark.parametrize("module, name, model, golden, exists", [
+    (model_c11, "c11_consistent", "c11", "mp-xchg-discard.litmus", None),
+    (model_aarch64, "aarch64_consistent", "aarch64",
+     "mp-xchg-discard-compiled-wzr.litmus", None),
+    (model_c11, "c11_consistent", "c11", "mp-xchg-discard.litmus",
+     "P1:r0 = 0"),
+    (model_aarch64, "aarch64_consistent", "aarch64",
+     "mp-xchg-discard-compiled-wzr.litmus", "1:W3 = 0"),
+], ids=["c11", "aarch64", "c11-one-register", "aarch64-one-register"])
+def test_model_sees_only_candidates_with_new_outcomes(monkeypatch, module,
+                                                      name, model, golden,
+                                                      exists):
+    # The predicate sees exactly the enumerated candidates whose outcome is
+    # not yet allowed when they come, in enumeration order; every candidate
+    # is projected.  Both are looked up per call, where their modules define
+    # them, since per-layer tracing wraps them there.  Observing one register
+    # makes outcomes repeat, so some candidates are never checked.
+    text = golden_path(golden).read_text()
+    if exists is not None:
+        text = re.sub(r"exists \(.*\)", f"exists ({exists})", text)
+    test = parse_litmus(text)
+    check = getattr(module, name)
+    candidates = list(enumerate_candidates(build_events(test)))
+    allowed, expected = set(), []
+    for ex in candidates:
+        outcome = final_state(ex)
+        if outcome not in allowed:
+            expected.append(fingerprint(ex))
+            if check(ex):
+                allowed.add(outcome)
+    calls, projected = [], []
+
+    def counted(ex, **flags):
+        calls.append(fingerprint(ex))
+        return check(ex, **flags)
+
+    def counted_projection(ex):
+        projected.append(fingerprint(ex))
+        return final_state(ex)
 
     monkeypatch.setattr(module, name, counted)
-    allowed_outcomes(test, model)
-    candidates = enumerate_candidates(build_events(test))
-    assert calls == [naive_oracle.fingerprint(ex.rf, ex.co, ex.values)
-                     for ex in candidates]
+    monkeypatch.setattr(execution, "final_state", counted_projection)
+    assert allowed_outcomes(test, model).outcomes == allowed
+    assert calls == expected
+    assert projected == [fingerprint(ex) for ex in candidates]
     assert len(calls) > 1
+    if exists is None:
+        assert len(calls) == len(candidates)  # no golden outcome repeats
+    else:
+        assert len(calls) < len(candidates)
 
 
 def test_outcome_json_round_trip():

@@ -18,8 +18,8 @@ from litmusdiff.model_aarch64 import (
     barrier_order,
     internal_holds,
 )
-from litmusdiff.relations import pairs
 from litmusdiff.syntax import parse_litmus
+from support import pairs
 
 
 def hand_execution(test, rf, co):

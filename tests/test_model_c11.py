@@ -19,8 +19,8 @@ from litmusdiff.model_c11 import (
     c11_consistent,
     happens_before,
 )
-from litmusdiff.relations import pairs
 from litmusdiff.syntax import parse_litmus
+from support import pairs
 
 
 def hand_execution(test, rf, co):

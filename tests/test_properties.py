@@ -4,13 +4,17 @@ Four families: interleaving outcomes are always allowed, strengthening
 memory orders never adds behaviour, the dead-register rewrite never removes
 behaviour, and the candidate enumerator agrees with a brute-force oracle:
 its candidates are exactly the oracle's coherent ones, and its outcome sets
-are exactly those of the models applied to every oracle candidate.  The
+are exactly those of the models applied to every oracle candidate, on the
+corpus, on random tests and on the benchmark's larger inputs.  The
 relation rows every candidate carries match their set-of-pairs reading.
 """
+
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import naive_oracle
 import support
 from litmusdiff.execution import allowed_outcomes, sc_oracle_outcomes
 from litmusdiff.litmus import (
@@ -28,6 +32,8 @@ from litmusdiff.litmus import (
     validate_test,
 )
 from litmusdiff.lowering import lower_test
+from litmusdiff.model_aarch64 import aarch64_consistent
+from litmusdiff.model_c11 import c11_consistent
 from litmusdiff.syntax import parse_litmus, render_litmus
 
 CORPUS = support.make_corpus()
@@ -72,6 +78,29 @@ def test_enumeration_matches_brute_force(test):
 @pytest.mark.parametrize("test", CORPUS, ids=IDS)
 def test_outcomes_match_brute_force(test):
     support.assert_outcomes_match_brute_force(test)
+
+
+INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
+
+
+def large_subjects():
+    """c11 on each ladder source and aarch64 on its lowering, and aarch64 on
+    the asm inputs.  These have the most candidates per outcome, so
+    outcome-first checking skips the most model calls on them."""
+    for name in ("3w-2r", "mp-relseq-4t", "2+2w-x4"):
+        test = parse_litmus((INPUTS / "ladder" / f"{name}.litmus").read_text())
+        yield pytest.param(test, "c11", c11_consistent, id=f"{name}-c11")
+        yield pytest.param(lower_test(test)[0], "aarch64", aarch64_consistent,
+                           id=f"{name}-aarch64")
+    for name in ("mp-dmb-st-ld+swp-wzr", "2+2w-dmb-st+swp-wzr"):
+        test = parse_litmus((INPUTS / "asm" / f"{name}.litmus").read_text())
+        yield pytest.param(test, "aarch64", aarch64_consistent, id=name)
+
+
+@pytest.mark.parametrize("test, model, consistent", large_subjects())
+def test_outcomes_match_brute_force_on_large_inputs(test, model, consistent):
+    assert allowed_outcomes(test, model).outcomes \
+        == naive_oracle.naive_final_states(test, consistent)
 
 
 @pytest.mark.parametrize("test", CORPUS, ids=IDS)

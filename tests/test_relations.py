@@ -4,13 +4,8 @@
 from hypothesis import given, settings, strategies as st
 
 import support
-from litmusdiff.relations import (
-    bits,
-    from_pairs,
-    is_acyclic,
-    pairs,
-    transitive_closure,
-)
+from litmusdiff.relations import bits, is_acyclic, transitive_closure
+from support import from_pairs, pairs
 
 
 @st.composite
