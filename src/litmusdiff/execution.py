@@ -8,13 +8,18 @@ the rest are combined across locations.  Both models demand this
 per-location coherence, so the candidates are exactly the brute-force ones
 that are coherent.  A memory model module decides which candidates are
 consistent; the final states of the survivors form the test's outcome set.
-Each candidate's final state is projected first, and the model is consulted
-only for candidates whose final state is not yet in the set.
 
 Value flow is static: every write's value is either a program constant or a
-copy of what some earlier read in the same thread returned, so a candidate's
-values are solved by a fixpoint over rf.  Candidates whose values never
-settle (a read feeding its own rf source through a cycle) are dropped.
+copy of what some earlier read in the same thread returned.  So a
+candidate's final state, and whether its values settle at all, follow from
+a few terms of its location choices: the value source of each observed
+location's co-last write and of the rf source of each read that an observed
+register or a copying write draws on.  Choices are grouped by those terms,
+each combination of groups is resolved to its outcome before any candidate
+is built, and combinations whose values never settle (a read feeding its
+own rf source through a cycle of copies) are dropped there.  Candidates are
+then built outcome by outcome, and only while their outcome is still open:
+the model is consulted only for outcomes not yet allowed.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import enum
 import itertools
 import math
 from functools import cached_property
-from typing import Iterator
+from typing import AbstractSet, Iterator
 
 from .litmus import (
     Dialect,
@@ -132,23 +137,28 @@ class EventGraph:
     def po(self) -> Rows:
         """Program order as rows.  Ids follow it: init writes come first and
         precede every event, and a thread's events are numbered in order."""
-        return [event_mask(b for b in self.events[a.eid + 1:]
-                           if a.is_init or b.tid == a.tid)
-                for a in self.events]
+        everything = (1 << len(self.events)) - 1
+        return [(everything if e.is_init else same) & -(2 << e.eid)
+                for e, same in zip(self.events, self.same_thread)]
 
     @cached_property
     def po_loc(self) -> Rows:
         """Program order between a thread's own accesses to one location.
         Init writes are left out: they precede everything in coherence."""
-        return [row & event_mask(b for b in self.events if b.loc == e.loc)
-                if e.loc is not None and not e.is_init else 0
+        at: dict[str, int] = {}
+        for e in self.events:
+            if e.loc is not None:
+                at[e.loc] = at.get(e.loc, 0) | 1 << e.eid
+        return [row & at[e.loc] if e.loc is not None and not e.is_init else 0
                 for e, row in zip(self.events, self.po)]
 
     @cached_property
     def same_thread(self) -> Rows:
         """Per event, the mask of its own thread's events, itself included."""
-        return [event_mask(b for b in self.events if b.tid == a.tid)
-                for a in self.events]
+        of: dict[int, int] = {}
+        for e in self.events:
+            of[e.tid] = of.get(e.tid, 0) | 1 << e.eid
+        return [of[e.tid] for e in self.events]
 
     @cached_property
     def final_observables(self) -> list[tuple[str, object]]:
@@ -301,25 +311,6 @@ def atomicity_holds(execution: Execution) -> bool:
     return True
 
 
-def _solve_values(graph: EventGraph, rf: dict[int, int]) -> dict[int, int] | None:
-    """Each read's and write's value, or None when some value copies itself
-    through rf.  ``copies`` maps each unsolved event to its value's source."""
-    values: dict[int, int] = {}
-    copies = {r.eid: rf[r.eid] for r in graph.reads}
-    for w in graph.writes:
-        if w.value_src[0] == "const":
-            values[w.eid] = w.value_src[1]
-        else:
-            copies[w.eid] = w.value_src[1]
-    while copies:
-        ready = [e for e, src in copies.items() if src in values]
-        if not ready:
-            return None
-        for e in ready:
-            values[e] = values[copies.pop(e)]
-    return values
-
-
 def _union(parts: list[Rows]) -> Rows:
     rows, *rest = parts
     for more in rest:
@@ -362,11 +353,9 @@ def _merges(chains: list[list[int]]) -> Iterator[tuple[int, ...]]:
             yield tuple(merged)
 
 
-def _location_choices(
-    graph: EventGraph, loc: str, count
-) -> list[tuple[tuple[int, ...], tuple[tuple[int, int], ...],
-                tuple[Rows, Rows]]]:
-    """The coherent (co, rf) choices on one location.
+def _location_choices(graph: EventGraph, loc: str, drawn, count) -> dict:
+    """The coherent (co, rf) choices on one location as ``(co, rf, rows)``,
+    grouped by signature.
 
     Coherence orders are the init write followed by a merge of each
     thread's writes in program order (CoWW); exchange reads read the write
@@ -374,12 +363,15 @@ def _location_choices(
     position for a write, one more than its rf source's key for a read.
     Communication on one location then runs from lower to higher keys, so
     ``po-loc | rf | co | fr`` is acyclic exactly when no po-loc pair goes
-    down in key (CoWR, CoRW, CoRR).  Each choice carries its
-    ``_location_rows``.  ``count`` is told how many choices are about to be
-    examined before they are.  As a sanity net, each choice asserts that co
-    permutes the location's writes with init first, that every rf source is
-    on the location and that exchange reads read their own write's
-    immediate co-predecessor.
+    down in key (CoWR, CoRW, CoRR).  ``rows`` are the choice's
+    ``_location_rows``.  A signature is all the outcome can read of a
+    choice: the value source of the co-last write if the location is in
+    ``drawn``, then each read in ``drawn`` with the value source of its rf
+    source.  ``count`` is told how many choices are about to be examined
+    before they are.  As a sanity net, each choice asserts that co permutes
+    the location's writes with init first, that every rf source is on the
+    location and that exchange reads read their own write's immediate
+    co-predecessor.
     """
     init, *writes = graph.writes_by_loc[loc]
     chains: dict[int, list[int]] = {}
@@ -389,9 +381,12 @@ def _location_choices(
     reads = [r.eid for r in graph.reads if r.loc == loc]
     plain = [r for r in reads if r not in rmw_write]
     forced = [(r, rmw_write[r]) for r in reads if r in rmw_write]
+    rf_reads = [*plain, *(r for r, _ in forced)]
+    signed = [(i, r) for i, r in enumerate(rf_reads) if r in drawn]
     po_loc = [(a, b) for a in (init, *writes, *reads)
               for b in bits(graph.po_loc[a])]
-    choices = []
+    value_src = {w: graph.events[w].value_src for w in (init, *writes)}
+    groups: dict[tuple, list] = {}
     for tail in _merges(list(chains.values())):
         co = (init, *tail)
         key = {w: 2 * i for i, w in enumerate(co)}
@@ -403,6 +398,7 @@ def _location_choices(
             fixed.append((r, source))
         assert sorted(co) == [init, *writes] and graph.events[init].is_init
         count(len(co) ** len(plain))
+        last = ((loc, value_src[co[-1]]),) if loc in drawn else ()
         for sources in itertools.product(co, repeat=len(plain)):
             for r, w in zip(plain, sources):
                 key[r] = key[w] + 1
@@ -412,15 +408,64 @@ def _location_choices(
             else:
                 rf = (*zip(plain, sources), *fixed)
                 assert all(graph.events[w].loc == loc for _, w in rf)
-                choices.append(
+                signature = last + tuple(
+                    [(r, value_src[rf[i][1]]) for i, r in signed])
+                groups.setdefault(signature, []).append(
                     (co, rf, _location_rows(key, len(graph.events))))
-    return choices
+    return groups
+
+
+def _class_outcome(combo, terms, constants, copies):
+    """The outcome, as its items, of every candidate whose location choices
+    have the signatures of ``combo`` (pairs of a signature and its group),
+    with the values of all writes; None when the drawn reads' values copy
+    themselves through rf and never settle.  Every read on such a copy
+    cycle is drawn, so only then does some candidate's value go
+    unsettled; without copying writes every source is a constant."""
+    sources: dict = {}
+    for signature, _ in combo:
+        sources.update(signature)
+    writes = constants
+    if copies:
+        for key, src in sources.items():
+            hops = 0
+            while src[0] == "read":
+                hops += 1
+                if hops > len(sources):
+                    return None
+                src = sources[src[1]]
+            sources[key] = src
+        writes = {**constants, **{w: sources[r][1] for w, r in copies}}
+    return tuple([(label, sources[src[1]][1] if src[0] == "read" else src[1])
+                  for label, src in terms]), writes
+
+
+def _candidate(graph: EventGraph, locs, choices, writes) -> Execution:
+    """Assemble one candidate from its location choices and its writes'
+    values; every read holds its rf source's value."""
+    co = {}
+    rf = {}
+    for loc, (order, sources, _) in zip(locs, choices):
+        co[loc] = order
+        rf.update(sources)
+    values = dict(writes)
+    for r, w in rf.items():
+        values[r] = writes[w]
+    registers = {key: src[1] if src[0] == "const" else values[src[1]]
+                 for key, src in graph.final_defs.items()}
+    execution = Execution(graph, rf, co, values, registers)
+    execution.location_rows = [rows for _, _, rows in choices]
+    return execution
 
 
 def enumerate_candidates(
-    graph: EventGraph, max_candidates: int | None = None
+    graph: EventGraph,
+    max_candidates: int | None = None,
+    *,
+    skip: AbstractSet[Outcome] = frozenset(),
 ) -> Iterator[Execution]:
-    """Yield every coherent, value-consistent candidate execution.
+    """Yield every coherent, value-consistent candidate execution whose
+    outcome is not in ``skip`` when its turn comes.
 
     Each location's coherence order and reads-from choices are searched on
     their own, and only choices that keep ``po-loc | rf | co | fr`` acyclic
@@ -429,10 +474,20 @@ def enumerate_candidates(
     no consistent candidate is lost.  Coherence orders keep the init write
     first.  An exchange's read is forced to read from the write immediately
     before its own write in coherence order; that bakes in read-modify-write
-    atomicity instead of generating and filtering the violations.  Raises
-    ResourceLimitError, before doing the work, once more than
+    atomicity instead of generating and filtering the violations.
+
+    A candidate's outcome and whether its values settle depend only on its
+    location choices' signatures (see ``_location_choices``).  So choices
+    are grouped by signature, each combination of groups is resolved to an
+    outcome once, combinations with value cycles are dropped there, and the
+    candidates are built and yielded outcome by outcome, each outcome's
+    contiguously.  ``skip`` is read before each candidate: the caller may
+    add to it while iterating, and once an outcome is in it, that outcome's
+    remaining candidates are never built.
+
+    Raises ResourceLimitError, before doing the work, once more than
     ``max_candidates`` choices would be examined: each per-location choice
-    and each combination of them counts once.
+    and each combination of them counts once, skipped or not.
     """
     limit = DEFAULT_MAX_CANDIDATES if max_candidates is None else max_candidates
     examined = 0
@@ -444,25 +499,39 @@ def enumerate_candidates(
             raise ResourceLimitError(
                 f"candidate executions exceed the limit of {limit}")
 
+    # Where each label's final value comes from: a register's value source,
+    # or ("read", location) for the value of the location's co-last write.
+    terms = [(label, ("read", obs.location) if isinstance(obs, MemoryObservable)
+              else graph.final_defs[(obs.thread, obs.register)])
+             for label, obs in graph.final_observables]
+    constants = {}
+    copies = []
+    for w in graph.writes:
+        kind, source = w.value_src
+        if kind == "const":
+            constants[w.eid] = source
+        else:
+            copies.append((w.eid, source))
+    # The reads whose rf source the outcome or a copying write draws on.
+    drawn = {key for _, (kind, key) in terms if kind == "read"}
+    drawn.update(r for _, r in copies)
     locs = graph.test.sorted_locations()
-    per_loc = [_location_choices(graph, loc, count) for loc in locs]
-    count(math.prod(map(len, per_loc)))
-    for combo in itertools.product(*per_loc):
-        co = {}
-        rf = {}
-        for loc, (order, sources, _) in zip(locs, combo):
-            co[loc] = order
-            rf.update(sources)
-        values = _solve_values(graph, rf)
-        if values is None:
-            continue
-        # Sanity net: every read returns its rf source's value.
-        assert all(values[r] == values[w] for r, w in rf.items())
-        registers = {key: src[1] if src[0] == "const" else values[src[1]]
-                     for key, src in graph.final_defs.items()}
-        execution = Execution(graph, rf, co, values, registers)
-        execution.location_rows = [rows for _, _, rows in combo]
-        yield execution
+    groups = [_location_choices(graph, loc, drawn, count) for loc in locs]
+    count(math.prod(sum(map(len, group.values())) for group in groups))
+    classes: dict[tuple, list] = {}
+    for combo in itertools.product(*(group.items() for group in groups)):
+        resolved = _class_outcome(combo, terms, constants, copies)
+        if resolved is not None:
+            items, writes = resolved
+            classes.setdefault(items, []).append(
+                ([members for _, members in combo], writes))
+    for items, members in classes.items():
+        outcome = Outcome(items)
+        for choices, writes in members:
+            for combo in itertools.product(*choices):
+                if outcome in skip:
+                    break
+                yield _candidate(graph, locs, combo, writes)
 
 
 @dataclasses.dataclass(frozen=True, order=True)
@@ -526,9 +595,10 @@ def allowed_outcomes(
 ) -> OutcomeSet:
     """Outcome set of a test under one of the axiomatic models, or under the
     interleaving oracle for ``sc`` (whose state count ``max_candidates``
-    bounds).  Each candidate is projected first, and the model is consulted
-    only when its outcome is not yet allowed: a candidate whose outcome is
-    already in the set cannot change it."""
+    bounds).  The outcome set itself is the enumerator's ``skip`` set, so
+    only candidates whose outcome is not yet allowed are built and checked:
+    a candidate whose outcome is already in the set cannot change it.  The
+    consistent one is projected once, when its outcome joins the set."""
     if model == MODEL_SC:
         return sc_oracle_outcomes(test, max_states=max_candidates)
     if model == MODEL_C11:
@@ -549,10 +619,10 @@ def allowed_outcomes(
 
     graph = build_events(test)
     outcomes = set()
-    for execution in enumerate_candidates(graph, max_candidates):
-        outcome = final_state(execution)
-        if outcome not in outcomes and consistent(execution):
-            outcomes.add(outcome)
+    for execution in enumerate_candidates(graph, max_candidates,
+                                          skip=outcomes):
+        if consistent(execution):
+            outcomes.add(final_state(execution))
     return OutcomeSet(test.name, model, frozenset(outcomes))
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import re
-from typing import Iterator, Mapping, Union
+from typing import Iterator, Mapping
 
 MAX_LOCATIONS = 4
 MAX_THREADS = 4
@@ -154,7 +154,7 @@ class AsmInstr:
         return ()
 
 
-Stmt = Union[SourceStmt, AsmInstr]
+Stmt = SourceStmt | AsmInstr
 
 
 @dataclasses.dataclass(frozen=True)
@@ -197,7 +197,7 @@ class MemoryObservable:
     location: str
 
 
-Observable = Union[RegisterObservable, MemoryObservable]
+Observable = RegisterObservable | MemoryObservable
 
 
 def observable_label(obs: Observable, dialect: Dialect) -> str:
@@ -232,7 +232,7 @@ class Neg:
     operand: "FinalCondition"
 
 
-FinalCondition = Union[Atom, Conj, Disj, Neg]
+FinalCondition = Atom | Conj | Disj | Neg
 
 
 def condition_atoms(cond: FinalCondition) -> Iterator[Atom]:

@@ -176,6 +176,18 @@ def check_row_laws(test):
     return incoherent
 
 
+def hand_execution(test, rf, co):
+    """Assemble a candidate directly, bypassing the enumerator's filters.
+    Values come from the brute-force oracle's resolver."""
+    graph = build_events(test)
+    events, _, _ = naive_oracle.flatten_events(test)
+    values = naive_oracle._resolve(events, rf)
+    assert values is not None
+    registers = {k: (s[1] if s[0] == "const" else values[s[1]])
+                 for k, s in graph.final_defs.items()}
+    return Execution(graph, rf, co, values, registers)
+
+
 def coherent_naive_fingerprints(test):
     """Fingerprints of the brute-force candidates that are coherent."""
     events, _, _ = naive_oracle.flatten_events(test)

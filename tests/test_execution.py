@@ -2,6 +2,7 @@
 
 import re
 import time
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +22,7 @@ from litmusdiff.execution import (
     sc_oracle_outcomes,
 )
 from litmusdiff.litmus import LitmusError
+from litmusdiff.lowering import lower_test
 from litmusdiff.syntax import parse_litmus
 from support import pairs
 
@@ -127,6 +129,40 @@ def test_candidate_limit(discard_source):
         allowed_outcomes(discard_source, "c11", max_candidates=2)
 
 
+MP_RELSEQ_4T = (Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
+                / "ladder" / "mp-relseq-4t.litmus")
+
+
+@pytest.mark.parametrize("module, name, model, lowered", [
+    (model_c11, "c11_consistent", "c11", False),
+    (model_aarch64, "aarch64_consistent", "aarch64", True),
+], ids=["c11", "aarch64"])
+def test_candidate_limit_is_exact(monkeypatch, module, name, model, lowered):
+    # mp-relseq-4t examines 1,770 choices, its lowering too: each location's
+    # (co, rf) choices and every combination of them, whether its outcome is
+    # skipped or not.  A limit of exactly that succeeds; one less raises
+    # before the model is ever called.
+    test = parse_litmus(MP_RELSEQ_4T.read_text())
+    if lowered:
+        test = lower_test(test)[0]
+    expected = allowed_outcomes(test, model).outcomes
+    check = getattr(module, name)
+    calls = []
+
+    def counted(ex, **flags):
+        calls.append(ex)
+        return check(ex, **flags)
+
+    monkeypatch.setattr(module, name, counted)
+    assert allowed_outcomes(test, model, max_candidates=1770).outcomes \
+        == expected
+    assert calls
+    calls.clear()
+    with pytest.raises(ResourceLimitError, match="limit of 1769$"):
+        allowed_outcomes(test, model, max_candidates=1769)
+    assert calls == []
+
+
 def _one_location_writes(threads, per_thread):
     bodies = []
     for tid in range(threads):
@@ -207,7 +243,7 @@ def fingerprint(ex):
     return naive_oracle.fingerprint(ex.rf, ex.co, ex.values)
 
 
-@pytest.mark.parametrize("module, name, model, golden, exists", [
+GOLDEN_CASES = (
     (model_c11, "c11_consistent", "c11", "mp-xchg-discard.litmus", None),
     (model_aarch64, "aarch64_consistent", "aarch64",
      "mp-xchg-discard-compiled-wzr.litmus", None),
@@ -215,28 +251,83 @@ def fingerprint(ex):
      "P1:r0 = 0"),
     (model_aarch64, "aarch64_consistent", "aarch64",
      "mp-xchg-discard-compiled-wzr.litmus", "1:W3 = 0"),
-], ids=["c11", "aarch64", "c11-one-register", "aarch64-one-register"])
-def test_model_sees_only_candidates_with_new_outcomes(monkeypatch, module,
-                                                      name, model, golden,
-                                                      exists):
-    # The predicate sees exactly the enumerated candidates whose outcome is
-    # not yet allowed when they come, in enumeration order; every candidate
-    # is projected.  Both are looked up per call, where their modules define
-    # them, since per-layer tracing wraps them there.  Observing one register
-    # makes outcomes repeat, so some candidates are never checked.
+)
+GOLDEN_IDS = ["c11", "aarch64", "c11-one-register", "aarch64-one-register"]
+LAW_SUBJECTS = pytest.mark.parametrize(
+    "golden, exists", [case[3:] for case in GOLDEN_CASES], ids=GOLDEN_IDS)
+LAW_CASES = pytest.mark.parametrize(
+    "module, name, model, golden, exists", GOLDEN_CASES, ids=GOLDEN_IDS)
+
+
+def law_subject(golden, exists):
     text = golden_path(golden).read_text()
     if exists is not None:
         text = re.sub(r"exists \(.*\)", f"exists ({exists})", text)
-    test = parse_litmus(text)
+    return parse_litmus(text)
+
+
+@LAW_SUBJECTS
+def test_candidates_come_outcome_by_outcome(golden, exists):
+    # Without skip, every coherent candidate comes, each outcome's
+    # candidates in one run.
+    test = law_subject(golden, exists)
+    candidates = list(enumerate_candidates(build_events(test)))
+    fingerprints = [fingerprint(ex) for ex in candidates]
+    assert len(set(fingerprints)) == len(fingerprints)
+    assert set(fingerprints) == support.coherent_naive_fingerprints(test)
+    runs = [outcome for i, outcome in enumerate(map(final_state, candidates))
+            if i == 0 or outcome != final_state(candidates[i - 1])]
+    assert len(runs) == len(set(runs))
+
+
+@LAW_SUBJECTS
+def test_skip_drops_exactly_the_candidates_of_skipped_outcomes(golden,
+                                                               exists):
+    # Read before each candidate: a set fixed up front, and one that grows
+    # with every other outcome yielded, leave out exactly the candidates
+    # whose outcome is in the set when they come, in the same order.
+    test = law_subject(golden, exists)
+    candidates = list(enumerate_candidates(build_events(test)))
+    first = final_state(candidates[0])
+    fixed = [fingerprint(ex) for ex in candidates if final_state(ex) != first]
+    assert [fingerprint(ex) for ex in enumerate_candidates(
+        build_events(test), skip={first})] == fixed
+
+    skip, expected = set(), []
+    for ex in candidates:
+        if final_state(ex) not in skip:
+            expected.append(fingerprint(ex))
+            if len(expected) % 2:
+                skip.add(final_state(ex))
+    skip, got = set(), []
+    for ex in enumerate_candidates(build_events(test), skip=skip):
+        got.append(fingerprint(ex))
+        if len(got) % 2:
+            skip.add(final_state(ex))
+    assert got == expected
+
+
+@LAW_CASES
+def test_model_sees_only_candidates_with_open_outcomes(monkeypatch, module,
+                                                       name, model, golden,
+                                                       exists):
+    # allowed_outcomes passes its outcome set as skip: the predicate sees
+    # exactly the candidates whose outcome is not yet allowed when they come,
+    # and final_state runs once per allowed outcome, on the candidate that
+    # allowed it.  Both are looked up per call, where their modules define
+    # them, since per-layer tracing wraps them there.  Observing one
+    # register makes outcomes repeat, so some candidates are never built.
+    test = law_subject(golden, exists)
     check = getattr(module, name)
     candidates = list(enumerate_candidates(build_events(test)))
-    allowed, expected = set(), []
+    allowed, expected, accepted = set(), [], []
     for ex in candidates:
         outcome = final_state(ex)
         if outcome not in allowed:
             expected.append(fingerprint(ex))
             if check(ex):
                 allowed.add(outcome)
+                accepted.append(fingerprint(ex))
     calls, projected = [], []
 
     def counted(ex, **flags):
@@ -251,7 +342,7 @@ def test_model_sees_only_candidates_with_new_outcomes(monkeypatch, module,
     monkeypatch.setattr(execution, "final_state", counted_projection)
     assert allowed_outcomes(test, model).outcomes == allowed
     assert calls == expected
-    assert projected == [fingerprint(ex) for ex in candidates]
+    assert projected == accepted and len(projected) == len(allowed)
     assert len(calls) > 1
     if exists is None:
         assert len(calls) == len(candidates)  # no golden outcome repeats

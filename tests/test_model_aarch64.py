@@ -5,9 +5,7 @@ import pytest
 import support
 from litmusdiff import model_aarch64
 from litmusdiff.execution import (
-    Execution,
     Outcome,
-    _solve_values,
     allowed_outcomes,
     atomicity_holds,
     build_events,
@@ -19,16 +17,7 @@ from litmusdiff.model_aarch64 import (
     internal_holds,
 )
 from litmusdiff.syntax import parse_litmus
-from support import pairs
-
-
-def hand_execution(test, rf, co):
-    graph = build_events(test)
-    values = _solve_values(graph, rf)
-    assert values is not None
-    registers = {k: (s[1] if s[0] == "const" else values[s[1]])
-                 for k, s in graph.final_defs.items()}
-    return Execution(graph, rf, co, values, registers)
+from support import hand_execution, pairs
 
 
 def asm(lines, *, init=("x = 0;", "0:X0 = x;"), exists="exists (x = 0)"):

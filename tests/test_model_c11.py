@@ -5,9 +5,7 @@ import pytest
 from naive_oracle import naive_final_states
 from litmusdiff import model_c11
 from litmusdiff.execution import (
-    Execution,
     Outcome,
-    _solve_values,
     allowed_outcomes,
     atomicity_holds,
     build_events,
@@ -20,17 +18,7 @@ from litmusdiff.model_c11 import (
     happens_before,
 )
 from litmusdiff.syntax import parse_litmus
-from support import pairs
-
-
-def hand_execution(test, rf, co):
-    """Assemble a candidate directly, bypassing the enumerator's filters."""
-    graph = build_events(test)
-    values = _solve_values(graph, rf)
-    assert values is not None
-    registers = {k: (s[1] if s[0] == "const" else values[s[1]])
-                 for k, s in graph.final_defs.items()}
-    return Execution(graph, rf, co, values, registers)
+from support import hand_execution, pairs
 
 
 def mp(reader_block, exists):

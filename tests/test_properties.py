@@ -16,7 +16,13 @@ from hypothesis import given, settings, strategies as st
 
 import naive_oracle
 import support
-from litmusdiff.execution import allowed_outcomes, sc_oracle_outcomes
+from litmusdiff.execution import (
+    allowed_outcomes,
+    build_events,
+    enumerate_candidates,
+    final_state,
+    sc_oracle_outcomes,
+)
 from litmusdiff.litmus import (
     Atom,
     Dialect,
@@ -101,6 +107,95 @@ def large_subjects():
 def test_outcomes_match_brute_force_on_large_inputs(test, model, consistent):
     assert allowed_outcomes(test, model).outcomes \
         == naive_oracle.naive_final_states(test, consistent)
+
+
+@pytest.mark.parametrize("test, model, consistent", large_subjects())
+def test_candidates_come_outcome_by_outcome_on_large_inputs(test, model,
+                                                            consistent):
+    outcomes = [final_state(ex)
+                for ex in enumerate_candidates(build_events(test))]
+    runs = [o for i, o in enumerate(outcomes)
+            if i == 0 or o != outcomes[i - 1]]
+    assert len(runs) == len(set(runs)) < len(outcomes)
+
+
+# asm tests whose writes copy what a read returned (data dependencies):
+# the outcome and the value cycles of a candidate follow from the rf
+# sources of the copied reads, which the enumerator resolves per group of
+# location choices before building any candidate.
+COPY_TESTS = {
+    # the thin-air shape: each load reading the other thread's copy never
+    # grounds in a constant
+    "lb-datas": """AArch64 LB+datas
+{
+  x = 1; y = 2;
+  0:X0 = x; 0:X1 = y;
+  1:X0 = x; 1:X1 = y;
+}
+P0:
+  LDR W2, [X0]
+  STR W2, [X1]
+P1:
+  LDR W2, [X1]
+  STR W2, [X0]
+exists (0:W2 = 2 /\\ 1:W2 = 1 /\\ x = 1 /\\ y = 2)
+""",
+    "wrc-data": """AArch64 WRC+data
+{
+  x = 0; y = 0;
+  0:X0 = x; 0:X1 = y;
+  1:X0 = x; 1:X1 = y;
+  2:X0 = x; 2:X1 = y;
+}
+P0:
+  MOV W2, #1
+  STR W2, [X0]
+P1:
+  LDR W2, [X0]
+  STR W2, [X1]
+P2:
+  LDR W2, [X1]
+  LDR W3, [X0]
+exists (1:W2 = 1 /\\ 2:W2 = 1 /\\ 2:W3 = 0)
+""",
+    # x -> y -> z -> x: P3's exchange stores what it read from z back into
+    # x, so copies can cycle through all three locations
+    "copy-chain": """AArch64 copy-chain
+{
+  x = 0; y = 0; z = 0;
+  0:X0 = x;
+  1:X0 = x; 1:X1 = y;
+  2:X1 = y; 2:X2 = z;
+  3:X0 = x; 3:X2 = z;
+}
+P0:
+  MOV W1, #1
+  STR W1, [X0]
+P1:
+  LDR W3, [X0]
+  STR W3, [X1]
+P2:
+  LDR W4, [X1]
+  STR W4, [X2]
+P3:
+  LDR W5, [X2]
+  SWP W5, W6, [X0]
+exists (1:W3 = 1 /\\ 2:W4 = 1 /\\ 3:W6 = 0 /\\ x = 1 /\\ z = 1)
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(COPY_TESTS))
+def test_outcomes_match_brute_force_on_copying_asm(name):
+    test = parse_litmus(COPY_TESTS[name])
+    assert support.candidate_fingerprints(test) \
+        == support.coherent_naive_fingerprints(test)
+    for legacy in (False, True):
+        assert allowed_outcomes(
+            test, "aarch64", legacy_zero_register=legacy).outcomes \
+            == naive_oracle.naive_final_states(
+                test, lambda ex: aarch64_consistent(
+                    ex, legacy_zero_register=legacy))
 
 
 @pytest.mark.parametrize("test", CORPUS, ids=IDS)
