@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import itertools
 import random
 
 from .litmus import (
@@ -194,30 +195,28 @@ def generate_mp_family(params: GenParams) -> list[tuple[LitmusTest, VariantTag]]
     """All requested combinations, in a deterministic order.
 
     Tests come out grouped by variant (historic, discard, observe), then in
-    the declaration order of each choice set.  With ``limit``, a seeded
-    sample of that sequence is returned, original order preserved.
+    the declaration order of each choice set.  With ``limit`` below
+    ``combination_count()``, a seeded sample of positions in that sequence
+    is drawn first, original order preserved, and only those tests are
+    built and validated; ``seed`` matters only then.
     """
     ordered_variants = [v for v in Variant if v in params.variants]
-    out: list[tuple[LitmusTest, VariantTag]] = []
-    for variant in ordered_variants:
-        for ds in params.data_store_orders:
-            for fs in params.flag_store_orders:
-                for fo in params.flag_op_orders:
-                    for fence in params.fence_orders:
-                        for dl in params.data_load_orders:
-                            test = _build_test(
-                                variant, params.flag_mechanism,
-                                ds, fs, fo, fence, dl)
-                            tag = VariantTag(variant, params.flag_mechanism, {
-                                "data_store": ds.value,
-                                "flag_store": fs.value,
-                                "flag_op": fo.value,
-                                "fence": None if fence is None else fence.value,
-                                "data_load": dl.value,
-                            })
-                            out.append((test, tag))
-    if params.limit is not None and params.limit < len(out):
+    combos = list(itertools.product(
+        ordered_variants, params.data_store_orders, params.flag_store_orders,
+        params.flag_op_orders, params.fence_orders, params.data_load_orders))
+    if params.limit is not None and params.limit < len(combos):
         rng = random.Random(params.seed)
-        keep = sorted(rng.sample(range(len(out)), params.limit))
-        out = [out[i] for i in keep]
+        keep = sorted(rng.sample(range(len(combos)), params.limit))
+        combos = [combos[i] for i in keep]
+    out: list[tuple[LitmusTest, VariantTag]] = []
+    for variant, ds, fs, fo, fence, dl in combos:
+        test = _build_test(variant, params.flag_mechanism, ds, fs, fo, fence, dl)
+        tag = VariantTag(variant, params.flag_mechanism, {
+            "data_store": ds.value,
+            "flag_store": fs.value,
+            "flag_op": fo.value,
+            "fence": None if fence is None else fence.value,
+            "data_load": dl.value,
+        })
+        out.append((test, tag))
     return out

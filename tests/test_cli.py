@@ -1,5 +1,6 @@
 """End-to-end command line behaviour, run in process."""
 
+import hashlib
 import json
 
 import pytest
@@ -328,6 +329,32 @@ def test_generate_corpus(capsys, tmp_path):
     assert code == 0
     after = {p.name: p.read_text() for p in out_dir.iterdir()}
     assert after == before
+
+
+# perfbench's MP_FAMILY_ARGS: every legal order in every slot, 2,025 tests.
+MP_FAMILY_ARGS = (
+    "--variants", "historic,discard,observe",
+    "--data-store-orders", "rlx,rel,sc",
+    "--flag-store-orders", "rlx,rel,sc",
+    "--flag-op-orders", "rlx,acq,rel,ar,sc",
+    "--fence-orders", "acq,rel,ar,sc,none",
+    "--data-load-orders", "rlx,acq,sc",
+)
+
+
+def test_generate_sample_bytes_are_pinned(capsys, tmp_path):
+    # The mp-corpus sample, pinned from the generator that built all 2,025
+    # tests before drawing 216: drawing first must not change a byte.
+    code, out, _ = run(capsys, "generate", "--out-dir", str(tmp_path),
+                       *MP_FAMILY_ARGS, "--limit", "216", "--seed", "1")
+    assert code == 0
+    assert out == f"wrote 216 tests to {tmp_path}\n"
+    manifest = (tmp_path / "manifest.json").read_bytes()
+    litmus = b"".join(p.read_bytes() for p in sorted(tmp_path.glob("*.litmus")))
+    assert hashlib.sha256(manifest).hexdigest() == (
+        "ae008d391c4b520d4db294ee653d11fbd17943e1528d6598e9099c7b3927040a")
+    assert hashlib.sha256(litmus).hexdigest() == (
+        "0660eddeebfef78067c88ff9b2c92b96786981075ad0d416124fa3f6cfffd98b")
 
 
 def test_generate_rejects_bad_order(capsys, tmp_path):

@@ -1,9 +1,20 @@
 """Message-passing family generator."""
 
+import dataclasses
+import random
+
 import pytest
 
 import support
-from litmusdiff.litmus import MemoryOrder, validate_test
+from litmusdiff import testgen
+from litmusdiff.litmus import (
+    FENCE_ORDERS,
+    LOAD_ORDERS,
+    STORE_ORDERS,
+    MemoryOrder,
+    validate_test,
+)
+from litmusdiff.syntax import render_litmus
 from litmusdiff.testgen import (
     FlagMechanism,
     GenParams,
@@ -17,6 +28,32 @@ ACQ = MemoryOrder.ACQUIRE
 REL = MemoryOrder.RELEASE
 AR = MemoryOrder.ACQ_REL
 SC = MemoryOrder.SEQ_CST
+
+
+def legal(orders):
+    return tuple(o for o in MemoryOrder if o in orders)
+
+
+# Every legal order in every slot: the 2,025-test exchange family (the one
+# perfbench samples its mp-corpus from) and the 405-test plain-store family.
+EXCHANGE_FAMILY = GenParams(
+    variants=tuple(Variant),
+    data_store_orders=legal(STORE_ORDERS),
+    flag_store_orders=legal(STORE_ORDERS),
+    flag_op_orders=tuple(MemoryOrder),
+    fence_orders=legal(FENCE_ORDERS) + (None,),
+    data_load_orders=legal(LOAD_ORDERS),
+)
+PLAIN_STORE_FAMILY = dataclasses.replace(
+    EXCHANGE_FAMILY,
+    variants=(Variant.HISTORIC,),
+    flag_op_orders=legal(LOAD_ORDERS),
+    flag_mechanism=FlagMechanism.PLAIN_STORE,
+)
+
+
+def comparable(family):
+    return [(test.name, tag, render_litmus(test)) for test, tag in family]
 
 
 def only(params):
@@ -114,8 +151,7 @@ def test_duplicate_choices_collapse():
     assert params.combination_count() == 2
 
 
-def test_limit_samples_in_order():
-    import dataclasses
+def test_limit_samples_in_order(monkeypatch):
     full = [t.name for t, _ in generate_mp_family(support.CORPUS_PARAMS)]
     params = dataclasses.replace(support.CORPUS_PARAMS, limit=40)
     sample = [t.name for t, _ in generate_mp_family(params)]
@@ -127,6 +163,39 @@ def test_limit_samples_in_order():
     assert again == sample
     other = dataclasses.replace(support.CORPUS_PARAMS, limit=40, seed=7)
     assert [t.name for t, _ in generate_mp_family(other)] != sample
+
+    # The exact law: a limited run keeps the seeded sample of positions in
+    # the unlimited sequence, and builds only the tests it keeps.
+    built = []
+    build = testgen._build_test
+    monkeypatch.setattr(testgen, "_build_test",
+                        lambda *args: built.append(args) or build(*args))
+    for family in (support.CORPUS_PARAMS, EXCHANGE_FAMILY):
+        full = comparable(generate_mp_family(family))
+        count = family.combination_count()
+        assert len(full) == count
+        for seed in (0, 1, 7):
+            for limit in (1, 40, 216, count - 1, count, count + 1):
+                built.clear()
+                limited = generate_mp_family(
+                    dataclasses.replace(family, limit=limit, seed=seed))
+                if limit > count:
+                    keep = range(count)
+                else:
+                    keep = sorted(random.Random(seed).sample(range(count), limit))
+                assert comparable(limited) == [full[i] for i in keep]
+                assert len(built) == min(limit, count)
+
+
+@pytest.mark.parametrize("family", [EXCHANGE_FAMILY, PLAIN_STORE_FAMILY],
+                         ids=["exchange", "plain-store"])
+def test_every_combination_validates(family):
+    # Limited runs build only what they keep, so this is where every
+    # combination of the full families is shown to be a valid test.
+    out = generate_mp_family(family)
+    assert len(out) == family.combination_count()
+    for test, _ in out:
+        validate_test(test)
 
 
 def test_limit_above_total_is_noop():
