@@ -17,9 +17,10 @@ location's co-last write and of the rf source of each read that an observed
 register or a copying write draws on.  Choices are grouped by those terms,
 each combination of groups is resolved to its outcome before any candidate
 is built, and combinations whose values never settle (a read feeding its
-own rf source through a cycle of copies) are dropped there.  Candidates are
-then built outcome by outcome, and only while their outcome is still open:
-the model is consulted only for outcomes not yet allowed.
+own rf source through a cycle of copies) are dropped there.  The enumerator
+yields each outcome once, with a lazy iterator of its candidates, so the
+model is asked about an outcome only until one candidate of it is
+consistent.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import enum
 import itertools
 import math
 from functools import cached_property
-from typing import AbstractSet, Iterator
+from typing import Iterator
 
 from .litmus import (
     Dialect,
@@ -302,13 +303,11 @@ class Execution:
 
 def atomicity_holds(execution: Execution) -> bool:
     """No write lies in coherence order between an exchange's rf source and
-    its own write: ``rmw & (fr; co)`` is empty."""
-    graph = execution.graph
-    for r_eid, w_eid in graph.rmw_pairs:
-        order = execution.co[graph.events[w_eid].loc]
-        if order.index(w_eid) - order.index(execution.rf[r_eid]) > 1:
-            return False
-    return True
+    its own write: ``rmw & (fr; co)`` is empty.  From a read, ``com`` runs
+    to exactly the writes co-after its rf source, and a write's
+    ``eco_before`` holds the writes co-before it."""
+    com, before = execution.com, execution.eco_before
+    return not any(com[r] & before[w] for r, w in execution.graph.rmw_pairs)
 
 
 def _union(parts: list[Rows]) -> Rows:
@@ -459,13 +458,10 @@ def _candidate(graph: EventGraph, locs, choices, writes) -> Execution:
 
 
 def enumerate_candidates(
-    graph: EventGraph,
-    max_candidates: int | None = None,
-    *,
-    skip: AbstractSet[Outcome] = frozenset(),
-) -> Iterator[Execution]:
-    """Yield every coherent, value-consistent candidate execution whose
-    outcome is not in ``skip`` when its turn comes.
+    graph: EventGraph, max_candidates: int | None = None
+) -> Iterator[tuple[Outcome, Iterator[Execution]]]:
+    """Yield each outcome of the coherent, value-consistent candidate
+    executions once, with a lazy iterator of the candidates that have it.
 
     Each location's coherence order and reads-from choices are searched on
     their own, and only choices that keep ``po-loc | rf | co | fr`` acyclic
@@ -479,15 +475,12 @@ def enumerate_candidates(
     A candidate's outcome and whether its values settle depend only on its
     location choices' signatures (see ``_location_choices``).  So choices
     are grouped by signature, each combination of groups is resolved to an
-    outcome once, combinations with value cycles are dropped there, and the
-    candidates are built and yielded outcome by outcome, each outcome's
-    contiguously.  ``skip`` is read before each candidate: the caller may
-    add to it while iterating, and once an outcome is in it, that outcome's
-    remaining candidates are never built.
+    outcome once, and combinations with value cycles are dropped there.  A
+    candidate is built only when its class's iterator reaches it.
 
-    Raises ResourceLimitError, before doing the work, once more than
+    Raises ResourceLimitError, before the first class, once more than
     ``max_candidates`` choices would be examined: each per-location choice
-    and each combination of them counts once, skipped or not.
+    and each combination of them counts once, built or not.
     """
     limit = DEFAULT_MAX_CANDIDATES if max_candidates is None else max_candidates
     examined = 0
@@ -526,12 +519,9 @@ def enumerate_candidates(
             classes.setdefault(items, []).append(
                 ([members for _, members in combo], writes))
     for items, members in classes.items():
-        outcome = Outcome(items)
-        for choices, writes in members:
-            for combo in itertools.product(*choices):
-                if outcome in skip:
-                    break
-                yield _candidate(graph, locs, combo, writes)
+        yield Outcome(items), (_candidate(graph, locs, picked, writes)
+                               for choices, writes in members
+                               for picked in itertools.product(*choices))
 
 
 @dataclasses.dataclass(frozen=True, order=True)
@@ -595,10 +585,9 @@ def allowed_outcomes(
 ) -> OutcomeSet:
     """Outcome set of a test under one of the axiomatic models, or under the
     interleaving oracle for ``sc`` (whose state count ``max_candidates``
-    bounds).  The outcome set itself is the enumerator's ``skip`` set, so
-    only candidates whose outcome is not yet allowed are built and checked:
-    a candidate whose outcome is already in the set cannot change it.  The
-    consistent one is projected once, when its outcome joins the set."""
+    bounds).  An outcome is allowed when some candidate of its class is
+    consistent; the class's candidates are built and checked only up to
+    the first consistent one."""
     if model == MODEL_SC:
         return sc_oracle_outcomes(test, max_states=max_candidates)
     if model == MODEL_C11:
@@ -617,13 +606,10 @@ def allowed_outcomes(
     else:
         raise LitmusError(f"unknown model {model!r}")
 
-    graph = build_events(test)
-    outcomes = set()
-    for execution in enumerate_candidates(graph, max_candidates,
-                                          skip=outcomes):
-        if consistent(execution):
-            outcomes.add(final_state(execution))
-    return OutcomeSet(test.name, model, frozenset(outcomes))
+    classes = enumerate_candidates(build_events(test), max_candidates)
+    return OutcomeSet(test.name, model, frozenset(
+        outcome for outcome, candidates in classes
+        if any(map(consistent, candidates))))
 
 
 def _sc_step(thread, stmt, mem: dict, regs: dict) -> None:

@@ -175,16 +175,6 @@ class Thread:
                 regs.append(reg)
         return regs
 
-    def referenced_locations(self) -> set[str]:
-        locs = set()
-        for stmt in self.stmts:
-            if isinstance(stmt, SourceStmt):
-                if stmt.location is not None:
-                    locs.add(stmt.location)
-            elif stmt.addr is not None:
-                locs.add(self.binding_map().get(stmt.addr, stmt.addr))
-        return locs
-
 
 @dataclasses.dataclass(frozen=True)
 class RegisterObservable:

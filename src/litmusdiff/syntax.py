@@ -113,10 +113,6 @@ class _Cursor:
         self.index += 1
         return line, self.index
 
-    @property
-    def line_no(self) -> int:
-        return self.index
-
 
 def parse_litmus(text: str) -> LitmusTest:
     """Parse either dialect, picking by the header keyword."""
@@ -153,7 +149,7 @@ def _parse_header(cursor: _Cursor, keyword: str) -> str:
     return parts[1]
 
 
-def _parse_init_entries(cursor: _Cursor) -> list[tuple[str, int, int]]:
+def _parse_init_entries(cursor: _Cursor) -> list[tuple[str, int]]:
     """Collect ``entry ;`` items between braces; each comes with its line."""
     line, line_no = cursor.take("an initial state block in braces")
     stripped = line.strip()
@@ -174,7 +170,7 @@ def _parse_init_entries(cursor: _Cursor) -> list[tuple[str, int, int]]:
         for piece in chunk.split(";"):
             piece = piece.strip()
             if piece:
-                entries.append((piece, chunk_line, 1))
+                entries.append((piece, chunk_line))
     return entries
 
 
@@ -224,13 +220,13 @@ def parse_source(text: str) -> LitmusTest:
     name = _parse_header(cursor, "C")
 
     locations: dict[str, int] = {}
-    for entry, line_no, col in _parse_init_entries(cursor):
+    for entry, line_no in _parse_init_entries(cursor):
         m = _INIT_LOC_RE.match(entry)
         if not m:
-            raise ParseError(f"cannot parse initial state entry {entry!r}", line_no, col)
+            raise ParseError(f"cannot parse initial state entry {entry!r}", line_no)
         loc = m.group(1)
         if loc in locations:
-            raise ParseError(f"location {loc!r} initialized twice", line_no, col)
+            raise ParseError(f"location {loc!r} initialized twice", line_no)
         locations[loc] = int(m.group(2))
 
     threads = []
@@ -329,25 +325,25 @@ def parse_asm(text: str) -> LitmusTest:
 
     locations: dict[str, int] = {}
     bindings: dict[int, list[tuple[str, str]]] = {}
-    for entry, line_no, col in _parse_init_entries(cursor):
+    for entry, line_no in _parse_init_entries(cursor):
         m = _INIT_BIND_RE.match(entry)
         if m:
             tid = int(m.group(1))
             reg = m.group(2)
             if not _X_REG_RE.match(reg):
-                raise ParseError(f"bad address register {reg!r}", line_no, col)
+                raise ParseError(f"bad address register {reg!r}", line_no)
             if any(r == reg for r, _ in bindings.get(tid, [])):
-                raise ParseError(f"address register {tid}:{reg} bound twice", line_no, col)
+                raise ParseError(f"address register {tid}:{reg} bound twice", line_no)
             bindings.setdefault(tid, []).append((reg, m.group(3)))
             continue
         m = _INIT_LOC_RE.match(entry)
         if m:
             loc = m.group(1)
             if loc in locations:
-                raise ParseError(f"location {loc!r} initialized twice", line_no, col)
+                raise ParseError(f"location {loc!r} initialized twice", line_no)
             locations[loc] = int(m.group(2))
             continue
-        raise ParseError(f"cannot parse initial state entry {entry!r}", line_no, col)
+        raise ParseError(f"cannot parse initial state entry {entry!r}", line_no)
 
     threads = []
     while True:

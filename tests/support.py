@@ -4,6 +4,8 @@ import dataclasses
 import itertools
 
 import naive_oracle
+import pytest
+from litmusdiff import execution, model_aarch64, model_c11
 from litmusdiff.difftest import translate_outcome
 from litmusdiff.execution import (
     MODEL_AARCH64,
@@ -13,6 +15,7 @@ from litmusdiff.execution import (
     atomicity_holds,
     build_events,
     enumerate_candidates,
+    final_state,
 )
 from litmusdiff.litmus import MemoryOrder, StmtKind
 from litmusdiff.lowering import dead_register_pass, lower_test
@@ -155,15 +158,26 @@ def free_choices(test):
             yield events, rmw_pairs, dict(zip(reads, sources)), co
 
 
+def pair_atomicity(events, rmw_pairs, rf, co):
+    """No write lies strictly between an exchange's rf source and its own
+    write in coherence order, over ``naive_oracle.flatten_events`` dicts."""
+    for r, w in rmw_pairs:
+        order = co[events[w]["loc"]]
+        if order[order.index(rf[r]) + 1:order.index(w)]:
+            return False
+    return True
+
+
 def check_row_laws(test):
     """Over ``free_choices``: the ``com`` rows are rf | co | fr, the
-    ``eco_before`` masks transposed are their closure, and the key-based
-    ``internal_holds`` agrees with acyclicity of po-loc | com.  Returns the
-    number of incoherent choices seen, so callers can tell the law was not
-    vacuous."""
+    ``eco_before`` masks transposed are their closure, the key-based
+    ``internal_holds`` agrees with acyclicity of po-loc | com, and the
+    row-based ``atomicity_holds`` with ``pair_atomicity``.  Returns the
+    numbers of incoherent and of non-atomic choices seen, so callers can
+    tell the laws were not vacuous."""
     graph = build_events(test)
-    incoherent = 0
-    for events, _, rf, co in free_choices(test):
+    incoherent = torn = 0
+    for events, rmw_pairs, rf, co in free_choices(test):
         # rows read only rf and co, so values are left out
         execution = Execution(graph, rf, co, {}, {})
         com = com_pairs(events, rf, co)
@@ -172,8 +186,11 @@ def check_row_laws(test):
             == pair_closure(com), (test.name, rf, co)
         ok = pair_acyclic(po_loc_pairs(events) | com)
         assert internal_holds(execution) == ok, (test.name, rf, co)
+        atomic = pair_atomicity(events, rmw_pairs, rf, co)
+        assert atomicity_holds(execution) == atomic, (test.name, rf, co)
         incoherent += not ok
-    return incoherent
+        torn += not atomic
+    return incoherent, torn
 
 
 def hand_execution(test, rf, co):
@@ -198,12 +215,71 @@ def coherent_naive_fingerprints(test):
     }
 
 
-def candidate_fingerprints(test):
-    graph = build_events(test)
-    return {
-        naive_oracle.fingerprint(ex.rf, ex.co, ex.values)
-        for ex in enumerate_candidates(graph)
-    }
+def candidates(graph, limit=None):
+    """Every candidate the enumerator yields, class by class."""
+    return [ex for _, members in enumerate_candidates(graph, limit)
+            for ex in members]
+
+
+def fingerprint(ex):
+    return naive_oracle.fingerprint(ex.rf, ex.co, ex.values)
+
+
+def check_class_law(test):
+    """The enumerator's classes have distinct outcomes and no class is
+    empty, every member's ``final_state`` is its class's outcome, and the
+    members together are the coherent brute-force candidates, each once.
+    Returns the numbers of classes and of candidates."""
+    classes = [(outcome, list(members))
+               for outcome, members in enumerate_candidates(build_events(test))]
+    outcomes = [outcome for outcome, _ in classes]
+    assert len(set(outcomes)) == len(outcomes), test.name
+    fingerprints = []
+    for outcome, members in classes:
+        assert members, (test.name, outcome)
+        for ex in members:
+            assert final_state(ex) == outcome, (test.name, fingerprint(ex))
+            fingerprints.append(fingerprint(ex))
+    assert len(set(fingerprints)) == len(fingerprints), test.name
+    assert set(fingerprints) == coherent_naive_fingerprints(test), test.name
+    return len(classes), len(fingerprints)
+
+
+MODEL_CHECKS = {
+    MODEL_C11: (model_c11, "c11_consistent"),
+    MODEL_AARCH64: (model_aarch64, "aarch64_consistent"),
+}
+
+
+def check_model_call_law(test, model, **flags):
+    """In each class, ``allowed_outcomes`` shows the model predicate exactly
+    the candidates up to and including the first consistent one, in
+    enumeration order, allows the outcomes of the classes that have one,
+    and never calls ``final_state``.  The predicate and ``final_state`` are
+    replaced where their modules define them, since per-layer tracing wraps
+    them there.  Returns the number of model calls."""
+    module, name = MODEL_CHECKS[model]
+    check = getattr(module, name)
+    expected, allowed = [], set()
+    for outcome, members in enumerate_candidates(build_events(test)):
+        for ex in members:
+            expected.append(fingerprint(ex))
+            if check(ex, **flags):
+                allowed.add(outcome)
+                break
+    calls, projected = [], []
+
+    def counted(ex, **kwargs):
+        calls.append(fingerprint(ex))
+        return check(ex, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, name, counted)
+        patch.setattr(execution, "final_state", projected.append)
+        assert allowed_outcomes(test, model, **flags).outcomes == allowed
+    assert calls == expected, test.name
+    assert projected == [], test.name
+    return len(calls)
 
 
 def assert_outcomes_match_brute_force(test):

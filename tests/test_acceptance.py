@@ -118,6 +118,5 @@ def test_model_laws_hold_across_corpus(corpus):
 
         for subject in (test, lower_test(test)[0]):
             assert len(build_events(subject).events) <= 8, subject.name
-            assert support.candidate_fingerprints(subject) \
-                == support.coherent_naive_fingerprints(subject), subject.name
+            support.check_class_law(subject)
         support.assert_outcomes_match_brute_force(test)

@@ -6,9 +6,8 @@ from pathlib import Path
 
 import pytest
 
-import naive_oracle
 import support
-from litmusdiff import execution, golden_path, model_aarch64, model_c11
+from litmusdiff import golden_path, model_aarch64, model_c11
 from litmusdiff.execution import (
     DialectMismatchError,
     INIT_TID,
@@ -17,14 +16,13 @@ from litmusdiff.execution import (
     ResourceLimitError,
     allowed_outcomes,
     build_events,
-    enumerate_candidates,
     final_state,
     sc_oracle_outcomes,
 )
 from litmusdiff.litmus import LitmusError
 from litmusdiff.lowering import lower_test
 from litmusdiff.syntax import parse_litmus
-from support import pairs
+from support import candidates, pairs
 
 
 def outcome_set(items):
@@ -91,11 +89,11 @@ def test_store_of_zero_register_is_constant():
 
 def test_candidate_count_canonical(discard_source):
     graph = build_events(discard_source)
-    candidates = list(enumerate_candidates(graph))
+    found = candidates(graph)
     # co(y) has two non-init permutations, the data read has two sources;
     # the exchange read is forced, so 2 x 2 total
-    assert len(candidates) == 4
-    for ex in candidates:
+    assert len(found) == 4
+    for ex in found:
         assert ex.co["x"][0] == 0 and ex.co["y"][0] == 1
         assert ex.rf[4] == ex.co["y"][ex.co["y"].index(5) - 1]
 
@@ -112,11 +110,11 @@ CYCLIC_COPY = "\n".join([
 
 def test_value_cycle_candidates_dropped():
     graph = build_events(parse_litmus(CYCLIC_COPY))
-    candidates = list(enumerate_candidates(graph))
+    found = candidates(graph)
     # of the four rf combinations, the one where each load reads the other
     # thread's copy never grounds in a constant
-    assert len(candidates) == 3
-    for ex in candidates:
+    assert len(found) == 3
+    for ex in found:
         assert not (ex.rf[2] == 5 and ex.rf[4] == 3)
         assert all(v == 0 for v in ex.values.values())
 
@@ -124,7 +122,7 @@ def test_value_cycle_candidates_dropped():
 def test_candidate_limit(discard_source):
     graph = build_events(discard_source)
     with pytest.raises(ResourceLimitError, match="limit of 2"):
-        list(enumerate_candidates(graph, 2))
+        candidates(graph, 2)
     with pytest.raises(ResourceLimitError):
         allowed_outcomes(discard_source, "c11", max_candidates=2)
 
@@ -139,8 +137,8 @@ MP_RELSEQ_4T = (Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
 ], ids=["c11", "aarch64"])
 def test_candidate_limit_is_exact(monkeypatch, module, name, model, lowered):
     # mp-relseq-4t examines 1,770 choices, its lowering too: each location's
-    # (co, rf) choices and every combination of them, whether its outcome is
-    # skipped or not.  A limit of exactly that succeeds; one less raises
+    # (co, rf) choices and every combination of them, whether its candidates
+    # are built or not.  A limit of exactly that succeeds; one less raises
     # before the model is ever called.
     test = parse_litmus(MP_RELSEQ_4T.read_text())
     if lowered:
@@ -183,7 +181,7 @@ def test_candidate_limit_bounds_per_location_search(per_thread):
     graph = build_events(_one_location_writes(4, per_thread))
     started = time.perf_counter()
     with pytest.raises(ResourceLimitError, match="limit of 1000"):
-        list(enumerate_candidates(graph, 1000))
+        candidates(graph, 1000)
     assert time.perf_counter() - started < 1.0
 
 
@@ -200,9 +198,9 @@ def test_incoherent_choices_never_yielded():
         "  int r1 = atomic_load_explicit(x, memory_order_relaxed);", "}", "",
         "exists (P1:r0 = 2 /\\ P1:r1 = 1)", "",
     ]))
-    candidates = list(enumerate_candidates(build_events(test)))
-    assert len(candidates) == 6
-    for ex in candidates:
+    found = candidates(build_events(test))
+    assert len(found) == 6
+    for ex in found:
         assert ex.co["x"] == (0, 1, 2)
         assert ex.values[ex.rf[3]] <= ex.values[ex.rf[4]]
 
@@ -210,7 +208,7 @@ def test_incoherent_choices_never_yielded():
 def test_relation_helpers(discard_source):
     graph = build_events(discard_source)
     picked = None
-    for ex in enumerate_candidates(graph):
+    for ex in candidates(graph):
         if ex.co["y"] == (1, 5, 3) and ex.rf[7] == 0:
             picked = ex
             break
@@ -229,34 +227,23 @@ def test_relation_helpers(discard_source):
 
 def test_row_laws_hold_on_goldens(discard_source, compiled_w15, compiled_wzr):
     for test in (discard_source, compiled_w15, compiled_wzr):
-        assert support.check_row_laws(test) > 0, test.name
+        incoherent, torn = support.check_row_laws(test)
+        assert incoherent > 0 and torn > 0, test.name
 
 
 def test_final_state_projection(discard_source):
     graph = build_events(discard_source)
-    for ex in enumerate_candidates(graph):
+    for ex in candidates(graph):
         assert final_state(ex).as_dict() == {
             "P1:r0": ex.registers[(1, "r0")], "y": ex.final_memory()["y"]}
 
 
-def fingerprint(ex):
-    return naive_oracle.fingerprint(ex.rf, ex.co, ex.values)
-
-
-GOLDEN_CASES = (
-    (model_c11, "c11_consistent", "c11", "mp-xchg-discard.litmus", None),
-    (model_aarch64, "aarch64_consistent", "aarch64",
-     "mp-xchg-discard-compiled-wzr.litmus", None),
-    (model_c11, "c11_consistent", "c11", "mp-xchg-discard.litmus",
-     "P1:r0 = 0"),
-    (model_aarch64, "aarch64_consistent", "aarch64",
-     "mp-xchg-discard-compiled-wzr.litmus", "1:W3 = 0"),
-)
-GOLDEN_IDS = ["c11", "aarch64", "c11-one-register", "aarch64-one-register"]
-LAW_SUBJECTS = pytest.mark.parametrize(
-    "golden, exists", [case[3:] for case in GOLDEN_CASES], ids=GOLDEN_IDS)
-LAW_CASES = pytest.mark.parametrize(
-    "module, name, model, golden, exists", GOLDEN_CASES, ids=GOLDEN_IDS)
+LAW_CASES = pytest.mark.parametrize("model, golden, exists", [
+    ("c11", "mp-xchg-discard.litmus", None),
+    ("aarch64", "mp-xchg-discard-compiled-wzr.litmus", None),
+    ("c11", "mp-xchg-discard.litmus", "P1:r0 = 0"),
+    ("aarch64", "mp-xchg-discard-compiled-wzr.litmus", "1:W3 = 0"),
+], ids=["c11", "aarch64", "c11-one-register", "aarch64-one-register"])
 
 
 def law_subject(golden, exists):
@@ -266,88 +253,29 @@ def law_subject(golden, exists):
     return parse_litmus(text)
 
 
-@LAW_SUBJECTS
-def test_candidates_come_outcome_by_outcome(golden, exists):
-    # Without skip, every coherent candidate comes, each outcome's
-    # candidates in one run.
+@LAW_CASES
+def test_classes_partition_the_coherent_candidates(model, golden, exists):
     test = law_subject(golden, exists)
-    candidates = list(enumerate_candidates(build_events(test)))
-    fingerprints = [fingerprint(ex) for ex in candidates]
-    assert len(set(fingerprints)) == len(fingerprints)
-    assert set(fingerprints) == support.coherent_naive_fingerprints(test)
-    runs = [outcome for i, outcome in enumerate(map(final_state, candidates))
-            if i == 0 or outcome != final_state(candidates[i - 1])]
-    assert len(runs) == len(set(runs))
-
-
-@LAW_SUBJECTS
-def test_skip_drops_exactly_the_candidates_of_skipped_outcomes(golden,
-                                                               exists):
-    # Read before each candidate: a set fixed up front, and one that grows
-    # with every other outcome yielded, leave out exactly the candidates
-    # whose outcome is in the set when they come, in the same order.
-    test = law_subject(golden, exists)
-    candidates = list(enumerate_candidates(build_events(test)))
-    first = final_state(candidates[0])
-    fixed = [fingerprint(ex) for ex in candidates if final_state(ex) != first]
-    assert [fingerprint(ex) for ex in enumerate_candidates(
-        build_events(test), skip={first})] == fixed
-
-    skip, expected = set(), []
-    for ex in candidates:
-        if final_state(ex) not in skip:
-            expected.append(fingerprint(ex))
-            if len(expected) % 2:
-                skip.add(final_state(ex))
-    skip, got = set(), []
-    for ex in enumerate_candidates(build_events(test), skip=skip):
-        got.append(fingerprint(ex))
-        if len(got) % 2:
-            skip.add(final_state(ex))
-    assert got == expected
+    classes, members = support.check_class_law(test)
+    if exists is None:
+        assert classes == members  # no golden outcome repeats
+    else:
+        assert classes < members
 
 
 @LAW_CASES
-def test_model_sees_only_candidates_with_open_outcomes(monkeypatch, module,
-                                                       name, model, golden,
-                                                       exists):
-    # allowed_outcomes passes its outcome set as skip: the predicate sees
-    # exactly the candidates whose outcome is not yet allowed when they come,
-    # and final_state runs once per allowed outcome, on the candidate that
-    # allowed it.  Both are looked up per call, where their modules define
-    # them, since per-layer tracing wraps them there.  Observing one
-    # register makes outcomes repeat, so some candidates are never built.
+def test_model_sees_each_class_up_to_its_first_consistent_candidate(
+        model, golden, exists):
+    # Observing one register makes outcomes repeat, so some classes hold
+    # candidates that are never built.
     test = law_subject(golden, exists)
-    check = getattr(module, name)
-    candidates = list(enumerate_candidates(build_events(test)))
-    allowed, expected, accepted = set(), [], []
-    for ex in candidates:
-        outcome = final_state(ex)
-        if outcome not in allowed:
-            expected.append(fingerprint(ex))
-            if check(ex):
-                allowed.add(outcome)
-                accepted.append(fingerprint(ex))
-    calls, projected = [], []
-
-    def counted(ex, **flags):
-        calls.append(fingerprint(ex))
-        return check(ex, **flags)
-
-    def counted_projection(ex):
-        projected.append(fingerprint(ex))
-        return final_state(ex)
-
-    monkeypatch.setattr(module, name, counted)
-    monkeypatch.setattr(execution, "final_state", counted_projection)
-    assert allowed_outcomes(test, model).outcomes == allowed
-    assert calls == expected
-    assert projected == accepted and len(projected) == len(allowed)
-    assert len(calls) > 1
+    calls = support.check_model_call_law(test, model)
+    built = len(candidates(build_events(test)))
+    assert calls > 1
     if exists is None:
-        assert len(calls) == len(candidates)  # no golden outcome repeats
+        assert calls == built
     else:
-        assert len(calls) < len(candidates)
+        assert calls < built
 
 
 def test_outcome_json_round_trip():

@@ -1,13 +1,26 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module imports is used in that module, and every
+function, method and property the package defines is referenced in it."""
 
 import ast
 import pathlib
+from collections import Counter
 
 import pytest
 
 import litmusdiff
 
 MODULES = sorted(pathlib.Path(litmusdiff.__file__).parent.glob("*.py"))
+TESTS = pathlib.Path(__file__).resolve().parent
+
+# Definitions that no program path calls, each with the test file that
+# calls it: the brute-force oracle projects its candidates with
+# final_state, tests write expected outcomes with Outcome.from_dict, and
+# the generator tests pin each family's size.
+CALLED_ONLY_FROM_TESTS = {
+    "final_state": "naive_oracle.py",
+    "from_dict": "test_difftest.py",
+    "combination_count": "test_testgen.py",
+}
 
 
 def unused_imports(source):
@@ -44,3 +57,60 @@ def test_scanner_finds_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_imports_are_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def references(tree):
+    """How often each name is read as a variable or an attribute, imported
+    by name, or exported by ``__all__`` in ``tree``."""
+    found = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            found.update(a.name for a in node.names)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__"
+                      for t in node.targets)):
+            found.update(ast.literal_eval(node.value))
+    return found
+
+
+def dead_definitions(sources):
+    """Functions, methods and properties defined in ``sources`` whose name
+    nothing outside their own body references.  Dunder methods are exempt.
+    The scan goes by name, so a variable or attribute of the same name
+    anywhere in ``sources`` counts as a reference."""
+    trees = [ast.parse(source) for source in sources]
+    total = sum(map(references, trees), Counter())
+    return sorted(
+        node.name for tree in trees for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and total[node.name] == references(node)[node.name])
+
+
+def test_scanner_finds_dead_definitions():
+    source = "\n".join([
+        "from m import used",
+        "__all__ = ['exported']",
+        "def exported(): pass",
+        "def recursive(n): return recursive(n - 1)",
+        "def caller(): return helper()",
+        "def helper(): pass",
+        "class C:",
+        "    def __init__(self): pass",
+        "    @property",
+        "    def size(self): return 0",
+        "    def method(self): return self.size",
+    ])
+    assert dead_definitions([source, "def used(): pass"]) \
+        == ["caller", "method", "recursive"]
+
+
+def test_every_definition_is_referenced():
+    assert dead_definitions(path.read_text() for path in MODULES) \
+        == sorted(CALLED_ONLY_FROM_TESTS)
+    for name, caller in CALLED_ONLY_FROM_TESTS.items():
+        assert name in (TESTS / caller).read_text(), (name, caller)

@@ -105,14 +105,6 @@ def test_thread_defined_registers_dedupe():
     assert t.defined_registers() == ["r0", "r1"]
 
 
-def test_referenced_locations():
-    t = Thread(0, (store("x", 1), load("y", "r0")))
-    assert t.referenced_locations() == {"x", "y"}
-    asm = Thread(0, (AsmInstr(Mnemonic.LDR, dst="W2", addr="X1"),),
-                 bindings=(("X1", "y"),))
-    assert asm.referenced_locations() == {"y"}
-
-
 @pytest.mark.parametrize("obs,dialect,label", [
     (RegisterObservable(1, "r0"), Dialect.SOURCE, "P1:r0"),
     (RegisterObservable(1, "W3"), Dialect.ASM, "1:W3"),

@@ -9,7 +9,6 @@ from litmusdiff.execution import (
     allowed_outcomes,
     atomicity_holds,
     build_events,
-    enumerate_candidates,
 )
 from litmusdiff.model_aarch64 import (
     aarch64_consistent,
@@ -17,7 +16,7 @@ from litmusdiff.model_aarch64 import (
     internal_holds,
 )
 from litmusdiff.syntax import parse_litmus
-from support import hand_execution, pairs
+from support import candidates, hand_execution, pairs
 
 
 def asm(lines, *, init=("x = 0;", "0:X0 = x;"), exists="exists (x = 0)"):
@@ -99,7 +98,7 @@ def test_zero_destination_swap_loses_load_barrier():
 def test_obs_keeps_only_cross_thread_communication():
     test = asm(["MOV W2, #1", "STR W2, [X0]", "LDR W3, [X0]"])
     graph = build_events(test)
-    for ex in enumerate_candidates(graph):
+    for ex in candidates(graph):
         if ex.rf[2] == 1:  # load reads the same thread's store
             obs = pairs([c & ~t for c, t in zip(ex.com, graph.same_thread)])
             assert (1, 2) in pairs(ex.com)
@@ -164,9 +163,9 @@ def test_barrier_order_built_once_per_graph_and_flag(monkeypatch,
     assert calls == [False]
 
     calls.clear()
-    candidates = list(enumerate_candidates(build_events(compiled_wzr)))
-    assert len(candidates) > 1
-    for ex in candidates:
+    found = candidates(build_events(compiled_wzr))
+    assert len(found) > 1
+    for ex in found:
         for legacy in (False, True):
             aarch64_consistent(ex, legacy_zero_register=legacy)
     assert calls == [False, True]

@@ -9,7 +9,6 @@ from litmusdiff.execution import (
     allowed_outcomes,
     atomicity_holds,
     build_events,
-    enumerate_candidates,
     sc_oracle_outcomes,
 )
 from litmusdiff.model_c11 import (
@@ -18,7 +17,7 @@ from litmusdiff.model_c11 import (
     happens_before,
 )
 from litmusdiff.syntax import parse_litmus
-from support import hand_execution, pairs
+from support import candidates, hand_execution, pairs
 
 
 def mp(reader_block, exists):
@@ -196,12 +195,12 @@ def test_sync_sets_built_once_per_graph(monkeypatch, discard_source):
     monkeypatch.setattr(model_c11, "_sync_sets", counted)
     allowed_outcomes(discard_source, "c11")
     assert len(calls) == 1
-    assert len(list(enumerate_candidates(calls[0]))) > 1
+    assert len(candidates(calls[0])) > 1
 
 
 def test_hb_relations_on_forced_candidate(discard_source):
     graph = build_events(discard_source)
-    for ex in enumerate_candidates(graph):
+    for ex in candidates(graph):
         if ex.co["y"] == (1, 3, 5) and ex.rf[7] == 0:
             # exchange read picked up the release store; the acquire fence
             # then synchronizes and makes the stale data read inconsistent
@@ -216,6 +215,6 @@ def test_hb_relations_on_forced_candidate(discard_source):
 
 def test_hb_refuses_asm(compiled_w15):
     graph = build_events(compiled_w15)
-    ex = next(iter(enumerate_candidates(graph)))
+    ex = candidates(graph)[0]
     with pytest.raises(ValueError, match="source tests"):
         happens_before(ex)

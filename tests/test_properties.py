@@ -19,8 +19,6 @@ import support
 from litmusdiff.execution import (
     allowed_outcomes,
     build_events,
-    enumerate_candidates,
-    final_state,
     sc_oracle_outcomes,
 )
 from litmusdiff.litmus import (
@@ -74,11 +72,8 @@ def test_dead_register_rewrite_never_shrinks(test):
 
 @pytest.mark.parametrize("test", CORPUS, ids=IDS)
 def test_enumeration_matches_brute_force(test):
-    assert support.candidate_fingerprints(test) \
-        == support.coherent_naive_fingerprints(test)
-    compiled, _ = lower_test(test)
-    assert support.candidate_fingerprints(compiled) \
-        == support.coherent_naive_fingerprints(compiled)
+    support.check_class_law(test)
+    support.check_class_law(lower_test(test)[0])
 
 
 @pytest.mark.parametrize("test", CORPUS, ids=IDS)
@@ -110,13 +105,17 @@ def test_outcomes_match_brute_force_on_large_inputs(test, model, consistent):
 
 
 @pytest.mark.parametrize("test, model, consistent", large_subjects())
-def test_candidates_come_outcome_by_outcome_on_large_inputs(test, model,
-                                                            consistent):
-    outcomes = [final_state(ex)
-                for ex in enumerate_candidates(build_events(test))]
-    runs = [o for i, o in enumerate(outcomes)
-            if i == 0 or o != outcomes[i - 1]]
-    assert len(runs) == len(set(runs)) < len(outcomes)
+def test_classes_partition_the_candidates_on_large_inputs(test, model,
+                                                          consistent):
+    classes, members = support.check_class_law(test)
+    assert classes < members
+
+
+@pytest.mark.parametrize("test, model, consistent", large_subjects())
+def test_model_sees_each_class_up_to_its_first_consistent_on_large_inputs(
+        test, model, consistent):
+    assert support.check_model_call_law(test, model) \
+        < len(support.candidates(build_events(test)))
 
 
 # asm tests whose writes copy what a read returned (data dependencies):
@@ -188,20 +187,22 @@ exists (1:W3 = 1 /\\ 2:W4 = 1 /\\ 3:W6 = 0 /\\ x = 1 /\\ z = 1)
 @pytest.mark.parametrize("name", sorted(COPY_TESTS))
 def test_outcomes_match_brute_force_on_copying_asm(name):
     test = parse_litmus(COPY_TESTS[name])
-    assert support.candidate_fingerprints(test) \
-        == support.coherent_naive_fingerprints(test)
+    support.check_class_law(test)
     for legacy in (False, True):
         assert allowed_outcomes(
             test, "aarch64", legacy_zero_register=legacy).outcomes \
             == naive_oracle.naive_final_states(
                 test, lambda ex: aarch64_consistent(
                     ex, legacy_zero_register=legacy))
+        support.check_model_call_law(test, "aarch64",
+                                     legacy_zero_register=legacy)
 
 
 @pytest.mark.parametrize("test", CORPUS, ids=IDS)
 def test_row_laws_hold_across_corpus(test):
-    assert support.check_row_laws(test) > 0
-    assert support.check_row_laws(lower_test(test)[0]) > 0
+    for subject in (test, lower_test(test)[0]):
+        incoherent, _ = support.check_row_laws(subject)
+        assert incoherent > 0
 
 
 # random source tests, kept small enough to enumerate instantly
@@ -278,8 +279,16 @@ def test_single_location_model_collapses_to_interleavings(test):
 @settings(max_examples=40, deadline=None)
 @given(small_source_tests(max_stmts=2))
 def test_enumeration_matches_brute_force_on_random_tests(test):
-    assert support.candidate_fingerprints(test) \
-        == support.coherent_naive_fingerprints(test)
+    support.check_class_law(test)
+    support.check_class_law(lower_test(test)[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_source_tests(max_stmts=2))
+def test_model_sees_each_class_up_to_its_first_consistent_on_random_tests(
+        test):
+    support.check_model_call_law(test, "c11")
+    support.check_model_call_law(lower_test(test)[0], "aarch64")
 
 
 @settings(max_examples=40, deadline=None)
