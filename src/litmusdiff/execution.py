@@ -20,7 +20,8 @@ is built, and combinations whose values never settle (a read feeding its
 own rf source through a cycle of copies) are dropped there.  The enumerator
 yields each outcome once, with a lazy iterator of its candidates, so the
 model is asked about an outcome only until one candidate of it is
-consistent.
+consistent.  A built candidate carries only the ``com`` and ``eco_before``
+rows the models read; rf, co and values follow from its choices on demand.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ import dataclasses
 import enum
 import itertools
 import math
-from functools import cached_property
+import operator
+from functools import cache, cached_property
 from typing import Iterator
 
 from .litmus import (
@@ -265,37 +267,47 @@ def build_events(test: LitmusTest) -> EventGraph:
     return EventGraph(test, tuple(events), final_defs)
 
 
-@dataclasses.dataclass
 class Execution:
-    """One candidate: a coherence order per location, a reads-from map, and
-    the values they induce."""
+    """One candidate: a coherence order per location, a reads-from map, the
+    values they induce, and the ``com`` (``rf | co | fr``) and ``eco_before``
+    rows the models read.  The enumerator's candidates (``of_choices``) carry
+    only the rows and derive the rest from their choices when first read."""
 
-    graph: EventGraph
-    rf: dict[int, int]
-    co: dict[str, tuple[int, ...]]
-    values: dict[int, int]
-    registers: dict[tuple[int, str], int]
+    def __init__(self, graph: EventGraph, rf, co, values, registers):
+        self.graph, self.rf, self.co = graph, rf, co
+        self.values, self.registers = values, registers
+        self.com, self.eco_before = map(_union, zip(*[_location_rows(
+            order, rf.items(), len(graph.events)) for order in co.values()]))
 
-    @cached_property
-    def location_rows(self) -> list[tuple[Rows, Rows]]:
-        """Each location's ``_location_rows``, derived here from rf and co
-        unless the enumerator set them, built once per location choice."""
-        rows = []
-        for order in self.co.values():
-            key = {w: 2 * i for i, w in enumerate(order)}
-            key.update((r, key[w] + 1) for r, w in self.rf.items() if w in key)
-            rows.append(_location_rows(key, len(self.graph.events)))
-        return rows
-
-    @cached_property
-    def com(self) -> Rows:
-        """``rf | co | fr`` as rows."""
-        return _union([com for com, _ in self.location_rows])
+    @classmethod
+    def of_choices(cls, graph: EventGraph, choices, writes, rows) -> Execution:
+        """The candidate of one ``(co, rf)`` choice per sorted location, with
+        every write's value and the choices' ``_location_rows``."""
+        execution = cls.__new__(cls)
+        execution.graph, execution.choices = graph, choices
+        execution.writes = writes
+        execution.com, execution.eco_before = map(_union, zip(*rows))
+        return execution
 
     @cached_property
-    def eco_before(self) -> Rows:
-        """Per event, the mask of the events eco-before it."""
-        return _union([before for _, before in self.location_rows])
+    def rf(self) -> dict[int, int]:
+        return {r: w for _, sources in self.choices for r, w in sources}
+
+    @cached_property
+    def co(self) -> dict[str, tuple[int, ...]]:
+        return {loc: order for loc, (order, _) in
+                zip(self.graph.test.sorted_locations(), self.choices)}
+
+    @cached_property
+    def values(self) -> dict[int, int]:
+        """Every write's value, and every read's from its rf source."""
+        return {**self.writes,
+                **{r: self.writes[w] for r, w in self.rf.items()}}
+
+    @cached_property
+    def registers(self) -> dict[tuple[int, str], int]:
+        return {key: src[1] if src[0] == "const" else self.values[src[1]]
+                for key, src in self.graph.final_defs.items()}
 
     def final_memory(self) -> dict[str, int]:
         return {loc: self.values[order[-1]] for loc, order in self.co.items()}
@@ -313,18 +325,20 @@ def atomicity_holds(execution: Execution) -> bool:
 def _union(parts: list[Rows]) -> Rows:
     rows, *rest = parts
     for more in rest:
-        rows = list(map(int.__or__, rows, more))
+        rows = list(map(operator.or_, rows, more))
     return rows
 
 
-def _location_rows(key: dict[int, int], size: int) -> tuple[Rows, Rows]:
-    """``com`` and ``eco_before`` rows of one location's events from their
-    coherence keys (see ``_location_choices``).  ``com`` runs from lower to
-    higher keys, never between reads (odd keys) nor into a read from other
-    than its rf source.  Since ``rf;co``, ``rf;rf``, ``co;fr`` and ``fr;fr``
-    are empty, ``rf;fr`` is in ``co`` and ``fr;co`` in ``fr``, its closure
-    ``eco = rf | (co | fr);rf?`` runs exactly from lower to higher keys,
-    for any co and rf."""
+def _location_rows(co, rf, size: int) -> tuple[Rows, Rows]:
+    """``com`` and ``eco_before`` rows of a location's events from their
+    coherence keys (see ``_location_choices``), given by its ``co`` and the
+    pairs of ``rf`` whose source is in it.  ``com`` runs up in key, never
+    between reads (odd keys) nor into a read from other than its rf source.
+    Since ``rf;co``, ``rf;rf``, ``co;fr`` and ``fr;fr`` are empty, ``rf;fr``
+    is in ``co`` and ``fr;co`` in ``fr``, so ``eco = rf | (co | fr);rf?``
+    runs exactly from lower to higher keys, for any co and rf."""
+    key = {w: 2 * i for i, w in enumerate(co)}
+    key.update((r, key[w] + 1) for r, w in rf if w in key)
     com = [0] * size
     before = [0] * size
     for a, ka in key.items():
@@ -353,8 +367,8 @@ def _merges(chains: list[list[int]]) -> Iterator[tuple[int, ...]]:
 
 
 def _location_choices(graph: EventGraph, loc: str, drawn, count) -> dict:
-    """The coherent (co, rf) choices on one location as ``(co, rf, rows)``,
-    grouped by signature.
+    """The coherent ``(co, rf)`` choices on one location, grouped by
+    signature.
 
     Coherence orders are the init write followed by a merge of each
     thread's writes in program order (CoWW); exchange reads read the write
@@ -362,15 +376,14 @@ def _location_choices(graph: EventGraph, loc: str, drawn, count) -> dict:
     position for a write, one more than its rf source's key for a read.
     Communication on one location then runs from lower to higher keys, so
     ``po-loc | rf | co | fr`` is acyclic exactly when no po-loc pair goes
-    down in key (CoWR, CoRW, CoRR).  ``rows`` are the choice's
-    ``_location_rows``.  A signature is all the outcome can read of a
-    choice: the value source of the co-last write if the location is in
-    ``drawn``, then each read in ``drawn`` with the value source of its rf
-    source.  ``count`` is told how many choices are about to be examined
-    before they are.  As a sanity net, each choice asserts that co permutes
-    the location's writes with init first, that every rf source is on the
-    location and that exchange reads read their own write's immediate
-    co-predecessor.
+    down in key (CoWR, CoRW, CoRR).  A signature is all the outcome can
+    read of a choice: the value source of the co-last write if the location
+    is in ``drawn``, then each read in ``drawn`` with the value source of
+    its rf source.  ``count`` is told how many choices are about to be
+    examined before they are.  As a sanity net, each choice asserts that
+    co permutes the location's writes with init first, that every rf source
+    is on the location and that exchange reads read their own write's
+    immediate co-predecessor.
     """
     init, *writes = graph.writes_by_loc[loc]
     chains: dict[int, list[int]] = {}
@@ -409,8 +422,7 @@ def _location_choices(graph: EventGraph, loc: str, drawn, count) -> dict:
                 assert all(graph.events[w].loc == loc for _, w in rf)
                 signature = last + tuple(
                     [(r, value_src[rf[i][1]]) for i, r in signed])
-                groups.setdefault(signature, []).append(
-                    (co, rf, _location_rows(key, len(graph.events))))
+                groups.setdefault(signature, []).append((co, rf))
     return groups
 
 
@@ -439,24 +451,6 @@ def _class_outcome(combo, terms, constants, copies):
                   for label, src in terms]), writes
 
 
-def _candidate(graph: EventGraph, locs, choices, writes) -> Execution:
-    """Assemble one candidate from its location choices and its writes'
-    values; every read holds its rf source's value."""
-    co = {}
-    rf = {}
-    for loc, (order, sources, _) in zip(locs, choices):
-        co[loc] = order
-        rf.update(sources)
-    values = dict(writes)
-    for r, w in rf.items():
-        values[r] = writes[w]
-    registers = {key: src[1] if src[0] == "const" else values[src[1]]
-                 for key, src in graph.final_defs.items()}
-    execution = Execution(graph, rf, co, values, registers)
-    execution.location_rows = [rows for _, _, rows in choices]
-    return execution
-
-
 def enumerate_candidates(
     graph: EventGraph, max_candidates: int | None = None
 ) -> Iterator[tuple[Outcome, Iterator[Execution]]]:
@@ -476,7 +470,8 @@ def enumerate_candidates(
     location choices' signatures (see ``_location_choices``).  So choices
     are grouped by signature, each combination of groups is resolved to an
     outcome once, and combinations with value cycles are dropped there.  A
-    candidate is built only when its class's iterator reaches it.
+    candidate is built only when its class's iterator reaches it, and a
+    choice's ``_location_rows`` only when a built candidate first uses it.
 
     Raises ResourceLimitError, before the first class, once more than
     ``max_candidates`` choices would be examined: each per-location choice
@@ -508,8 +503,8 @@ def enumerate_candidates(
     # The reads whose rf source the outcome or a copying write draws on.
     drawn = {key for _, (kind, key) in terms if kind == "read"}
     drawn.update(r for _, r in copies)
-    locs = graph.test.sorted_locations()
-    groups = [_location_choices(graph, loc, drawn, count) for loc in locs]
+    groups = [_location_choices(graph, loc, drawn, count)
+              for loc in graph.test.sorted_locations()]
     count(math.prod(sum(map(len, group.values())) for group in groups))
     classes: dict[tuple, list] = {}
     for combo in itertools.product(*(group.items() for group in groups)):
@@ -518,10 +513,12 @@ def enumerate_candidates(
             items, writes = resolved
             classes.setdefault(items, []).append(
                 ([members for _, members in combo], writes))
+    rows = cache(lambda choice: _location_rows(*choice, len(graph.events)))
     for items, members in classes.items():
-        yield Outcome(items), (_candidate(graph, locs, picked, writes)
-                               for choices, writes in members
-                               for picked in itertools.product(*choices))
+        yield Outcome(items), (
+            Execution.of_choices(graph, picked, writes, map(rows, picked))
+            for choices, writes in members
+            for picked in itertools.product(*choices))
 
 
 @dataclasses.dataclass(frozen=True, order=True)

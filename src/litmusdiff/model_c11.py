@@ -9,18 +9,18 @@ exchange that picks up a release store passes its ordering along.
 Relations are bitmask rows (see ``relations``).  What sw draws on apart
 from rf (release heads, acquire ends, the rmw map) and the read, write and
 seq_cst masks are built once per event graph and kept in the graph's memo.
-Per candidate, sw reads rf off the ``com`` rows, and ``happens_before`` is
-the closure of ``po | sw``, taken only when sw is not empty (po is
-transitive).  eco is never built: it runs exactly from lower to higher
-coherence keys, so coherence is ``hb[a] & (a | eco_before[a]) == 0`` for
-every event ``a``.
+Per candidate, sw reads rf off the ``com`` rows.  Since po is transitive,
+``happens_before`` closes ``po | sw`` over the few sw sources only, and is
+po itself when sw is empty.  eco is never built: it runs exactly from
+lower to higher coherence keys, so coherence is
+``hb[a] & (a | eco_before[a]) == 0`` for every event ``a``.
 """
 
 from __future__ import annotations
 
 from .execution import Execution, atomicity_holds, event_mask
 from .litmus import Dialect
-from .relations import Rows, bits, is_acyclic, transitive_closure
+from .relations import Rows, bits, is_acyclic
 
 
 def _sync_sets(graph):
@@ -72,11 +72,27 @@ def _synchronizes_with(execution: Execution) -> Rows:
 
 
 def happens_before(execution: Execution) -> Rows:
-    """hb, ``(po | sw)+``, as rows: po itself when sw is empty."""
+    """hb, ``(po | sw)+``, as rows: ``po[a]`` and the ``reach`` of each sw
+    source in ``a | po[a]``, where ``reach[s]`` is the sw targets of ``s``
+    and their po-successors, closed over the sources among them."""
     po = execution.graph.po
-    sw = _synchronizes_with(execution)
-    return (transitive_closure([p | s for p, s in zip(po, sw)])
-            if any(sw) else po)
+    reach = {}
+    for s, targets in enumerate(_synchronizes_with(execution)):
+        for t in bits(targets):
+            reach[s] = reach.get(s, targets) | po[t]
+    if not reach:
+        return po
+    for k, via in reach.items():
+        for s, row in reach.items():
+            if row >> k & 1:
+                reach[s] = row | via
+    sources = sum(1 << s for s in reach)
+    hb = []
+    for a, row in enumerate(po):
+        for s in bits((row | 1 << a) & sources):
+            row |= reach[s]
+        hb.append(row)
+    return hb
 
 
 def c11_consistent(execution: Execution) -> bool:

@@ -21,19 +21,6 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def transitive_closure(rows: Rows) -> Rows:
-    """Warshall's algorithm: each event in turn lends its row to every row
-    that reaches it."""
-    closure = list(rows)
-    for k, row in enumerate(closure):
-        if row:
-            bit = 1 << k
-            for a, reach in enumerate(closure):
-                if reach & bit:
-                    closure[a] = reach | row
-    return closure
-
-
 def is_acyclic(rows: Rows, nodes: int = -1) -> bool:
     """Whether the relation restricted to the ``nodes`` mask has no cycle.
     Sinks are peeled until none is left; sweeping from the highest id down

@@ -17,10 +17,21 @@ from litmusdiff.execution import (
     enumerate_candidates,
     final_state,
 )
-from litmusdiff.litmus import MemoryOrder, StmtKind
+from litmusdiff.litmus import (
+    Dialect,
+    FENCE_ORDERS,
+    LOAD_ORDERS,
+    STORE_ORDERS,
+    MemoryOrder,
+    StmtKind,
+)
 from litmusdiff.lowering import dead_register_pass, lower_test
 from litmusdiff.model_aarch64 import aarch64_consistent, internal_holds
-from litmusdiff.model_c11 import c11_consistent
+from litmusdiff.model_c11 import (
+    _synchronizes_with,
+    c11_consistent,
+    happens_before,
+)
 from litmusdiff.relations import bits
 from litmusdiff.testgen import GenParams, Variant, generate_mp_family
 
@@ -34,6 +45,22 @@ CORPUS_PARAMS = GenParams(
                     MemoryOrder.SEQ_CST),
     fence_orders=(MemoryOrder.ACQUIRE, MemoryOrder.SEQ_CST, None),
     data_load_orders=(MemoryOrder.RELAXED, MemoryOrder.ACQUIRE),
+)
+
+
+def legal(orders):
+    return tuple(o for o in MemoryOrder if o in orders)
+
+
+# Every legal order in every slot: the 2,025-test exchange family, the one
+# perfbench samples its mp-corpus from.
+EXCHANGE_FAMILY = GenParams(
+    variants=tuple(Variant),
+    data_store_orders=legal(STORE_ORDERS),
+    flag_store_orders=legal(STORE_ORDERS),
+    flag_op_orders=tuple(MemoryOrder),
+    fence_orders=legal(FENCE_ORDERS) + (None,),
+    data_load_orders=legal(LOAD_ORDERS),
 )
 
 
@@ -321,3 +348,42 @@ def check_atomicity_law(test):
         ok = coherent(events, rf, co)
         assert (ok and lenient) == (ok and strict), (test.name, rf, co)
     return apart
+
+
+def check_hb_law(test):
+    """Over every enumerated candidate of a source test, ``happens_before``
+    is the closure of ``po | sw`` computed pair by pair.  Returns the number
+    of candidates whose sw is not empty, so callers can tell the law was
+    not vacuous."""
+    graph = build_events(test)
+    synced = 0
+    for ex in candidates(graph):
+        sw = _synchronizes_with(ex)
+        assert pairs(happens_before(ex)) \
+            == pair_closure(pairs(graph.po) | pairs(sw)), \
+            (test.name, fingerprint(ex))
+        synced += any(sw)
+    return synced
+
+
+def check_construction_law(test):
+    """Every enumerated candidate, rebuilt from its derived rf, co, values
+    and registers the way ``naive_oracle`` builds executions, has the same
+    ``com`` and ``eco_before`` rows, final state and verdict: under c11 for
+    a source test, under aarch64 with either zero-register reading for an
+    asm test.  Returns the number of candidates."""
+    graph = build_events(test)
+    if test.dialect is Dialect.SOURCE:
+        checks = [c11_consistent]
+    else:
+        checks = [lambda ex, legacy=legacy: aarch64_consistent(
+            ex, legacy_zero_register=legacy) for legacy in (False, True)]
+    members = candidates(graph)
+    for ex in members:
+        rebuilt = Execution(ex.graph, ex.rf, ex.co, ex.values, ex.registers)
+        assert (rebuilt.com, rebuilt.eco_before) == (ex.com, ex.eco_before), \
+            (test.name, fingerprint(ex))
+        assert final_state(rebuilt) == final_state(ex), test.name
+        assert [check(rebuilt) for check in checks] \
+            == [check(ex) for check in checks], (test.name, fingerprint(ex))
+    return len(members)

@@ -39,6 +39,7 @@ from litmusdiff.lowering import lower_test
 from litmusdiff.model_aarch64 import aarch64_consistent
 from litmusdiff.model_c11 import c11_consistent
 from litmusdiff.syntax import parse_litmus, render_litmus
+from litmusdiff.testgen import generate_mp_family
 
 CORPUS = support.make_corpus()
 IDS = [t.name for t in CORPUS]
@@ -96,6 +97,77 @@ def large_subjects():
     for name in ("mp-dmb-st-ld+swp-wzr", "2+2w-dmb-st+swp-wzr"):
         test = parse_litmus((INPUTS / "asm" / f"{name}.litmus").read_text())
         yield pytest.param(test, "aarch64", aarch64_consistent, id=name)
+
+
+def read_inputs(directory):
+    return [parse_litmus(path.read_text())
+            for path in sorted((INPUTS / directory).glob("*.litmus"))]
+
+
+LADDER = read_inputs("ladder")
+ASM_INPUTS = read_inputs("asm")
+# Every 7th test of the 2,025-test exchange family.
+FAMILY_SAMPLE = [test for test, _ in
+                 generate_mp_family(support.EXCHANGE_FAMILY)][::7]
+
+
+# hb paths that chain two sw edges through program order, which only the
+# closure over sw sources finds: write-to-read causality, and load
+# buffering whose chain returns to its first thread.
+SW_CHAINS = [parse_litmus(text) for text in ("""C WRC+rel+acqs
+
+{ x = 0; y = 0; }
+
+P0 (atomic_int* x, atomic_int* y) {
+  atomic_store_explicit(x, 1, memory_order_release);
+}
+
+P1 (atomic_int* x, atomic_int* y) {
+  int r0 = atomic_load_explicit(x, memory_order_acquire);
+  atomic_store_explicit(y, 1, memory_order_release);
+}
+
+P2 (atomic_int* x, atomic_int* y) {
+  int r0 = atomic_load_explicit(y, memory_order_acquire);
+  int r1 = atomic_load_explicit(x, memory_order_relaxed);
+}
+
+exists (P1:r0 = 1 /\\ P2:r0 = 1 /\\ P2:r1 = 0)
+""", """C LB+acq+rel
+
+{ x = 0; y = 0; }
+
+P0 (atomic_int* x, atomic_int* y) {
+  int r0 = atomic_load_explicit(y, memory_order_acquire);
+  atomic_store_explicit(x, 1, memory_order_release);
+}
+
+P1 (atomic_int* x, atomic_int* y) {
+  int r0 = atomic_load_explicit(x, memory_order_acquire);
+  atomic_store_explicit(y, 1, memory_order_release);
+}
+
+exists (P0:r0 = 1 /\\ P1:r0 = 1)
+""")]
+
+
+@pytest.mark.parametrize("test", FAMILY_SAMPLE + LADDER + SW_CHAINS,
+                         ids=lambda test: test.name)
+def test_hb_is_the_closure_of_po_and_sw(test):
+    support.check_hb_law(test)
+
+
+def test_hb_law_meets_synchronisation():
+    assert sum(map(support.check_hb_law, FAMILY_SAMPLE)) > 0
+    assert sum(map(support.check_hb_law, LADDER)) > 0
+    assert all(map(support.check_hb_law, SW_CHAINS))
+
+
+@pytest.mark.parametrize(
+    "test", [*LADDER, *(lower_test(test)[0] for test in LADDER), *ASM_INPUTS],
+    ids=lambda test: test.name)
+def test_both_construction_paths_agree(test):
+    assert support.check_construction_law(test) > 0
 
 
 @pytest.mark.parametrize("test, model, consistent", large_subjects())
@@ -246,12 +318,12 @@ def _threads(draw, tid, locations, max_stmts):
 
 
 @st.composite
-def small_source_tests(draw, max_locations=2, max_stmts=3):
+def small_source_tests(draw, max_locations=2, max_stmts=3, max_threads=2):
     names = ("x", "y")[:draw(st.integers(1, max_locations))]
     locations = {name: draw(_VALUES) for name in names}
     threads = tuple(
         draw(_threads(tid, names, max_stmts))
-        for tid in range(draw(st.integers(1, 2)))
+        for tid in range(draw(st.integers(1, max_threads)))
     )
     final = Atom(MemoryObservable(draw(st.sampled_from(names))),
                  draw(_VALUES))
@@ -295,6 +367,12 @@ def test_model_sees_each_class_up_to_its_first_consistent_on_random_tests(
 @given(small_source_tests(max_stmts=2))
 def test_outcomes_match_brute_force_on_random_tests(test):
     support.assert_outcomes_match_brute_force(test)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_source_tests(max_stmts=2, max_threads=3))
+def test_hb_is_the_closure_of_po_and_sw_on_random_tests(test):
+    support.check_hb_law(test)
 
 
 @settings(max_examples=40, deadline=None)

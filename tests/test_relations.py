@@ -4,7 +4,7 @@
 from hypothesis import given, settings, strategies as st
 
 import support
-from litmusdiff.relations import bits, is_acyclic, transitive_closure
+from litmusdiff.relations import bits, is_acyclic
 from support import from_pairs, pairs
 
 
@@ -35,16 +35,6 @@ def test_bits_lists_set_bits_lowest_first(mask):
                                 if mask >> b & 1]
 
 
-@settings(max_examples=200, deadline=None)
-@given(relations())
-def test_transitive_closure_matches_reference(relation):
-    size, edges = relation
-    rows = from_pairs(edges, size)
-    closure = transitive_closure(rows)
-    assert pairs(closure) == support.pair_closure(edges)
-    assert rows == from_pairs(edges, size)  # the input is left alone
-
-
 @settings(max_examples=300, deadline=None)
 @given(relations(), st.integers(0, 2 ** 10 - 1))
 def test_is_acyclic_matches_reference(relation, mask):
@@ -68,11 +58,3 @@ def test_is_acyclic_edge_cases():
     # a chain running down in id order takes several sweeps
     assert is_acyclic(from_pairs({(5, 4), (4, 3), (3, 2), (2, 1)}, 6))
 
-
-def test_transitive_closure_edge_cases():
-    assert transitive_closure([]) == []
-    assert pairs(transitive_closure(from_pairs({(0, 1), (1, 0)}, 3))) \
-        == {(0, 0), (0, 1), (1, 0), (1, 1)}
-    chain = from_pairs({(3, 2), (2, 1), (1, 0)}, 4)
-    assert pairs(transitive_closure(chain)) \
-        == {(a, b) for a in range(4) for b in range(a)}

@@ -7,13 +7,7 @@ import pytest
 
 import support
 from litmusdiff import testgen
-from litmusdiff.litmus import (
-    FENCE_ORDERS,
-    LOAD_ORDERS,
-    STORE_ORDERS,
-    MemoryOrder,
-    validate_test,
-)
+from litmusdiff.litmus import LOAD_ORDERS, MemoryOrder, validate_test
 from litmusdiff.syntax import render_litmus
 from litmusdiff.testgen import (
     FlagMechanism,
@@ -30,24 +24,13 @@ AR = MemoryOrder.ACQ_REL
 SC = MemoryOrder.SEQ_CST
 
 
-def legal(orders):
-    return tuple(o for o in MemoryOrder if o in orders)
-
-
-# Every legal order in every slot: the 2,025-test exchange family (the one
-# perfbench samples its mp-corpus from) and the 405-test plain-store family.
-EXCHANGE_FAMILY = GenParams(
-    variants=tuple(Variant),
-    data_store_orders=legal(STORE_ORDERS),
-    flag_store_orders=legal(STORE_ORDERS),
-    flag_op_orders=tuple(MemoryOrder),
-    fence_orders=legal(FENCE_ORDERS) + (None,),
-    data_load_orders=legal(LOAD_ORDERS),
-)
+# The 2,025-test exchange family (the one perfbench samples its mp-corpus
+# from) and the 405-test plain-store family: every legal order in every slot.
+EXCHANGE_FAMILY = support.EXCHANGE_FAMILY
 PLAIN_STORE_FAMILY = dataclasses.replace(
     EXCHANGE_FAMILY,
     variants=(Variant.HISTORIC,),
-    flag_op_orders=legal(LOAD_ORDERS),
+    flag_op_orders=support.legal(LOAD_ORDERS),
     flag_mechanism=FlagMechanism.PLAIN_STORE,
 )
 
