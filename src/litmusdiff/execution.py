@@ -18,10 +18,19 @@ register or a copying write draws on.  Choices are grouped by those terms,
 each combination of groups is resolved to its outcome before any candidate
 is built, and combinations whose values never settle (a read feeding its
 own rf source through a cycle of copies) are dropped there.  The enumerator
-yields each outcome once, with a lazy iterator of its candidates, so the
-model is asked about an outcome only until one candidate of it is
-consistent.  A built candidate carries only the ``com`` and ``eco_before``
-rows the models read; rf, co and values follow from its choices on demand.
+yields each outcome once, with its products: a product is one combination
+of groups, one group per location, and its candidates, built lazily, are
+the groups' choices crossed.  A built candidate carries only the
+``com`` and ``eco_before`` rows the models read; rf, co and values follow
+from its choices on demand.
+
+Both models are antitone in ``(com, eco_before)``: removing edges never
+turns a consistent execution inconsistent, so adding edges never turns a
+rejected one consistent.  A product's ``meet`` is the execution whose rows
+are, location by location, the AND of the rows of every choice in the
+product; locations touch disjoint events, so it is exactly the
+intersection of the product's candidates.  When the meet is rejected,
+every candidate of the product is, and ``allowed_outcomes`` skips them.
 """
 
 from __future__ import annotations
@@ -271,7 +280,8 @@ class Execution:
     """One candidate: a coherence order per location, a reads-from map, the
     values they induce, and the ``com`` (``rf | co | fr``) and ``eco_before``
     rows the models read.  The enumerator's candidates (``of_choices``) carry
-    only the rows and derive the rest from their choices when first read."""
+    only the rows and derive the rest from their choices when first read;
+    a product's meet (``of_rows``) has the rows alone."""
 
     def __init__(self, graph: EventGraph, rf, co, values, registers):
         self.graph, self.rf, self.co = graph, rf, co
@@ -280,13 +290,20 @@ class Execution:
             order, rf.items(), len(graph.events)) for order in co.values()]))
 
     @classmethod
+    def of_rows(cls, graph: EventGraph, rows) -> Execution:
+        """An execution with only the ``com`` and ``eco_before`` rows, the
+        unions of the given ``(com, eco_before)`` pairs of rows."""
+        execution = cls.__new__(cls)
+        execution.graph = graph
+        execution.com, execution.eco_before = map(_union, zip(*rows))
+        return execution
+
+    @classmethod
     def of_choices(cls, graph: EventGraph, choices, writes, rows) -> Execution:
         """The candidate of one ``(co, rf)`` choice per sorted location, with
         every write's value and the choices' ``_location_rows``."""
-        execution = cls.__new__(cls)
-        execution.graph, execution.choices = graph, choices
-        execution.writes = writes
-        execution.com, execution.eco_before = map(_union, zip(*rows))
+        execution = cls.of_rows(graph, rows)
+        execution.choices, execution.writes = choices, writes
         return execution
 
     @cached_property
@@ -323,9 +340,13 @@ def atomicity_holds(execution: Execution) -> bool:
 
 
 def _union(parts: list[Rows]) -> Rows:
+    return _fold(operator.or_, parts)
+
+
+def _fold(op, parts: list[Rows]) -> Rows:
     rows, *rest = parts
     for more in rest:
-        rows = list(map(operator.or_, rows, more))
+        rows = list(map(op, rows, more))
     return rows
 
 
@@ -451,11 +472,38 @@ def _class_outcome(combo, terms, constants, copies):
                   for label, src in terms]), writes
 
 
+class Product:
+    """One member of an outcome class: a group of ``(co, rf)`` choices per
+    sorted location, all of one signature, crossed.  Its candidates share
+    the class's outcome and the values of all writes.  ``rows`` gives a
+    choice's ``_location_rows``."""
+
+    def __init__(self, graph: EventGraph, groups, writes, rows):
+        self.graph, self.groups, self.writes = graph, groups, writes
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return math.prod(map(len, self.groups))
+
+    def __iter__(self) -> Iterator[Execution]:
+        for picked in itertools.product(*self.groups):
+            yield Execution.of_choices(self.graph, picked, self.writes,
+                                       map(self.rows, picked))
+
+    def meet(self) -> Execution:
+        """The intersection of the candidates: per location, the AND of the
+        rows of every choice in its group."""
+        return Execution.of_rows(self.graph, [
+            [_fold(operator.and_, rows)
+             for rows in zip(*map(self.rows, group))]
+            for group in self.groups])
+
+
 def enumerate_candidates(
     graph: EventGraph, max_candidates: int | None = None
-) -> Iterator[tuple[Outcome, Iterator[Execution]]]:
+) -> Iterator[tuple[Outcome, list[Product]]]:
     """Yield each outcome of the coherent, value-consistent candidate
-    executions once, with a lazy iterator of the candidates that have it.
+    executions once, with the products whose candidates have it.
 
     Each location's coherence order and reads-from choices are searched on
     their own, and only choices that keep ``po-loc | rf | co | fr`` acyclic
@@ -469,9 +517,10 @@ def enumerate_candidates(
     A candidate's outcome and whether its values settle depend only on its
     location choices' signatures (see ``_location_choices``).  So choices
     are grouped by signature, each combination of groups is resolved to an
-    outcome once, and combinations with value cycles are dropped there.  A
-    candidate is built only when its class's iterator reaches it, and a
-    choice's ``_location_rows`` only when a built candidate first uses it.
+    outcome once, and combinations with value cycles are dropped there; the
+    rest are the class's products, in order.  A candidate is built only
+    when its product's iterator reaches it, and a choice's
+    ``_location_rows`` only when a built candidate or a meet first uses it.
 
     Raises ResourceLimitError, before the first class, once more than
     ``max_candidates`` choices would be examined: each per-location choice
@@ -506,19 +555,16 @@ def enumerate_candidates(
     groups = [_location_choices(graph, loc, drawn, count)
               for loc in graph.test.sorted_locations()]
     count(math.prod(sum(map(len, group.values())) for group in groups))
+    rows = cache(lambda choice: _location_rows(*choice, len(graph.events)))
     classes: dict[tuple, list] = {}
     for combo in itertools.product(*(group.items() for group in groups)):
         resolved = _class_outcome(combo, terms, constants, copies)
         if resolved is not None:
             items, writes = resolved
-            classes.setdefault(items, []).append(
-                ([members for _, members in combo], writes))
-    rows = cache(lambda choice: _location_rows(*choice, len(graph.events)))
-    for items, members in classes.items():
-        yield Outcome(items), (
-            Execution.of_choices(graph, picked, writes, map(rows, picked))
-            for choices, writes in members
-            for picked in itertools.product(*choices))
+            classes.setdefault(items, []).append(Product(
+                graph, [members for _, members in combo], writes, rows))
+    for items, products in classes.items():
+        yield Outcome(items), products
 
 
 @dataclasses.dataclass(frozen=True, order=True)
@@ -583,8 +629,11 @@ def allowed_outcomes(
     """Outcome set of a test under one of the axiomatic models, or under the
     interleaving oracle for ``sc`` (whose state count ``max_candidates``
     bounds).  An outcome is allowed when some candidate of its class is
-    consistent; the class's candidates are built and checked only up to
-    the first consistent one."""
+    consistent.  The class's products are taken in order, and each
+    product's candidates are built and checked only up to the first
+    consistent one.  When a product holds more than one candidate and its
+    first is rejected, its meet is checked next; since the models are
+    antitone, a rejected meet rejects the whole product."""
     if model == MODEL_SC:
         return sc_oracle_outcomes(test, max_states=max_candidates)
     if model == MODEL_C11:
@@ -603,10 +652,17 @@ def allowed_outcomes(
     else:
         raise LitmusError(f"unknown model {model!r}")
 
+    def allows(product: Product) -> bool:
+        candidates = iter(product)
+        if consistent(next(candidates)):
+            return True
+        return ((len(product) == 1 or consistent(product.meet()))
+                and any(map(consistent, candidates)))
+
     classes = enumerate_candidates(build_events(test), max_candidates)
     return OutcomeSet(test.name, model, frozenset(
-        outcome for outcome, candidates in classes
-        if any(map(consistent, candidates))))
+        outcome for outcome, products in classes
+        if any(map(allows, products))))
 
 
 def _sc_step(thread, stmt, mem: dict, regs: dict) -> None:

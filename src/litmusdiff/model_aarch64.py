@@ -17,6 +17,13 @@ that actually read into a register; an exchange whose destination is WZR
 performs its memory read without being regarded as a register-writing read,
 so it is dropped from the read sets bob draws on.  ``legacy_zero_register``
 restores the older behaviour where such reads still participate.
+
+The model is antitone in ``(com, eco_before)`` under either reading: obs
+only grows with ``com``, and every axiom forbids edges, so dropping any
+edges of a consistent execution leaves it consistent.  ``allowed_outcomes``
+relies on this when a rejected meet rejects a whole product, and any new
+axiom must keep it (``check_antitone_law`` in ``tests/support.py`` tests
+it).
 """
 
 from __future__ import annotations

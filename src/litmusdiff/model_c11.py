@@ -14,6 +14,12 @@ Per candidate, sw reads rf off the ``com`` rows.  Since po is transitive,
 po itself when sw is empty.  eco is never built: it runs exactly from
 lower to higher coherence keys, so coherence is
 ``hb[a] & (a | eco_before[a]) == 0`` for every event ``a``.
+
+The model is antitone in ``(com, eco_before)``: sw, and so hb, only grow
+with ``com``, and every axiom forbids edges, so dropping any edges of a
+consistent execution leaves it consistent.  ``allowed_outcomes`` relies on
+this when a rejected meet rejects a whole product, and any new axiom must
+keep it (``check_antitone_law`` in ``tests/support.py`` tests it).
 """
 
 from __future__ import annotations

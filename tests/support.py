@@ -1,7 +1,10 @@
 """Corpus construction and outcome plumbing shared across test modules."""
 
 import dataclasses
+import functools
 import itertools
+import operator
+import random
 
 import naive_oracle
 import pytest
@@ -243,9 +246,10 @@ def coherent_naive_fingerprints(test):
 
 
 def candidates(graph, limit=None):
-    """Every candidate the enumerator yields, class by class."""
-    return [ex for _, members in enumerate_candidates(graph, limit)
-            for ex in members]
+    """Every candidate the enumerator yields, class by class and product
+    by product."""
+    return [ex for _, products in enumerate_candidates(graph, limit)
+            for product in products for ex in product]
 
 
 def fingerprint(ex):
@@ -253,20 +257,26 @@ def fingerprint(ex):
 
 
 def check_class_law(test):
-    """The enumerator's classes have distinct outcomes and no class is
-    empty, every member's ``final_state`` is its class's outcome, and the
-    members together are the coherent brute-force candidates, each once.
-    Returns the numbers of classes and of candidates."""
-    classes = [(outcome, list(members))
-               for outcome, members in enumerate_candidates(build_events(test))]
+    """The enumerator's classes have distinct outcomes and no class or
+    product is empty, each product's length is its number of candidates,
+    every member's ``final_state`` is its class's outcome, and the members
+    together are the coherent brute-force candidates, each once.  Returns
+    the numbers of classes and of candidates."""
+    classes = [(outcome, list(products)) for outcome, products
+               in enumerate_candidates(build_events(test))]
     outcomes = [outcome for outcome, _ in classes]
     assert len(set(outcomes)) == len(outcomes), test.name
     fingerprints = []
-    for outcome, members in classes:
-        assert members, (test.name, outcome)
-        for ex in members:
-            assert final_state(ex) == outcome, (test.name, fingerprint(ex))
-            fingerprints.append(fingerprint(ex))
+    for outcome, products in classes:
+        assert products, (test.name, outcome)
+        for product in products:
+            members = list(product)
+            assert members and len(members) == len(product), \
+                (test.name, outcome)
+            for ex in members:
+                assert final_state(ex) == outcome, \
+                    (test.name, fingerprint(ex))
+                fingerprints.append(fingerprint(ex))
     assert len(set(fingerprints)) == len(fingerprints), test.name
     assert set(fingerprints) == coherent_naive_fingerprints(test), test.name
     return len(classes), len(fingerprints)
@@ -278,26 +288,73 @@ MODEL_CHECKS = {
 }
 
 
+def rows_of(ex):
+    """An execution's ``com`` and ``eco_before`` rows, as tuples."""
+    return tuple(ex.com), tuple(ex.eco_before)
+
+
+def intersection(members):
+    """The AND, row by row, of the members' ``com`` and ``eco_before``."""
+    return tuple(tuple(functools.reduce(operator.and_, column)
+                       for column in zip(*rows))
+                 for rows in zip(*map(rows_of, members)))
+
+
+def is_meet(ex):
+    """Whether an execution is a product's meet: it carries rows only, no
+    location choices."""
+    return "choices" not in vars(ex)
+
+
+def expected_calls(graph, members, check):
+    """The calls the model-call law lets ``check`` see on one product's
+    members, each a fingerprint or ``("meet", com, eco_before)``, and
+    whether one of them succeeds."""
+    first, *rest = members
+    calls = [fingerprint(first)]
+    if check(first):
+        return calls, True
+    if rest:
+        meet = intersection(members)
+        calls.append(("meet", *meet))
+        if not check(Execution.of_rows(graph, [map(list, meet)])):
+            return calls, False
+    for ex in rest:
+        calls.append(fingerprint(ex))
+        if check(ex):
+            return calls, True
+    return calls, False
+
+
 def check_model_call_law(test, model, **flags):
-    """In each class, ``allowed_outcomes`` shows the model predicate exactly
-    the candidates up to and including the first consistent one, in
-    enumeration order, allows the outcomes of the classes that have one,
-    and never calls ``final_state``.  The predicate and ``final_state`` are
-    replaced where their modules define them, since per-layer tracing wraps
-    them there.  Returns the number of model calls."""
+    """``allowed_outcomes`` takes each class's products in order until one
+    allows the outcome.  In a product the model predicate sees, in
+    enumeration order, the candidates up to and including the first
+    consistent one, with one exception: when the product holds more than
+    one candidate and its first is rejected, the next call is its meet,
+    whose rows are the intersection of the candidates' rows, and a
+    rejected meet ends the product.  The outcomes of the classes where a
+    call succeeds are allowed, and ``final_state`` is never called.  The
+    predicate and ``final_state`` are replaced where their modules define
+    them, since per-layer tracing wraps them there.  Returns the numbers of
+    model calls on candidates and on meets."""
     module, name = MODEL_CHECKS[model]
     check = getattr(module, name)
+    graph = build_events(test)
     expected, allowed = [], set()
-    for outcome, members in enumerate_candidates(build_events(test)):
-        for ex in members:
-            expected.append(fingerprint(ex))
-            if check(ex, **flags):
+    for outcome, products in enumerate_candidates(graph):
+        for product in products:
+            calls, ok = expected_calls(
+                graph, list(product), functools.partial(check, **flags))
+            expected += calls
+            if ok:
                 allowed.add(outcome)
                 break
     calls, projected = [], []
 
     def counted(ex, **kwargs):
-        calls.append(fingerprint(ex))
+        calls.append(("meet", *rows_of(ex)) if is_meet(ex)
+                     else fingerprint(ex))
         return check(ex, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -306,7 +363,77 @@ def check_model_call_law(test, model, **flags):
         assert allowed_outcomes(test, model, **flags).outcomes == allowed
     assert calls == expected, test.name
     assert projected == [], test.name
-    return len(calls)
+    meets = sum(call[0] == "meet" for call in calls)
+    return len(calls) - meets, meets
+
+
+def dialect_predicates(test):
+    """The consistency predicates of a test's dialect: c11 for a source
+    test, aarch64 under either zero-register reading for an asm test."""
+    if test.dialect is Dialect.SOURCE:
+        return [c11_consistent]
+    return [functools.partial(aarch64_consistent, legacy_zero_register=legacy)
+            for legacy in (False, True)]
+
+
+def check_meet_law(test):
+    """For every product of more than one candidate, its meet's rows are
+    the intersection of its candidates' rows, so contained in each of
+    them, and whenever a predicate of ``dialect_predicates`` rejects the
+    meet it rejects every candidate, checked one by one.  Returns the
+    numbers of meets and of (meet, predicate) rejections, so callers can
+    tell the law was not vacuous."""
+    meets = rejected = 0
+    for _, products in enumerate_candidates(build_events(test)):
+        for product in products:
+            if len(product) == 1:
+                continue
+            members = list(product)
+            meet = product.meet()
+            meets += 1
+            assert rows_of(meet) == intersection(members), test.name
+            for ex in members:
+                assert all(m & ~e == 0 for m, e in zip(
+                    meet.com + meet.eco_before, ex.com + ex.eco_before)), \
+                    (test.name, fingerprint(ex))
+            for check in dialect_predicates(test):
+                if not check(meet):
+                    rejected += 1
+                    assert not any(map(check, members)), test.name
+    return meets, rejected
+
+
+def drop_bits(ex, rng):
+    """The execution with a random subset of its ``com`` and ``eco_before``
+    bits dropped; each bit is kept with probability 1/2, 3/4 or 7/8."""
+    size = len(ex.com)
+    depth = rng.randint(1, 3)
+
+    def thin(rows):
+        return [row & functools.reduce(operator.or_, (
+            rng.getrandbits(size) for _ in range(depth))) for row in rows]
+
+    return Execution.of_rows(ex.graph, [(thin(ex.com), thin(ex.eco_before))])
+
+
+def check_antitone_law(test, seed, trials=3):
+    """Every enumerated candidate that a predicate of
+    ``dialect_predicates`` accepts stays accepted with any seeded-random
+    subset of its ``com`` and ``eco_before`` bits dropped, ``trials``
+    subsets per candidate and predicate.  This is the contract that makes
+    a rejected meet reject its whole product.  Returns the number of
+    (candidate, predicate) pairs accepted, so callers can tell the law was
+    not vacuous."""
+    rng = random.Random(seed)
+    accepted = 0
+    for ex in candidates(build_events(test)):
+        for check in dialect_predicates(test):
+            if check(ex):
+                accepted += 1
+                for _ in range(trials):
+                    assert check(drop_bits(ex, rng)), \
+                        (test.name, fingerprint(ex))
+    return accepted
 
 
 def assert_outcomes_match_brute_force(test):
@@ -372,13 +499,8 @@ def check_construction_law(test):
     ``com`` and ``eco_before`` rows, final state and verdict: under c11 for
     a source test, under aarch64 with either zero-register reading for an
     asm test.  Returns the number of candidates."""
-    graph = build_events(test)
-    if test.dialect is Dialect.SOURCE:
-        checks = [c11_consistent]
-    else:
-        checks = [lambda ex, legacy=legacy: aarch64_consistent(
-            ex, legacy_zero_register=legacy) for legacy in (False, True)]
-    members = candidates(graph)
+    checks = dialect_predicates(test)
+    members = candidates(build_events(test))
     for ex in members:
         rebuilt = Execution(ex.graph, ex.rf, ex.co, ex.values, ex.registers)
         assert (rebuilt.com, rebuilt.eco_before) == (ex.com, ex.eco_before), \

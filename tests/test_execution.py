@@ -267,15 +267,26 @@ def test_classes_partition_the_coherent_candidates(model, golden, exists):
 def test_model_sees_each_class_up_to_its_first_consistent_candidate(
         model, golden, exists):
     # Observing one register makes outcomes repeat, so some classes hold
-    # candidates that are never built.
+    # candidates that are never built.  Under c11 the first candidate with
+    # P1:r0 = 0 is rejected, so its product's meet is checked next.
     test = law_subject(golden, exists)
-    calls = support.check_model_call_law(test, model)
+    seen, meets = support.check_model_call_law(test, model)
     built = len(candidates(build_events(test)))
-    assert calls > 1
+    assert seen > 1
     if exists is None:
-        assert calls == built
+        assert (seen, meets) == (built, 0)
     else:
-        assert calls < built
+        assert seen < built
+        assert meets == (model == "c11")
+
+
+@LAW_CASES
+def test_a_rejected_meet_rejects_its_product(model, golden, exists):
+    meets, _ = support.check_meet_law(law_subject(golden, exists))
+    if exists is None:
+        assert meets == 0  # every golden class is a single candidate
+    else:
+        assert meets > 0
 
 
 def test_outcome_json_round_trip():

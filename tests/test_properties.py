@@ -7,8 +7,12 @@ its candidates are exactly the oracle's coherent ones, and its outcome sets
 are exactly those of the models applied to every oracle candidate, on the
 corpus, on random tests and on the benchmark's larger inputs.  The
 relation rows every candidate carries match their set-of-pairs reading.
+Both models are antitone in those rows, so a product whose meet is
+rejected has no consistent candidate, and the model calls that this
+saves are pinned on the larger inputs.
 """
 
+import functools
 from pathlib import Path
 
 import pytest
@@ -19,23 +23,26 @@ import support
 from litmusdiff.execution import (
     allowed_outcomes,
     build_events,
+    enumerate_candidates,
     sc_oracle_outcomes,
 )
 from litmusdiff.litmus import (
     Atom,
+    Conj,
     Dialect,
     FENCE_ORDERS,
     LOAD_ORDERS,
     LitmusTest,
     MemoryObservable,
     MemoryOrder,
+    RegisterObservable,
     SourceStmt,
     StmtKind,
     STORE_ORDERS,
     Thread,
     validate_test,
 )
-from litmusdiff.lowering import lower_test
+from litmusdiff.lowering import dead_register_pass, lower_test
 from litmusdiff.model_aarch64 import aarch64_consistent
 from litmusdiff.model_c11 import c11_consistent
 from litmusdiff.syntax import parse_litmus, render_litmus
@@ -183,11 +190,44 @@ def test_classes_partition_the_candidates_on_large_inputs(test, model,
     assert classes < members
 
 
+# Per large subject: the model calls of ``allowed_outcomes``, candidates
+# and meets together; the products of more than one candidate; and the
+# (meet, predicate) pairs where the meet is rejected, under both
+# zero-register readings for aarch64.  A rejected meet ends its product, so
+# a forbidden class costs at most two calls per product, not one per
+# candidate: mp-relseq-4t and the two asm inputs are mostly forbidden
+# classes, 3w-2r and 2+2w-x4 allowed ones.
+COSTS = {
+    "3w-2r-c11": (8, 8, 0), "3w-2r-aarch64": (8, 8, 0),
+    "mp-relseq-4t-c11": (60, 48, 12), "mp-relseq-4t-aarch64": (60, 48, 24),
+    "2+2w-x4-c11": (4, 4, 0), "2+2w-x4-aarch64": (4, 4, 0),
+    "mp-dmb-st-ld+swp-wzr": (14, 9, 2), "2+2w-dmb-st+swp-wzr": (5, 4, 2),
+}
+
+
 @pytest.mark.parametrize("test, model, consistent", large_subjects())
-def test_model_sees_each_class_up_to_its_first_consistent_on_large_inputs(
-        test, model, consistent):
-    assert support.check_model_call_law(test, model) \
-        < len(support.candidates(build_events(test)))
+def test_model_calls_follow_the_law_on_large_inputs(
+        request, test, model, consistent):
+    calls, *_ = COSTS[request.node.callspec.id]
+    assert sum(support.check_model_call_law(test, model)) == calls
+
+
+@pytest.mark.parametrize("test, model, consistent", large_subjects())
+def test_a_rejected_meet_rejects_its_product_on_large_inputs(
+        request, test, model, consistent):
+    _, *meets = COSTS[request.node.callspec.id]
+    assert list(support.check_meet_law(test)) == meets
+
+
+def test_mp_family_products_hold_one_candidate():
+    # So the MP family, which the mp-corpus benchmark samples, never has a
+    # meet to check: its model calls stay one per candidate.
+    for test in FAMILY_SAMPLE:
+        compiled, _ = lower_test(test)
+        for subject in (test, compiled, dead_register_pass(compiled)):
+            assert all(len(product) == 1 for _, products
+                       in enumerate_candidates(build_events(subject))
+                       for product in products), subject.name
 
 
 # asm tests whose writes copy what a read returned (data dependencies):
@@ -268,6 +308,14 @@ def test_outcomes_match_brute_force_on_copying_asm(name):
                     ex, legacy_zero_register=legacy))
         support.check_model_call_law(test, "aarch64",
                                      legacy_zero_register=legacy)
+    support.check_meet_law(test)
+
+
+@pytest.mark.parametrize(
+    "test", [*LADDER, *(lower_test(test)[0] for test in LADDER), *ASM_INPUTS],
+    ids=lambda test: test.name)
+def test_dropping_edges_keeps_candidates_consistent(test):
+    assert support.check_antitone_law(test, test.name) > 0
 
 
 @pytest.mark.parametrize("test", CORPUS, ids=IDS)
@@ -332,6 +380,37 @@ def small_source_tests(draw, max_locations=2, max_stmts=3, max_threads=2):
     return test
 
 
+@st.composite
+def release_acquire_chains(draw):
+    """Three links, one per thread: a load, then a store of the thread's
+    number plus one, each with a random memory order.  Link i stores the
+    location that link i+1 loads, so a release store read by an acquire
+    load chains sw edges through program order into hb paths of two and
+    three sw edges.  The first load and the last store each pick x or y,
+    so the chain may close into a ring or end in a write that coherence
+    orders against the first link's.  The exists clause observes a random
+    non-empty set of registers and locations; the rf choices of the loads
+    it leaves out make products of more than one candidate."""
+    loads = (draw(st.sampled_from(("x", "y"))), "x", "y")
+    stores = ("x", "y", draw(st.sampled_from(("x", "y"))))
+    threads = tuple(Thread(tid, (
+        SourceStmt(StmtKind.LOAD, draw(st.sampled_from(_LOAD_CHOICES)),
+                   location=loads[tid], dest="r0"),
+        SourceStmt(StmtKind.STORE, draw(st.sampled_from(_STORE_CHOICES)),
+                   location=stores[tid], value=tid + 1),
+    )) for tid in range(3))
+    observables = [*(RegisterObservable(tid, "r0") for tid in range(3)),
+                   MemoryObservable("x"), MemoryObservable("y")]
+    observed = draw(st.lists(st.sampled_from(observables), min_size=1,
+                             max_size=3, unique=True))
+    final = functools.reduce(Conj, [Atom(obs, draw(st.integers(0, 3)))
+                                     for obs in observed])
+    test = LitmusTest("chain", Dialect.SOURCE, {"x": 0, "y": 0}, threads,
+                      final)
+    validate_test(test)
+    return test
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_source_tests())
 def test_render_parse_round_trip(test):
@@ -373,6 +452,30 @@ def test_outcomes_match_brute_force_on_random_tests(test):
 @given(small_source_tests(max_stmts=2, max_threads=3))
 def test_hb_is_the_closure_of_po_and_sw_on_random_tests(test):
     support.check_hb_law(test)
+
+
+@settings(max_examples=60, deadline=None)
+@given(release_acquire_chains())
+def test_hb_is_the_closure_of_po_and_sw_on_random_chains(test):
+    support.check_hb_law(test)
+
+
+@settings(max_examples=60, deadline=None)
+@given(release_acquire_chains())
+def test_meet_and_model_call_laws_hold_on_random_chains(test):
+    support.check_meet_law(test)
+    support.check_meet_law(lower_test(test)[0])
+    support.check_model_call_law(test, "c11")
+    support.check_model_call_law(lower_test(test)[0], "aarch64")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(small_source_tests(max_stmts=2), release_acquire_chains()),
+       st.integers(0, 2**32 - 1))
+def test_dropping_edges_keeps_candidates_consistent_on_random_tests(test,
+                                                                   seed):
+    support.check_antitone_law(test, seed)
+    support.check_antitone_law(lower_test(test)[0], seed)
 
 
 @settings(max_examples=40, deadline=None)
