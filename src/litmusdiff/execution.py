@@ -21,8 +21,11 @@ own rf source through a cycle of copies) are dropped there.  The enumerator
 yields each outcome once, with its products: a product is one combination
 of groups, one group per location, and its candidates, built lazily, are
 the groups' choices crossed.  A built candidate carries only the
-``com`` and ``eco_before`` rows the models read; rf, co and values follow
-from its choices on demand.
+``com`` and ``eco_before`` rows the models read, the unions of its
+choices' rows; rf, co and values follow from its choices on demand.  A
+choice's rows take one walk up and one walk down its coherence order, and
+each choice's rows are built at most once per enumeration, however many
+candidates and meets use them.
 
 Both models are antitone in ``(com, eco_before)``: removing edges never
 turns a consistent execution inconsistent, so adding edges never turns a
@@ -31,6 +34,8 @@ are, location by location, the AND of the rows of every choice in the
 product; locations touch disjoint events, so it is exactly the
 intersection of the product's candidates.  When the meet is rejected,
 every candidate of the product is, and ``allowed_outcomes`` skips them.
+A group sits in many products, so its AND is taken once and shared, and a
+meet only unions its groups' ANDs.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ import enum
 import itertools
 import math
 import operator
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Iterator
 
 from .litmus import (
@@ -351,23 +356,37 @@ def _fold(op, parts: list[Rows]) -> Rows:
 
 
 def _location_rows(co, rf, size: int) -> tuple[Rows, Rows]:
-    """``com`` and ``eco_before`` rows of a location's events from their
-    coherence keys (see ``_location_choices``), given by its ``co`` and the
-    pairs of ``rf`` whose source is in it.  ``com`` runs up in key, never
-    between reads (odd keys) nor into a read from other than its rf source.
-    Since ``rf;co``, ``rf;rf``, ``co;fr`` and ``fr;fr`` are empty, ``rf;fr``
-    is in ``co`` and ``fr;co`` in ``fr``, so ``eco = rf | (co | fr);rf?``
-    runs exactly from lower to higher keys, for any co and rf."""
-    key = {w: 2 * i for i, w in enumerate(co)}
-    key.update((r, key[w] + 1) for r, w in rf if w in key)
+    """``com`` and ``eco_before`` rows of a location's events, given by its
+    ``co`` and the pairs of ``rf`` whose source is in it.  Since ``rf;co``,
+    ``rf;rf``, ``co;fr`` and ``fr;fr`` are empty, ``rf;fr`` is in ``co`` and
+    ``fr;co`` in ``fr``, so ``eco = rf | (co | fr);rf?`` orders the events
+    by coherence key (see ``_location_choices``), for any co and rf.  One
+    walk up ``co`` gathers each write's ``eco_before``: the writes co-before
+    it and their readers, and for a reader of the write the write too.  One
+    walk down gathers ``com``: the writes co-after a write, and for the
+    write alone its own readers."""
+    readers: dict[int, list[int]] = {w: [] for w in co}
+    for r, w in rf:
+        if w in readers:
+            readers[w].append(r)
     com = [0] * size
     before = [0] * size
-    for a, ka in key.items():
-        for b, kb in key.items():
-            if ka < kb:
-                before[b] |= 1 << a
-                if kb % 2 == 0 or kb == ka + 1:
-                    com[a] |= 1 << b
+    below = 0
+    for w in co:
+        before[w] = below
+        below |= 1 << w
+        own = below
+        for r in readers[w]:
+            before[r] = own
+            below |= 1 << r
+    above = 0
+    for w in reversed(co):
+        row = above
+        for r in readers[w]:
+            com[r] = above
+            row |= 1 << r
+        com[w] = row
+        above |= 1 << w
     return com, before
 
 
@@ -401,10 +420,10 @@ def _location_choices(graph: EventGraph, loc: str, drawn, count) -> dict:
     read of a choice: the value source of the co-last write if the location
     is in ``drawn``, then each read in ``drawn`` with the value source of
     its rf source.  ``count`` is told how many choices are about to be
-    examined before they are.  As a sanity net, each choice asserts that
-    co permutes the location's writes with init first, that every rf source
-    is on the location and that exchange reads read their own write's
-    immediate co-predecessor.
+    examined before they are.  As a sanity net, each coherence order
+    asserts that it permutes the location's writes with init first, that
+    its writes are on the location (every rf source is drawn from them) and
+    that exchange reads read their own write's immediate co-predecessor.
     """
     init, *writes = graph.writes_by_loc[loc]
     chains: dict[int, list[int]] = {}
@@ -422,6 +441,8 @@ def _location_choices(graph: EventGraph, loc: str, drawn, count) -> dict:
     groups: dict[tuple, list] = {}
     for tail in _merges(list(chains.values())):
         co = (init, *tail)
+        assert sorted(co) == [init, *writes] and graph.events[init].is_init
+        assert all(graph.events[w].loc == loc for w in co)
         key = {w: 2 * i for i, w in enumerate(co)}
         fixed = []
         for r, w in forced:
@@ -429,7 +450,6 @@ def _location_choices(graph: EventGraph, loc: str, drawn, count) -> dict:
             assert co.index(w) - co.index(source) == 1
             key[r] = key[source] + 1
             fixed.append((r, source))
-        assert sorted(co) == [init, *writes] and graph.events[init].is_init
         count(len(co) ** len(plain))
         last = ((loc, value_src[co[-1]]),) if loc in drawn else ()
         for sources in itertools.product(co, repeat=len(plain)):
@@ -440,7 +460,6 @@ def _location_choices(graph: EventGraph, loc: str, drawn, count) -> dict:
                     break
             else:
                 rf = (*zip(plain, sources), *fixed)
-                assert all(graph.events[w].loc == loc for _, w in rf)
                 signature = last + tuple(
                     [(r, value_src[rf[i][1]]) for i, r in signed])
                 groups.setdefault(signature, []).append((co, rf))
@@ -472,31 +491,55 @@ def _class_outcome(combo, terms, constants, copies):
                   for label, src in terms]), writes
 
 
+class _Group:
+    """One location's ``(co, rf)`` choices of one signature.  A group sits
+    in every product that crosses it with the other locations' groups, so
+    it holds what those products share: each choice's ``_location_rows``
+    and the group's meet, the AND of those rows, each built when first
+    used and at most once."""
+
+    def __init__(self, choices: list, size: int):
+        self.choices, self.size = choices, size
+        self.slots: list = [None] * len(choices)
+
+    def __len__(self) -> int:
+        return len(self.choices)
+
+    def rows(self, i: int) -> tuple[Rows, Rows]:
+        rows = self.slots[i]
+        if rows is None:
+            rows = self.slots[i] = _location_rows(*self.choices[i], self.size)
+        return rows
+
+    @cached_property
+    def meet(self) -> tuple[Rows, Rows]:
+        return tuple(_fold(operator.and_, rows) for rows in
+                     zip(*map(self.rows, range(len(self.choices)))))
+
+
 class Product:
     """One member of an outcome class: a group of ``(co, rf)`` choices per
     sorted location, all of one signature, crossed.  Its candidates share
-    the class's outcome and the values of all writes.  ``rows`` gives a
-    choice's ``_location_rows``."""
+    the class's outcome and the values of all writes."""
 
-    def __init__(self, graph: EventGraph, groups, writes, rows):
+    def __init__(self, graph: EventGraph, groups: list[_Group], writes):
         self.graph, self.groups, self.writes = graph, groups, writes
-        self.rows = rows
 
     def __len__(self) -> int:
         return math.prod(map(len, self.groups))
 
     def __iter__(self) -> Iterator[Execution]:
-        for picked in itertools.product(*self.groups):
-            yield Execution.of_choices(self.graph, picked, self.writes,
-                                       map(self.rows, picked))
+        groups = self.groups
+        for picked in itertools.product(*(range(len(g)) for g in groups)):
+            yield Execution.of_choices(
+                self.graph, [g.choices[i] for g, i in zip(groups, picked)],
+                self.writes, [g.rows(i) for g, i in zip(groups, picked)])
 
     def meet(self) -> Execution:
         """The intersection of the candidates: per location, the AND of the
         rows of every choice in its group."""
-        return Execution.of_rows(self.graph, [
-            [_fold(operator.and_, rows)
-             for rows in zip(*map(self.rows, group))]
-            for group in self.groups])
+        return Execution.of_rows(self.graph,
+                                 [group.meet for group in self.groups])
 
 
 def enumerate_candidates(
@@ -519,8 +562,10 @@ def enumerate_candidates(
     are grouped by signature, each combination of groups is resolved to an
     outcome once, and combinations with value cycles are dropped there; the
     rest are the class's products, in order.  A candidate is built only
-    when its product's iterator reaches it, and a choice's
-    ``_location_rows`` only when a built candidate or a meet first uses it.
+    when its product's iterator reaches it.  A choice's ``_location_rows``
+    are built when a built candidate or a meet first uses them, and a
+    group's AND when a meet of a product holding it is first checked; both
+    at most once per call, and kept no longer than its products.
 
     Raises ResourceLimitError, before the first class, once more than
     ``max_candidates`` choices would be examined: each per-location choice
@@ -552,17 +597,18 @@ def enumerate_candidates(
     # The reads whose rf source the outcome or a copying write draws on.
     drawn = {key for _, (kind, key) in terms if kind == "read"}
     drawn.update(r for _, r in copies)
-    groups = [_location_choices(graph, loc, drawn, count)
+    size = len(graph.events)
+    groups = [{signature: _Group(choices, size) for signature, choices
+               in _location_choices(graph, loc, drawn, count).items()}
               for loc in graph.test.sorted_locations()]
     count(math.prod(sum(map(len, group.values())) for group in groups))
-    rows = cache(lambda choice: _location_rows(*choice, len(graph.events)))
     classes: dict[tuple, list] = {}
     for combo in itertools.product(*(group.items() for group in groups)):
         resolved = _class_outcome(combo, terms, constants, copies)
         if resolved is not None:
             items, writes = resolved
             classes.setdefault(items, []).append(Product(
-                graph, [members for _, members in combo], writes, rows))
+                graph, [group for _, group in combo], writes))
     for items, products in classes.items():
         yield Outcome(items), products
 

@@ -223,6 +223,71 @@ def check_row_laws(test):
     return incoherent, torn
 
 
+def pairwise_location_rows(co, rf, size):
+    """The reference for ``execution._location_rows``: ``com`` and
+    ``eco_before`` rows of a location's events from their coherence keys,
+    twice its co position for a write and one more than its rf source's
+    for a read, compared pair by pair.  ``eco_before`` runs from every lower
+    key; ``com`` runs up in key, never between reads (odd keys) nor into a
+    read from other than its rf source."""
+    key = {w: 2 * i for i, w in enumerate(co)}
+    key.update((r, key[w] + 1) for r, w in rf if w in key)
+    com = [0] * size
+    before = [0] * size
+    for a, ka in key.items():
+        for b, kb in key.items():
+            if ka < kb:
+                before[b] |= 1 << a
+                if kb % 2 == 0 or kb == ka + 1:
+                    com[a] |= 1 << b
+    return com, before
+
+
+def check_location_rows_law(test):
+    """For every ``(co, rf)`` choice that ``_location_choices`` yields on
+    each location, ``_location_rows`` equals ``pairwise_location_rows``.
+    Returns the number of choices, so callers can tell the law was not
+    vacuous."""
+    graph = build_events(test)
+    size = len(graph.events)
+    checked = 0
+    for loc in test.sorted_locations():
+        groups = execution._location_choices(graph, loc, set(), lambda _: None)
+        for co, rf in itertools.chain.from_iterable(groups.values()):
+            assert execution._location_rows(co, rf, size) \
+                == pairwise_location_rows(co, rf, size), (test.name, co, rf)
+            checked += 1
+    return checked
+
+
+def check_row_work_law(test, model, **flags):
+    """One ``allowed_outcomes`` call, one enumeration, builds each choice's
+    ``_location_rows`` at most once and ANDs each group's rows at most
+    once.  Counting wrappers sit on ``_location_rows`` and on ``_fold``,
+    where an AND is seen by its input rows: distinct choices have distinct
+    rows.  Returns the numbers of rows built and of ANDs, one for a
+    group's ``com`` rows and one for its ``eco_before`` rows."""
+    rows, fold = execution._location_rows, execution._fold
+    built, anded = [], []
+
+    def counted_rows(co, rf, size):
+        built.append((co, tuple(rf)))
+        return rows(co, rf, size)
+
+    def counted_fold(op, parts):
+        if op is operator.and_:
+            anded.append(tuple(map(tuple, parts)))
+        return fold(op, parts)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(execution, "_location_rows", counted_rows)
+        patch.setattr(execution, "_fold", counted_fold)
+        allowed_outcomes(test, model, **flags)
+    assert len(set(built)) == len(built), test.name
+    assert len(set(anded)) == len(anded), test.name
+    return len(built), len(anded)
+
+
 def hand_execution(test, rf, co):
     """Assemble a candidate directly, bypassing the enumerator's filters.
     Values come from the brute-force oracle's resolver."""

@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 import naive_oracle
 import support
+from litmusdiff import golden_path
 from litmusdiff.execution import (
     allowed_outcomes,
     build_events,
@@ -219,6 +220,26 @@ def test_a_rejected_meet_rejects_its_product_on_large_inputs(
     assert list(support.check_meet_law(test)) == meets
 
 
+# Per large subject, one ``allowed_outcomes`` call: the choices whose
+# ``_location_rows`` are built, and the ANDs taken, two (``com`` and
+# ``eco_before``) per group whose meet is checked.  A group sits in many
+# products: mp-relseq-4t's 12 meets, of one group per location each, share
+# 13 groups, so 26 ANDs are taken where one per meet and group would be 48.
+ROW_WORK = {
+    "3w-2r-c11": (9, 0), "3w-2r-aarch64": (9, 0),
+    "mp-relseq-4t-c11": (51, 26), "mp-relseq-4t-aarch64": (51, 26),
+    "2+2w-x4-c11": (4, 0), "2+2w-x4-aarch64": (4, 0),
+    "mp-dmb-st-ld+swp-wzr": (48, 6), "2+2w-dmb-st+swp-wzr": (56, 4),
+}
+
+
+@pytest.mark.parametrize("test, model, consistent", large_subjects())
+def test_rows_and_group_meets_are_built_once_on_large_inputs(
+        request, test, model, consistent):
+    assert support.check_row_work_law(test, model) \
+        == ROW_WORK[request.node.callspec.id]
+
+
 def test_mp_family_products_hold_one_candidate():
     # So the MP family, which the mp-corpus benchmark samples, never has a
     # meet to check: its model calls stay one per candidate.
@@ -316,6 +337,19 @@ def test_outcomes_match_brute_force_on_copying_asm(name):
     ids=lambda test: test.name)
 def test_dropping_edges_keeps_candidates_consistent(test):
     assert support.check_antitone_law(test, test.name) > 0
+
+
+GOLDEN = [parse_litmus(golden_path(name).read_text()) for name in (
+    "mp-xchg-discard.litmus", "mp-xchg-discard-compiled-w15.litmus",
+    "mp-xchg-discard-compiled-wzr.litmus")]
+
+
+@pytest.mark.parametrize(
+    "test", [*LADDER, *(lower_test(test)[0] for test in LADDER), *ASM_INPUTS,
+             *GOLDEN],
+    ids=lambda test: test.name)
+def test_location_rows_equal_the_pairwise_reference(test):
+    assert support.check_location_rows_law(test) > 0
 
 
 @pytest.mark.parametrize("test", CORPUS, ids=IDS)
@@ -483,3 +517,11 @@ def test_dropping_edges_keeps_candidates_consistent_on_random_tests(test,
 def test_row_laws_hold_on_random_tests(test):
     support.check_row_laws(test)
     support.check_row_laws(lower_test(test)[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(small_source_tests(max_stmts=2, max_threads=3),
+                 release_acquire_chains()))
+def test_location_rows_equal_the_pairwise_reference_on_random_tests(test):
+    assert support.check_location_rows_law(test) > 0
+    assert support.check_location_rows_law(lower_test(test)[0]) > 0
