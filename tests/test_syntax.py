@@ -367,6 +367,59 @@ def test_asm_init_errors():
                          init="{\n  x = 0;\n  what even;\n}"))
 
 
+ASM_LOAD = "LDR W2, [X0]"
+
+
+# Exact message and position of each reader error, in both dialects where
+# they share the path.
+@pytest.mark.parametrize("text,line,column,message", [
+    ("C t\n", 1, 1,
+     "unexpected end of input, expected an initial state block in braces"),
+    ("AArch64 t\n", 1, 1,
+     "unexpected end of input, expected an initial state block in braces"),
+    ("C t\n\n{ x = 0;\n", 3, 1,
+     "unexpected end of input, expected '}' closing the initial state"),
+    ("C t\n\n{ x = 0; }\n\nP0 {\n  %s\n" % LOAD_LINE, 6, 1,
+     "unexpected end of input, expected '}' closing the thread body"),
+    (src([LOAD_LINE], init="  x = 0;"), 3, 3,
+     "expected '{' opening the initial state"),
+    (asm([ASM_LOAD], init="  x = 0;"), 3, 3,
+     "expected '{' opening the initial state"),
+    (src([LOAD_LINE], init="{ x = 0; 0:X0 = x; }"), 3, 1,
+     "cannot parse initial state entry '0:X0 = x'"),
+    (asm([ASM_LOAD], init="{\n  x = 0;\n  x 0;\n}"), 5, 1,
+     "cannot parse initial state entry 'x 0'"),
+    (src([LOAD_LINE], init="{ x = 0;\n  x = 1; }"), 4, 1,
+     "location 'x' initialized twice"),
+    (asm([ASM_LOAD], init="{\n  x = 0; x = 1;\n  0:X0 = x;\n}"), 4, 1,
+     "location 'x' initialized twice"),
+    (src([LOAD_LINE], header="P0 (atomic_int* x)"), 5, 1,
+     "expected 'Pn (...) {' or 'exists (...)'"),
+    (src([LOAD_LINE], header="  P0 (int x) {"), 5, 3,
+     "cannot parse parameter 'int x'"),
+    ("AArch64 t\n\n{ x = 0; 0:X0 = x; }\n\n Thread0:\n  %s\n" % ASM_LOAD,
+     5, 2, "expected 'Pn:' or 'exists (...)'"),
+    (src([LOAD_LINE], exists=""), 9, 1,
+     "unexpected end of input, expected exists clause"),
+    (asm([ASM_LOAD], exists=""), 11, 1,
+     "unexpected end of input, expected exists clause"),
+    (src([LOAD_LINE], exists="exists (P0:r0 = 0 & x = 1)"), 9, 18,
+     "cannot tokenize condition"),
+    (asm([ASM_LOAD], exists="exists (0:W2 = 0 & x = 1)"), 11, 17,
+     "cannot tokenize condition"),
+    (src([LOAD_LINE], exists="exists (5 = 1)"), 9, 11,
+     "bad observable '5'"),
+    (asm([ASM_LOAD], exists="exists (5 = 1)"), 11, 11,
+     "bad observable '5'"),
+])
+def test_reader_error_positions(text, line, column, message):
+    with pytest.raises(ParseError) as err:
+        parse_litmus(text)
+    assert type(err.value) is ParseError
+    assert (err.value.line, err.value.column) == (line, column)
+    assert str(err.value) == f"line {line}, col {column}: {message}"
+
+
 def test_empty_asm_thread_round_trips():
     text = "\n".join([
         "AArch64 t", "", "{", "  x = 0;", "  0:X0 = x;", "}", "",
