@@ -294,8 +294,14 @@ class LitmusTest:
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_.+-]*$")
 _LOC_RE = re.compile(r"[a-z][A-Za-z0-9_]*$")
 _SRC_REG_RE = re.compile(r"r\d+$")
-_ASM_W_RE = re.compile(r"W\d+$")
+_ASM_W_RE = re.compile(r"W(\d+)$")
 _ASM_X_RE = re.compile(r"X\d+$")
+
+
+def is_w_register(reg: str) -> bool:
+    """Whether ``reg`` names one of W0 to W30; WZR is not among them."""
+    m = _ASM_W_RE.match(reg)
+    return m is not None and int(m.group(1)) <= 30
 
 
 def _check_value(value: int, what: str) -> None:
@@ -379,13 +385,13 @@ def _validate_asm_instr(
     for reg in instr.read_registers():
         if reg == ZERO_REGISTER:
             continue
-        if not _ASM_W_RE.match(reg):
+        if not is_w_register(reg):
             raise ValidationError(f"bad register name {reg!r}")
         if reg not in defined:
             raise ValidationError(f"register {reg} read before any definition")
     dest = instr.defined_register()
     if dest is not None:
-        if not _ASM_W_RE.match(dest):
+        if not is_w_register(dest):
             raise ValidationError(f"bad register name {dest!r}")
         defined.add(dest)
 

@@ -1,9 +1,9 @@
 """Parsing and printing for the two litmus dialects.
 
-Both parsers are line oriented: header, init block in braces, one block per
-thread, then a single ``exists`` line.  Errors carry 1-based line and column
-numbers.  ``render_litmus`` prints a canonical layout; parsing its output
-gives back a structurally equal test.
+One reader takes both.  It is line oriented: header, init block in braces,
+one block per thread, then a single ``exists`` line.  Errors carry 1-based
+line and column numbers.  ``render_litmus`` prints a canonical layout;
+parsing its output gives back a structurally equal test.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from .litmus import (
     Disj,
     DmbDomain,
     FinalCondition,
+    is_w_register,
     LitmusTest,
     MemoryObservable,
     MemoryOrder,
@@ -78,7 +79,6 @@ _DMB_DOMAINS = {
     "ST": DmbDomain.ST,
 }
 
-_W_REG_RE = re.compile(r"W(\d+)$")
 _X_REG_RE = re.compile(r"X(\d+)$")
 
 
@@ -114,20 +114,64 @@ class _Cursor:
         return line, self.index
 
 
+_HEADER_DIALECTS = {"C": Dialect.SOURCE, "AArch64": Dialect.ASM}
+
+
 def parse_litmus(text: str) -> LitmusTest:
     """Parse either dialect, picking by the header keyword."""
     cursor = _Cursor(text)
-    line = cursor.peek()
-    if line is None:
+    if cursor.peek() is None:
         raise ParseError("empty input", 1)
-    head = line.split(None, 1)[0]
-    if head == "C":
-        return parse_source(text)
-    if head == "AArch64":
-        return parse_asm(text)
-    raise ParseError(
-        f"expected a 'C' or 'AArch64' header, got {head!r}", cursor.index + 1, _column(line)
-    )
+    line, line_no = cursor.take("a header")
+    parts = line.split()
+    dialect = _HEADER_DIALECTS.get(parts[0])
+    if dialect is None:
+        raise ParseError(f"expected a 'C' or 'AArch64' header, got {parts[0]!r}",
+                         line_no, _column(line))
+    if len(parts) != 2:
+        raise ParseError(f"expected '{parts[0]} <name>' header", line_no, _column(line))
+
+    locations: dict[str, int] = {}
+    bindings: dict[int, dict[str, str]] = {}
+    for entry, entry_no in _parse_init_entries(cursor):
+        m = dialect is Dialect.ASM and _INIT_BIND_RE.match(entry)
+        if m:
+            tid, reg = int(m.group(1)), m.group(2)
+            if not _X_REG_RE.match(reg):
+                raise ParseError(f"bad address register {reg!r}", entry_no)
+            thread_bindings = bindings.setdefault(tid, {})
+            if reg in thread_bindings:
+                raise ParseError(f"address register {tid}:{reg} bound twice", entry_no)
+            thread_bindings[reg] = m.group(3)
+            continue
+        m = _INIT_LOC_RE.match(entry)
+        if not m:
+            raise ParseError(f"cannot parse initial state entry {entry!r}", entry_no)
+        loc = m.group(1)
+        if loc in locations:
+            raise ParseError(f"location {loc!r} initialized twice", entry_no)
+        locations[loc] = int(m.group(2))
+
+    threads = []
+    while True:
+        line, line_no = cursor.take("exists clause")
+        if line.strip().startswith("exists"):
+            break
+        if dialect is Dialect.SOURCE:
+            tid, stmts = _parse_source_thread(cursor, line, line_no, locations)
+        else:
+            tid, stmts = _parse_asm_thread(cursor, line, line_no)
+        threads.append(Thread(tid, stmts, tuple(bindings.get(tid, {}).items())))
+    threads.sort(key=lambda t: t.tid)
+    tids = {t.tid for t in threads}
+    for tid in bindings:
+        if tid not in tids:
+            raise ParseError(f"bindings given for missing thread P{tid}", 1)
+
+    final = _parse_exists(cursor, line, line_no, dialect)
+    test = LitmusTest(parts[1], dialect, locations, tuple(threads), final)
+    validate_test(test)
+    return test
 
 
 def _parse_order(token: str, line_no: int, col: int) -> MemoryOrder:
@@ -139,14 +183,6 @@ def _parse_order(token: str, line_no: int, col: int) -> MemoryOrder:
         return _ORDER_BY_TOKEN[token]
     except KeyError:
         raise ParseError(f"unknown memory order {token!r}", line_no, col) from None
-
-
-def _parse_header(cursor: _Cursor, keyword: str) -> str:
-    line, line_no = cursor.take(f"'{keyword} <name>' header")
-    parts = line.split()
-    if len(parts) != 2 or parts[0] != keyword:
-        raise ParseError(f"expected '{keyword} <name>' header", line_no, _column(line))
-    return parts[1]
 
 
 def _parse_init_entries(cursor: _Cursor) -> list[tuple[str, int]]:
@@ -215,66 +251,40 @@ def _parse_source_stmt(raw: str, line_no: int) -> SourceStmt:
     raise ParseError("cannot parse statement", line_no, col)
 
 
-def parse_source(text: str) -> LitmusTest:
-    cursor = _Cursor(text)
-    name = _parse_header(cursor, "C")
-
-    locations: dict[str, int] = {}
-    for entry, line_no in _parse_init_entries(cursor):
-        m = _INIT_LOC_RE.match(entry)
-        if not m:
-            raise ParseError(f"cannot parse initial state entry {entry!r}", line_no)
-        loc = m.group(1)
-        if loc in locations:
-            raise ParseError(f"location {loc!r} initialized twice", line_no)
-        locations[loc] = int(m.group(2))
-
-    threads = []
+def _parse_source_thread(
+    cursor: _Cursor, header: str, line_no: int, locations: dict[str, int]
+) -> tuple[int, tuple[SourceStmt, ...]]:
+    m = _SRC_THREAD_RE.match(header.strip())
+    if not m:
+        raise ParseError("expected 'Pn (...) {' or 'exists (...)'",
+                         line_no, _column(header))
+    tid = int(m.group(1))
+    params = (m.group(2) or "").strip()
+    if params:
+        for param in params.split(","):
+            pm = _PARAM_RE.match(param.strip())
+            if not pm:
+                raise ParseError(f"cannot parse parameter {param.strip()!r}",
+                                 line_no, _column(header))
+            if pm.group(1) not in locations:
+                raise ParseError(f"undeclared location {pm.group(1)!r} in parameters",
+                                 line_no, _column(header))
+    stmts = []
     while True:
-        line = cursor.peek()
-        if line is None:
-            raise ParseError("unexpected end of input, expected exists clause",
-                             len(cursor.lines) or 1)
-        if line.strip().startswith("exists"):
-            break
-        line, line_no = cursor.take("a thread block or exists clause")
-        m = _SRC_THREAD_RE.match(line.strip())
-        if not m:
-            raise ParseError("expected 'Pn (...) {' or 'exists (...)'",
-                             line_no, _column(line))
-        tid = int(m.group(1))
-        params = (m.group(2) or "").strip()
-        if params:
-            for param in params.split(","):
-                pm = _PARAM_RE.match(param.strip())
-                if not pm:
-                    raise ParseError(f"cannot parse parameter {param.strip()!r}",
-                                     line_no, _column(line))
-                if pm.group(1) not in locations:
-                    raise ParseError(f"undeclared location {pm.group(1)!r} in parameters",
-                                     line_no, _column(line))
-        stmts = []
-        while True:
-            body, body_no = cursor.take("'}' closing the thread body")
-            if body.strip() == "}":
-                break
-            stmts.append(_parse_source_stmt(body, body_no))
-        threads.append(Thread(tid, tuple(stmts)))
-
-    threads.sort(key=lambda t: t.tid)
-    final = _parse_exists(cursor, Dialect.SOURCE)
-    test = LitmusTest(name, Dialect.SOURCE, locations, tuple(threads), final)
-    validate_test(test)
-    return test
+        body, body_no = cursor.take("'}' closing the thread body")
+        if body.strip() == "}":
+            return tid, tuple(stmts)
+        stmts.append(_parse_source_stmt(body, body_no))
 
 
-def _parse_w_reg(token: str, line_no: int, col: int, allow_zero: bool) -> str:
+def _parse_w_reg(token: str, line_no: int, col: int, writer: str = "") -> str:
+    """Check a W register operand.  ``writer`` names the mnemonic when the
+    operand is a destination that the zero register cannot be."""
     if token == ZERO_REGISTER:
-        if allow_zero:
-            return token
-        raise ParseError(f"{ZERO_REGISTER} not allowed here", line_no, col)
-    m = _W_REG_RE.match(token)
-    if not m or int(m.group(1)) > 30:
+        if writer:
+            raise ParseError(f"{writer} to the zero register is not supported",
+                             line_no, col)
+    elif not is_w_register(token):
         raise ParseError(f"bad register {token!r}", line_no, col)
     return token
 
@@ -288,26 +298,20 @@ def _parse_asm_instr(raw: str, line_no: int) -> AsmInstr:
 
     m = _MOV_RE.match(text)
     if m:
-        if m.group(1) == ZERO_REGISTER:
-            raise ParseError("MOV to the zero register is not supported",
-                             line_no, col + m.start(1))
-        dst = _parse_w_reg(m.group(1), line_no, col + m.start(1), allow_zero=False)
+        dst = _parse_w_reg(m.group(1), line_no, col + m.start(1), "MOV")
         return AsmInstr(Mnemonic.MOV, dst=dst, imm=int(m.group(2)))
     m = _LDX_RE.match(text)
     if m:
-        if m.group(2) == ZERO_REGISTER:
-            raise ParseError(f"{m.group(1)} to the zero register is not supported",
-                             line_no, col + m.start(2))
-        dst = _parse_w_reg(m.group(2), line_no, col + m.start(2), allow_zero=False)
+        dst = _parse_w_reg(m.group(2), line_no, col + m.start(2), m.group(1))
         return AsmInstr(Mnemonic[m.group(1)], dst=dst, addr=m.group(3))
     m = _STX_RE.match(text)
     if m:
-        src = _parse_w_reg(m.group(2), line_no, col + m.start(2), allow_zero=True)
+        src = _parse_w_reg(m.group(2), line_no, col + m.start(2))
         return AsmInstr(Mnemonic[m.group(1)], src=src, addr=m.group(3))
     m = _SWP_RE.match(text)
     if m:
-        src = _parse_w_reg(m.group(2), line_no, col + m.start(2), allow_zero=True)
-        dst = _parse_w_reg(m.group(3), line_no, col + m.start(3), allow_zero=True)
+        src = _parse_w_reg(m.group(2), line_no, col + m.start(2))
+        dst = _parse_w_reg(m.group(3), line_no, col + m.start(3))
         return AsmInstr(Mnemonic[m.group(1)], src=src, dst=dst, addr=m.group(4))
     m = _DMB_RE.match(text)
     if m:
@@ -319,65 +323,21 @@ def _parse_asm_instr(raw: str, line_no: int) -> AsmInstr:
     raise ParseError(f"cannot parse {head} operands", line_no, col)
 
 
-def parse_asm(text: str) -> LitmusTest:
-    cursor = _Cursor(text)
-    name = _parse_header(cursor, "AArch64")
-
-    locations: dict[str, int] = {}
-    bindings: dict[int, list[tuple[str, str]]] = {}
-    for entry, line_no in _parse_init_entries(cursor):
-        m = _INIT_BIND_RE.match(entry)
-        if m:
-            tid = int(m.group(1))
-            reg = m.group(2)
-            if not _X_REG_RE.match(reg):
-                raise ParseError(f"bad address register {reg!r}", line_no)
-            if any(r == reg for r, _ in bindings.get(tid, [])):
-                raise ParseError(f"address register {tid}:{reg} bound twice", line_no)
-            bindings.setdefault(tid, []).append((reg, m.group(3)))
-            continue
-        m = _INIT_LOC_RE.match(entry)
-        if m:
-            loc = m.group(1)
-            if loc in locations:
-                raise ParseError(f"location {loc!r} initialized twice", line_no)
-            locations[loc] = int(m.group(2))
-            continue
-        raise ParseError(f"cannot parse initial state entry {entry!r}", line_no)
-
-    threads = []
+def _parse_asm_thread(
+    cursor: _Cursor, header: str, line_no: int
+) -> tuple[int, tuple[AsmInstr, ...]]:
+    m = _ASM_THREAD_RE.match(header.strip())
+    if not m:
+        raise ParseError("expected 'Pn:' or 'exists (...)'", line_no, _column(header))
+    tid = int(m.group(1))
+    stmts = []
     while True:
-        line = cursor.peek()
-        if line is None:
-            raise ParseError("unexpected end of input, expected exists clause",
-                             len(cursor.lines) or 1)
-        if line.strip().startswith("exists"):
-            break
-        line, line_no = cursor.take("a thread block or exists clause")
-        m = _ASM_THREAD_RE.match(line.strip())
-        if not m:
-            raise ParseError("expected 'Pn:' or 'exists (...)'", line_no, _column(line))
-        tid = int(m.group(1))
-        stmts = []
-        while True:
-            nxt = cursor.peek()
-            if nxt is None or nxt.strip().startswith("exists"):
-                break
-            if _ASM_THREAD_RE.match(nxt.strip()):
-                break
-            body, body_no = cursor.take("an instruction")
-            stmts.append(_parse_asm_instr(body, body_no))
-        thread_bindings = tuple(bindings.get(tid, ()))
-        threads.append(Thread(tid, tuple(stmts), thread_bindings))
-
-    threads.sort(key=lambda t: t.tid)
-    for tid in bindings:
-        if tid not in {t.tid for t in threads}:
-            raise ParseError(f"bindings given for missing thread P{tid}", 1)
-    final = _parse_exists(cursor, Dialect.ASM)
-    test = LitmusTest(name, Dialect.ASM, locations, tuple(threads), final)
-    validate_test(test)
-    return test
+        nxt = cursor.peek()
+        if (nxt is None or nxt.strip().startswith("exists")
+                or _ASM_THREAD_RE.match(nxt.strip())):
+            return tid, tuple(stmts)
+        body, body_no = cursor.take("an instruction")
+        stmts.append(_parse_asm_instr(body, body_no))
 
 
 # Final condition expressions.  Tokens: ( ) /\ \/ ~ and atoms 'obs = int'
@@ -510,12 +470,11 @@ class _CondParser:
         return MemoryObservable(tok)
 
 
-def _parse_exists(cursor: _Cursor, dialect: Dialect) -> FinalCondition:
-    line, line_no = cursor.take("an exists clause")
-    stripped = line.strip()
-    if not stripped.startswith("exists"):
-        raise ParseError("expected 'exists (...)'", line_no, _column(line))
-    rest = stripped[len("exists"):].strip()
+def _parse_exists(
+    cursor: _Cursor, line: str, line_no: int, dialect: Dialect
+) -> FinalCondition:
+    """Parse the exists clause on ``line``, which must end the input."""
+    rest = line.strip()[len("exists"):].strip()
     if not (rest.startswith("(") and rest.endswith(")")):
         raise ParseError("exists clause must be parenthesized", line_no, _column(line))
     inner_offset = line.index("(") + 1

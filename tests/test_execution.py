@@ -328,6 +328,21 @@ def test_sc_oracle_on_asm(compiled_wzr):
     ])
 
 
+def test_sc_oracle_zero_store_and_kept_exchange():
+    test = parse_litmus("\n".join([
+        "AArch64 wzr+swp", "", "{", "  x = 1;", "  0:X0 = x;", "  1:X0 = x;",
+        "}", "",
+        "P0:", "  STR WZR, [X0]", "",
+        "P1:", "  MOV W2, #3", "  SWP W2, W3, [X0]", "",
+        "exists (1:W3 = 0 /\\ x = 3)", "",
+    ]))
+    # the exchange reads 0 after the zero store, or 1 before it
+    assert set(sc_oracle_outcomes(test).outcomes) == outcome_set([
+        [("1:W3", 0), ("x", 3)],
+        [("1:W3", 1), ("x", 0)],
+    ])
+
+
 def test_sc_oracle_store_buffering():
     sb = parse_litmus("\n".join([
         "C sb", "", "{ x = 0; y = 0; }", "",

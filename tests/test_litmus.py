@@ -31,6 +31,7 @@ from litmusdiff.litmus import (
     observable_label,
     validate_test,
 )
+from litmusdiff.syntax import parse_litmus, render_litmus
 
 
 def store(loc, value, order=MemoryOrder.RELAXED):
@@ -288,6 +289,22 @@ def test_asm_instruction_budget_is_twice_source():
     instrs += [AsmInstr(Mnemonic.STR, src="W2", addr="X0")] * 15
     validate_test(asm_test(threads=asm_thread(*instrs),
                            final=Atom(MemoryObservable("x"), 0)))
+
+
+def test_registers_end_at_w30(compiled_w15):
+    # the reader takes W0 to W30, so a validated test always parses back
+    def swpl_into(dst):
+        p0, p1 = compiled_w15.threads
+        swpl = dataclasses.replace(p1.stmts[1], dst=dst)
+        stmts = (p1.stmts[0], swpl, *p1.stmts[2:])
+        return dataclasses.replace(
+            compiled_w15, threads=(p0, dataclasses.replace(p1, stmts=stmts)))
+
+    w30 = swpl_into("W30")
+    validate_test(w30)
+    assert parse_litmus(render_litmus(w30)) == w30
+    with pytest.raises(ValidationError, match="bad register name 'W31'"):
+        validate_test(swpl_into("W31"))
 
 
 def test_wzr_read_is_allowed():

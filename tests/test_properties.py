@@ -339,6 +339,15 @@ def test_dropping_edges_keeps_candidates_consistent(test):
     assert support.check_antitone_law(test, test.name) > 0
 
 
+@pytest.mark.parametrize("legacy", [False, True])
+@pytest.mark.parametrize(
+    "test", [*(lower_test(test)[0] for test in LADDER), *ASM_INPUTS],
+    ids=lambda test: test.name)
+def test_interleavings_allowed_by_aarch64_on_inputs(test, legacy):
+    assert sc_oracle_outcomes(test).outcomes <= allowed_outcomes(
+        test, "aarch64", legacy_zero_register=legacy).outcomes
+
+
 GOLDEN = [parse_litmus(golden_path(name).read_text()) for name in (
     "mp-xchg-discard.litmus", "mp-xchg-discard-compiled-w15.litmus",
     "mp-xchg-discard-compiled-wzr.litmus")]
@@ -448,8 +457,9 @@ def release_acquire_chains(draw):
 @settings(max_examples=60, deadline=None)
 @given(small_source_tests())
 def test_render_parse_round_trip(test):
-    text = render_litmus(test)
-    assert parse_litmus(text) == test
+    compiled, _ = lower_test(test)
+    for subject in (test, compiled, dead_register_pass(compiled)):
+        assert parse_litmus(render_litmus(subject)) == subject
 
 
 @settings(max_examples=60, deadline=None)
