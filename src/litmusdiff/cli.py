@@ -194,7 +194,8 @@ def _cmd_diff(args) -> int:
         if args.mapping is not None:
             try:
                 raw = json.loads(_read_text(args.mapping))
-            except (json.JSONDecodeError, RecursionError) as exc:
+            except (ValueError, RecursionError) as exc:
+                # malformed JSON, or an integer too long for ``int``
                 raise MappingError(
                     f"{args.mapping} is not a JSON mapping: {exc}") from None
             mapping = Mapping.from_json_dict(raw)
@@ -341,10 +342,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except LitmusError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (LitmusError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

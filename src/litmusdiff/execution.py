@@ -190,8 +190,7 @@ class EventGraph:
 
 
 class _ThreadBuilder:
-    """Appends a thread's events.  An exchange produces a read then a write
-    at consecutive ids, linked by the read's eid as the pair tag."""
+    """Appends a thread's events and tracks its register environment."""
 
     def __init__(self, tid: int, events: list[Event]):
         self.tid = tid
@@ -202,6 +201,19 @@ class _ThreadBuilder:
         eid = len(self.events)
         self.events.append(Event(eid, self.tid, kind, **fields))
         return eid
+
+    def exchange(self, loc: str, dest: str | None, value_src: ValueSource, *,
+                 acquire: bool, release: bool, seq_cst: bool = False) -> None:
+        """A read then a write of ``value_src`` at consecutive ids, both
+        tagged with the read's id, and ``dest`` bound to the read's result.
+        No destination, or WZR (a read that writes no register), binds none."""
+        zero = dest == ZERO_REGISTER
+        eid = self.add(EventKind.READ, loc=loc, acquire=acquire,
+                       seq_cst=seq_cst, rmw=len(self.events), zero_dest=zero)
+        self.add(EventKind.WRITE, loc=loc, release=release, seq_cst=seq_cst,
+                 rmw=eid, value_src=value_src)
+        if dest is not None and not zero:
+            self.env[dest] = ("read", eid)
 
 
 def _source_events(thread, builder: _ThreadBuilder) -> None:
@@ -218,12 +230,8 @@ def _source_events(thread, builder: _ThreadBuilder) -> None:
                               seq_cst=sc)
             builder.env[stmt.dest] = ("read", eid)
         elif stmt.kind is StmtKind.EXCHANGE:
-            eid = builder.add(EventKind.READ, loc=stmt.location, acquire=acq,
-                              seq_cst=sc, rmw=len(builder.events))
-            builder.add(EventKind.WRITE, loc=stmt.location, release=rel,
-                        seq_cst=sc, rmw=eid, value_src=("const", stmt.value))
-            if stmt.dest is not None:
-                builder.env[stmt.dest] = ("read", eid)
+            builder.exchange(stmt.location, stmt.dest, ("const", stmt.value),
+                             acquire=acq, release=rel, seq_cst=sc)
         else:
             builder.add(EventKind.FENCE, acquire=acq, release=rel, seq_cst=sc)
 
@@ -249,15 +257,9 @@ def _asm_events(thread, builder: _ThreadBuilder) -> None:
                         release=m is Mnemonic.STLR,
                         value_src=register_value(instr.src))
         elif m in SWP_FAMILY:
-            loc = bindings[instr.addr]
-            zero = instr.dst == ZERO_REGISTER
-            value = register_value(instr.src)
-            eid = builder.add(EventKind.READ, loc=loc, acquire=m in SWP_ACQUIRE,
-                              rmw=len(builder.events), zero_dest=zero)
-            builder.add(EventKind.WRITE, loc=loc, release=m in SWP_RELEASE,
-                        rmw=eid, value_src=value)
-            if not zero:
-                builder.env[instr.dst] = ("read", eid)
+            builder.exchange(bindings[instr.addr], instr.dst,
+                             register_value(instr.src),
+                             acquire=m in SWP_ACQUIRE, release=m in SWP_RELEASE)
         else:
             builder.add(EventKind.FENCE, domain=instr.domain)
 
@@ -333,6 +335,17 @@ class Execution:
 
     def final_memory(self) -> dict[str, int]:
         return {loc: self.values[order[-1]] for loc, order in self.co.items()}
+
+
+def eco_respected(execution: Execution, rows: Rows) -> bool:
+    """No edge of ``rows`` returns to its source or runs against eco.  Over
+    hb this is c11's coherence, ``hb ; eco?`` irreflexive; over po-loc it
+    is aarch64's internal axiom, ``po-loc | com`` acyclic."""
+    before = execution.eco_before
+    for a, row in enumerate(rows):
+        if row & (1 << a | before[a]):
+            return False
+    return True
 
 
 def atomicity_holds(execution: Execution) -> bool:
@@ -724,7 +737,6 @@ def _sc_step(thread, stmt, mem: dict, regs: dict) -> None:
             if stmt.dest is not None:
                 regs[(thread.tid, stmt.dest)] = old
         return
-    instr = stmt
     bindings = thread.binding_map()
 
     def reg_value(reg):
@@ -732,19 +744,19 @@ def _sc_step(thread, stmt, mem: dict, regs: dict) -> None:
             return 0
         return regs[(thread.tid, reg)]
 
-    m = instr.mnemonic
+    m = stmt.mnemonic
     if m is Mnemonic.MOV:
-        regs[(thread.tid, instr.dst)] = instr.imm
+        regs[(thread.tid, stmt.dst)] = stmt.imm
     elif m in (Mnemonic.LDR, Mnemonic.LDAR):
-        regs[(thread.tid, instr.dst)] = mem[bindings[instr.addr]]
+        regs[(thread.tid, stmt.dst)] = mem[bindings[stmt.addr]]
     elif m in (Mnemonic.STR, Mnemonic.STLR):
-        mem[bindings[instr.addr]] = reg_value(instr.src)
+        mem[bindings[stmt.addr]] = reg_value(stmt.src)
     elif m in SWP_FAMILY:
-        loc = bindings[instr.addr]
+        loc = bindings[stmt.addr]
         old = mem[loc]
-        mem[loc] = reg_value(instr.src)
-        if instr.dst != ZERO_REGISTER:
-            regs[(thread.tid, instr.dst)] = old
+        mem[loc] = reg_value(stmt.src)
+        if stmt.dst != ZERO_REGISTER:
+            regs[(thread.tid, stmt.dst)] = old
 
 
 def sc_oracle_outcomes(
@@ -761,11 +773,9 @@ def sc_oracle_outcomes(
     outcomes: set[Outcome] = set()
     seen: set[tuple] = set()
 
-    def freeze(pcs, mem, regs):
-        return (pcs, tuple(mem[loc] for loc in locs), tuple(sorted(regs.items())))
-
     def explore(pcs: tuple[int, ...], mem: dict, regs: dict) -> None:
-        state = freeze(pcs, mem, regs)
+        state = (pcs, tuple(mem[loc] for loc in locs),
+                 tuple(sorted(regs.items())))
         if state in seen:
             return
         seen.add(state)

@@ -294,14 +294,14 @@ class LitmusTest:
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_.+-]*$")
 _LOC_RE = re.compile(r"[a-z][A-Za-z0-9_]*$")
 _SRC_REG_RE = re.compile(r"r\d+$")
-_ASM_W_RE = re.compile(r"W(\d+)$")
+_ASM_W_RE = re.compile(r"W(?:[12]?\d|30)$")
 _ASM_X_RE = re.compile(r"X\d+$")
 
 
 def is_w_register(reg: str) -> bool:
-    """Whether ``reg`` names one of W0 to W30; WZR is not among them."""
-    m = _ASM_W_RE.match(reg)
-    return m is not None and int(m.group(1)) <= 30
+    """Whether ``reg`` names one of W0 to W30, written without leading
+    zeros (W030 is no name for W30); WZR is not among them."""
+    return _ASM_W_RE.match(reg) is not None
 
 
 def _check_value(value: int, what: str) -> None:
@@ -351,7 +351,7 @@ def _validate_source_stmt(stmt: SourceStmt, declared: set[str], defined: set[str
 
 
 def _validate_asm_instr(
-    instr: AsmInstr, bindings: dict[str, str], declared: set[str], defined: set[str]
+    instr: AsmInstr, bindings: dict[str, str], defined: set[str]
 ) -> None:
     m = instr.mnemonic
     if m is Mnemonic.DMB:
@@ -380,8 +380,6 @@ def _validate_asm_instr(
             raise ValidationError(f"bad address register {instr.addr!r}")
         if instr.addr not in bindings:
             raise ValidationError(f"address register {instr.addr} bound to no location")
-        if bindings[instr.addr] not in declared:
-            raise ValidationError(f"undeclared location {bindings[instr.addr]!r}")
     for reg in instr.read_registers():
         if reg == ZERO_REGISTER:
             continue
@@ -456,7 +454,7 @@ def validate_test(test: LitmusTest) -> None:
             else:
                 if not isinstance(stmt, AsmInstr):
                     raise ValidationError("source statement in an asm test")
-                _validate_asm_instr(stmt, bindings, declared, defined)
+                _validate_asm_instr(stmt, bindings, defined)
     for atom in condition_atoms(test.final):
         _check_value(atom.value, "final condition value")
         _validate_observable(atom.observable, test)

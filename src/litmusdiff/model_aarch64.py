@@ -7,10 +7,9 @@ Exchanges must be atomic, by the same axiom as the source model.
 
 Relations are bitmask rows (see ``relations``).  Only obs and internal
 depend on rf and co: obs is ``com`` less each event's own thread, and
-internal holds when no po-loc pair goes down in coherence key, which is
-exact since com runs up in key.  bob depends on the events alone, so
-``barrier_order`` builds it once per event graph and zero-register reading,
-in the graph's memo.
+internal is the check both models share, ``execution.eco_respected``, over
+po-loc.  bob depends on the events alone, so ``barrier_order`` builds it
+once per event graph and zero-register reading, in the graph's memo.
 
 The zero register is the one subtlety.  A load-acquire barrier orders loads
 that actually read into a register; an exchange whose destination is WZR
@@ -28,7 +27,8 @@ it).
 
 from __future__ import annotations
 
-from .execution import EventKind, Execution, atomicity_holds, event_mask
+from .execution import (EventKind, Execution, atomicity_holds, eco_respected,
+                        event_mask)
 from .litmus import Dialect, DmbDomain
 from .relations import Rows, bits, is_acyclic
 
@@ -72,13 +72,6 @@ def barrier_order(graph, legacy_zero_register: bool = False) -> Rows:
     return graph.memo[key]
 
 
-def internal_holds(execution: Execution) -> bool:
-    """``po-loc | com`` is acyclic: no po-loc pair runs against eco, that
-    is, ``po_loc[a] & eco_before[a] == 0`` for every event ``a``."""
-    return not any(p & b for p, b in zip(execution.graph.po_loc,
-                                         execution.eco_before))
-
-
 def aarch64_consistent(
     execution: Execution, *, legacy_zero_register: bool = False
 ) -> bool:
@@ -88,4 +81,5 @@ def aarch64_consistent(
     # they are external to every thread.
     return (is_acyclic([c & ~t | b for c, t, b in
                         zip(execution.com, graph.same_thread, bob)])
-            and internal_holds(execution) and atomicity_holds(execution))
+            and eco_respected(execution, graph.po_loc)
+            and atomicity_holds(execution))

@@ -11,9 +11,8 @@ from rf (release heads, acquire ends, the rmw map) and the read, write and
 seq_cst masks are built once per event graph and kept in the graph's memo.
 Per candidate, sw reads rf off the ``com`` rows.  Since po is transitive,
 ``happens_before`` closes ``po | sw`` over the few sw sources only, and is
-po itself when sw is empty.  eco is never built: it runs exactly from
-lower to higher coherence keys, so coherence is
-``hb[a] & (a | eco_before[a]) == 0`` for every event ``a``.
+po itself when sw is empty.  eco is never built: coherence is the check
+both models share, ``execution.eco_respected``, over hb.
 
 The model is antitone in ``(com, eco_before)``: sw, and so hb, only grow
 with ``com``, and every axiom forbids edges, so dropping any edges of a
@@ -24,7 +23,7 @@ keep it (``check_antitone_law`` in ``tests/support.py`` tests it).
 
 from __future__ import annotations
 
-from .execution import Execution, atomicity_holds, event_mask
+from .execution import Execution, atomicity_holds, eco_respected, event_mask
 from .litmus import Dialect
 from .relations import Rows, bits, is_acyclic
 
@@ -104,15 +103,10 @@ def happens_before(execution: Execution) -> Rows:
 def c11_consistent(execution: Execution) -> bool:
     """COHERENCE, ATOMICITY, NO-THIN-AIR, and the global seq_cst order."""
     hb = happens_before(execution)
-    before = execution.eco_before
-    # hb followed by an optional eco step must not loop back.
-    for a, row in enumerate(hb):
-        if row & (1 << a | before[a]):
-            return False
     *_, reads, writes, sc = _graph_sync_sets(execution.graph)
     com = execution.com
     # com into reads is rf; com into writes is mo | fr.
-    return (atomicity_holds(execution)
+    return (eco_respected(execution, hb) and atomicity_holds(execution)
             and is_acyclic([p | c & reads
                             for p, c in zip(execution.graph.po, com)])
             and (not sc or is_acyclic([h | c & writes

@@ -87,6 +87,15 @@ def _column(raw_line: str) -> int:
     return len(raw_line) - len(stripped) + 1
 
 
+def _integer(token: str, line_no: int, col: int = 1) -> int:
+    """The value of an integer token; ``int`` refuses one that is too long."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(f"integer of {len(token.lstrip('-'))} digits is too "
+                         "long", line_no, col) from None
+
+
 class _Cursor:
     """Walks the input line by line, remembering positions for errors."""
 
@@ -136,7 +145,7 @@ def parse_litmus(text: str) -> LitmusTest:
     for entry, entry_no in _parse_init_entries(cursor):
         m = dialect is Dialect.ASM and _INIT_BIND_RE.match(entry)
         if m:
-            tid, reg = int(m.group(1)), m.group(2)
+            tid, reg = _integer(m.group(1), entry_no), m.group(2)
             if not _X_REG_RE.match(reg):
                 raise ParseError(f"bad address register {reg!r}", entry_no)
             thread_bindings = bindings.setdefault(tid, {})
@@ -150,7 +159,7 @@ def parse_litmus(text: str) -> LitmusTest:
         loc = m.group(1)
         if loc in locations:
             raise ParseError(f"location {loc!r} initialized twice", entry_no)
-        locations[loc] = int(m.group(2))
+        locations[loc] = _integer(m.group(2), entry_no)
 
     threads = []
     while True:
@@ -221,7 +230,8 @@ def _parse_source_stmt(raw: str, line_no: int) -> SourceStmt:
     m = _STORE_RE.match(text)
     if m:
         order = _parse_order(m.group(3), line_no, col + m.start(3))
-        return SourceStmt(StmtKind.STORE, order, location=m.group(1), value=int(m.group(2)))
+        value = _integer(m.group(2), line_no, col + m.start(2))
+        return SourceStmt(StmtKind.STORE, order, location=m.group(1), value=value)
     m = _LOAD_RE.match(text)
     if m:
         order = _parse_order(m.group(3), line_no, col + m.start(3))
@@ -230,7 +240,8 @@ def _parse_source_stmt(raw: str, line_no: int) -> SourceStmt:
     if m:
         order = _parse_order(m.group(4), line_no, col + m.start(4))
         return SourceStmt(
-            StmtKind.EXCHANGE, order, location=m.group(2), value=int(m.group(3)),
+            StmtKind.EXCHANGE, order, location=m.group(2),
+            value=_integer(m.group(3), line_no, col + m.start(3)),
             dest=m.group(1),
         )
     m = _FENCE_RE.match(text)
@@ -258,7 +269,7 @@ def _parse_source_thread(
     if not m:
         raise ParseError("expected 'Pn (...) {' or 'exists (...)'",
                          line_no, _column(header))
-    tid = int(m.group(1))
+    tid = _integer(m.group(1), line_no, _column(header) + m.start(1))
     params = (m.group(2) or "").strip()
     if params:
         for param in params.split(","):
@@ -299,7 +310,8 @@ def _parse_asm_instr(raw: str, line_no: int) -> AsmInstr:
     m = _MOV_RE.match(text)
     if m:
         dst = _parse_w_reg(m.group(1), line_no, col + m.start(1), "MOV")
-        return AsmInstr(Mnemonic.MOV, dst=dst, imm=int(m.group(2)))
+        imm = _integer(m.group(2), line_no, col + m.start(2))
+        return AsmInstr(Mnemonic.MOV, dst=dst, imm=imm)
     m = _LDX_RE.match(text)
     if m:
         dst = _parse_w_reg(m.group(2), line_no, col + m.start(2), m.group(1))
@@ -329,7 +341,7 @@ def _parse_asm_thread(
     m = _ASM_THREAD_RE.match(header.strip())
     if not m:
         raise ParseError("expected 'Pn:' or 'exists (...)'", line_no, _column(header))
-    tid = int(m.group(1))
+    tid = _integer(m.group(1), line_no, _column(header) + m.start(1))
     stmts = []
     while True:
         nxt = cursor.peek()
@@ -448,10 +460,10 @@ class _CondParser:
         obs = self._observable(self.eat())
         self.eat("=")
         value_tok = self.eat()
+        col = self.tokens[self.pos - 1][1]
         if not value_tok.isdigit():
-            raise ParseError("expected an integer value", self.line_no,
-                             self.tokens[self.pos - 1][1])
-        return Atom(obs, int(value_tok))
+            raise ParseError("expected an integer value", self.line_no, col)
+        return Atom(obs, _integer(value_tok, self.line_no, col))
 
     def _observable(self, tok: str) -> Observable:
         if ":" in tok:
@@ -464,7 +476,9 @@ class _CondParser:
                 m = re.match(r"(\d+)$", left)
                 if not m:
                     raise self._error(f"bad observable {tok!r}")
-            return RegisterObservable(int(m.group(1)), reg)
+            tid = _integer(m.group(1), self.line_no,
+                           self.tokens[self.pos - 1][1] + m.start(1))
+            return RegisterObservable(tid, reg)
         if not re.match(r"[A-Za-z_]\w*$", tok):
             raise self._error(f"bad observable {tok!r}")
         return MemoryObservable(tok)

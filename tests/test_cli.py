@@ -251,7 +251,8 @@ def test_non_utf8_file(capsys, tmp_path):
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("text", ["{not json", "[" * 100_000 + "]" * 100_000])
+@pytest.mark.parametrize("text", ["{not json", "[" * 100_000 + "]" * 100_000,
+                                  '{"observables": ' + "9" * 5000 + "}"])
 def test_malformed_mapping_file(capsys, tmp_path, text):
     bad = tmp_path / "bad.mapping.json"
     bad.write_text(text)
@@ -361,3 +362,52 @@ def test_generate_rejects_bad_order(capsys, tmp_path):
     code, _, err = run(capsys, "generate", "--out-dir", str(tmp_path),
                        "--fence-orders", "weird")
     assert code == 2
+
+
+def test_generate_skips_empty_list_pieces(capsys, tmp_path):
+    # "rlx,,sc" is "rlx,sc", and "discard,,observe" is "discard,observe"
+    def corpus(out_dir, orders, variants):
+        code, out, err = run(capsys, "generate", "--out-dir", str(out_dir),
+                             "--data-store-orders", orders,
+                             "--variants", variants)
+        assert (code, err) == (0, "")
+        assert out == f"wrote 4 tests to {out_dir}\n"
+        return {p.name: p.read_bytes() for p in out_dir.iterdir()}
+
+    assert corpus(tmp_path / "gaps", "rlx,,sc", "discard,,observe") \
+        == corpus(tmp_path / "plain", "rlx,sc", "discard,observe")
+
+
+@pytest.mark.parametrize("flag, text, message", [
+    ("--data-store-orders", ",", "empty order list"),
+    ("--fence-orders", " , ", "empty order list"),
+    ("--variants", "discard,weird",
+     "unknown variant 'weird' (expected historic, discard, observe)"),
+])
+def test_generate_rejects_bad_lists(capsys, tmp_path, flag, text, message):
+    code, out, err = run(capsys, "generate", "--out-dir", str(tmp_path),
+                         flag, text)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"generate: error: argument {flag}: {message}\n")
+    assert not any(tmp_path.iterdir())
+
+
+def test_diff_rejects_a_source_test_in_the_compiled_slot(capsys):
+    code, out, err = run(capsys, "diff", SOURCE, SOURCE)
+    assert (code, out) == (2, "")
+    assert err == "error: refinement check needs an asm test second\n"
+
+
+def test_diff_rejects_a_mapping_that_loses_a_source_observable(
+        capsys, tmp_path):
+    # y is sent to z, which the compiled outcomes never name, and x to y,
+    # so the compiled y comes back as x and the source's y is lost
+    mapping = tmp_path / "lossy.mapping.json"
+    mapping.write_text(json.dumps({
+        "observables": {"P1:r0": "1:W3", "x": "y", "y": "z"},
+        "locations": {"x": "x", "y": "y"}}))
+    code, out, err = run(capsys, "diff", SOURCE, FIXED, "--mapping",
+                         str(mapping))
+    assert (code, out) == (2, "")
+    assert err == ("error: translated outcomes do not range over the source "
+                   "observables; check the mapping\n")

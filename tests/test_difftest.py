@@ -1,5 +1,7 @@
 """Refinement verdicts over the golden pipeline and mapping plumbing."""
 
+import dataclasses
+
 import pytest
 
 from litmusdiff.difftest import (
@@ -44,7 +46,6 @@ def test_derive_mapping_misalignments(discard_source, compiled_w15):
     with pytest.raises(MappingError, match="structurally"):
         derive_mapping(discard_source, shifted)
 
-    import dataclasses
     from litmusdiff.litmus import Atom, Conj
 
     renumbered = lower_test(discard_source)[0]
@@ -60,6 +61,20 @@ def test_derive_mapping_misalignments(discard_source, compiled_w15):
     crossed.final = Conj(Atom(MemoryObservable("y"), 0), crossed.final.right)
     with pytest.raises(MappingError, match="register atom paired"):
         derive_mapping(discard_source, crossed)
+
+
+def test_derive_mapping_through_negations(discard_source, compiled_w15):
+    from litmusdiff.litmus import Neg
+
+    negated_source = dataclasses.replace(discard_source,
+                                         final=Neg(discard_source.final))
+    negated_compiled = dataclasses.replace(compiled_w15,
+                                           final=Neg(compiled_w15.final))
+    mapping = derive_mapping(negated_source, negated_compiled)
+    assert mapping.observables == {"P1:r0": "1:W3", "y": "y"}
+    assert mapping.locations == {"x": "x", "y": "y"}
+    with pytest.raises(MappingError, match="structurally"):
+        derive_mapping(negated_source, compiled_w15)
 
 
 def test_derive_mapping_conflicting_pairs(discard_source):

@@ -78,6 +78,21 @@ def test_zero_destination_flag(compiled_wzr):
     assert (1, "W15") not in graph.final_defs
 
 
+def test_exchange_stores_its_source_before_binding_its_destination():
+    test = parse_litmus("\n".join([
+        "AArch64 swp-self", "", "{", "  x = 0;", "  0:X0 = x;", "}", "",
+        "P0:", "  MOV W2, #1", "  SWP W2, W2, [X0]", "",
+        "exists (0:W2 = 0 /\\ x = 1)", "",
+    ]))
+    graph = build_events(test)
+    read, write = graph.events[1:]
+    assert (read.rmw, write.rmw) == (1, 1)
+    assert write.value_src == ("const", 1)   # the old W2, not the read
+    assert graph.final_defs == {(0, "W2"): ("read", 1)}
+    assert allowed_outcomes(test, "aarch64").outcomes \
+        == outcome_set([[("0:W2", 0), ("x", 1)]])
+
+
 def test_store_of_zero_register_is_constant():
     test = parse_litmus("\n".join([
         "AArch64 t", "", "{", "  x = 0;", "  0:X0 = x;", "}", "",

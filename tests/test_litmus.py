@@ -305,6 +305,9 @@ def test_registers_end_at_w30(compiled_w15):
     assert parse_litmus(render_litmus(w30)) == w30
     with pytest.raises(ValidationError, match="bad register name 'W31'"):
         validate_test(swpl_into("W31"))
+    # a register is written without leading zeros, so W030 names no W30
+    with pytest.raises(ValidationError, match="bad register name 'W030'"):
+        validate_test(swpl_into("W030"))
 
 
 def test_wzr_read_is_allowed():

@@ -9,12 +9,9 @@ from litmusdiff.execution import (
     allowed_outcomes,
     atomicity_holds,
     build_events,
+    eco_respected,
 )
-from litmusdiff.model_aarch64 import (
-    aarch64_consistent,
-    barrier_order,
-    internal_holds,
-)
+from litmusdiff.model_aarch64 import aarch64_consistent, barrier_order
 from litmusdiff.syntax import parse_litmus
 from support import candidates, hand_execution, pairs
 
@@ -104,7 +101,7 @@ def test_obs_keeps_only_cross_thread_communication():
             assert (1, 2) in pairs(ex.com)
             assert (1, 2) not in obs
             assert (0, 1) in obs  # init write is external to all
-            assert internal_holds(ex)
+            assert eco_respected(ex, graph.po_loc)
             break
     else:
         pytest.fail("expected candidate missing")

@@ -16,7 +16,7 @@ import functools
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import naive_oracle
 import support
@@ -28,19 +28,24 @@ from litmusdiff.execution import (
     sc_oracle_outcomes,
 )
 from litmusdiff.litmus import (
+    AsmInstr,
     Atom,
     Conj,
     Dialect,
+    DmbDomain,
     FENCE_ORDERS,
     LOAD_ORDERS,
     LitmusTest,
     MemoryObservable,
     MemoryOrder,
+    Mnemonic,
     RegisterObservable,
     SourceStmt,
     StmtKind,
     STORE_ORDERS,
+    SWP_FAMILY,
     Thread,
+    ZERO_REGISTER,
     validate_test,
 )
 from litmusdiff.lowering import dead_register_pass, lower_test
@@ -317,16 +322,23 @@ exists (1:W3 = 1 /\\ 2:W4 = 1 /\\ 3:W6 = 0 /\\ x = 1 /\\ z = 1)
 }
 
 
-@pytest.mark.parametrize("name", sorted(COPY_TESTS))
-def test_outcomes_match_brute_force_on_copying_asm(name):
-    test = parse_litmus(COPY_TESTS[name])
-    support.check_class_law(test)
+def assert_asm_outcomes_match_brute_force(test):
+    """aarch64 outcome sets equal the model applied to every brute-force
+    candidate, under both zero-register readings."""
     for legacy in (False, True):
         assert allowed_outcomes(
             test, "aarch64", legacy_zero_register=legacy).outcomes \
             == naive_oracle.naive_final_states(
                 test, lambda ex: aarch64_consistent(
-                    ex, legacy_zero_register=legacy))
+                    ex, legacy_zero_register=legacy)), test.name
+
+
+@pytest.mark.parametrize("name", sorted(COPY_TESTS))
+def test_outcomes_match_brute_force_on_copying_asm(name):
+    test = parse_litmus(COPY_TESTS[name])
+    support.check_class_law(test)
+    assert_asm_outcomes_match_brute_force(test)
+    for legacy in (False, True):
         support.check_model_call_law(test, "aarch64",
                                      legacy_zero_register=legacy)
     support.check_meet_law(test)
@@ -454,12 +466,119 @@ def release_acquire_chains(draw):
     return test
 
 
-@settings(max_examples=60, deadline=None)
-@given(small_source_tests())
+_W_REGISTERS = tuple(f"W{i}" for i in range(31))
+_ADDRESSES = ("X0", "X1")
+_LOADS = (Mnemonic.LDR, Mnemonic.LDAR)
+_STORES = (Mnemonic.STR, Mnemonic.STLR)
+_SWAPS = tuple(m for m in Mnemonic if m in SWP_FAMILY)
+_DOMAINS = tuple(DmbDomain)
+
+
+@st.composite
+def _asm_thread(draw, tid, names):
+    """One to three memory instructions, each on a random location.  A
+    stored register holds a MOV'd constant, a loaded value (a data copy) or
+    is WZR; an exchange's destination is WZR or fresh, as is every other
+    register written."""
+    fresh = iter(draw(st.permutations(_W_REGISTERS)))
+    loaded = []
+    instrs = []
+
+    def stored():
+        kind = draw(st.sampled_from(("const", "zero", "copy") if loaded
+                                    else ("const", "zero")))
+        if kind == "zero":
+            return ZERO_REGISTER
+        if kind == "copy":
+            return draw(st.sampled_from(loaded))
+        reg = next(fresh)
+        instrs.append(AsmInstr(Mnemonic.MOV, dst=reg, imm=draw(_VALUES)))
+        return reg
+
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("load", "store", "swap", "barrier")))
+        if kind == "barrier":
+            instrs.append(AsmInstr(Mnemonic.DMB,
+                                   domain=draw(st.sampled_from(_DOMAINS))))
+            continue
+        addr = draw(st.sampled_from(_ADDRESSES[:len(names)]))
+        if kind == "load":
+            loaded.append(next(fresh))
+            instrs.append(AsmInstr(draw(st.sampled_from(_LOADS)),
+                                   dst=loaded[-1], addr=addr))
+        elif kind == "store":
+            src = stored()
+            instrs.append(AsmInstr(draw(st.sampled_from(_STORES)), src=src,
+                                   addr=addr))
+        else:
+            src = stored()
+            dst = draw(st.sampled_from((ZERO_REGISTER, next(fresh))))
+            if dst != ZERO_REGISTER:
+                loaded.append(dst)
+            instrs.append(AsmInstr(draw(st.sampled_from(_SWAPS)), src=src,
+                                   dst=dst, addr=addr))
+    return Thread(tid, tuple(instrs), tuple(zip(_ADDRESSES, names)))
+
+
+@st.composite
+def small_asm_tests(draw):
+    """Two threads over one or two locations.  The exists clause names a
+    location and up to two registers that the threads define.  With three
+    threads the brute-force oracle takes minutes per test."""
+    names = ("x", "y")[:draw(st.integers(1, 2))]
+    locations = {name: draw(_VALUES) for name in names}
+    threads = tuple(draw(_asm_thread(tid, names)) for tid in range(2))
+    registers = [RegisterObservable(thread.tid, reg) for thread in threads
+                 for reg in thread.defined_registers()]
+    observed = [MemoryObservable(draw(st.sampled_from(names))),
+                *draw(st.lists(st.sampled_from(registers), max_size=2,
+                               unique=True) if registers else st.just([]))]
+    final = functools.reduce(Conj, [Atom(obs, draw(_VALUES))
+                                     for obs in observed])
+    test = LitmusTest("gen", Dialect.ASM, locations, threads, final)
+    validate_test(test)
+    return test
+
+
+@settings(max_examples=90, deadline=None)
+@given(st.one_of(small_source_tests(), small_asm_tests()))
 def test_render_parse_round_trip(test):
-    compiled, _ = lower_test(test)
-    for subject in (test, compiled, dead_register_pass(compiled)):
+    subjects = [test]
+    if test.dialect is Dialect.SOURCE:
+        compiled, _ = lower_test(test)
+        subjects += [compiled, dead_register_pass(compiled)]
+    for subject in subjects:
         assert parse_litmus(render_litmus(subject)) == subject
+
+
+# The brute-force oracle walks every coherence order and rf choice: 84
+# million for six exchanges on one location, minutes of work.  Random asm
+# tests past this many choices are left to the laws below.
+NAIVE_CHOICES = 10**6
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_asm_tests())
+def test_enumeration_and_outcomes_match_brute_force_on_random_asm(test):
+    assume(support.naive_choices(test) <= NAIVE_CHOICES)
+    support.check_class_law(test)
+    assert_asm_outcomes_match_brute_force(test)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_asm_tests())
+def test_interleavings_allowed_by_aarch64_on_random_asm(test):
+    sc = sc_oracle_outcomes(test).outcomes
+    for legacy in (False, True):
+        assert sc <= allowed_outcomes(
+            test, "aarch64", legacy_zero_register=legacy).outcomes
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_asm_tests(), st.integers(0, 2**32 - 1))
+def test_dropping_edges_keeps_candidates_consistent_on_random_asm(test,
+                                                                 seed):
+    support.check_antitone_law(test, seed)
 
 
 @settings(max_examples=60, deadline=None)

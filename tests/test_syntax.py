@@ -348,6 +348,8 @@ def test_swp_discarding_into_zero_register():
     ("LDAR WZR, [X0]", "LDAR to the zero register"),
     ("LDXR W2, [X0]", "unknown mnemonic"),
     ("LDR W31, [X0]", "bad register"),
+    ("LDR W030, [X0]", "bad register 'W030'"),
+    ("MOV W02, #1", "bad register 'W02'"),
     ("LDR W2", "cannot parse LDR operands"),
     ("DMB OSH", "unknown barrier domain"),
 ])
