@@ -2,11 +2,11 @@
 
 The package parses small litmus tests in two dialects (C-like atomics and
 AArch64-like assembly), enumerates their allowed final-state outcomes under
-an axiomatic model per dialect, lowers source tests to assembly, and
-compares the two outcome sets: the compiled test must not allow anything
-the source test forbids.  A deliberately unsound dead-register rewrite is
-included to reproduce a real miscompilation pattern around discarded
-atomic exchange results.
+an axiomatic model per dialect or under sequential consistency, lowers
+source tests to assembly, and compares the two outcome sets: the compiled
+test must not allow anything the source test forbids.  A deliberately
+unsound dead-register rewrite is included to reproduce a real
+miscompilation pattern around discarded atomic exchange results.
 """
 
 from importlib import resources
@@ -17,11 +17,11 @@ from .execution import (
     DialectMismatchError,
     MODEL_AARCH64,
     MODEL_C11,
+    MODEL_SC,
     Outcome,
     OutcomeSet,
     ResourceLimitError,
     allowed_outcomes,
-    sc_oracle_outcomes,
 )
 from .litmus import (
     Dialect,
@@ -48,6 +48,7 @@ __all__ = [
     "LitmusTest",
     "MODEL_AARCH64",
     "MODEL_C11",
+    "MODEL_SC",
     "Mapping",
     "MappingError",
     "MemoryOrder",
@@ -69,7 +70,6 @@ __all__ = [
     "lower_test",
     "parse_litmus",
     "render_litmus",
-    "sc_oracle_outcomes",
 ]
 
 

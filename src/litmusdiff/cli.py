@@ -255,11 +255,10 @@ def _cmd_generate(args) -> int:
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--max-candidates", type=int, default=None, metavar="N",
-        help="abort before examining more than this many choices: each "
-             "location's coherence and reads-from choices plus their "
-             "combinations into candidate executions, or interleaving "
-             f"states under the sc model (default {DEFAULT_MAX_CANDIDATES}, "
-             f"or ${MAX_CANDIDATES_ENV})")
+        help="abort before examining more than this many choices, under "
+             "every model: each location's coherence and reads-from choices "
+             "plus their combinations into candidate executions (default "
+             f"{DEFAULT_MAX_CANDIDATES}, or ${MAX_CANDIDATES_ENV})")
     parser.add_argument(
         "--legacy-zero-register", action="store_true",
         help="treat zero-register destinations as ordinary reads, the way "
@@ -275,8 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="print a test's allowed outcomes")
     p.add_argument("file", help="litmus file in either dialect")
     p.add_argument("--model", choices=KNOWN_MODELS, default=None,
-                   help="memory model (defaults to the dialect's own; sc is "
-                        "the interleaving oracle)")
+                   help="memory model (defaults to the dialect's own; sc, "
+                        "sequential consistency, applies to either dialect)")
     p.add_argument("--format", choices=("table", "json"), default="table")
     _add_model_flags(p)
     p.set_defaults(func=_cmd_simulate)

@@ -4,7 +4,7 @@ A test's threads are turned into memory events (reads, writes, fences), then
 the coherent candidates are enumerated: each location's coherence orders and
 reads-from choices are searched on their own, those that make per-location
 program order, reads-from, coherence and from-reads cyclic are dropped, and
-the rest are combined across locations.  Both models demand this
+the rest are combined across locations.  Every model demands this
 per-location coherence, so the candidates are exactly the brute-force ones
 that are coherent.  A memory model module decides which candidates are
 consistent; the final states of the survivors form the test's outcome set.
@@ -27,7 +27,7 @@ choice's rows take one walk up and one walk down its coherence order, and
 each choice's rows are built at most once per enumeration, however many
 candidates and meets use them.
 
-Both models are antitone in ``(com, eco_before)``: removing edges never
+The models are antitone in ``(com, eco_before)``: removing edges never
 turns a consistent execution inconsistent, so adding edges never turns a
 rejected one consistent.  A product's ``meet`` is the execution whose rows
 are, location by location, the AND of the rows of every choice in the
@@ -56,7 +56,6 @@ from .litmus import (
     MemoryObservable,
     MemoryOrder,
     Mnemonic,
-    SourceStmt,
     StmtKind,
     SWP_ACQUIRE,
     SWP_FAMILY,
@@ -180,7 +179,10 @@ class EventGraph:
     @cached_property
     def final_observables(self) -> list[tuple[str, object]]:
         """The exists clause's observables with their labels, by label."""
-        return _labelled(self.test.final, self.test.dialect)
+        dialect = self.test.dialect
+        return sorted(((observable_label(obs, dialect), obs)
+                       for obs in condition_observables(self.test.final)),
+                      key=lambda item: item[0])
 
     @cached_property
     def memo(self) -> dict:
@@ -564,7 +566,7 @@ def enumerate_candidates(
     Each location's coherence order and reads-from choices are searched on
     their own, and only choices that keep ``po-loc | rf | co | fr`` acyclic
     on that location survive; candidates are the product of the survivors
-    across locations.  Both models require this per-location coherence, so
+    across locations.  Every model requires this per-location coherence, so
     no consistent candidate is lost.  Coherence orders keep the init write
     first.  An exchange's read is forced to read from the write immediately
     before its own write in coherence order; that bakes in read-modify-write
@@ -658,24 +660,14 @@ class OutcomeSet:
         }
 
 
-def _labelled(final, dialect) -> list[tuple[str, object]]:
-    return sorted(((observable_label(obs, dialect), obs)
-                   for obs in condition_observables(final)),
-                  key=lambda item: item[0])
-
-
-def _project(labelled, memory, registers) -> Outcome:
-    return Outcome(tuple(
-        (label, memory[obs.location] if isinstance(obs, MemoryObservable)
-         else registers[(obs.thread, obs.register)])
-        for label, obs in labelled))
-
-
 def final_state(execution: Execution) -> Outcome:
     """Project a candidate onto the observables of its test's exists
     clause."""
-    return _project(execution.graph.final_observables,
-                    execution.final_memory(), execution.registers)
+    memory, registers = execution.final_memory(), execution.registers
+    return Outcome(tuple(
+        (label, memory[obs.location] if isinstance(obs, MemoryObservable)
+         else registers[(obs.thread, obs.register)])
+        for label, obs in execution.graph.final_observables))
 
 
 def allowed_outcomes(
@@ -685,16 +677,15 @@ def allowed_outcomes(
     max_candidates: int | None = None,
     legacy_zero_register: bool = False,
 ) -> OutcomeSet:
-    """Outcome set of a test under one of the axiomatic models, or under the
-    interleaving oracle for ``sc`` (whose state count ``max_candidates``
-    bounds).  An outcome is allowed when some candidate of its class is
-    consistent.  The class's products are taken in order, and each
-    product's candidates are built and checked only up to the first
-    consistent one.  When a product holds more than one candidate and its
-    first is rejected, its meet is checked next; since the models are
-    antitone, a rejected meet rejects the whole product."""
-    if model == MODEL_SC:
-        return sc_oracle_outcomes(test, max_states=max_candidates)
+    """Outcome set of a test under one of the axiomatic models: ``c11`` for
+    source tests, ``aarch64`` for asm tests and ``sc`` for either.  An
+    outcome is allowed when some candidate of its class is consistent.  The
+    class's products are taken in order, and each product's candidates are
+    built and checked only up to the first consistent one.  When a product
+    holds more than one candidate and its first is rejected, its meet is
+    checked next; since the models are antitone, a rejected meet rejects
+    the whole product.  ``max_candidates`` bounds the choices examined, as
+    in ``enumerate_candidates``, under every model."""
     if model == MODEL_C11:
         if test.dialect is not Dialect.SOURCE:
             raise DialectMismatchError("the c11 model applies to source tests only")
@@ -708,6 +699,9 @@ def allowed_outcomes(
         def consistent(execution):
             return aarch64_consistent(
                 execution, legacy_zero_register=legacy_zero_register)
+    elif model == MODEL_SC:
+        from .model_sc import sc_consistent
+        consistent = sc_consistent
     else:
         raise LitmusError(f"unknown model {model!r}")
 
@@ -722,76 +716,3 @@ def allowed_outcomes(
     return OutcomeSet(test.name, model, frozenset(
         outcome for outcome, products in classes
         if any(map(allows, products))))
-
-
-def _sc_step(thread, stmt, mem: dict, regs: dict) -> None:
-    """Apply one statement in place.  Fences do nothing under interleaving."""
-    if isinstance(stmt, SourceStmt):
-        if stmt.kind is StmtKind.STORE:
-            mem[stmt.location] = stmt.value
-        elif stmt.kind is StmtKind.LOAD:
-            regs[(thread.tid, stmt.dest)] = mem[stmt.location]
-        elif stmt.kind is StmtKind.EXCHANGE:
-            old = mem[stmt.location]
-            mem[stmt.location] = stmt.value
-            if stmt.dest is not None:
-                regs[(thread.tid, stmt.dest)] = old
-        return
-    bindings = thread.binding_map()
-
-    def reg_value(reg):
-        if reg == ZERO_REGISTER:
-            return 0
-        return regs[(thread.tid, reg)]
-
-    m = stmt.mnemonic
-    if m is Mnemonic.MOV:
-        regs[(thread.tid, stmt.dst)] = stmt.imm
-    elif m in (Mnemonic.LDR, Mnemonic.LDAR):
-        regs[(thread.tid, stmt.dst)] = mem[bindings[stmt.addr]]
-    elif m in (Mnemonic.STR, Mnemonic.STLR):
-        mem[bindings[stmt.addr]] = reg_value(stmt.src)
-    elif m in SWP_FAMILY:
-        loc = bindings[stmt.addr]
-        old = mem[loc]
-        mem[loc] = reg_value(stmt.src)
-        if stmt.dst != ZERO_REGISTER:
-            regs[(thread.tid, stmt.dst)] = old
-
-
-def sc_oracle_outcomes(
-    test: LitmusTest, *, max_states: int | None = None
-) -> OutcomeSet:
-    """Reference outcome set under naive interleaving of whole statements.
-
-    Memoized depth-first search over (program counters, memory, registers)
-    states.  Used as the baseline any sound weak model must include.
-    """
-    limit = DEFAULT_MAX_CANDIDATES if max_states is None else max_states
-    locs = test.sorted_locations()
-    labelled = _labelled(test.final, test.dialect)
-    outcomes: set[Outcome] = set()
-    seen: set[tuple] = set()
-
-    def explore(pcs: tuple[int, ...], mem: dict, regs: dict) -> None:
-        state = (pcs, tuple(mem[loc] for loc in locs),
-                 tuple(sorted(regs.items())))
-        if state in seen:
-            return
-        seen.add(state)
-        if len(seen) > limit:
-            raise ResourceLimitError(f"interleaving states exceed the limit of {limit}")
-        terminal = True
-        for i, thread in enumerate(test.threads):
-            if pcs[i] >= len(thread.stmts):
-                continue
-            terminal = False
-            next_mem = dict(mem)
-            next_regs = dict(regs)
-            _sc_step(thread, thread.stmts[pcs[i]], next_mem, next_regs)
-            explore(pcs[:i] + (pcs[i] + 1,) + pcs[i + 1:], next_mem, next_regs)
-        if terminal:
-            outcomes.add(_project(labelled, mem, regs))
-
-    explore(tuple(0 for _ in test.threads), dict(test.locations), {})
-    return OutcomeSet(test.name, MODEL_SC, frozenset(outcomes))

@@ -295,13 +295,19 @@ _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_.+-]*$")
 _LOC_RE = re.compile(r"[a-z][A-Za-z0-9_]*$")
 _SRC_REG_RE = re.compile(r"r\d+$")
 _ASM_W_RE = re.compile(r"W(?:[12]?\d|30)$")
-_ASM_X_RE = re.compile(r"X\d+$")
+_ASM_X_RE = re.compile(r"X(?:[12]?\d|30)$")
 
 
 def is_w_register(reg: str) -> bool:
     """Whether ``reg`` names one of W0 to W30, written without leading
     zeros (W030 is no name for W30); WZR is not among them."""
     return _ASM_W_RE.match(reg) is not None
+
+
+def is_x_register(reg: str) -> bool:
+    """Whether ``reg`` names one of the address registers X0 to X30,
+    written without leading zeros (X00 is no name for X0)."""
+    return _ASM_X_RE.match(reg) is not None
 
 
 def _check_value(value: int, what: str) -> None:
@@ -376,7 +382,7 @@ def _validate_asm_instr(
         if instr.src is None or instr.dst is None or instr.addr is None:
             raise ValidationError(f"{m.value} needs two registers and an address")
     if instr.addr is not None:
-        if not _ASM_X_RE.match(instr.addr):
+        if not is_x_register(instr.addr):
             raise ValidationError(f"bad address register {instr.addr!r}")
         if instr.addr not in bindings:
             raise ValidationError(f"address register {instr.addr} bound to no location")
@@ -443,6 +449,8 @@ def validate_test(test: LitmusTest) -> None:
             raise ValidationError("source threads carry no address bindings")
         bindings = thread.binding_map()
         for reg, loc in bindings.items():
+            if not is_x_register(reg):
+                raise ValidationError(f"bad address register {reg!r}")
             if loc not in declared:
                 raise ValidationError(f"address register {reg} bound to undeclared {loc!r}")
         defined: set[str] = set()

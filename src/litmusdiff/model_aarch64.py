@@ -7,9 +7,10 @@ Exchanges must be atomic, by the same axiom as the source model.
 
 Relations are bitmask rows (see ``relations``).  Only obs and internal
 depend on rf and co: obs is ``com`` less each event's own thread, and
-internal is the check both models share, ``execution.eco_respected``, over
-po-loc.  bob depends on the events alone, so ``barrier_order`` builds it
-once per event graph and zero-register reading, in the graph's memo.
+internal is the check this model shares with c11,
+``execution.eco_respected``, over po-loc.  bob depends on the events
+alone, so ``barrier_order`` builds it once per event graph and
+zero-register reading, in the graph's memo.
 
 The zero register is the one subtlety.  A load-acquire barrier orders loads
 that actually read into a register; an exchange whose destination is WZR

@@ -12,7 +12,7 @@ seq_cst masks are built once per event graph and kept in the graph's memo.
 Per candidate, sw reads rf off the ``com`` rows.  Since po is transitive,
 ``happens_before`` closes ``po | sw`` over the few sw sources only, and is
 po itself when sw is empty.  eco is never built: coherence is the check
-both models share, ``execution.eco_respected``, over hb.
+this model shares with aarch64, ``execution.eco_respected``, over hb.
 
 The model is antitone in ``(com, eco_before)``: sw, and so hb, only grow
 with ``com``, and every axiom forbids edges, so dropping any edges of a

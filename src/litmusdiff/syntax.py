@@ -19,6 +19,7 @@ from .litmus import (
     DmbDomain,
     FinalCondition,
     is_w_register,
+    is_x_register,
     LitmusTest,
     MemoryObservable,
     MemoryOrder,
@@ -78,8 +79,6 @@ _DMB_DOMAINS = {
     "ISHST": DmbDomain.ST,
     "ST": DmbDomain.ST,
 }
-
-_X_REG_RE = re.compile(r"X(\d+)$")
 
 
 def _column(raw_line: str) -> int:
@@ -146,7 +145,7 @@ def parse_litmus(text: str) -> LitmusTest:
         m = dialect is Dialect.ASM and _INIT_BIND_RE.match(entry)
         if m:
             tid, reg = _integer(m.group(1), entry_no), m.group(2)
-            if not _X_REG_RE.match(reg):
+            if not is_x_register(reg):
                 raise ParseError(f"bad address register {reg!r}", entry_no)
             thread_bindings = bindings.setdefault(tid, {})
             if reg in thread_bindings:
@@ -300,6 +299,13 @@ def _parse_w_reg(token: str, line_no: int, col: int, writer: str = "") -> str:
     return token
 
 
+def _parse_x_reg(token: str, line_no: int, col: int) -> str:
+    """Check an address register operand."""
+    if not is_x_register(token):
+        raise ParseError(f"bad address register {token!r}", line_no, col)
+    return token
+
+
 def _parse_asm_instr(raw: str, line_no: int) -> AsmInstr:
     text = raw.strip()
     col = _column(raw)
@@ -315,16 +321,19 @@ def _parse_asm_instr(raw: str, line_no: int) -> AsmInstr:
     m = _LDX_RE.match(text)
     if m:
         dst = _parse_w_reg(m.group(2), line_no, col + m.start(2), m.group(1))
-        return AsmInstr(Mnemonic[m.group(1)], dst=dst, addr=m.group(3))
+        addr = _parse_x_reg(m.group(3), line_no, col + m.start(3))
+        return AsmInstr(Mnemonic[m.group(1)], dst=dst, addr=addr)
     m = _STX_RE.match(text)
     if m:
         src = _parse_w_reg(m.group(2), line_no, col + m.start(2))
-        return AsmInstr(Mnemonic[m.group(1)], src=src, addr=m.group(3))
+        addr = _parse_x_reg(m.group(3), line_no, col + m.start(3))
+        return AsmInstr(Mnemonic[m.group(1)], src=src, addr=addr)
     m = _SWP_RE.match(text)
     if m:
         src = _parse_w_reg(m.group(2), line_no, col + m.start(2))
         dst = _parse_w_reg(m.group(3), line_no, col + m.start(3))
-        return AsmInstr(Mnemonic[m.group(1)], src=src, dst=dst, addr=m.group(4))
+        addr = _parse_x_reg(m.group(4), line_no, col + m.start(4))
+        return AsmInstr(Mnemonic[m.group(1)], src=src, dst=dst, addr=addr)
     m = _DMB_RE.match(text)
     if m:
         domain = _DMB_DOMAINS.get(m.group(1))

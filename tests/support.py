@@ -7,13 +7,15 @@ import math
 import operator
 import random
 
+import interleaving_oracle
 import naive_oracle
 import pytest
-from litmusdiff import execution, model_aarch64, model_c11
+from litmusdiff import execution, model_aarch64, model_c11, model_sc
 from litmusdiff.difftest import translate_outcome
 from litmusdiff.execution import (
     MODEL_AARCH64,
     MODEL_C11,
+    MODEL_SC,
     Execution,
     allowed_outcomes,
     atomicity_holds,
@@ -37,6 +39,7 @@ from litmusdiff.model_c11 import (
     c11_consistent,
     happens_before,
 )
+from litmusdiff.model_sc import sc_consistent
 from litmusdiff.relations import bits
 from litmusdiff.testgen import GenParams, Variant, generate_mp_family
 
@@ -366,6 +369,7 @@ def check_class_law(test):
 MODEL_CHECKS = {
     MODEL_C11: (model_c11, "c11_consistent"),
     MODEL_AARCH64: (model_aarch64, "aarch64_consistent"),
+    MODEL_SC: (model_sc, "sc_consistent"),
 }
 
 
@@ -457,13 +461,15 @@ def dialect_predicates(test):
             for legacy in (False, True)]
 
 
-def check_meet_law(test):
+def check_meet_law(test, predicates=None):
     """For every product of more than one candidate, its meet's rows are
     the intersection of its candidates' rows, so contained in each of
-    them, and whenever a predicate of ``dialect_predicates`` rejects the
-    meet it rejects every candidate, checked one by one.  Returns the
-    numbers of meets and of (meet, predicate) rejections, so callers can
-    tell the law was not vacuous."""
+    them, and whenever one of ``predicates`` (by default those of
+    ``dialect_predicates``) rejects the meet it rejects every candidate,
+    checked one by one.  Returns the numbers of meets and of (meet,
+    predicate) rejections, so callers can tell the law was not vacuous."""
+    if predicates is None:
+        predicates = dialect_predicates(test)
     meets = rejected = 0
     for _, products in enumerate_candidates(build_events(test)):
         for product in products:
@@ -477,7 +483,7 @@ def check_meet_law(test):
                 assert all(m & ~e == 0 for m, e in zip(
                     meet.com + meet.eco_before, ex.com + ex.eco_before)), \
                     (test.name, fingerprint(ex))
-            for check in dialect_predicates(test):
+            for check in predicates:
                 if not check(meet):
                     rejected += 1
                     assert not any(map(check, members)), test.name
@@ -497,18 +503,20 @@ def drop_bits(ex, rng):
     return Execution.of_rows(ex.graph, [(thin(ex.com), thin(ex.eco_before))])
 
 
-def check_antitone_law(test, seed, trials=3):
-    """Every enumerated candidate that a predicate of
-    ``dialect_predicates`` accepts stays accepted with any seeded-random
-    subset of its ``com`` and ``eco_before`` bits dropped, ``trials``
-    subsets per candidate and predicate.  This is the contract that makes
-    a rejected meet reject its whole product.  Returns the number of
-    (candidate, predicate) pairs accepted, so callers can tell the law was
-    not vacuous."""
+def check_antitone_law(test, seed, trials=3, predicates=None):
+    """Every enumerated candidate that one of ``predicates`` (by default
+    those of ``dialect_predicates``) accepts stays accepted with any
+    seeded-random subset of its ``com`` and ``eco_before`` bits dropped,
+    ``trials`` subsets per candidate and predicate.  This is the contract
+    that makes a rejected meet reject its whole product.  Returns the
+    number of (candidate, predicate) pairs accepted, so callers can tell
+    the law was not vacuous."""
+    if predicates is None:
+        predicates = dialect_predicates(test)
     rng = random.Random(seed)
     accepted = 0
     for ex in candidates(build_events(test)):
-        for check in dialect_predicates(test):
+        for check in predicates:
             if check(ex):
                 accepted += 1
                 for _ in range(trials):
@@ -528,6 +536,33 @@ def assert_outcomes_match_brute_force(test):
         assert allowed_outcomes(subject, MODEL_AARCH64).outcomes \
             == naive_oracle.naive_final_states(subject, aarch64_consistent), \
             test.name
+
+
+def check_sc_law(test):
+    """The sc model's outcome set equals the sc model applied to every
+    brute-force candidate, and the outcomes of every interleaving of the
+    test's statements."""
+    got = allowed_outcomes(test, MODEL_SC).outcomes
+    assert got == naive_oracle.naive_final_states(test, sc_consistent), \
+        test.name
+    assert got == interleaving_oracle.interleaving_outcomes(test), test.name
+
+
+def check_sc_inclusion_law(test):
+    """Every enumerated candidate that ``sc_consistent`` accepts is accepted
+    by each predicate of ``dialect_predicates``: SC is stronger than both
+    models candidate by candidate, not only in outcomes.  Returns the
+    numbers of candidates accepted by sc and of candidates, so callers can
+    tell the law was not vacuous."""
+    checks = dialect_predicates(test)
+    members = candidates(build_events(test))
+    accepted = 0
+    for ex in members:
+        if sc_consistent(ex):
+            accepted += 1
+            assert all(check(ex) for check in checks), \
+                (test.name, fingerprint(ex))
+    return accepted, len(members)
 
 
 def lenient_atomicity(events, rmw_pairs, rf, co):

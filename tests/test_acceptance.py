@@ -9,13 +9,13 @@ import time
 
 import naive_oracle
 import support
+from interleaving_oracle import interleaving_outcomes
 from litmusdiff import golden_path
 from litmusdiff.cli import main
 from litmusdiff.execution import (
     Outcome,
     allowed_outcomes,
     build_events,
-    sc_oracle_outcomes,
 )
 from litmusdiff.lowering import lower_test
 from litmusdiff.model_c11 import c11_consistent
@@ -107,7 +107,7 @@ def test_corpus_diffs_clean_against_unoptimized_lowering(capsys, tmp_path,
 def test_model_laws_hold_across_corpus(corpus):
     assert len(corpus) >= 100
     for test in corpus:
-        sc = sc_oracle_outcomes(test).outcomes
+        sc = interleaving_outcomes(test)
         source = support.source_outcomes(test)
         assert sc <= source, test.name
         assert sc <= support.lowered_outcomes(test), test.name

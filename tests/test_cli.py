@@ -108,7 +108,7 @@ def test_simulate_sc_model(capsys, path):
         " ".join(f"{k}={v};" for k, v in sorted(state.items()))
         for state in sc["outcomes"]
     }
-    # the interleaving outcomes are among the dialect model's own
+    # the sc outcomes are among the dialect model's own
     _, blob, _ = run(capsys, "simulate", path, "--format", "json")
     native = json.loads(blob)["outcomes"]
     assert sc["outcomes"] and all(state in native for state in sc["outcomes"])
@@ -289,6 +289,14 @@ def test_candidate_env_var(capsys, monkeypatch):
     # an explicit flag beats the environment
     code, _, err = run(capsys, "simulate", SOURCE, "--max-candidates", "100")
     assert code == 0
+
+
+def test_sc_model_limit_counts_candidates(capsys):
+    # the dialect models' count and message, not interleaving states
+    code, out, err = run(capsys, "simulate", SOURCE, "--model", "sc",
+                         "--max-candidates", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: candidate executions exceed the limit of 2\n"
 
 
 @pytest.mark.parametrize("command", [("simulate", SOURCE),

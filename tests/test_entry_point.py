@@ -59,7 +59,8 @@ TOO_LONG = "integer of 5000 digits is too long"
 
 # Each integer the reader converts, in the golden source or compiled test,
 # made too long to read, with the position and message of its error; then
-# a register number just as long, and one written with a leading zero.
+# a W and an X register number just as long, one of each written with a
+# leading zero, and X31, which is no address register.
 UNREADABLE = {
     "init-value": (SOURCE, "x = 0;", f"x = {LONG};", 3, 1, TOO_LONG),
     "binding-thread": (FIXED, "1:X0", f"{LONG}:X0", 6, 1, TOO_LONG),
@@ -76,6 +77,12 @@ UNREADABLE = {
                  f"bad register 'W{LONG}'"),
     "leading-zero": (FIXED, "SWPL W2, W15", "SWPL W2, W015", 17, 12,
                      "bad register 'W015'"),
+    "address-register": (FIXED, "1:X1 =", f"1:X{LONG} =", 6, 1,
+                         f"bad address register 'X{LONG}'"),
+    "address-leading-zero": (FIXED, "1:X0 =", "1:X00 =", 6, 1,
+                             "bad address register 'X00'"),
+    "address-31": (FIXED, "W15, [X1]", "W15, [X31]", 17, 18,
+                   "bad address register 'X31'"),
 }
 
 

@@ -1,4 +1,4 @@
-"""Event construction, candidate enumeration, and the SC reference oracle."""
+"""Event construction, candidate enumeration, and the SC model."""
 
 import re
 import time
@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 import support
-from litmusdiff import golden_path, model_aarch64, model_c11
+from interleaving_oracle import interleaving_outcomes
+from litmusdiff import golden_path, model_aarch64, model_c11, model_sc
 from litmusdiff.execution import (
     DialectMismatchError,
     INIT_TID,
@@ -17,7 +18,6 @@ from litmusdiff.execution import (
     allowed_outcomes,
     build_events,
     final_state,
-    sc_oracle_outcomes,
 )
 from litmusdiff.litmus import LitmusError
 from litmusdiff.lowering import lower_test
@@ -149,12 +149,14 @@ MP_RELSEQ_4T = (Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
 @pytest.mark.parametrize("module, name, model, lowered", [
     (model_c11, "c11_consistent", "c11", False),
     (model_aarch64, "aarch64_consistent", "aarch64", True),
-], ids=["c11", "aarch64"])
+    (model_sc, "sc_consistent", "sc", False),
+    (model_sc, "sc_consistent", "sc", True),
+], ids=["c11", "aarch64", "sc", "sc-lowered"])
 def test_candidate_limit_is_exact(monkeypatch, module, name, model, lowered):
     # mp-relseq-4t examines 1,770 choices, its lowering too: each location's
     # (co, rf) choices and every combination of them, whether its candidates
-    # are built or not.  A limit of exactly that succeeds; one less raises
-    # before the model is ever called.
+    # are built or not, under every model.  A limit of exactly that
+    # succeeds; one less raises before the model is ever called.
     test = parse_litmus(MP_RELSEQ_4T.read_text())
     if lowered:
         test = lower_test(test)[0]
@@ -323,27 +325,33 @@ def test_dialect_guards(discard_source, compiled_w15):
         allowed_outcomes(discard_source, "tso")
 
 
-def test_sc_oracle_canonical(discard_source):
-    got = sc_oracle_outcomes(discard_source)
-    assert got.model == "sc"
-    assert set(got.outcomes) == outcome_set([
+def sc_outcomes(test):
+    """The sc model's outcome set, which the interleaving oracle gives
+    too."""
+    got = allowed_outcomes(test, "sc")
+    assert got.model == "sc" and got.test == test.name
+    assert got.outcomes == interleaving_outcomes(test)
+    return set(got.outcomes)
+
+
+def test_sc_model_canonical(discard_source):
+    assert sc_outcomes(discard_source) == outcome_set([
         [("P1:r0", 0), ("y", 1)],
         [("P1:r0", 1), ("y", 1)],
         [("P1:r0", 1), ("y", 2)],
     ])
 
 
-def test_sc_oracle_on_asm(compiled_wzr):
+def test_sc_model_on_asm(compiled_wzr):
     # whole-instruction interleaving never shows the weak-memory outcome
-    got = sc_oracle_outcomes(compiled_wzr)
-    assert set(got.outcomes) == outcome_set([
+    assert sc_outcomes(compiled_wzr) == outcome_set([
         [("1:W3", 0), ("y", 1)],
         [("1:W3", 1), ("y", 1)],
         [("1:W3", 1), ("y", 2)],
     ])
 
 
-def test_sc_oracle_zero_store_and_kept_exchange():
+def test_sc_model_zero_store_and_kept_exchange():
     test = parse_litmus("\n".join([
         "AArch64 wzr+swp", "", "{", "  x = 1;", "  0:X0 = x;", "  1:X0 = x;",
         "}", "",
@@ -352,13 +360,13 @@ def test_sc_oracle_zero_store_and_kept_exchange():
         "exists (1:W3 = 0 /\\ x = 3)", "",
     ]))
     # the exchange reads 0 after the zero store, or 1 before it
-    assert set(sc_oracle_outcomes(test).outcomes) == outcome_set([
+    assert sc_outcomes(test) == outcome_set([
         [("1:W3", 0), ("x", 3)],
         [("1:W3", 1), ("x", 0)],
     ])
 
 
-def test_sc_oracle_store_buffering():
+def test_sc_model_store_buffering():
     sb = parse_litmus("\n".join([
         "C sb", "", "{ x = 0; y = 0; }", "",
         "P0 {",
@@ -371,18 +379,15 @@ def test_sc_oracle_store_buffering():
         "}", "",
         "exists (P0:r0 = 0 /\\ P1:r1 = 0)", "",
     ]))
-    got = sc_oracle_outcomes(sb)
-    assert Outcome.from_dict({"P0:r0": 0, "P1:r1": 0}) not in got.outcomes
-    assert len(got.outcomes) == 3
-
-
-def test_sc_oracle_state_limit(discard_source):
-    with pytest.raises(ResourceLimitError):
-        sc_oracle_outcomes(discard_source, max_states=2)
+    got = sc_outcomes(sb)
+    assert Outcome.from_dict({"P0:r0": 0, "P1:r1": 0}) not in got
+    assert len(got) == 3
 
 
 def test_sc_model_routes_to_oracle(discard_source, compiled_wzr):
     for test in (discard_source, compiled_wzr):
-        assert allowed_outcomes(test, "sc") == sc_oracle_outcomes(test)
-    with pytest.raises(ResourceLimitError, match="limit of 2"):
+        assert allowed_outcomes(test, "sc").outcomes \
+            == interleaving_outcomes(test)
+    with pytest.raises(ResourceLimitError,
+                       match="^candidate executions exceed the limit of 2$"):
         allowed_outcomes(discard_source, "sc", max_candidates=2)

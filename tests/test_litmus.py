@@ -254,6 +254,12 @@ def asm_thread(*instrs, bindings=(("X0", "x"),)):
     (lambda: asm_test(threads=asm_thread(
         AsmInstr(Mnemonic.LDR, dst="W2", addr="X5"))), "bound to no location"),
     (lambda: asm_test(threads=asm_thread(
+        AsmInstr(Mnemonic.LDR, dst="W2", addr="X31"),
+        bindings=(("X31", "x"),))), "bad address register 'X31'"),
+    (lambda: asm_test(threads=asm_thread(
+        AsmInstr(Mnemonic.LDR, dst="W2", addr="X0"),
+        bindings=(("X0", "x"), ("X00", "x")))), "bad address register 'X00'"),
+    (lambda: asm_test(threads=asm_thread(
         AsmInstr(Mnemonic.LDR, dst="W2", addr="X0"),
         bindings=(("X0", "q"),))), "undeclared"),
     (lambda: asm_test(threads=asm_thread(

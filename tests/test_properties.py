@@ -1,10 +1,12 @@
 """Model-level laws, checked over the generated corpus and random tests.
 
-Four families: interleaving outcomes are always allowed, strengthening
+Five families: interleaving outcomes are always allowed, strengthening
 memory orders never adds behaviour, the dead-register rewrite never removes
-behaviour, and the candidate enumerator agrees with a brute-force oracle:
-its candidates are exactly the oracle's coherent ones, and its outcome sets
-are exactly those of the models applied to every oracle candidate, on the
+behaviour, the candidate enumerator agrees with a brute-force oracle (its
+candidates are exactly the oracle's coherent ones, and its outcome sets
+are exactly those of the models applied to every oracle candidate), and
+the sc model gives the interleaving oracle's outcomes and accepts no
+candidate that the dialect's model rejects.  Each is checked on the
 corpus, on random tests and on the benchmark's larger inputs.  The
 relation rows every candidate carries match their set-of-pairs reading.
 Both models are antitone in those rows, so a product whose meet is
@@ -20,12 +22,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 import naive_oracle
 import support
+from interleaving_oracle import interleaving_outcomes
 from litmusdiff import golden_path
 from litmusdiff.execution import (
     allowed_outcomes,
     build_events,
     enumerate_candidates,
-    sc_oracle_outcomes,
 )
 from litmusdiff.litmus import (
     AsmInstr,
@@ -51,6 +53,7 @@ from litmusdiff.litmus import (
 from litmusdiff.lowering import dead_register_pass, lower_test
 from litmusdiff.model_aarch64 import aarch64_consistent
 from litmusdiff.model_c11 import c11_consistent
+from litmusdiff.model_sc import sc_consistent
 from litmusdiff.syntax import parse_litmus, render_litmus
 from litmusdiff.testgen import generate_mp_family
 
@@ -60,14 +63,22 @@ IDS = [t.name for t in CORPUS]
 
 @pytest.mark.parametrize("test", CORPUS, ids=IDS)
 def test_interleavings_allowed_by_source_model(test):
-    sc = sc_oracle_outcomes(test).outcomes
+    sc = interleaving_outcomes(test)
     assert sc <= support.source_outcomes(test)
 
 
 @pytest.mark.parametrize("test", CORPUS, ids=IDS)
 def test_interleavings_allowed_by_lowered_test(test):
-    sc = sc_oracle_outcomes(test).outcomes
+    sc = interleaving_outcomes(test)
     assert sc <= support.lowered_outcomes(test)
+
+
+@pytest.mark.parametrize("test", CORPUS, ids=IDS)
+def test_sc_model_matches_both_oracles(test):
+    for subject in (test, lower_test(test)[0]):
+        support.check_sc_law(subject)
+        accepted, _ = support.check_sc_inclusion_law(subject)
+        assert accepted > 0
 
 
 @pytest.mark.parametrize("test", CORPUS, ids=IDS)
@@ -245,6 +256,30 @@ def test_rows_and_group_meets_are_built_once_on_large_inputs(
         == ROW_WORK[request.node.callspec.id]
 
 
+# The same pins under the sc model, which applies to every subject: model
+# calls, products of more than one candidate and rejected meets.  A ladder
+# source and its lowering have the same events and sc reads no memory
+# order, so the two cost the same.  On mp-relseq-4t sc rejects the first
+# candidate of 38 of the 48 products where c11 rejects 12; 26 of those
+# meets are accepted, and their products are searched candidate by
+# candidate up to an sc one.
+SC_COSTS = {
+    "3w-2r-c11": (22, 8, 0), "3w-2r-aarch64": (22, 8, 0),
+    "mp-relseq-4t-c11": (274, 48, 12), "mp-relseq-4t-aarch64": (274, 48, 12),
+    "2+2w-x4-c11": (5, 4, 1), "2+2w-x4-aarch64": (5, 4, 1),
+    "mp-dmb-st-ld+swp-wzr": (51, 9, 1), "2+2w-dmb-st+swp-wzr": (5, 4, 1),
+}
+
+
+@pytest.mark.parametrize("test, model, consistent", large_subjects())
+def test_sc_model_call_and_meet_laws_on_large_inputs(
+        request, test, model, consistent):
+    calls, *meets = SC_COSTS[request.node.callspec.id]
+    assert sum(support.check_model_call_law(test, "sc")) == calls
+    assert list(support.check_meet_law(test, [sc_consistent])) == meets
+    support.check_row_work_law(test, "sc")
+
+
 def test_mp_family_products_hold_one_candidate():
     # So the MP family, which the mp-corpus benchmark samples, never has a
     # meet to check: its model calls stay one per candidate.
@@ -342,6 +377,10 @@ def test_outcomes_match_brute_force_on_copying_asm(name):
         support.check_model_call_law(test, "aarch64",
                                      legacy_zero_register=legacy)
     support.check_meet_law(test)
+    support.check_sc_law(test)
+    support.check_sc_inclusion_law(test)
+    support.check_model_call_law(test, "sc")
+    support.check_meet_law(test, [sc_consistent])
 
 
 @pytest.mark.parametrize(
@@ -349,6 +388,17 @@ def test_outcomes_match_brute_force_on_copying_asm(name):
     ids=lambda test: test.name)
 def test_dropping_edges_keeps_candidates_consistent(test):
     assert support.check_antitone_law(test, test.name) > 0
+    assert support.check_antitone_law(test, test.name,
+                                      predicates=[sc_consistent]) > 0
+
+
+@pytest.mark.parametrize(
+    "test", [*LADDER, *(lower_test(test)[0] for test in LADDER), *ASM_INPUTS],
+    ids=lambda test: test.name)
+def test_sc_model_matches_both_oracles_on_inputs(test):
+    support.check_sc_law(test)
+    accepted, members = support.check_sc_inclusion_law(test)
+    assert 0 < accepted <= members
 
 
 @pytest.mark.parametrize("legacy", [False, True])
@@ -356,7 +406,7 @@ def test_dropping_edges_keeps_candidates_consistent(test):
     "test", [*(lower_test(test)[0] for test in LADDER), *ASM_INPUTS],
     ids=lambda test: test.name)
 def test_interleavings_allowed_by_aarch64_on_inputs(test, legacy):
-    assert sc_oracle_outcomes(test).outcomes <= allowed_outcomes(
+    assert interleaving_outcomes(test) <= allowed_outcomes(
         test, "aarch64", legacy_zero_register=legacy).outcomes
 
 
@@ -563,12 +613,14 @@ def test_enumeration_and_outcomes_match_brute_force_on_random_asm(test):
     assume(support.naive_choices(test) <= NAIVE_CHOICES)
     support.check_class_law(test)
     assert_asm_outcomes_match_brute_force(test)
+    support.check_sc_law(test)
+    support.check_sc_inclusion_law(test)
 
 
 @settings(max_examples=100, deadline=None)
 @given(small_asm_tests())
 def test_interleavings_allowed_by_aarch64_on_random_asm(test):
-    sc = sc_oracle_outcomes(test).outcomes
+    sc = interleaving_outcomes(test)
     for legacy in (False, True):
         assert sc <= allowed_outcomes(
             test, "aarch64", legacy_zero_register=legacy).outcomes
@@ -579,6 +631,7 @@ def test_interleavings_allowed_by_aarch64_on_random_asm(test):
 def test_dropping_edges_keeps_candidates_consistent_on_random_asm(test,
                                                                  seed):
     support.check_antitone_law(test, seed)
+    support.check_antitone_law(test, seed, predicates=[sc_consistent])
 
 
 @settings(max_examples=60, deadline=None)
@@ -587,7 +640,7 @@ def test_single_location_model_collapses_to_interleavings(test):
     # with one location, coherence plus atomicity admit exactly the
     # interleaving outcomes
     assert allowed_outcomes(test, "c11").outcomes \
-        == sc_oracle_outcomes(test).outcomes
+        == interleaving_outcomes(test)
 
 
 @settings(max_examples=40, deadline=None)
@@ -603,12 +656,17 @@ def test_model_sees_each_class_up_to_its_first_consistent_on_random_tests(
         test):
     support.check_model_call_law(test, "c11")
     support.check_model_call_law(lower_test(test)[0], "aarch64")
+    support.check_model_call_law(test, "sc")
+    support.check_model_call_law(lower_test(test)[0], "sc")
 
 
 @settings(max_examples=40, deadline=None)
 @given(small_source_tests(max_stmts=2))
 def test_outcomes_match_brute_force_on_random_tests(test):
     support.assert_outcomes_match_brute_force(test)
+    for subject in (test, lower_test(test)[0]):
+        support.check_sc_law(subject)
+        support.check_sc_inclusion_law(subject)
 
 
 @settings(max_examples=60, deadline=None)
@@ -630,6 +688,9 @@ def test_meet_and_model_call_laws_hold_on_random_chains(test):
     support.check_meet_law(lower_test(test)[0])
     support.check_model_call_law(test, "c11")
     support.check_model_call_law(lower_test(test)[0], "aarch64")
+    for subject in (test, lower_test(test)[0]):
+        support.check_meet_law(subject, [sc_consistent])
+        support.check_model_call_law(subject, "sc")
 
 
 @settings(max_examples=40, deadline=None)
@@ -637,8 +698,9 @@ def test_meet_and_model_call_laws_hold_on_random_chains(test):
        st.integers(0, 2**32 - 1))
 def test_dropping_edges_keeps_candidates_consistent_on_random_tests(test,
                                                                    seed):
-    support.check_antitone_law(test, seed)
-    support.check_antitone_law(lower_test(test)[0], seed)
+    for subject in (test, lower_test(test)[0]):
+        support.check_antitone_law(subject, seed)
+        support.check_antitone_law(subject, seed, predicates=[sc_consistent])
 
 
 @settings(max_examples=40, deadline=None)

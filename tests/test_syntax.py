@@ -350,6 +350,9 @@ def test_swp_discarding_into_zero_register():
     ("LDR W31, [X0]", "bad register"),
     ("LDR W030, [X0]", "bad register 'W030'"),
     ("MOV W02, #1", "bad register 'W02'"),
+    ("LDR W2, [X00]", "bad address register 'X00'"),
+    ("STR W2, [X31]", "bad address register 'X31'"),
+    ("SWP W2, W3, [W0]", "bad address register 'W0'"),
     ("LDR W2", "cannot parse LDR operands"),
     ("DMB OSH", "unknown barrier domain"),
 ])
@@ -362,6 +365,10 @@ def test_asm_init_errors():
     with pytest.raises(ParseError, match="bad address register"):
         parse_litmus(asm(["LDR W2, [X0]"],
                          init="{\n  x = 0;\n  0:W0 = x;\n}"))
+    # X0 and X00 would be two names for one register
+    with pytest.raises(ParseError, match="bad address register 'X00'"):
+        parse_litmus(asm(["LDR W2, [X0]"],
+                         init="{\n  x = 0; y = 0;\n  0:X0 = x; 0:X00 = y;\n}"))
     with pytest.raises(ParseError, match="bound twice"):
         parse_litmus(asm(["LDR W2, [X0]"],
                          init="{\n  x = 0;\n  0:X0 = x; 0:X0 = x;\n}"))
