@@ -137,6 +137,9 @@ def _cmd_simulate(args) -> int:
     model = args.model
     if model is None:
         model = MODEL_C11 if test.dialect is Dialect.SOURCE else MODEL_AARCH64
+    if args.legacy_zero_register and model != MODEL_AARCH64:
+        raise LitmusError(
+            f"--legacy-zero-register applies to the {MODEL_AARCH64} model only")
     outcomes = allowed_outcomes(
         test, model,
         max_candidates=_resolve_max_candidates(args),
@@ -265,31 +268,25 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
              "models did before the zero-register clarification")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="litmusdiff",
-        description="Simulate, lower, and differentially test litmus tests.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="print a test's allowed outcomes")
+def _simulate_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("file", help="litmus file in either dialect")
     p.add_argument("--model", choices=KNOWN_MODELS, default=None,
                    help="memory model (defaults to the dialect's own; sc, "
                         "sequential consistency, applies to either dialect)")
     p.add_argument("--format", choices=("table", "json"), default="table")
     _add_model_flags(p)
-    p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("compile", help="lower a source test to asm")
+
+def _compile_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("file", help="source-dialect litmus file")
     p.add_argument("--dead-register", action="store_true",
                    help="run the dead destination-register rewrite")
     p.add_argument("-o", "--out", default=None, metavar="FILE",
                    help="write the asm test here plus a .mapping.json sidecar "
                         "(default: print the test to stdout)")
-    p.set_defaults(func=_cmd_compile)
 
-    p = sub.add_parser("diff", help="check a compiled test against its source")
+
+def _diff_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("source", help="source-dialect litmus file")
     p.add_argument("compiled", nargs="?", default=None,
                    help="asm-dialect litmus file")
@@ -303,9 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "the two exists clauses)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     _add_model_flags(p)
-    p.set_defaults(func=_cmd_diff)
 
-    p = sub.add_parser("generate", help="write a message-passing test corpus")
+
+def _generate_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out-dir", required=True, metavar="DIR")
     p.add_argument("--variants", type=_variants_arg,
                    default=frozenset(Variant),
@@ -328,13 +325,46 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=int, default=None, metavar="N",
                    help="sample down to N tests, deterministically")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_generate)
 
+
+# name -> (help, adds the subcommand's arguments, runs it)
+_COMMANDS = {
+    "simulate": ("print a test's allowed outcomes",
+                 _simulate_arguments, _cmd_simulate),
+    "compile": ("lower a source test to asm",
+                _compile_arguments, _cmd_compile),
+    "diff": ("check a compiled test against its source",
+             _diff_arguments, _cmd_diff),
+    "generate": ("write a message-passing test corpus",
+                 _generate_arguments, _cmd_generate),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser for one invocation: every subcommand is registered, but
+    only ``command``'s subparser gets its arguments and its ``func``, since
+    argparse reads no other.  With no ``command`` every subparser is built
+    in full."""
+    parser = argparse.ArgumentParser(
+        prog="litmusdiff",
+        description="Simulate, lower, and differentially test litmus tests.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments, run) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if command is None or command == name:
+            add_arguments(p)
+            p.set_defaults(func=run)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # The top-level parser's one option, -h, takes no value, so argparse
+    # dispatches on the first token without a leading dash.  A dash token it
+    # reads as a positional instead ("-", "-1", "--" on some Pythons) fails
+    # there as an invalid choice, before any subcommand's arguments are read.
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    parser = build_parser(command)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -1,13 +1,15 @@
 """End-to-end command line behaviour, run in process."""
 
+import argparse
 import hashlib
 import json
+import sys
 
 import pytest
 
 from conftest import read_golden
-from litmusdiff import golden_path
-from litmusdiff.cli import MAX_CANDIDATES_ENV, main
+from litmusdiff import cli, golden_path
+from litmusdiff.cli import MAX_CANDIDATES_ENV, build_parser, main
 from litmusdiff.syntax import parse_litmus
 
 SOURCE = str(golden_path("mp-xchg-discard.litmus"))
@@ -59,6 +61,18 @@ def test_simulate_legacy_zero_register(capsys):
     assert code == 0
     assert "1:W3=0; y=2" not in out
     assert out.endswith("No\n")
+
+
+@pytest.mark.parametrize("argv", [
+    (SOURCE, "--legacy-zero-register"),
+    (BUGGY, "--model", "sc", "--legacy-zero-register"),
+], ids=["c11", "sc"])
+def test_simulate_legacy_zero_register_needs_aarch64(capsys, argv):
+    # the flag changes only the aarch64 model; elsewhere it would be ignored
+    code, out, err = run(capsys, "simulate", *argv)
+    assert (code, out) == (2, "")
+    assert err == ("error: --legacy-zero-register applies to the aarch64 "
+                   "model only\n")
 
 
 def test_simulate_json(capsys):
@@ -419,3 +433,102 @@ def test_diff_rejects_a_mapping_that_loses_a_source_observable(
     assert (code, out) == (2, "")
     assert err == ("error: translated outcomes do not range over the source "
                    "observables; check the mapping\n")
+
+
+COMMANDS = ["simulate", "compile", "diff", "generate"]
+
+# Help, usage errors and the dash tokens argparse reads before a
+# subcommand; "{src}" stands for the golden source test and "{out}" for an
+# empty directory of the test's own.
+PARSER_CASES = [
+    [], ["-h"], ["--help"],
+    *([command, "-h"] for command in COMMANDS),
+    ["-h", "simulate"],
+    ["frobnicate", "{src}"], ["sim", "{src}"],
+    ["-1", "diff"], ["-", "diff"], ["--", "diff", "{src}", "--auto-compile"],
+    ["-x", "simulate", "{src}"], ["simulate", "{src}", "-x"],
+    *([command] for command in COMMANDS),
+    ["diff", "--auto-compile"],
+    ["simulate", "{src}", "--model", "x86"],
+    ["simulate", "{src}", "--format", "text"],
+    ["diff", "{src}", "--auto-compile", "--format", "table"],
+    ["generate", "--out-dir", "{out}", "--flag-mechanism", "cas"],
+    ["generate", "--out-dir", "{out}", "--variants", "discard,weird"],
+    ["generate", "--out-dir", "{out}", "--fence-orders", "weird"],
+    ["generate", "--out-dir", "{out}", "--data-store-orders", ","],
+    ["simulate", "{src}", "--max-candidates", "ten"],
+    ["diff", "{src}", "--auto-compile", "--max-candidates", "1.5"],
+    ["generate", "--out-dir", "{out}", "--limit", "x"],
+    ["simulate", "{src}"], ["compile", "{src}"],
+    ["diff", "{src}", "--auto-compile", "--dead-register"],
+    ["generate", "--out-dir", "{out}", "--variants", "discard", "--limit", "2"],
+]
+
+
+def _placed(argv, tmp_path):
+    return [arg.replace("{src}", SOURCE).replace("{out}", str(tmp_path / "out"))
+            for arg in argv]
+
+
+def _argv_id(argv):
+    return " ".join(argv) or "(no arguments)"
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=_argv_id)
+def test_invocation_parser_matches_full_parser(capsys, monkeypatch, tmp_path,
+                                               argv):
+    # Building only the invoked subcommand's arguments changes nothing a
+    # user sees: code, stdout and stderr equal those of the full parser.
+    argv = _placed(argv, tmp_path)
+    got = run(capsys, *argv)
+    assert got[1] or got[2]
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert run(capsys, *argv) == got
+
+
+def _subparsers(parser):
+    [action] = [a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+@pytest.mark.parametrize("command", [None, *COMMANDS, "frobnicate"])
+def test_build_parser_adds_arguments_for_its_command_only(command):
+    subparsers = _subparsers(build_parser(command))
+    assert list(subparsers) == COMMANDS
+    for name, sub in subparsers.items():
+        if command in (None, name):
+            assert len(sub._actions) > 1 and sub.get_default("func")
+        else:
+            assert [a.dest for a in sub._actions] == ["help"]
+            assert sub.get_default("func") is None
+
+
+def test_main_builds_the_parser_of_the_invoked_command(capsys, monkeypatch):
+    built = []
+    full = cli.build_parser
+
+    def spy(command=None):
+        built.append(command)
+        return full(command)
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    for argv in (["-x", "simulate", SOURCE], ["diff", SOURCE, "--auto-compile"],
+                 ["-h"], []):
+        run(capsys, *argv)
+    assert built == ["simulate", "diff", None, None]
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["simulate"], ["simulate", "{src}"],
+                                  ["diff", "{src}", "--auto-compile"]],
+                         ids=_argv_id)
+def test_main_reads_sys_argv_by_default(capsys, monkeypatch, tmp_path, argv):
+    argv = _placed(argv, tmp_path)
+    want = run(capsys, *argv)
+    monkeypatch.setattr(sys, "argv", ["litmusdiff", *argv])
+    code = main()
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == want
+    assert main(tuple(argv)) == want[0]
+    capsys.readouterr()
