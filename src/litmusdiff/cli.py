@@ -265,7 +265,9 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--legacy-zero-register", action="store_true",
         help="treat zero-register destinations as ordinary reads, the way "
-             "models did before the zero-register clarification")
+             "models did before the zero-register clarification; applies "
+             f"to the {MODEL_AARCH64} model only, which in diff is the "
+             "compiled side")
 
 
 def _simulate_arguments(p: argparse.ArgumentParser) -> None:

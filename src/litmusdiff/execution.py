@@ -1,41 +1,41 @@
 """Candidate executions and outcome sets.
 
-A test's threads are turned into memory events (reads, writes, fences), then
-the coherent candidates are enumerated: each location's coherence orders and
-reads-from choices are searched on their own, those that make per-location
-program order, reads-from, coherence and from-reads cyclic are dropped, and
-the rest are combined across locations.  Every model demands this
-per-location coherence, so the candidates are exactly the brute-force ones
-that are coherent.  A memory model module decides which candidates are
-consistent; the final states of the survivors form the test's outcome set.
+A test's threads are turned into memory events (reads, writes, fences), and
+its coherent candidates are enumerated: each location's coherence orders
+and reads-from choices are searched on their own, those that make
+per-location program order, rf, co and fr cyclic are dropped, and the rest
+are combined across locations.  Every model demands this per-location
+coherence, so the candidates are exactly the coherent brute-force ones.
+How many choices the search examines follows from the event graph's shape
+alone, so the candidate limit is checked before any search.  A memory
+model module decides which candidates are consistent; the final states of
+the survivors form the test's outcome set.
 
-Value flow is static: every write's value is either a program constant or a
-copy of what some earlier read in the same thread returned.  So a
-candidate's final state, and whether its values settle at all, follow from
-a few terms of its location choices: the value source of each observed
-location's co-last write and of the rf source of each read that an observed
-register or a copying write draws on.  Choices are grouped by those terms,
-each combination of groups is resolved to its outcome before any candidate
-is built, and combinations whose values never settle (a read feeding its
-own rf source through a cycle of copies) are dropped there.  The enumerator
-yields each outcome once, with its products: a product is one combination
-of groups, one group per location, and its candidates, built lazily, are
-the groups' choices crossed.  A built candidate carries only the
-``com`` and ``eco_before`` rows the models read, the unions of its
-choices' rows; rf, co and values follow from its choices on demand.  A
+Value flow is static: every write's value is a program constant or a copy
+of what an earlier read of its thread returned.  So a candidate's final
+state, and whether its values settle at all, follow from a few terms of its
+location choices: the value source of each observed location's co-last
+write and of the rf source of each read that an observed register or a
+copying write draws on.  Choices are grouped by those terms, and each
+combination of groups is resolved to its outcome and to the constant each
+term comes to before any candidate is built; combinations whose values never
+settle (a read feeding its own rf source through a cycle of copies) are
+dropped there.  The enumerator yields each outcome once, with its products:
+a product is one group per location, and its candidates, built lazily, are
+the groups' choices crossed.  A built candidate carries only the ``com``
+and ``eco_before`` rows the models read, the unions of its choices' rows,
+and its class's resolved sources; rf, co and values follow on demand.  A
 choice's rows take one walk up and one walk down its coherence order, and
-each choice's rows are built at most once per enumeration, however many
-candidates and meets use them.
+are built at most once per enumeration, however many candidates and meets
+use them.
 
 The models are antitone in ``(com, eco_before)``: removing edges never
-turns a consistent execution inconsistent, so adding edges never turns a
-rejected one consistent.  A product's ``meet`` is the execution whose rows
-are, location by location, the AND of the rows of every choice in the
-product; locations touch disjoint events, so it is exactly the
-intersection of the product's candidates.  When the meet is rejected,
-every candidate of the product is, and ``allowed_outcomes`` skips them.
-A group sits in many products, so its AND is taken once and shared, and a
-meet only unions its groups' ANDs.
+turns a consistent execution inconsistent.  A product's ``meet`` has, per
+location, the AND of the rows of every choice in the product; locations
+touch disjoint events, so it is exactly the intersection of the product's
+candidates, and when it is rejected so is every candidate, which
+``allowed_outcomes`` then skips.  A group sits in many products, so its
+AND is taken once and shared, and a meet only unions its groups' ANDs.
 """
 
 from __future__ import annotations
@@ -138,11 +138,32 @@ class EventGraph:
         return tuple(e for e in self.events if e.kind is EventKind.FENCE)
 
     @cached_property
-    def writes_by_loc(self) -> dict[str, tuple[int, ...]]:
-        out: dict[str, list[int]] = {loc: [] for loc in self.test.locations}
-        for e in self.writes:
-            out[e.loc].append(e.eid)
-        return {loc: tuple(eids) for loc, eids in out.items()}
+    def shapes(self) -> dict[str, tuple[int, dict[int, list[int]], list[int]]]:
+        """Per location: its init write, its other writes as one chain per
+        thread, and its plain (non-exchange) reads, in program order."""
+        out: dict = {}
+        for e in self.events:
+            if e.is_init:
+                out[e.loc] = (e.eid, {}, [])
+            elif e.kind is EventKind.WRITE:
+                out[e.loc][1].setdefault(e.tid, []).append(e.eid)
+            elif e.kind is EventKind.READ and e.rmw is None:
+                out[e.loc][2].append(e.eid)
+        return out
+
+    @cached_property
+    def examined_choices(self) -> int:
+        """How many ``(co, rf)`` choices the per-location search examines:
+        per location, the interleavings of its threads' write chains times
+        one of its writes (init included) per plain read."""
+        total = 0
+        for _, chains, plain in self.shapes.values():
+            orders, placed = 1, 0
+            for chain in chains.values():
+                placed += len(chain)
+                orders *= math.comb(placed, len(chain))
+            total += orders * (1 + placed) ** len(plain)
+        return total
 
     @cached_property
     def rmw_pairs(self) -> tuple[tuple[int, int], ...]:
@@ -288,9 +309,9 @@ def build_events(test: LitmusTest) -> EventGraph:
 class Execution:
     """One candidate: a coherence order per location, a reads-from map, the
     values they induce, and the ``com`` (``rf | co | fr``) and ``eco_before``
-    rows the models read.  The enumerator's candidates (``of_choices``) carry
-    only the rows and derive the rest from their choices when first read;
-    a product's meet (``of_rows``) has the rows alone."""
+    rows the models read.  A product's candidates carry the rows, their
+    choices and their class's resolved ``sources``, and derive the rest on
+    first read; a product's meet (``of_rows``) has the rows alone."""
 
     def __init__(self, graph: EventGraph, rf, co, values, registers):
         self.graph, self.rf, self.co = graph, rf, co
@@ -307,14 +328,6 @@ class Execution:
         execution.com, execution.eco_before = map(_union, zip(*rows))
         return execution
 
-    @classmethod
-    def of_choices(cls, graph: EventGraph, choices, writes, rows) -> Execution:
-        """The candidate of one ``(co, rf)`` choice per sorted location, with
-        every write's value and the choices' ``_location_rows``."""
-        execution = cls.of_rows(graph, rows)
-        execution.choices, execution.writes = choices, writes
-        return execution
-
     @cached_property
     def rf(self) -> dict[int, int]:
         return {r: w for _, sources in self.choices for r, w in sources}
@@ -326,9 +339,13 @@ class Execution:
 
     @cached_property
     def values(self) -> dict[int, int]:
-        """Every write's value, and every read's from its rf source."""
-        return {**self.writes,
-                **{r: self.writes[w] for r, w in self.rf.items()}}
+        """Every write's value, a copy's from its class's resolved sources,
+        and every read's from its rf source."""
+        writes = {}
+        for w in self.graph.writes:
+            kind, key = w.value_src
+            writes[w.eid] = self.sources[key][1] if kind == "read" else key
+        return {**writes, **{r: writes[w] for r, w in self.rf.items()}}
 
     @cached_property
     def registers(self) -> dict[tuple[int, str], int]:
@@ -421,51 +438,48 @@ def _merges(chains: list[list[int]]) -> Iterator[tuple[int, ...]]:
             yield tuple(merged)
 
 
-def _location_choices(graph: EventGraph, loc: str, drawn, count) -> dict:
+def _location_choices(graph: EventGraph, loc: str, drawn) -> dict:
     """The coherent ``(co, rf)`` choices on one location, grouped by
-    signature.
+    signature; ``EventGraph.examined_choices`` counts those examined.
 
     Coherence orders are the init write followed by a merge of each
     thread's writes in program order (CoWW); exchange reads read the write
-    just before their own.  Every event gets a key: twice its coherence
-    position for a write, one more than its rf source's key for a read.
-    Communication on one location then runs from lower to higher keys, so
-    ``po-loc | rf | co | fr`` is acyclic exactly when no po-loc pair goes
-    down in key (CoWR, CoRW, CoRR).  A signature is all the outcome can
-    read of a choice: the value source of the co-last write if the location
-    is in ``drawn``, then each read in ``drawn`` with the value source of
-    its rf source.  ``count`` is told how many choices are about to be
-    examined before they are.  As a sanity net, each coherence order
-    asserts that it permutes the location's writes with init first, that
-    its writes are on the location (every rf source is drawn from them) and
-    that exchange reads read their own write's immediate co-predecessor.
+    just before their own, which bakes in read-modify-write atomicity
+    instead of generating and filtering its violations.  Every event gets
+    a key: twice its coherence position for a write, one more than its rf
+    source's key for a read.  Communication on one location then runs from
+    lower to higher keys, so ``po-loc | rf | co | fr`` is acyclic exactly
+    when no po-loc pair goes down in key (CoWR, CoRW, CoRR).  A signature
+    is all the outcome can read of a choice: the value source of the
+    co-last write if the location is in ``drawn``, then each read in
+    ``drawn`` with the value source of its rf source.  As a sanity net,
+    each coherence order asserts that it permutes the location's writes
+    with init first, that its writes are on the location (every rf source
+    is drawn from them) and that exchange reads read their own write's
+    immediate co-predecessor.
     """
-    init, *writes = graph.writes_by_loc[loc]
-    chains: dict[int, list[int]] = {}
-    for w in writes:
-        chains.setdefault(graph.events[w].tid, []).append(w)
-    rmw_write = dict(graph.rmw_pairs)
-    reads = [r.eid for r in graph.reads if r.loc == loc]
-    plain = [r for r in reads if r not in rmw_write]
-    forced = [(r, rmw_write[r]) for r in reads if r in rmw_write]
-    rf_reads = [*plain, *(r for r, _ in forced)]
+    init, chains, plain = graph.shapes[loc]
+    exchanges = [(r, w) for r, w in graph.rmw_pairs
+                 if graph.events[r].loc == loc]
+    rf_reads = [*plain, *(r for r, _ in exchanges)]
     signed = [(i, r) for i, r in enumerate(rf_reads) if r in drawn]
-    po_loc = [(a, b) for a in (init, *writes, *reads)
+    value_src = {w: graph.events[w].value_src
+                 for w in (init, *itertools.chain(*chains.values()))}
+    po_loc = [(a, b) for a in (*value_src, *rf_reads)
               for b in bits(graph.po_loc[a])]
-    value_src = {w: graph.events[w].value_src for w in (init, *writes)}
+    writes = sorted(value_src)
     groups: dict[tuple, list] = {}
     for tail in _merges(list(chains.values())):
         co = (init, *tail)
-        assert sorted(co) == [init, *writes] and graph.events[init].is_init
+        assert sorted(co) == writes and graph.events[init].is_init
         assert all(graph.events[w].loc == loc for w in co)
         key = {w: 2 * i for i, w in enumerate(co)}
         fixed = []
-        for r, w in forced:
+        for r, w in exchanges:
             source = co[co.index(w) - 1]
             assert co.index(w) - co.index(source) == 1
             key[r] = key[source] + 1
             fixed.append((r, source))
-        count(len(co) ** len(plain))
         last = ((loc, value_src[co[-1]]),) if loc in drawn else ()
         for sources in itertools.product(co, repeat=len(plain)):
             for r, w in zip(plain, sources):
@@ -481,29 +495,26 @@ def _location_choices(graph: EventGraph, loc: str, drawn, count) -> dict:
     return groups
 
 
-def _class_outcome(combo, terms, constants, copies):
+def _class_outcome(combo, terms):
     """The outcome, as its items, of every candidate whose location choices
     have the signatures of ``combo`` (pairs of a signature and its group),
-    with the values of all writes; None when the drawn reads' values copy
-    themselves through rf and never settle.  Every read on such a copy
-    cycle is drawn, so only then does some candidate's value go
-    unsettled; without copying writes every source is a constant."""
+    with the signatures' value sources resolved to constants; None when
+    the drawn reads' values copy themselves through rf and never settle.
+    Every read on such a copy cycle is drawn, so only then does some
+    candidate's value go unsettled."""
     sources: dict = {}
     for signature, _ in combo:
         sources.update(signature)
-    writes = constants
-    if copies:
-        for key, src in sources.items():
-            hops = 0
-            while src[0] == "read":
-                hops += 1
-                if hops > len(sources):
-                    return None
-                src = sources[src[1]]
-            sources[key] = src
-        writes = {**constants, **{w: sources[r][1] for w, r in copies}}
+    for key, src in sources.items():
+        hops = 0
+        while src[0] == "read":
+            hops += 1
+            if hops > len(sources):
+                return None
+            src = sources[src[1]]
+        sources[key] = src
     return tuple([(label, sources[src[1]][1] if src[0] == "read" else src[1])
-                  for label, src in terms]), writes
+                  for label, src in terms]), sources
 
 
 class _Group:
@@ -535,10 +546,10 @@ class _Group:
 class Product:
     """One member of an outcome class: a group of ``(co, rf)`` choices per
     sorted location, all of one signature, crossed.  Its candidates share
-    the class's outcome and the values of all writes."""
+    the class's outcome and its resolved value sources."""
 
-    def __init__(self, graph: EventGraph, groups: list[_Group], writes):
-        self.graph, self.groups, self.writes = graph, groups, writes
+    def __init__(self, graph: EventGraph, groups: list[_Group], sources):
+        self.graph, self.groups, self.sources = graph, groups, sources
 
     def __len__(self) -> int:
         return math.prod(map(len, self.groups))
@@ -546,9 +557,11 @@ class Product:
     def __iter__(self) -> Iterator[Execution]:
         groups = self.groups
         for picked in itertools.product(*(range(len(g)) for g in groups)):
-            yield Execution.of_choices(
-                self.graph, [g.choices[i] for g, i in zip(groups, picked)],
-                self.writes, [g.rows(i) for g, i in zip(groups, picked)])
+            execution = Execution.of_rows(
+                self.graph, [g.rows(i) for g, i in zip(groups, picked)])
+            execution.choices = [g.choices[i] for g, i in zip(groups, picked)]
+            execution.sources = self.sources
+            yield execution
 
     def meet(self) -> Execution:
         """The intersection of the candidates: per location, the AND of the
@@ -557,73 +570,55 @@ class Product:
                                  [group.meet for group in self.groups])
 
 
+def _charge(examined: int, limit: int) -> None:
+    if examined > limit:
+        raise ResourceLimitError(
+            f"candidate executions exceed the limit of {limit}")
+
+
 def enumerate_candidates(
     graph: EventGraph, max_candidates: int | None = None
 ) -> Iterator[tuple[Outcome, list[Product]]]:
     """Yield each outcome of the coherent, value-consistent candidate
-    executions once, with the products whose candidates have it.
+    executions once, with the products whose candidates have it, in order.
 
-    Each location's coherence order and reads-from choices are searched on
-    their own, and only choices that keep ``po-loc | rf | co | fr`` acyclic
-    on that location survive; candidates are the product of the survivors
-    across locations.  Every model requires this per-location coherence, so
-    no consistent candidate is lost.  Coherence orders keep the init write
-    first.  An exchange's read is forced to read from the write immediately
-    before its own write in coherence order; that bakes in read-modify-write
-    atomicity instead of generating and filtering the violations.
-
-    A candidate's outcome and whether its values settle depend only on its
-    location choices' signatures (see ``_location_choices``).  So choices
-    are grouped by signature, each combination of groups is resolved to an
-    outcome once, and combinations with value cycles are dropped there; the
-    rest are the class's products, in order.  A candidate is built only
-    when its product's iterator reaches it.  A choice's ``_location_rows``
-    are built when a built candidate or a meet first uses them, and a
-    group's AND when a meet of a product holding it is first checked; both
-    at most once per call, and kept no longer than its products.
+    Each combination of the groups of ``_location_choices`` is resolved
+    once (``_class_outcome``), and combinations with value cycles are
+    dropped there.  A candidate is built only when its product's iterator
+    reaches it.  A choice's ``_location_rows`` are built when a built
+    candidate or a meet first uses them, and a group's AND when a meet
+    holding it is first checked; both at most once per call.
 
     Raises ResourceLimitError, before the first class, once more than
     ``max_candidates`` choices would be examined: each per-location choice
-    and each combination of them counts once, built or not.
+    and each combination of them counts once, built or not.  The former
+    are counted from the graph's shape (``EventGraph.examined_choices``)
+    before any search, the latter once the survivors are grouped.
     """
     limit = DEFAULT_MAX_CANDIDATES if max_candidates is None else max_candidates
-    examined = 0
-
-    def count(choices: int) -> None:
-        nonlocal examined
-        examined += choices
-        if examined > limit:
-            raise ResourceLimitError(
-                f"candidate executions exceed the limit of {limit}")
-
+    _charge(graph.examined_choices, limit)
     # Where each label's final value comes from: a register's value source,
     # or ("read", location) for the value of the location's co-last write.
     terms = [(label, ("read", obs.location) if isinstance(obs, MemoryObservable)
               else graph.final_defs[(obs.thread, obs.register)])
              for label, obs in graph.final_observables]
-    constants = {}
-    copies = []
-    for w in graph.writes:
-        kind, source = w.value_src
-        if kind == "const":
-            constants[w.eid] = source
-        else:
-            copies.append((w.eid, source))
     # The reads whose rf source the outcome or a copying write draws on.
     drawn = {key for _, (kind, key) in terms if kind == "read"}
-    drawn.update(r for _, r in copies)
+    drawn.update(key for kind, key in (w.value_src for w in graph.writes)
+                 if kind == "read")
     size = len(graph.events)
     groups = [{signature: _Group(choices, size) for signature, choices
-               in _location_choices(graph, loc, drawn, count).items()}
+               in _location_choices(graph, loc, drawn).items()}
               for loc in graph.test.sorted_locations()]
-    count(math.prod(sum(map(len, group.values())) for group in groups))
+    _charge(graph.examined_choices + math.prod(
+        sum(map(len, group.values())) for group in groups), limit)
     classes: dict[tuple, list] = {}
     for combo in itertools.product(*(group.items() for group in groups)):
-        resolved = _class_outcome(combo, terms, constants, copies)
+        resolved = _class_outcome(combo, terms)
         if resolved is not None:
-            items, writes = resolved
+            items, sources = resolved
             classes.setdefault(items, []).append(Product(
-                graph, [group for _, group in combo], writes))
+                graph, [group for _, group in combo], sources))
     for items, products in classes.items():
         yield Outcome(items), products
 

@@ -30,7 +30,6 @@ from litmusdiff.litmus import (
     LOAD_ORDERS,
     STORE_ORDERS,
     MemoryOrder,
-    StmtKind,
 )
 from litmusdiff.lowering import dead_register_pass, lower_test
 from litmusdiff.model_aarch64 import aarch64_consistent
@@ -115,11 +114,6 @@ def strengthen(test):
     return dataclasses.replace(test, threads=tuple(threads))
 
 
-def has_fence(test):
-    return any(s.kind is StmtKind.FENCE
-               for t in test.threads for s in t.stmts)
-
-
 def pair_closure(pairs):
     """Transitive closure of a set of pairs: compose until nothing is new."""
     closure = set(pairs)
@@ -185,6 +179,28 @@ def naive_choices(test):
         writes = kinds.count("W")
         count *= math.factorial(writes - 1) * writes ** kinds.count("R")
     return count
+
+
+def naive_examined_choices(test):
+    """The reference for ``EventGraph.examined_choices``, over
+    ``naive_oracle.flatten_events`` dicts: per location, the permutations
+    of its non-init writes that keep each thread's writes in program order,
+    times one of its writes (init included) for each of its reads that is
+    not an exchange's."""
+    events, rmw_pairs, _ = naive_oracle.flatten_events(test)
+    exchange_reads = {r for r, _ in rmw_pairs}
+    total = 0
+    for loc in test.locations:
+        init, *writes = [e for e in events
+                         if e["kind"] == "W" and e["loc"] == loc]
+        orders = sum(
+            all(a["id"] < b["id"] for a, b in itertools.combinations(order, 2)
+                if a["tid"] == b["tid"])
+            for order in itertools.permutations(writes))
+        plain = [e for e in events if e["kind"] == "R" and e["loc"] == loc
+                 and e["id"] not in exchange_reads]
+        total += orders * (1 + len(writes)) ** len(plain)
+    return total
 
 
 def free_choices(test):
@@ -271,7 +287,7 @@ def check_location_rows_law(test):
     size = len(graph.events)
     checked = 0
     for loc in test.sorted_locations():
-        groups = execution._location_choices(graph, loc, set(), lambda _: None)
+        groups = execution._location_choices(graph, loc, set())
         for co, rf in itertools.chain.from_iterable(groups.values()):
             assert execution._location_rows(co, rf, size) \
                 == pairwise_location_rows(co, rf, size), (test.name, co, rf)

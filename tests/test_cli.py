@@ -75,6 +75,17 @@ def test_simulate_legacy_zero_register_needs_aarch64(capsys, argv):
                    "model only\n")
 
 
+@pytest.mark.parametrize("command", ["simulate", "diff"])
+def test_legacy_zero_register_help_names_its_model(capsys, command):
+    # one help text serves both subcommands, so it names diff's side too
+    code, out, _ = run(capsys, command, "-h")
+    assert code == 0
+    assert ("--legacy-zero-register treat zero-register destinations as "
+            "ordinary reads, the way models did before the zero-register "
+            "clarification; applies to the aarch64 model only, which in "
+            "diff is the compiled side") in " ".join(out.split())
+
+
 def test_simulate_json(capsys):
     code, out, _ = run(capsys, "simulate", SOURCE, "--format", "json")
     assert code == 0

@@ -8,7 +8,13 @@ import pytest
 
 import support
 from interleaving_oracle import interleaving_outcomes
-from litmusdiff import golden_path, model_aarch64, model_c11, model_sc
+from litmusdiff import (
+    execution,
+    golden_path,
+    model_aarch64,
+    model_c11,
+    model_sc,
+)
 from litmusdiff.execution import (
     DialectMismatchError,
     INIT_TID,
@@ -193,13 +199,47 @@ def _one_location_writes(threads, per_thread):
 def test_candidate_limit_bounds_per_location_search(per_thread):
     # 8 or 16 writes to x across four threads: 2,520 or about 6.3e7 orders
     # that respect program order, out of 8! or 16! permutations.  The
-    # search counts each order it examines and stops at the limit instead
-    # of listing them all first.
+    # orders are counted from the test's shape, so the limit fires before
+    # any of them is listed.
     graph = build_events(_one_location_writes(4, per_thread))
     started = time.perf_counter()
     with pytest.raises(ResourceLimitError, match="limit of 1000"):
         candidates(graph, 1000)
     assert time.perf_counter() - started < 1.0
+
+
+def test_default_limit_fails_fast():
+    # 4 threads x 4 relaxed stores to x: 63,063,000 coherence orders, over
+    # the default limit of a million.  A count charged while the orders are
+    # walked would take tens of seconds to reach the limit.
+    graph = build_events(_one_location_writes(4, 4))
+    assert graph.examined_choices == 63_063_000
+    started = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="limit of 1000000$"):
+        candidates(graph)
+    assert time.perf_counter() - started < 1.0
+
+
+@pytest.mark.parametrize("path", sorted(MP_RELSEQ_4T.parent.parent.rglob(
+    "*.litmus")), ids=lambda path: path.stem)
+def test_limit_below_the_choices_stops_before_any_search(monkeypatch, path):
+    # A limit below the per-location choices raises without searching a
+    # location; a limit of exactly that many searches every location.
+    graph = build_events(parse_litmus(path.read_text()))
+    searched = []
+    choices = execution._location_choices
+
+    def counted(graph, loc, drawn):
+        searched.append(loc)
+        return choices(graph, loc, drawn)
+
+    monkeypatch.setattr(execution, "_location_choices", counted)
+    with pytest.raises(ResourceLimitError):
+        candidates(graph, graph.examined_choices - 1)
+    assert searched == []
+    with pytest.raises(ResourceLimitError):
+        candidates(graph, graph.examined_choices)
+    assert searched == graph.test.sorted_locations()
 
 
 def test_incoherent_choices_never_yielded():

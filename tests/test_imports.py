@@ -1,5 +1,7 @@
-"""Every name a package module imports is used in that module, and every
-function, method and property the package defines is referenced in it."""
+"""Every name a package module imports is used in that module, every
+function, method and property the package defines is referenced in it, and
+every one the shared test helpers define is referenced by some test or
+benchmark file."""
 
 import ast
 import pathlib
@@ -11,6 +13,8 @@ import litmusdiff
 
 MODULES = sorted(pathlib.Path(litmusdiff.__file__).parent.glob("*.py"))
 TESTS = pathlib.Path(__file__).resolve().parent
+TEST_HELPERS = [TESTS / name for name in
+                ("support.py", "naive_oracle.py", "interleaving_oracle.py")]
 
 # Definitions that no program path calls, each with the test file that
 # calls it: the brute-force oracle projects its candidates with
@@ -77,13 +81,15 @@ def references(tree):
     return found
 
 
-def dead_definitions(sources):
+def dead_definitions(sources, readers=()):
     """Functions, methods and properties defined in ``sources`` whose name
-    nothing outside their own body references.  Dunder methods are exempt.
-    The scan goes by name, so a variable or attribute of the same name
-    anywhere in ``sources`` counts as a reference."""
+    nothing outside their own body, in ``sources`` or ``readers``,
+    references.  Dunder methods are exempt.  The scan goes by name, so a
+    variable or attribute of the same name anywhere counts as a
+    reference."""
     trees = [ast.parse(source) for source in sources]
-    total = sum(map(references, trees), Counter())
+    total = sum(map(references, [*trees, *map(ast.parse, readers)]),
+                Counter())
     return sorted(
         node.name for tree in trees for node in ast.walk(tree)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
@@ -107,6 +113,8 @@ def test_scanner_finds_dead_definitions():
     ])
     assert dead_definitions([source, "def used(): pass"]) \
         == ["caller", "method", "recursive"]
+    assert dead_definitions([source], ["caller()", "used()", "C().method"]) \
+        == ["recursive"]
 
 
 def test_every_definition_is_referenced():
@@ -114,3 +122,11 @@ def test_every_definition_is_referenced():
         == sorted(CALLED_ONLY_FROM_TESTS)
     for name, caller in CALLED_ONLY_FROM_TESTS.items():
         assert name in (TESTS / caller).read_text(), (name, caller)
+
+
+def test_every_test_helper_is_referenced():
+    readers = [path for path in (*TESTS.glob("*.py"),
+                                 *(TESTS.parent / "perfbench").glob("*.py"))
+               if path not in TEST_HELPERS]
+    assert dead_definitions([path.read_text() for path in TEST_HELPERS],
+                            [path.read_text() for path in readers]) == []

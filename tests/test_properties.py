@@ -8,7 +8,8 @@ are exactly those of the models applied to every oracle candidate), and
 the sc model gives the interleaving oracle's outcomes and accepts no
 candidate that the dialect's model rejects.  Each is checked on the
 corpus, on random tests and on the benchmark's larger inputs.  The
-relation rows every candidate carries match their set-of-pairs reading.
+relation rows every candidate carries match their set-of-pairs reading,
+and the choices the candidate limit counts match a brute-force count.
 Both models are antitone in those rows, so a product whose meet is
 rejected has no consistent candidate, and the model calls that this
 saves are pinned on the larger inputs.
@@ -423,6 +424,25 @@ def test_location_rows_equal_the_pairwise_reference(test):
     assert support.check_location_rows_law(test) > 0
 
 
+# ``--max-candidates`` counts each per-location choice the search examines.
+# That count is worked out from the event graph's shape before any search;
+# the reference lists every write order and filters it.
+@pytest.mark.parametrize(
+    "test", [*LADDER, *(lower_test(test)[0] for test in LADDER), *ASM_INPUTS,
+             *GOLDEN],
+    ids=lambda test: test.name)
+def test_examined_choices_equal_the_brute_force_count(test):
+    assert build_events(test).examined_choices \
+        == support.naive_examined_choices(test)
+
+
+@pytest.mark.parametrize("test", CORPUS, ids=IDS)
+def test_examined_choices_equal_the_brute_force_count_across_corpus(test):
+    for subject in (test, lower_test(test)[0]):
+        assert build_events(subject).examined_choices \
+            == support.naive_examined_choices(subject)
+
+
 @pytest.mark.parametrize("test", CORPUS, ids=IDS)
 def test_row_laws_hold_across_corpus(test):
     for subject in (test, lower_test(test)[0]):
@@ -708,6 +728,18 @@ def test_dropping_edges_keeps_candidates_consistent_on_random_tests(test,
 def test_row_laws_hold_on_random_tests(test):
     support.check_row_laws(test)
     support.check_row_laws(lower_test(test)[0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(small_source_tests(max_stmts=2, max_threads=3),
+                 small_asm_tests(), release_acquire_chains()))
+def test_examined_choices_equal_the_brute_force_count_on_random_tests(test):
+    assert build_events(test).examined_choices \
+        == support.naive_examined_choices(test)
+    if test.dialect is Dialect.SOURCE:
+        compiled = lower_test(test)[0]
+        assert build_events(compiled).examined_choices \
+            == support.naive_examined_choices(compiled)
 
 
 @settings(max_examples=60, deadline=None)
