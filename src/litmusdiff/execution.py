@@ -2,14 +2,14 @@
 
 A test's threads are turned into memory events (reads, writes, fences), and
 its coherent candidates are enumerated: each location's coherence orders
-and reads-from choices are searched on their own, those that make
-per-location program order, rf, co and fr cyclic are dropped, and the rest
-are combined across locations.  Every model demands this per-location
+and reads-from choices are searched on their own, only those that keep
+per-location program order, rf, co and fr acyclic are made, and they are
+combined across locations.  Every model demands this per-location
 coherence, so the candidates are exactly the coherent brute-force ones.
-How many choices the search examines follows from the event graph's shape
-alone, so the candidate limit is checked before any search.  A memory
-model module decides which candidates are consistent; the final states of
-the survivors form the test's outcome set.
+The candidate limit is checked before any search, against a budget from
+the graph's shape, not the number of choices made.  A memory model module
+decides which candidates are consistent; the final states of the
+survivors form the test's outcome set.
 
 Value flow is static: every write's value is a program constant or a copy
 of what an earlier read of its thread returned.  So a candidate's final
@@ -64,7 +64,7 @@ from .litmus import (
     condition_observables,
     observable_label,
 )
-from .relations import Rows, bits
+from .relations import Rows
 
 MODEL_C11 = "c11"
 MODEL_AARCH64 = "aarch64"
@@ -138,31 +138,41 @@ class EventGraph:
         return tuple(e for e in self.events if e.kind is EventKind.FENCE)
 
     @cached_property
-    def shapes(self) -> dict[str, tuple[int, dict[int, list[int]], list[int]]]:
-        """Per location: its init write, its other writes as one chain per
-        thread, and its plain (non-exchange) reads, in program order."""
+    def shapes(self) -> dict[str, tuple[int, dict[int, list[int]], list]]:
+        """Per location, in program order: its init write, a write chain per
+        thread, and runs ``[a, b, reads]``: a thread's plain (non-exchange)
+        reads between its writes ``a`` (or init) and ``b`` (or None)."""
         out: dict = {}
+        open_runs: dict = {}
         for e in self.events:
+            key = (e.loc, e.tid)
             if e.is_init:
                 out[e.loc] = (e.eid, {}, [])
             elif e.kind is EventKind.WRITE:
                 out[e.loc][1].setdefault(e.tid, []).append(e.eid)
+                if key in open_runs:
+                    open_runs.pop(key)[1] = e.eid
             elif e.kind is EventKind.READ and e.rmw is None:
-                out[e.loc][2].append(e.eid)
+                init, chains, runs = out[e.loc]
+                if key not in open_runs:
+                    a = chains[e.tid][-1] if e.tid in chains else init
+                    runs.append(open_runs.setdefault(key, [a, None, []]))
+                open_runs[key][2].append(e.eid)
         return out
 
     @cached_property
     def examined_choices(self) -> int:
-        """How many ``(co, rf)`` choices the per-location search examines:
-        per location, the interleavings of its threads' write chains times
-        one of its writes (init included) per plain read."""
+        """A budget worked out from the shape, not the number of choices
+        the search makes: per location, the interleavings of its threads'
+        write chains times one of its writes (init included) per plain
+        read."""
         total = 0
-        for _, chains, plain in self.shapes.values():
+        for _, chains, runs in self.shapes.values():
             orders, placed = 1, 0
             for chain in chains.values():
                 placed += len(chain)
                 orders *= math.comb(placed, len(chain))
-            total += orders * (1 + placed) ** len(plain)
+            total += orders * (1 + placed) ** sum(len(r[2]) for r in runs)
         return total
 
     @cached_property
@@ -392,11 +402,12 @@ def _location_rows(co, rf, size: int) -> tuple[Rows, Rows]:
     ``co`` and the pairs of ``rf`` whose source is in it.  Since ``rf;co``,
     ``rf;rf``, ``co;fr`` and ``fr;fr`` are empty, ``rf;fr`` is in ``co`` and
     ``fr;co`` in ``fr``, so ``eco = rf | (co | fr);rf?`` orders the events
-    by coherence key (see ``_location_choices``), for any co and rf.  One
-    walk up ``co`` gathers each write's ``eco_before``: the writes co-before
-    it and their readers, and for a reader of the write the write too.  One
-    walk down gathers ``com``: the writes co-after a write, and for the
-    write alone its own readers."""
+    by coherence key, twice the co position for a write and one more than
+    its rf source's for a read, for any co and rf.  One walk up ``co``
+    gathers each write's ``eco_before``: the writes co-before it and their
+    readers, and for a reader of the write the write too.  One walk down
+    gathers ``com``: the writes co-after a write, and for the write alone
+    its own readers."""
     readers: dict[int, list[int]] = {w: [] for w in co}
     for r, w in rf:
         if w in readers:
@@ -440,58 +451,47 @@ def _merges(chains: list[list[int]]) -> Iterator[tuple[int, ...]]:
 
 def _location_choices(graph: EventGraph, loc: str, drawn) -> dict:
     """The coherent ``(co, rf)`` choices on one location, grouped by
-    signature; ``EventGraph.examined_choices`` counts those examined.
-
-    Coherence orders are the init write followed by a merge of each
-    thread's writes in program order (CoWW); exchange reads read the write
-    just before their own, which bakes in read-modify-write atomicity
-    instead of generating and filtering its violations.  Every event gets
-    a key: twice its coherence position for a write, one more than its rf
-    source's key for a read.  Communication on one location then runs from
-    lower to higher keys, so ``po-loc | rf | co | fr`` is acyclic exactly
-    when no po-loc pair goes down in key (CoWR, CoRW, CoRR).  A signature
-    is all the outcome can read of a choice: the value source of the
-    co-last write if the location is in ``drawn``, then each read in
-    ``drawn`` with the value source of its rf source.  As a sanity net,
-    each coherence order asserts that it permutes the location's writes
-    with init first, that its writes are on the location (every rf source
-    is drawn from them) and that exchange reads read their own write's
-    immediate co-predecessor.
+    signature; ``EventGraph.examined_choices`` is a budget from the shape,
+    not the number made.  A coherence order is init, then a merge of the
+    threads' write chains (CoWW); an exchange read reads the write just
+    before its own (atomicity).  Coherence binds only a thread's own
+    accesses: a run of its plain reads between its writes ``a`` and ``b``
+    (``EventGraph.shapes``) reads from ``co[pos(a):pos(b)]``, from init
+    without ``a`` and to the end without ``b`` (CoWR, CoRW), and never
+    below an earlier read's source (CoRR).  So its sources are the
+    ``combinations_with_replacement`` of that window, and the rf choices
+    the product of the runs'.  Exchanges add no bound beyond their write: a
+    read po-before one reads below its write, one po-after at or above it,
+    and the write directly follows the exchange read.  Runs list the plain
+    reads in id order and windows are in co order, so the choices come in
+    the order of ``itertools.product(co, repeat=len(plain))``, filtered.  A
+    signature is all the outcome can read of a choice: the co-last write's
+    value source if the location is in ``drawn``, then each read in
+    ``drawn`` with its rf source's.
     """
-    init, chains, plain = graph.shapes[loc]
+    init, chains, runs = graph.shapes[loc]
+    plain = [r for *_, reads in runs for r in reads]
     exchanges = [(r, w) for r, w in graph.rmw_pairs
                  if graph.events[r].loc == loc]
     rf_reads = [*plain, *(r for r, _ in exchanges)]
     signed = [(i, r) for i, r in enumerate(rf_reads) if r in drawn]
     value_src = {w: graph.events[w].value_src
                  for w in (init, *itertools.chain(*chains.values()))}
-    po_loc = [(a, b) for a in (*value_src, *rf_reads)
-              for b in bits(graph.po_loc[a])]
-    writes = sorted(value_src)
     groups: dict[tuple, list] = {}
     for tail in _merges(list(chains.values())):
         co = (init, *tail)
-        assert sorted(co) == writes and graph.events[init].is_init
+        assert sorted(co) == sorted(value_src) and graph.events[init].is_init
         assert all(graph.events[w].loc == loc for w in co)
-        key = {w: 2 * i for i, w in enumerate(co)}
-        fixed = []
-        for r, w in exchanges:
-            source = co[co.index(w) - 1]
-            assert co.index(w) - co.index(source) == 1
-            key[r] = key[source] + 1
-            fixed.append((r, source))
+        fixed = [(r, co[co.index(w) - 1]) for r, w in exchanges]
         last = ((loc, value_src[co[-1]]),) if loc in drawn else ()
-        for sources in itertools.product(co, repeat=len(plain)):
-            for r, w in zip(plain, sources):
-                key[r] = key[w] + 1
-            for a, b in po_loc:
-                if key[a] > key[b]:
-                    break
-            else:
-                rf = (*zip(plain, sources), *fixed)
-                signature = last + tuple(
-                    [(r, value_src[rf[i][1]]) for i, r in signed])
-                groups.setdefault(signature, []).append((co, rf))
+        windows = [itertools.combinations_with_replacement(
+            co[co.index(a):len(co) if b is None else co.index(b)], len(reads))
+            for a, b, reads in runs]
+        for picked in itertools.product(*windows):
+            rf = (*zip(plain, itertools.chain(*picked)), *fixed)
+            signature = last + tuple(
+                [(r, value_src[rf[i][1]]) for i, r in signed])
+            groups.setdefault(signature, []).append((co, rf))
     return groups
 
 
@@ -589,11 +589,10 @@ def enumerate_candidates(
     candidate or a meet first uses them, and a group's AND when a meet
     holding it is first checked; both at most once per call.
 
-    Raises ResourceLimitError, before the first class, once more than
-    ``max_candidates`` choices would be examined: each per-location choice
-    and each combination of them counts once, built or not.  The former
-    are counted from the graph's shape (``EventGraph.examined_choices``)
-    before any search, the latter once the survivors are grouped.
+    Raises ResourceLimitError, before the first class, once the budget
+    exceeds ``max_candidates``: the shape's ``EventGraph.examined_choices``,
+    checked before any search, plus the combinations of the coherent
+    choices, added once they are grouped.
     """
     limit = DEFAULT_MAX_CANDIDATES if max_candidates is None else max_candidates
     _charge(graph.examined_choices, limit)

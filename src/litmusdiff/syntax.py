@@ -169,6 +169,8 @@ def parse_litmus(text: str) -> LitmusTest:
             tid, stmts = _parse_source_thread(cursor, line, line_no, locations)
         else:
             tid, stmts = _parse_asm_thread(cursor, line, line_no)
+        if any(t.tid == tid for t in threads):
+            raise ParseError(f"thread P{tid} given twice", line_no, _column(line))
         threads.append(Thread(tid, stmts, tuple(bindings.get(tid, {}).items())))
     threads.sort(key=lambda t: t.tid)
     tids = {t.tid for t in threads}

@@ -295,6 +295,65 @@ def check_location_rows_law(test):
     return checked
 
 
+def filtered_location_choices(graph, loc, drawn):
+    """The reference for ``execution._location_choices``: over each
+    coherence order, every rf tuple of the location's plain reads, with
+    every event keyed (twice its co position for a write, one more than
+    its rf source's key for a read) and each tuple where some po-loc pair
+    goes down in key dropped (CoWR, CoRW, CoRR), grouped by the same
+    signatures."""
+    init, chains, _ = graph.shapes[loc]
+    plain = [e.eid for e in graph.reads if e.loc == loc and e.rmw is None]
+    exchanges = [(r, w) for r, w in graph.rmw_pairs
+                 if graph.events[r].loc == loc]
+    rf_reads = [*plain, *(r for r, _ in exchanges)]
+    signed = [(i, r) for i, r in enumerate(rf_reads) if r in drawn]
+    value_src = {w: graph.events[w].value_src
+                 for w in (init, *itertools.chain(*chains.values()))}
+    po_loc = [(a, b) for a in (*value_src, *rf_reads)
+              for b in bits(graph.po_loc[a])]
+    groups = {}
+    for tail in execution._merges(list(chains.values())):
+        co = (init, *tail)
+        key = {w: 2 * i for i, w in enumerate(co)}
+        fixed = []
+        for r, w in exchanges:
+            source = co[co.index(w) - 1]
+            key[r] = key[source] + 1
+            fixed.append((r, source))
+        last = ((loc, value_src[co[-1]]),) if loc in drawn else ()
+        for sources in itertools.product(co, repeat=len(plain)):
+            for r, w in zip(plain, sources):
+                key[r] = key[w] + 1
+            for a, b in po_loc:
+                if key[a] > key[b]:
+                    break
+            else:
+                rf = (*zip(plain, sources), *fixed)
+                signature = last + tuple(
+                    [(r, value_src[rf[i][1]]) for i, r in signed])
+                groups.setdefault(signature, []).append((co, rf))
+    return groups
+
+
+def check_location_choices_law(test):
+    """On every location, with no read drawn and with every read drawn,
+    ``_location_choices`` equals ``filtered_location_choices``: the same
+    signatures in the same order, each with the same choices in the same
+    order.  Returns the number of choices, which grouping leaves the
+    same, and the shape's budget ``examined_choices``, so callers can pin
+    both."""
+    graph = build_events(test)
+    made = 0
+    for loc in test.sorted_locations():
+        for drawn in (set(), {e.eid for e in graph.reads}):
+            groups = execution._location_choices(graph, loc, drawn)
+            assert list(groups.items()) == list(filtered_location_choices(
+                graph, loc, drawn).items()), (test.name, loc, drawn)
+        made += sum(map(len, groups.values()))
+    return made, graph.examined_choices
+
+
 def check_row_work_law(test, model, **flags):
     """One ``allowed_outcomes`` call, one enumeration, builds each choice's
     ``_location_rows`` at most once and ANDs each group's rows at most

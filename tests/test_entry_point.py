@@ -98,6 +98,19 @@ def test_unreadable_number_exits_2_with_one_error_line(tmp_path, case):
     assert done.stderr == f"error: line {line}, col {column}: {message}\n"
 
 
+@pytest.mark.parametrize("golden, header, line", [
+    (SOURCE, "P1 (", 10), (FIXED, "P1:", 15)], ids=["source", "asm"])
+def test_repeated_thread_exits_2_with_one_error_line(tmp_path, golden,
+                                                     header, line):
+    text = pathlib.Path(golden).read_text()
+    assert text.count(header) == 1
+    path = tmp_path / "twice.litmus"
+    path.write_text(text.replace(header, header.replace("1", "0")))
+    done = run_cli("simulate", str(path))
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == f"error: line {line}, col 1: thread P0 given twice\n"
+
+
 # Runs each argv list of its JSON argument through ``cli.main`` in one
 # process and prints the exit code and output of each, as JSON.
 RUN_MAIN = """

@@ -220,6 +220,29 @@ def test_default_limit_fails_fast():
     assert time.perf_counter() - started < 1.0
 
 
+def test_search_makes_only_the_coherent_read_choices():
+    # P0 stores 1..7 to x and P1 loads x eight times: the shape counts
+    # 8 ** 8 = 16,777,216 rf tuples, but CoRR lets P1's sources only climb
+    # the one coherence order, which leaves C(15, 8) = 6,435.  A search
+    # that forms every tuple and filters it takes tens of seconds.
+    stores = [f"  atomic_store_explicit(x, {v}, memory_order_relaxed);"
+              for v in range(1, 8)]
+    loads = [f"  int r{i} = atomic_load_explicit(x, memory_order_relaxed);"
+             for i in range(8)]
+    test = parse_litmus("\n".join([
+        "C wide", "", "{ x = 0; }", "", "P0 {", *stores, "}", "",
+        "P1 {", *loads, "}", "", "exists (P1:r0 = 7 /\\ P1:r7 = 0)", ""]))
+    assert build_events(test).examined_choices == 8 ** 8
+    started = time.perf_counter()
+    outcomes = allowed_outcomes(test, "c11", max_candidates=10**8).outcomes
+    assert time.perf_counter() - started < 1.0
+    assert len(outcomes) == 36 == len(interleaving_outcomes(test))
+    assert outcomes == interleaving_outcomes(test)
+    compiled = lower_test(test)[0]
+    assert len(allowed_outcomes(compiled, "aarch64",
+                                max_candidates=10**8).outcomes) == 36
+
+
 @pytest.mark.parametrize("path", sorted(MP_RELSEQ_4T.parent.parent.rglob(
     "*.litmus")), ids=lambda path: path.stem)
 def test_limit_below_the_choices_stops_before_any_search(monkeypatch, path):

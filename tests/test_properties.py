@@ -103,6 +103,12 @@ def test_enumeration_matches_brute_force(test):
 
 
 @pytest.mark.parametrize("test", CORPUS, ids=IDS)
+def test_location_choices_equal_the_filtered_reference_across_corpus(test):
+    support.check_location_choices_law(test)
+    support.check_location_choices_law(lower_test(test)[0])
+
+
+@pytest.mark.parametrize("test", CORPUS, ids=IDS)
 def test_outcomes_match_brute_force(test):
     support.assert_outcomes_match_brute_force(test)
 
@@ -424,9 +430,32 @@ def test_location_rows_equal_the_pairwise_reference(test):
     assert support.check_location_rows_law(test) > 0
 
 
-# ``--max-candidates`` counts each per-location choice the search examines.
-# That count is worked out from the event graph's shape before any search;
-# the reference lists every write order and filters it.
+@pytest.mark.parametrize(
+    "test", [*LADDER, *(lower_test(test)[0] for test in LADDER), *ASM_INPUTS,
+             *GOLDEN],
+    ids=lambda test: test.name)
+def test_location_choices_equal_the_filtered_reference(test):
+    support.check_location_choices_law(test)
+
+
+def test_location_search_makes_fewer_choices_than_the_budget():
+    # The shape's budget counts every rf tuple of every coherence order;
+    # the search makes only the coherent ones.
+    subjects = [*LADDER, *(lower_test(test)[0] for test in LADDER),
+                *ASM_INPUTS]
+    counts = {test.name: support.check_location_choices_law(test)
+              for test in subjects}
+    assert len(counts) == 26
+    assert tuple(map(sum, zip(*counts.values()))) == (604, 1270)
+    # 3w-2r, mp-dmb-st-ld+swp-wzr and 2+2w-dmb-st+swp-wzr
+    assert counts["ThreeW+2R"] == counts["ThreeW+2R-compiled"] == (44, 192)
+    assert counts["MP+dmb.st+dmb.ld+swp-wzr"] == (81, 216)
+    assert counts["TwoTwoW+dmb.st+swp-wzr"] == (108, 216)
+
+
+# ``--max-candidates`` counts a budget of per-location choices, worked out
+# from the event graph's shape before any search; the reference lists every
+# write order and filters it.
 @pytest.mark.parametrize(
     "test", [*LADDER, *(lower_test(test)[0] for test in LADDER), *ASM_INPUTS,
              *GOLDEN],
@@ -748,3 +777,12 @@ def test_examined_choices_equal_the_brute_force_count_on_random_tests(test):
 def test_location_rows_equal_the_pairwise_reference_on_random_tests(test):
     assert support.check_location_rows_law(test) > 0
     assert support.check_location_rows_law(lower_test(test)[0]) > 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(small_source_tests(max_stmts=3, max_threads=3),
+                 small_asm_tests(), release_acquire_chains()))
+def test_location_choices_equal_the_filtered_reference_on_random_tests(test):
+    support.check_location_choices_law(test)
+    if test.dialect is Dialect.SOURCE:
+        support.check_location_choices_law(lower_test(test)[0])

@@ -424,6 +424,10 @@ ASM_LOAD = "LDR W2, [X0]"
      "bad observable '5'"),
     (asm([ASM_LOAD], exists="exists (5 = 1)"), 11, 11,
      "bad observable '5'"),
+    ("C t\n\n{ x = 0; }\n\nP0 {\n  %s\n}\n\n  P0 {\n}\n\nexists (x = 0)\n"
+     % LOAD_LINE, 9, 3, "thread P0 given twice"),
+    ("AArch64 t\n\n{ x = 0; 0:X0 = x; }\n\nP0:\n  %s\n\n  P0:\n\n"
+     "exists (x = 0)\n" % ASM_LOAD, 8, 3, "thread P0 given twice"),
 ])
 def test_reader_error_positions(text, line, column, message):
     with pytest.raises(ParseError) as err:
