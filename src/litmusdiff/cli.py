@@ -5,6 +5,11 @@ Four subcommands: ``simulate`` prints a test's outcome set under a model,
 against a compiled one, and ``generate`` writes a message-passing corpus.
 All output is deterministic for fixed inputs: identical invocations give
 byte-identical stdout.
+
+``main`` builds one parser per call.  When the first argument names a
+subcommand, that subcommand's own parser reads the rest; anything it leaves
+over, and every other argument list, goes to the full parser, so help and
+errors read exactly as the full parser's.
 """
 
 from __future__ import annotations
@@ -258,10 +263,12 @@ def _cmd_generate(args) -> int:
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--max-candidates", type=int, default=None, metavar="N",
-        help="abort before examining more than this many choices, under "
-             "every model: each location's coherence and reads-from choices "
-             "plus their combinations into candidate executions (default "
-             f"{DEFAULT_MAX_CANDIDATES}, or ${MAX_CANDIDATES_ENV})")
+        help="fail before any search when the budget worked out from the "
+             "test's shape (per location, the interleavings of its writes "
+             "times a source for each non-exchange read), plus the "
+             "combinations of the coherent choices, exceeds N; the same "
+             "count under every model "
+             f"(default {DEFAULT_MAX_CANDIDATES}, or ${MAX_CANDIDATES_ENV})")
     parser.add_argument(
         "--legacy-zero-register", action="store_true",
         help="treat zero-register destinations as ordinary reads, the way "
@@ -343,32 +350,34 @@ _COMMANDS = {
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser for one invocation: every subcommand is registered, but
-    only ``command``'s subparser gets its arguments and its ``func``, since
-    argparse reads no other.  With no ``command`` every subparser is built
-    in full."""
-    parser = argparse.ArgumentParser(
-        prog="litmusdiff",
-        description="Simulate, lower, and differentially test litmus tests.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_arguments, run) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        if command is None or command == name:
-            add_arguments(p)
-            p.set_defaults(func=run)
+    """The full parser, or with a ``command`` that subcommand's own parser,
+    the one the full parser's ``add_parser`` makes for it."""
+    if command is None:
+        parser = argparse.ArgumentParser(
+            prog="litmusdiff",
+            description="Simulate, lower, and differentially test litmus tests.")
+        sub = parser.add_subparsers(dest="command", required=True)
+        parsers = {name: sub.add_parser(name, help=help_text)
+                   for name, (help_text, _, _) in _COMMANDS.items()}
+    else:
+        parser = argparse.ArgumentParser(prog=f"litmusdiff {command}")
+        parsers = {command: parser}
+    for name, p in parsers.items():
+        _, add_arguments, run = _COMMANDS[name]
+        add_arguments(p)
+        p.set_defaults(func=run)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # The top-level parser's one option, -h, takes no value, so argparse
-    # dispatches on the first token without a leading dash.  A dash token it
-    # reads as a positional instead ("-", "-1", "--" on some Pythons) fails
-    # there as an invalid choice, before any subcommand's arguments are read.
-    command = next((arg for arg in argv if not arg.startswith("-")), None)
-    parser = build_parser(command)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = parser.parse_args(argv)
+        if command is not None:
+            args, leftover = build_parser(command).parse_known_args(argv[1:])
+        if command is None or leftover:
+            # leftovers fail here, with the top-level usage
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -141,12 +141,14 @@ def parse_litmus(text: str) -> LitmusTest:
 
     locations: dict[str, int] = {}
     bindings: dict[int, dict[str, str]] = {}
+    bound_at: dict[int, int] = {}  # thread id -> line of its first binding
     for entry, entry_no in _parse_init_entries(cursor):
         m = dialect is Dialect.ASM and _INIT_BIND_RE.match(entry)
         if m:
             tid, reg = _integer(m.group(1), entry_no), m.group(2)
             if not is_x_register(reg):
                 raise ParseError(f"bad address register {reg!r}", entry_no)
+            bound_at.setdefault(tid, entry_no)
             thread_bindings = bindings.setdefault(tid, {})
             if reg in thread_bindings:
                 raise ParseError(f"address register {tid}:{reg} bound twice", entry_no)
@@ -161,6 +163,7 @@ def parse_litmus(text: str) -> LitmusTest:
         locations[loc] = _integer(m.group(2), entry_no)
 
     threads = []
+    headers: dict[int, tuple[int, int]] = {}  # thread id -> line, column
     while True:
         line, line_no = cursor.take("exists clause")
         if line.strip().startswith("exists"):
@@ -169,14 +172,18 @@ def parse_litmus(text: str) -> LitmusTest:
             tid, stmts = _parse_source_thread(cursor, line, line_no, locations)
         else:
             tid, stmts = _parse_asm_thread(cursor, line, line_no)
-        if any(t.tid == tid for t in threads):
+        if tid in headers:
             raise ParseError(f"thread P{tid} given twice", line_no, _column(line))
+        headers[tid] = line_no, _column(line)
         threads.append(Thread(tid, stmts, tuple(bindings.get(tid, {}).items())))
     threads.sort(key=lambda t: t.tid)
-    tids = {t.tid for t in threads}
     for tid in bindings:
-        if tid not in tids:
-            raise ParseError(f"bindings given for missing thread P{tid}", 1)
+        if tid not in headers:
+            raise ParseError(f"bindings given for missing thread P{tid}",
+                             bound_at[tid])
+    for expected, thread in enumerate(threads):
+        if thread.tid != expected:
+            raise ParseError(f"thread P{expected} missing", *headers[thread.tid])
 
     final = _parse_exists(cursor, line, line_no, dialect)
     test = LitmusTest(parts[1], dialect, locations, tuple(threads), final)

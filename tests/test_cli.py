@@ -10,6 +10,7 @@ import pytest
 from conftest import read_golden
 from litmusdiff import cli, golden_path
 from litmusdiff.cli import MAX_CANDIDATES_ENV, build_parser, main
+from litmusdiff.litmus import LitmusError
 from litmusdiff.syntax import parse_litmus
 
 SOURCE = str(golden_path("mp-xchg-discard.litmus"))
@@ -84,6 +85,17 @@ def test_legacy_zero_register_help_names_its_model(capsys, command):
             "ordinary reads, the way models did before the zero-register "
             "clarification; applies to the aarch64 model only, which in "
             "diff is the compiled side") in " ".join(out.split())
+
+
+@pytest.mark.parametrize("command", ["simulate", "diff"])
+def test_max_candidates_help_names_the_budget(capsys, command):
+    code, out, _ = run(capsys, command, "-h")
+    assert code == 0
+    assert ("--max-candidates N fail before any search when the budget worked "
+            "out from the test's shape (per location, the interleavings of its "
+            "writes times a source for each non-exchange read), plus the "
+            "combinations of the coherent choices, exceeds N"
+            ) in " ".join(out.split())
 
 
 def test_simulate_json(capsys):
@@ -448,8 +460,9 @@ def test_diff_rejects_a_mapping_that_loses_a_source_observable(
 
 COMMANDS = ["simulate", "compile", "diff", "generate"]
 
-# Help, usage errors and the dash tokens argparse reads before a
-# subcommand; "{src}" stands for the golden source test and "{out}" for an
+# Help, usage errors, the dash tokens argparse reads before a subcommand,
+# and what follows a subcommand that its own parser leaves over or reads
+# differently; "{src}" stands for the golden source test and "{out}" for an
 # empty directory of the test's own.
 PARSER_CASES = [
     [], ["-h"], ["--help"],
@@ -473,6 +486,13 @@ PARSER_CASES = [
     ["simulate", "{src}"], ["compile", "{src}"],
     ["diff", "{src}", "--auto-compile", "--dead-register"],
     ["generate", "--out-dir", "{out}", "--variants", "discard", "--limit", "2"],
+    ["diff", "{src}", "a", "b", "--auto-compile"],
+    ["simulate", "{src}", "diff"], ["simulate", "{src}", "--bogus"],
+    ["diff", "--", "{src}", "--auto-compile"],
+    ["diff", "{src}", "--auto-compile", "--", "x"],
+    ["diff", "{src}", "--auto"],
+    ["diff", "{src}", "--auto-compile", "--m", "1"],
+    ["simulate", "{src}", "-h"], ["diff", "{src}", "--auto-compile", "--help"],
 ]
 
 
@@ -485,17 +505,27 @@ def _argv_id(argv):
     return " ".join(argv) or "(no arguments)"
 
 
+def _full_parser_main(argv):
+    # main as it would be with the full parser alone
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else 2
+    try:
+        return args.func(args)
+    except (LitmusError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
 @pytest.mark.parametrize("argv", PARSER_CASES, ids=_argv_id)
-def test_invocation_parser_matches_full_parser(capsys, monkeypatch, tmp_path,
-                                               argv):
-    # Building only the invoked subcommand's arguments changes nothing a
-    # user sees: code, stdout and stderr equal those of the full parser.
+def test_main_matches_the_full_parser(capsys, tmp_path, argv):
     argv = _placed(argv, tmp_path)
     got = run(capsys, *argv)
     assert got[1] or got[2]
-    full = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
-    assert run(capsys, *argv) == got
+    code = _full_parser_main(argv)
+    captured = capsys.readouterr()
+    assert got == (code, captured.out, captured.err)
 
 
 def _subparsers(parser):
@@ -504,31 +534,47 @@ def _subparsers(parser):
     return action.choices
 
 
-@pytest.mark.parametrize("command", [None, *COMMANDS, "frobnicate"])
-def test_build_parser_adds_arguments_for_its_command_only(command):
-    subparsers = _subparsers(build_parser(command))
-    assert list(subparsers) == COMMANDS
-    for name, sub in subparsers.items():
-        if command in (None, name):
-            assert len(sub._actions) > 1 and sub.get_default("func")
-        else:
-            assert [a.dest for a in sub._actions] == ["help"]
-            assert sub.get_default("func") is None
+def _action_shape(action):
+    return (type(action), action.dest, action.option_strings, action.nargs,
+            action.default, action.choices, action.required)
 
 
-def test_main_builds_the_parser_of_the_invoked_command(capsys, monkeypatch):
-    built = []
+@pytest.mark.parametrize("command", COMMANDS)
+def test_build_parser_of_a_command_is_its_full_subparser(command):
+    full = _subparsers(build_parser())
+    assert list(full) == COMMANDS
+    want, got = full[command], build_parser(command)
+    assert got.prog == want.prog == f"litmusdiff {command}"
+    assert got.format_usage() == want.format_usage()
+    assert got.format_help() == want.format_help()
+    assert ([_action_shape(a) for a in got._actions]
+            == [_action_shape(a) for a in want._actions])
+    assert got.get_default("func") is want.get_default("func") is not None
+
+
+BUILT = [
+    (["diff", "{src}", "--auto-compile"], ["diff"]),
+    (["simulate", "{src}", "-x"], ["simulate", None]),
+    (["-x", "simulate", "{src}"], [None]),
+    (["-h"], [None]),
+    ([], [None]),
+]
+
+
+@pytest.mark.parametrize("argv, built", BUILT,
+                         ids=[_argv_id(argv) for argv, _ in BUILT])
+def test_main_builds_the_invoked_commands_parser(capsys, monkeypatch,
+                                                 tmp_path, argv, built):
+    calls = []
     full = cli.build_parser
 
     def spy(command=None):
-        built.append(command)
+        calls.append(command)
         return full(command)
 
     monkeypatch.setattr(cli, "build_parser", spy)
-    for argv in (["-x", "simulate", SOURCE], ["diff", SOURCE, "--auto-compile"],
-                 ["-h"], []):
-        run(capsys, *argv)
-    assert built == ["simulate", "diff", None, None]
+    run(capsys, *_placed(argv, tmp_path))
+    assert calls == built
 
 
 @pytest.mark.parametrize("argv", [["-h"], ["simulate"], ["simulate", "{src}"],

@@ -111,6 +111,26 @@ def test_repeated_thread_exits_2_with_one_error_line(tmp_path, golden,
     assert done.stderr == f"error: line {line}, col 1: thread P0 given twice\n"
 
 
+@pytest.mark.parametrize("golden, renames, message", [
+    (SOURCE, [("P1 (", "P2 (")], "line 10, col 1: thread P1 missing"),
+    (FIXED, [("P1:", "P2:"), ("1:X0 = x; 1:X1", "2:X0 = x; 2:X1")],
+     "line 15, col 1: thread P1 missing"),
+    (FIXED, [("P1:", "P2:")],
+     "line 6, col 1: bindings given for missing thread P1"),
+], ids=["source", "asm", "asm-bindings"])
+def test_missing_thread_exits_2_with_one_error_line(tmp_path, golden, renames,
+                                                    message):
+    text = pathlib.Path(golden).read_text()
+    for old, new in renames:
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    path = tmp_path / "gap.litmus"
+    path.write_text(text)
+    done = run_cli("simulate", str(path))
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == f"error: {message}\n"
+
+
 # Runs each argv list of its JSON argument through ``cli.main`` in one
 # process and prints the exit code and output of each, as JSON.
 RUN_MAIN = """

@@ -372,9 +372,11 @@ def test_asm_init_errors():
     with pytest.raises(ParseError, match="bound twice"):
         parse_litmus(asm(["LDR W2, [X0]"],
                          init="{\n  x = 0;\n  0:X0 = x; 0:X0 = x;\n}"))
-    with pytest.raises(ParseError, match="missing thread P2"):
+    # reported at the line of the thread's first binding
+    with pytest.raises(ParseError) as err:
         parse_litmus(asm(["LDR W2, [X0]"],
-                         init="{\n  x = 0;\n  0:X0 = x; 2:X0 = x;\n}"))
+                         init="{\n  x = 0;\n  0:X0 = x;\n  2:X0 = x; 2:X1 = x;\n}"))
+    assert str(err.value) == "line 6, col 1: bindings given for missing thread P2"
     with pytest.raises(ParseError, match="cannot parse initial state entry"):
         parse_litmus(asm(["LDR W2, [X0]"],
                          init="{\n  x = 0;\n  what even;\n}"))
@@ -428,6 +430,17 @@ ASM_LOAD = "LDR W2, [X0]"
      % LOAD_LINE, 9, 3, "thread P0 given twice"),
     ("AArch64 t\n\n{ x = 0; 0:X0 = x; }\n\nP0:\n  %s\n\n  P0:\n\n"
      "exists (x = 0)\n" % ASM_LOAD, 8, 3, "thread P0 given twice"),
+    # a gap in thread ids: at the lowest-numbered thread above it
+    ("C t\n\n{ x = 0; }\n\nP0 {\n  %s\n}\n\n  P2 {\n}\n\nexists (x = 0)\n"
+     % LOAD_LINE, 9, 3, "thread P1 missing"),
+    ("C t\n\n{ x = 0; }\n\nP3 {\n}\n\n  P2 {\n}\n\nP0 {\n  %s\n}\n\n"
+     "exists (x = 0)\n" % LOAD_LINE, 8, 3, "thread P1 missing"),
+    ("C t\n\n{ x = 0; }\n\nP1 {\n  %s\n}\n\nexists (x = 0)\n"
+     % LOAD_LINE, 5, 1, "thread P0 missing"),
+    ("AArch64 t\n\n{ x = 0; 0:X0 = x; }\n\nP0:\n  %s\n\n  P2:\n\n"
+     "exists (x = 0)\n" % ASM_LOAD, 8, 3, "thread P1 missing"),
+    ("AArch64 t\n\n{ x = 0; 1:X0 = x; }\n\n P1:\n  %s\n\n"
+     "exists (x = 0)\n" % ASM_LOAD, 5, 2, "thread P0 missing"),
 ])
 def test_reader_error_positions(text, line, column, message):
     with pytest.raises(ParseError) as err:
