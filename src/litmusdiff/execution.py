@@ -480,8 +480,6 @@ def _location_choices(graph: EventGraph, loc: str, drawn) -> dict:
     groups: dict[tuple, list] = {}
     for tail in _merges(list(chains.values())):
         co = (init, *tail)
-        assert sorted(co) == sorted(value_src) and graph.events[init].is_init
-        assert all(graph.events[w].loc == loc for w in co)
         fixed = [(r, co[co.index(w) - 1]) for r, w in exchanges]
         last = ((loc, value_src[co[-1]]),) if loc in drawn else ()
         windows = [itertools.combinations_with_replacement(
@@ -679,7 +677,8 @@ def allowed_outcomes(
     holds more than one candidate and its first is rejected, its meet is
     checked next; since the models are antitone, a rejected meet rejects
     the whole product.  ``max_candidates`` bounds the choices examined, as
-    in ``enumerate_candidates``, under every model."""
+    in ``enumerate_candidates``, under every model; ``legacy_zero_register``
+    applies to the aarch64 model only, and under another is an error."""
     if model == MODEL_C11:
         if test.dialect is not Dialect.SOURCE:
             raise DialectMismatchError("the c11 model applies to source tests only")
@@ -698,6 +697,9 @@ def allowed_outcomes(
         consistent = sc_consistent
     else:
         raise LitmusError(f"unknown model {model!r}")
+    if legacy_zero_register and model != MODEL_AARCH64:
+        raise LitmusError(
+            f"legacy_zero_register applies to the {MODEL_AARCH64} model only")
 
     def allows(product: Product) -> bool:
         candidates = iter(product)

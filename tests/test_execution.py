@@ -1,5 +1,8 @@
 """Event construction, candidate enumeration, and the SC model."""
 
+import itertools
+import math
+import random
 import re
 import time
 from pathlib import Path
@@ -285,6 +288,34 @@ def test_incoherent_choices_never_yielded():
         assert ex.values[ex.rf[3]] <= ex.values[ex.rf[4]]
 
 
+def _merge_key(merged, chains):
+    # _merges' order: by the merge of the other chains, then by the slots
+    # the first chain takes, each in ascending order
+    if len(chains) <= 1:
+        return ()
+    rest = set(itertools.chain(*chains[1:]))
+    return (_merge_key([w for w in merged if w in rest], chains[1:]),
+            [i for i, w in enumerate(merged) if w not in rest])
+
+
+@pytest.mark.parametrize("sizes", [(), (3,), (2, 2), (1, 3), (3, 3, 2),
+                                   (2, 2, 2, 2)], ids=str)
+def test_merges_are_the_order_preserving_permutations(sizes):
+    # Ids dealt out of order, so that no chain's order is the ids' order.
+    ids = random.Random(sum(sizes)).sample(range(100), sum(sizes))
+    chains, start = [], 0
+    for size in sizes:
+        chains.append(ids[start:start + size])
+        start += size
+    merged = list(execution._merges(chains))
+    kept = [p for p in itertools.permutations(ids)
+            if all([w for w in p if w in chain] == chain for chain in chains)]
+    assert merged == sorted(kept, key=lambda p: _merge_key(p, chains))
+    assert len(set(merged)) == len(merged)
+    assert len(merged) == math.factorial(sum(sizes)) // math.prod(
+        map(math.factorial, sizes))
+
+
 def test_relation_helpers(discard_source):
     graph = build_events(discard_source)
     picked = None
@@ -386,6 +417,18 @@ def test_dialect_guards(discard_source, compiled_w15):
         allowed_outcomes(compiled_w15, "c11")
     with pytest.raises(LitmusError, match="unknown model"):
         allowed_outcomes(discard_source, "tso")
+
+
+@pytest.mark.parametrize("model, subject", [
+    ("c11", "discard_source"), ("sc", "discard_source"),
+    ("sc", "compiled_wzr")])
+def test_legacy_zero_register_needs_aarch64(request, monkeypatch, model,
+                                            subject):
+    test = request.getfixturevalue(subject)
+    monkeypatch.setattr(execution, "build_events", None)  # a search fails
+    with pytest.raises(LitmusError, match="^legacy_zero_register applies to "
+                                          "the aarch64 model only$"):
+        allowed_outcomes(test, model, legacy_zero_register=True)
 
 
 def sc_outcomes(test):
