@@ -5,12 +5,16 @@ Four subcommands: ``simulate`` prints a test's outcome set under a model,
 against a compiled one, and ``generate`` writes a message-passing corpus.
 All output is deterministic for fixed inputs: identical invocations give
 byte-identical stdout.
+
+``main`` builds one parser per call.  When the first argument names a
+subcommand, that subcommand's own parser reads the rest; anything it leaves
+over, and every other argument list, goes to the full parser, so help and
+errors read exactly as the full parser's.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -345,23 +349,35 @@ _COMMANDS = {
 }
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
-        prog="litmusdiff",
-        description="Simulate, lower, and differentially test litmus tests.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_arguments, run) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The full parser, or with a ``command`` that subcommand's own parser,
+    the one the full parser's ``add_parser`` makes for it."""
+    if command is None:
+        parser = argparse.ArgumentParser(
+            prog="litmusdiff",
+            description="Simulate, lower, and differentially test litmus tests.")
+        sub = parser.add_subparsers(dest="command", required=True)
+        parsers = {name: sub.add_parser(name, help=help_text)
+                   for name, (help_text, _, _) in _COMMANDS.items()}
+    else:
+        parser = argparse.ArgumentParser(prog=f"litmusdiff {command}")
+        parsers = {command: parser}
+    for name, p in parsers.items():
+        _, add_arguments, run = _COMMANDS[name]
         add_arguments(p)
         p.set_defaults(func=run)
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = build_parser().parse_args(argv)
+        if command is not None:
+            args, leftover = build_parser(command).parse_known_args(argv[1:])
+        if command is None or leftover:
+            # leftovers fail here, with the top-level usage
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

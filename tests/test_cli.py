@@ -3,13 +3,12 @@
 import argparse
 import hashlib
 import json
-import random
 import sys
 
 import pytest
 
 from conftest import read_golden
-from litmusdiff import golden_path
+from litmusdiff import cli, golden_path
 from litmusdiff.cli import MAX_CANDIDATES_ENV, build_parser, main
 from litmusdiff.litmus import LitmusError
 from litmusdiff.syntax import parse_litmus
@@ -462,9 +461,9 @@ def test_diff_rejects_a_mapping_that_loses_a_source_observable(
 COMMANDS = ["simulate", "compile", "diff", "generate"]
 
 # Help, usage errors, the dash tokens argparse reads before a subcommand,
-# and what follows a subcommand: arguments left over, "--", abbreviations,
-# ambiguous prefixes and help after other arguments; "{src}" stands for the
-# golden source test and "{out}" for a directory of the test's own.
+# and what follows a subcommand that its own parser leaves over or reads
+# differently; "{src}" stands for the golden source test and "{out}" for an
+# empty directory of the test's own.
 PARSER_CASES = [
     [], ["-h"], ["--help"],
     *([command, "-h"] for command in COMMANDS),
@@ -506,10 +505,10 @@ def _argv_id(argv):
     return " ".join(argv) or "(no arguments)"
 
 
-def _fresh_parser_main(argv):
-    # main as it would be with a parser built for this call alone
+def _full_parser_main(argv):
+    # main as it would be with the full parser alone
     try:
-        args = build_parser.__wrapped__().parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
@@ -519,49 +518,63 @@ def _fresh_parser_main(argv):
         return 2
 
 
-# Every case twice, in one fixed shuffled order.  Pytest runs them in this
-# order in one process, so each call of main reads its argv with the parser
-# the calls before it used, and any state a parse left in that parser would
-# show against a fresh one.
-SHUFFLED_TWICE = random.Random(21).sample(PARSER_CASES * 2,
-                                          2 * len(PARSER_CASES))
-
-
-@pytest.mark.parametrize("argv", SHUFFLED_TWICE, ids=_argv_id)
-def test_main_matches_the_full_parser(capsys, monkeypatch, tmp_path, argv):
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=_argv_id)
+def test_main_matches_the_full_parser(capsys, tmp_path, argv):
     argv = _placed(argv, tmp_path)
-    parse_args = argparse.ArgumentParser.parse_args
-    calls = []
-
-    def spy(parser, args=None, namespace=None):
-        calls.append((parser, args))
-        return parse_args(parser, args, namespace)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
     got = run(capsys, *argv)
-    assert calls == [(build_parser(), argv)]
     assert got[1] or got[2]
-    code = _fresh_parser_main(argv)
+    code = _full_parser_main(argv)
     captured = capsys.readouterr()
     assert got == (code, captured.out, captured.err)
 
 
-def test_main_builds_the_parser_once(capsys, tmp_path):
-    build_parser.cache_clear()
-    for argv in PARSER_CASES:
-        run(capsys, *_placed(argv, tmp_path))
-    assert build_parser.cache_info().misses == 1
+def _subparsers(parser):
+    [action] = [a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
 
 
-def test_usage_names_each_command_in_order(capsys):
-    code, out, err = run(capsys)
-    assert (code, out) == (2, "")
-    assert err.startswith(
-        f"usage: litmusdiff [-h] {{{','.join(COMMANDS)}}} ...\n")
-    for command in COMMANDS:
-        code, out, _ = run(capsys, command, "-h")
-        assert code == 0
-        assert out.startswith(f"usage: litmusdiff {command} [-h]")
+def _action_shape(action):
+    return (type(action), action.dest, action.option_strings, action.nargs,
+            action.default, action.choices, action.required)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_build_parser_of_a_command_is_its_full_subparser(command):
+    full = _subparsers(build_parser())
+    assert list(full) == COMMANDS
+    want, got = full[command], build_parser(command)
+    assert got.prog == want.prog == f"litmusdiff {command}"
+    assert got.format_usage() == want.format_usage()
+    assert got.format_help() == want.format_help()
+    assert ([_action_shape(a) for a in got._actions]
+            == [_action_shape(a) for a in want._actions])
+    assert got.get_default("func") is want.get_default("func") is not None
+
+
+BUILT = [
+    (["diff", "{src}", "--auto-compile"], ["diff"]),
+    (["simulate", "{src}", "-x"], ["simulate", None]),
+    (["-x", "simulate", "{src}"], [None]),
+    (["-h"], [None]),
+    ([], [None]),
+]
+
+
+@pytest.mark.parametrize("argv, built", BUILT,
+                         ids=[_argv_id(argv) for argv, _ in BUILT])
+def test_main_builds_the_invoked_commands_parser(capsys, monkeypatch,
+                                                 tmp_path, argv, built):
+    calls = []
+    full = cli.build_parser
+
+    def spy(command=None):
+        calls.append(command)
+        return full(command)
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    run(capsys, *_placed(argv, tmp_path))
+    assert calls == built
 
 
 @pytest.mark.parametrize("argv", [["-h"], ["simulate"], ["simulate", "{src}"],
