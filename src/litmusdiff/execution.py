@@ -46,7 +46,7 @@ import itertools
 import math
 import operator
 from functools import cached_property
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .litmus import (
     Dialect,
@@ -94,13 +94,7 @@ class EventKind(enum.Enum):
 ValueSource = tuple
 
 
-def event_mask(events) -> int:
-    """The mask of the events' ids."""
-    return sum(1 << e.eid for e in events)
-
-
-@dataclasses.dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     eid: int
     tid: int
     kind: EventKind
@@ -113,52 +107,88 @@ class Event:
     domain: DmbDomain | None = None
     value_src: ValueSource | None = None
 
-    @property
-    def is_init(self) -> bool:
-        return self.tid == INIT_TID
-
 
 @dataclasses.dataclass
 class EventGraph:
+    """A test's events and final register environment, and every table no
+    rf or co choice can change, all made in one pass over the events:
+
+    - ``reads``, ``writes``, ``fences``, and ``masks`` of each kind (``R``,
+      ``W``, ``F``), of the init writes and of each bool field of ``Event``;
+    - ``shapes``: per location, in program order, its init write, a write
+      chain per thread, and runs ``[a, b, reads]``: a thread's plain
+      (non-exchange) reads between its writes ``a`` (or init) and ``b`` (or
+      None); its ``exchanges``, (read, write) pairs, all in ``rmw_pairs``;
+      and each write's value source in ``value_srcs``;
+    - rows: ``same_thread``, and ``po`` and ``po_loc``, program order and
+      its restriction to a thread's own accesses to one location.  Ids
+      follow program order; init writes precede every event and have no
+      po-loc, since they precede everything in coherence.
+
+    ``memo`` holds per-graph results of the model modules, each under keys
+    its own module owns; only what no rf or co choice can change belongs
+    there."""
+
     test: LitmusTest
     events: tuple[Event, ...]
     # final register environment per thread: (tid, register) -> value source
     final_defs: dict[tuple[int, str], ValueSource]
 
-    @cached_property
-    def reads(self) -> tuple[Event, ...]:
-        return tuple(e for e in self.events if e.kind is EventKind.READ)
-
-    @cached_property
-    def writes(self) -> tuple[Event, ...]:
-        return tuple(e for e in self.events if e.kind is EventKind.WRITE)
-
-    @cached_property
-    def fences(self) -> tuple[Event, ...]:
-        return tuple(e for e in self.events if e.kind is EventKind.FENCE)
-
-    @cached_property
-    def shapes(self) -> dict[str, tuple[int, dict[int, list[int]], list]]:
-        """Per location, in program order: its init write, a write chain per
-        thread, and runs ``[a, b, reads]``: a thread's plain (non-exchange)
-        reads between its writes ``a`` (or init) and ``b`` (or None)."""
-        out: dict = {}
-        open_runs: dict = {}
+    def __post_init__(self) -> None:
+        reads, writes, fences, rmw_pairs = [], [], [], []
+        self.masks = masks = dict.fromkeys(("R", "W", "F", "init", "acquire",
+                                            "release", "seq_cst", "zero_dest"), 0)
+        self.shapes, self.exchanges, self.value_srcs = {}, {}, {}
+        threads, at, open_runs = {}, {}, {}
         for e in self.events:
-            key = (e.loc, e.tid)
-            if e.is_init:
-                out[e.loc] = (e.eid, {}, [])
-            elif e.kind is EventKind.WRITE:
-                out[e.loc][1].setdefault(e.tid, []).append(e.eid)
-                if key in open_runs:
-                    open_runs.pop(key)[1] = e.eid
-            elif e.kind is EventKind.READ and e.rmw is None:
-                init, chains, runs = out[e.loc]
-                if key not in open_runs:
-                    a = chains[e.tid][-1] if e.tid in chains else init
-                    runs.append(open_runs.setdefault(key, [a, None, []]))
-                open_runs[key][2].append(e.eid)
-        return out
+            eid, tid, kind, loc, acquire, release, seq_cst, rmw, zero_dest, \
+                _, value_src = e
+            bit = 1 << eid
+            threads[tid] = threads.get(tid, 0) | bit
+            masks["acquire"] |= acquire << eid
+            masks["release"] |= release << eid
+            masks["seq_cst"] |= seq_cst << eid
+            if kind is EventKind.FENCE:
+                fences.append(e)
+                masks["F"] |= bit
+                continue
+            at[loc] = at.get(loc, 0) | bit
+            key = (loc, tid)
+            if kind is EventKind.READ:
+                reads.append(e)
+                masks["R"] |= bit
+                masks["zero_dest"] |= zero_dest << eid
+                if rmw is None:
+                    init, chains, runs = self.shapes[loc]
+                    run = open_runs.get(key)
+                    if run is None:
+                        a = chains[tid][-1] if tid in chains else init
+                        run = open_runs[key] = [a, None, []]
+                        runs.append(run)
+                    run[2].append(eid)
+                continue
+            writes.append(e)
+            masks["W"] |= bit
+            self.value_srcs[eid] = value_src
+            if tid == INIT_TID:
+                masks["init"] |= bit
+                self.shapes[loc], self.exchanges[loc] = (eid, {}, []), []
+                continue
+            self.shapes[loc][1].setdefault(tid, []).append(eid)
+            if key in open_runs:
+                open_runs.pop(key)[1] = eid
+            if rmw is not None:
+                self.exchanges[loc].append((rmw, eid))
+                rmw_pairs.append((rmw, eid))
+        self.reads, self.writes, self.fences = map(tuple, (reads, writes, fences))
+        self.rmw_pairs, self.memo = tuple(rmw_pairs), {}
+        everything = (1 << len(self.events)) - 1
+        self.same_thread = [threads[e.tid] for e in self.events]
+        self.po = [(everything if e.tid == INIT_TID else threads[e.tid])
+                   & -(2 << e.eid) for e in self.events]
+        self.po_loc = [
+            row & at[e.loc] if e.loc is not None and e.tid != INIT_TID else 0
+            for e, row in zip(self.events, self.po)]
 
     @cached_property
     def examined_choices(self) -> int:
@@ -176,50 +206,12 @@ class EventGraph:
         return total
 
     @cached_property
-    def rmw_pairs(self) -> tuple[tuple[int, int], ...]:
-        """(read, write) of each exchange; both carry the read's id."""
-        return tuple((w.rmw, w.eid) for w in self.writes if w.rmw is not None)
-
-    @cached_property
-    def po(self) -> Rows:
-        """Program order as rows.  Ids follow it: init writes come first and
-        precede every event, and a thread's events are numbered in order."""
-        everything = (1 << len(self.events)) - 1
-        return [(everything if e.is_init else same) & -(2 << e.eid)
-                for e, same in zip(self.events, self.same_thread)]
-
-    @cached_property
-    def po_loc(self) -> Rows:
-        """Program order between a thread's own accesses to one location.
-        Init writes are left out: they precede everything in coherence."""
-        at: dict[str, int] = {}
-        for e in self.events:
-            if e.loc is not None:
-                at[e.loc] = at.get(e.loc, 0) | 1 << e.eid
-        return [row & at[e.loc] if e.loc is not None and not e.is_init else 0
-                for e, row in zip(self.events, self.po)]
-
-    @cached_property
-    def same_thread(self) -> Rows:
-        """Per event, the mask of its own thread's events, itself included."""
-        of: dict[int, int] = {}
-        for e in self.events:
-            of[e.tid] = of.get(e.tid, 0) | 1 << e.eid
-        return [of[e.tid] for e in self.events]
-
-    @cached_property
     def final_observables(self) -> list[tuple[str, object]]:
         """The exists clause's observables with their labels, by label."""
         dialect = self.test.dialect
         return sorted(((observable_label(obs, dialect), obs)
                        for obs in condition_observables(self.test.final)),
                       key=lambda item: item[0])
-
-    @cached_property
-    def memo(self) -> dict:
-        """Per-graph results of the model modules, each under keys its own
-        module owns.  Only what no rf or co choice can change belongs here."""
-        return {}
 
 
 class _ThreadBuilder:
@@ -326,8 +318,8 @@ class Execution:
     def __init__(self, graph: EventGraph, rf, co, values, registers):
         self.graph, self.rf, self.co = graph, rf, co
         self.values, self.registers = values, registers
-        self.com, self.eco_before = map(_union, zip(*[_location_rows(
-            order, rf.items(), len(graph.events)) for order in co.values()]))
+        self.com, self.eco_before = _union([_location_rows(
+            order, rf.items(), len(graph.events)) for order in co.values()])
 
     @classmethod
     def of_rows(cls, graph: EventGraph, rows) -> Execution:
@@ -335,7 +327,7 @@ class Execution:
         unions of the given ``(com, eco_before)`` pairs of rows."""
         execution = cls.__new__(cls)
         execution.graph = graph
-        execution.com, execution.eco_before = map(_union, zip(*rows))
+        execution.com, execution.eco_before = _union(rows)
         return execution
 
     @cached_property
@@ -351,10 +343,8 @@ class Execution:
     def values(self) -> dict[int, int]:
         """Every write's value, a copy's from its class's resolved sources,
         and every read's from its rf source."""
-        writes = {}
-        for w in self.graph.writes:
-            kind, key = w.value_src
-            writes[w.eid] = self.sources[key][1] if kind == "read" else key
+        writes = {w: self.sources[key][1] if kind == "read" else key
+                  for w, (kind, key) in self.graph.value_srcs.items()}
         return {**writes, **{r: writes[w] for r, w in self.rf.items()}}
 
     @cached_property
@@ -386,8 +376,13 @@ def atomicity_holds(execution: Execution) -> bool:
     return not any(com[r] & before[w] for r, w in execution.graph.rmw_pairs)
 
 
-def _union(parts: list[Rows]) -> Rows:
-    return _fold(operator.or_, parts)
+def _union(rows) -> tuple[Rows, Rows]:
+    """The unions of ``(com, eco_before)`` pairs of rows."""
+    (com, before), *rest = rows
+    for more_com, more_before in rest:
+        com = list(map(operator.or_, com, more_com))
+        before = list(map(operator.or_, before, more_before))
+    return com, before
 
 
 def _fold(op, parts: list[Rows]) -> Rows:
@@ -470,18 +465,17 @@ def _location_choices(graph: EventGraph, loc: str, drawn) -> dict:
     ``drawn`` with its rf source's.
     """
     init, chains, runs = graph.shapes[loc]
+    drawn_loc = loc in drawn
     plain = [r for *_, reads in runs for r in reads]
-    exchanges = [(r, w) for r, w in graph.rmw_pairs
-                 if graph.events[r].loc == loc]
+    exchanges = graph.exchanges[loc]
     rf_reads = [*plain, *(r for r, _ in exchanges)]
     signed = [(i, r) for i, r in enumerate(rf_reads) if r in drawn]
-    value_src = {w: graph.events[w].value_src
-                 for w in (init, *itertools.chain(*chains.values()))}
+    value_src = graph.value_srcs
     groups: dict[tuple, list] = {}
     for tail in _merges(list(chains.values())):
         co = (init, *tail)
         fixed = [(r, co[co.index(w) - 1]) for r, w in exchanges]
-        last = ((loc, value_src[co[-1]]),) if loc in drawn else ()
+        last = ((loc, value_src[co[-1]]),) if drawn_loc else ()
         windows = [itertools.combinations_with_replacement(
             co[co.index(a):len(co) if b is None else co.index(b)], len(reads))
             for a, b, reads in runs]
@@ -553,12 +547,13 @@ class Product:
         return math.prod(map(len, self.groups))
 
     def __iter__(self) -> Iterator[Execution]:
-        groups = self.groups
-        for picked in itertools.product(*(range(len(g)) for g in groups)):
-            execution = Execution.of_rows(
-                self.graph, [g.rows(i) for g, i in zip(groups, picked)])
+        graph, groups, sources = self.graph, self.groups, self.sources
+        for picked in itertools.product(*[range(len(g)) for g in groups]):
+            execution = Execution.__new__(Execution)
+            execution.graph, execution.sources = graph, sources
             execution.choices = [g.choices[i] for g, i in zip(groups, picked)]
-            execution.sources = self.sources
+            execution.com, execution.eco_before = _union(
+                [g.rows(i) for g, i in zip(groups, picked)])
             yield execution
 
     def meet(self) -> Execution:
@@ -601,7 +596,7 @@ def enumerate_candidates(
              for label, obs in graph.final_observables]
     # The reads whose rf source the outcome or a copying write draws on.
     drawn = {key for _, (kind, key) in terms if kind == "read"}
-    drawn.update(key for kind, key in (w.value_src for w in graph.writes)
+    drawn.update(key for kind, key in graph.value_srcs.values()
                  if kind == "read")
     size = len(graph.events)
     groups = [{signature: _Group(choices, size) for signature, choices

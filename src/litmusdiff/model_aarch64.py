@@ -28,22 +28,20 @@ it).
 
 from __future__ import annotations
 
-from .execution import (EventKind, Execution, atomicity_holds, eco_respected,
-                        event_mask)
+from .execution import Execution, atomicity_holds, eco_respected
 from .litmus import Dialect, DmbDomain
 from .relations import Rows, bits, is_acyclic
 
 
 def _barrier_ordered(graph, legacy_zero_register: bool) -> Rows:
-    po = graph.po
+    po, masks = graph.po, graph.masks
     # Barriers order a thread's own accesses; init writes belong to no thread.
-    memory = event_mask(e for e in graph.events
-                        if e.kind is not EventKind.FENCE and not e.is_init)
-    writes = event_mask(w for w in graph.writes if not w.is_init)
-    reads = [r for r in graph.reads if legacy_zero_register or not r.zero_dest]
-    register_reads = event_mask(reads)
-    acquires = event_mask(r for r in reads if r.acquire)
-    releases = event_mask(w for w in graph.writes if w.release)
+    writes = masks["W"] & ~masks["init"]
+    memory = masks["R"] | writes
+    register_reads = (masks["R"] if legacy_zero_register
+                      else masks["R"] & ~masks["zero_dest"])
+    acquires = register_reads & masks["acquire"]
+    releases = masks["W"] & masks["release"]
 
     bob = [0] * len(graph.events)
     for f in graph.fences:

@@ -23,7 +23,7 @@ keep it (``check_antitone_law`` in ``tests/support.py`` tests it).
 
 from __future__ import annotations
 
-from .execution import Execution, atomicity_holds, eco_respected, event_mask
+from .execution import Execution, atomicity_holds, eco_respected
 from .litmus import Dialect
 from .relations import Rows, bits, is_acyclic
 
@@ -35,17 +35,17 @@ def _sync_sets(graph):
     mask of acquire ends of each read (itself if acquire, then every acquire
     fence after it); each exchange read's write; and the masks of the reads,
     the writes and the seq_cst events."""
-    po = graph.po
-    heads = [(w.eid, w.eid) for w in graph.writes if w.release]
-    heads += [(f.eid, w) for f in graph.fences if f.release
-              for w in bits(po[f.eid] & event_mask(graph.writes))]
-    acquire_fences = event_mask(f for f in graph.fences if f.acquire)
+    po, masks = graph.po, graph.masks
+    reads, writes, fences = masks["R"], masks["W"], masks["F"]
+    acquire = masks["acquire"]
+    heads = [(w, w) for w in bits(writes & masks["release"])]
+    heads += [(f, w) for f in bits(fences & masks["release"])
+              for w in bits(po[f] & writes)]
     ends = [0] * len(graph.events)
-    for r in graph.reads:
-        ends[r.eid] = (1 << r.eid if r.acquire else 0) | po[r.eid] & acquire_fences
-    return (heads, ends, dict(graph.rmw_pairs), event_mask(graph.reads),
-            event_mask(graph.writes),
-            event_mask(e for e in graph.events if e.seq_cst))
+    for r in bits(reads):
+        ends[r] = (acquire & 1 << r) | (po[r] & fences & acquire)
+    return (heads, ends, dict(graph.rmw_pairs), reads, writes,
+            masks["seq_cst"])
 
 
 def _graph_sync_sets(graph):
@@ -83,8 +83,10 @@ def happens_before(execution: Execution) -> Rows:
     po = execution.graph.po
     reach = {}
     for s, targets in enumerate(_synchronizes_with(execution)):
-        for t in bits(targets):
-            reach[s] = reach.get(s, targets) | po[t]
+        if targets:
+            reach[s] = targets
+            for t in bits(targets):
+                reach[s] |= po[t]
     if not reach:
         return po
     for k, via in reach.items():
@@ -94,8 +96,10 @@ def happens_before(execution: Execution) -> Rows:
     sources = sum(1 << s for s in reach)
     hb = []
     for a, row in enumerate(po):
-        for s in bits((row | 1 << a) & sources):
-            row |= reach[s]
+        hit = (row | 1 << a) & sources
+        if hit:
+            for s in bits(hit):
+                row |= reach[s]
         hb.append(row)
     return hb
 

@@ -27,9 +27,11 @@ def is_acyclic(rows: Rows, nodes: int = -1) -> bool:
     peels a chain running up in id order, like program order, in one go."""
     alive = nodes & ((1 << len(rows)) - 1)
     while alive:
-        left = alive
-        for a in range(len(rows) - 1, -1, -1):
-            if alive >> a & 1 and not rows[a] & alive:
+        left = rest = alive
+        while rest:
+            a = rest.bit_length() - 1
+            rest ^= 1 << a
+            if not rows[a] & alive:
                 alive ^= 1 << a
         if alive == left:
             return False

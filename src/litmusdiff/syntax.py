@@ -126,8 +126,9 @@ _HEADER_DIALECTS = {"C": Dialect.SOURCE, "AArch64": Dialect.ASM}
 
 
 def parse_litmus(text: str) -> LitmusTest:
-    """Parse either dialect, picking by the header keyword."""
-    cursor = _Cursor(text)
+    """Parse either dialect, picking by the header keyword.  One leading
+    byte-order mark (U+FEFF), as some editors write, is skipped."""
+    cursor = _Cursor(text.removeprefix("\ufeff"))
     if cursor.peek() is None:
         raise ParseError("empty input", 1)
     line, line_no = cursor.take("a header")

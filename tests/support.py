@@ -13,9 +13,11 @@ import pytest
 from litmusdiff import execution, model_aarch64, model_c11, model_sc
 from litmusdiff.difftest import translate_outcome
 from litmusdiff.execution import (
+    INIT_TID,
     MODEL_AARCH64,
     MODEL_C11,
     MODEL_SC,
+    EventKind,
     Execution,
     allowed_outcomes,
     atomicity_holds,
@@ -26,6 +28,7 @@ from litmusdiff.execution import (
 )
 from litmusdiff.litmus import (
     Dialect,
+    DmbDomain,
     FENCE_ORDERS,
     LOAD_ORDERS,
     STORE_ORDERS,
@@ -380,6 +383,142 @@ def check_row_work_law(test, model, **flags):
     assert len(set(built)) == len(built), test.name
     assert len(set(anded)) == len(anded), test.name
     return len(built), len(anded)
+
+
+def event_mask(events):
+    """The mask of the events' ids."""
+    return sum(1 << e.eid for e in events)
+
+
+def reference_tables(graph):
+    """The reference for the tables ``EventGraph`` makes in one pass over
+    its events: each derived on its own from ``graph.events``, one walk or
+    more per table, the way the graph once derived them lazily."""
+    events = graph.events
+    reads = tuple(e for e in events if e.kind is EventKind.READ)
+    writes = tuple(e for e in events if e.kind is EventKind.WRITE)
+    fences = tuple(e for e in events if e.kind is EventKind.FENCE)
+    shapes = {}
+    open_runs = {}
+    for e in events:
+        key = (e.loc, e.tid)
+        if e.tid == INIT_TID:
+            shapes[e.loc] = (e.eid, {}, [])
+        elif e.kind is EventKind.WRITE:
+            shapes[e.loc][1].setdefault(e.tid, []).append(e.eid)
+            if key in open_runs:
+                open_runs.pop(key)[1] = e.eid
+        elif e.kind is EventKind.READ and e.rmw is None:
+            init, chains, runs = shapes[e.loc]
+            if key not in open_runs:
+                a = chains[e.tid][-1] if e.tid in chains else init
+                runs.append(open_runs.setdefault(key, [a, None, []]))
+            open_runs[key][2].append(e.eid)
+    rmw_pairs = tuple((w.rmw, w.eid) for w in writes if w.rmw is not None)
+    of = {}
+    for e in events:
+        of[e.tid] = of.get(e.tid, 0) | 1 << e.eid
+    same_thread = [of[e.tid] for e in events]
+    everything = (1 << len(events)) - 1
+    po = [(everything if e.tid == INIT_TID else same) & -(2 << e.eid)
+          for e, same in zip(events, same_thread)]
+    at = {}
+    for e in events:
+        if e.loc is not None:
+            at[e.loc] = at.get(e.loc, 0) | 1 << e.eid
+    po_loc = [row & at[e.loc] if e.loc is not None and e.tid != INIT_TID
+              else 0 for e, row in zip(events, po)]
+    masks = {"R": event_mask(reads), "W": event_mask(writes),
+             "F": event_mask(fences),
+             "init": event_mask(e for e in events if e.tid == INIT_TID)}
+    for flag in ("acquire", "release", "seq_cst", "zero_dest"):
+        masks[flag] = event_mask(e for e in events if getattr(e, flag))
+    return {
+        "reads": reads, "writes": writes, "fences": fences, "masks": masks,
+        "shapes": shapes,
+        "exchanges": {loc: [(r, w) for r, w in rmw_pairs
+                            if events[r].loc == loc] for loc in shapes},
+        "rmw_pairs": rmw_pairs,
+        "value_srcs": {w.eid: w.value_src for w in writes},
+        "same_thread": same_thread, "po": po, "po_loc": po_loc,
+    }
+
+
+def reference_sync_sets(graph):
+    """The reference for ``model_c11._sync_sets``, over
+    ``reference_tables``: release heads, acquire ends per read, the rmw
+    map, and the read, write and seq_cst masks."""
+    tables = reference_tables(graph)
+    po, writes, fences = tables["po"], tables["writes"], tables["fences"]
+    heads = [(w.eid, w.eid) for w in writes if w.release]
+    heads += [(f.eid, w) for f in fences if f.release
+              for w in bits(po[f.eid] & event_mask(writes))]
+    acquire_fences = event_mask(f for f in fences if f.acquire)
+    ends = [0] * len(graph.events)
+    for r in tables["reads"]:
+        ends[r.eid] = ((1 << r.eid if r.acquire else 0)
+                       | po[r.eid] & acquire_fences)
+    return (heads, ends, dict(tables["rmw_pairs"]),
+            event_mask(tables["reads"]), event_mask(writes),
+            event_mask(e for e in graph.events if e.seq_cst))
+
+
+def reference_barrier_order(graph, legacy_zero_register):
+    """The reference for ``model_aarch64._barrier_ordered``, over
+    ``reference_tables``."""
+    tables = reference_tables(graph)
+    po, writes = tables["po"], tables["writes"]
+    memory = event_mask(e for e in graph.events
+                        if e.kind is not EventKind.FENCE
+                        and e.tid != INIT_TID)
+    own_writes = event_mask(w for w in writes if w.tid != INIT_TID)
+    reads = [r for r in tables["reads"]
+             if legacy_zero_register or not r.zero_dest]
+    register_reads = event_mask(reads)
+    acquires = event_mask(r for r in reads if r.acquire)
+    releases = event_mask(w for w in writes if w.release)
+    bob = [0] * len(graph.events)
+    for f in tables["fences"]:
+        if f.domain is DmbDomain.SY:
+            before, after = memory, memory
+        elif f.domain is DmbDomain.LD:
+            before, after = register_reads, memory
+        else:
+            before, after = own_writes, own_writes
+        for a in bits(before):
+            if po[a] >> f.eid & 1:
+                bob[a] |= po[f.eid] & after
+    for e in bits(memory):
+        bob[e] |= po[e] & (memory if acquires >> e & 1 else releases)
+    return bob
+
+
+def ordered(table):
+    """A table with every dict turned into its list of items, so that two
+    tables are equal only when their dicts list their keys in one order."""
+    if isinstance(table, dict):
+        return [(key, ordered(value)) for key, value in table.items()]
+    if type(table) in (list, tuple):
+        return type(table)(map(ordered, table))
+    return table
+
+
+def check_tables_law(test):
+    """``build_events`` makes the tables of ``reference_tables``, with
+    their types and in their order, and the models' per-graph memos equal
+    their references: c11's sync sets on a source test, aarch64's bob
+    under either zero-register reading on an asm test."""
+    graph = build_events(test)
+    reference = reference_tables(graph)
+    assert ordered({name: getattr(graph, name) for name in reference}) \
+        == ordered(reference), test.name
+    if test.dialect is Dialect.SOURCE:
+        assert model_c11._graph_sync_sets(graph) \
+            == reference_sync_sets(graph), test.name
+    else:
+        for legacy in (False, True):
+            assert model_aarch64.barrier_order(graph, legacy) \
+                == reference_barrier_order(graph, legacy), (test.name, legacy)
 
 
 def hand_execution(test, rf, co):

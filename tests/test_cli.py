@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -286,6 +287,23 @@ def test_non_utf8_file(capsys, tmp_path):
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {bad} is not UTF-8 text:")
     assert err.count("\n") == 1
+
+
+def test_files_with_byte_order_mark(capsys, tmp_path):
+    """Every command reads a file that starts with a UTF-8 byte-order mark
+    as it reads the same file without one, in either dialect."""
+    marked = {}
+    for path in (SOURCE, BUGGY):
+        marked[path] = str(tmp_path / Path(path).name)
+        Path(marked[path]).write_bytes(
+            b"\xef\xbb\xbf" + Path(path).read_bytes())
+    for argv in (["simulate", SOURCE], ["simulate", BUGGY],
+                 ["compile", SOURCE],
+                 ["diff", SOURCE, "--auto-compile", "--dead-register"],
+                 ["diff", SOURCE, BUGGY, "--mapping", MAPPING]):
+        want = run(capsys, *argv)
+        assert want[0] in (0, 1), argv
+        assert run(capsys, *[marked.get(a, a) for a in argv]) == want, argv
 
 
 @pytest.mark.parametrize("text", ["{not json", "[" * 100_000 + "]" * 100_000,

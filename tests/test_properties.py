@@ -438,6 +438,14 @@ def test_location_choices_equal_the_filtered_reference(test):
     support.check_location_choices_law(test)
 
 
+@pytest.mark.parametrize(
+    "test", [*LADDER, *(lower_test(test)[0] for test in LADDER), *ASM_INPUTS,
+             *GOLDEN],
+    ids=lambda test: test.name)
+def test_graph_tables_equal_the_reference(test):
+    support.check_tables_law(test)
+
+
 def test_location_search_makes_fewer_choices_than_the_budget():
     # The shape's budget counts every rf tuple of every coherence order;
     # the search makes only the coherent ones.
@@ -470,6 +478,13 @@ def test_examined_choices_equal_the_brute_force_count_across_corpus(test):
     for subject in (test, lower_test(test)[0]):
         assert build_events(subject).examined_choices \
             == support.naive_examined_choices(subject)
+
+
+@pytest.mark.parametrize("test", CORPUS, ids=IDS)
+def test_graph_tables_equal_the_reference_across_corpus(test):
+    compiled = lower_test(test)[0]
+    for subject in (test, compiled, dead_register_pass(compiled)):
+        support.check_tables_law(subject)
 
 
 @pytest.mark.parametrize("test", CORPUS, ids=IDS)
@@ -786,3 +801,14 @@ def test_location_choices_equal_the_filtered_reference_on_random_tests(test):
     support.check_location_choices_law(test)
     if test.dialect is Dialect.SOURCE:
         support.check_location_choices_law(lower_test(test)[0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(small_source_tests(max_stmts=3, max_threads=3),
+                 small_asm_tests(), release_acquire_chains()))
+def test_graph_tables_equal_the_reference_on_random_tests(test):
+    support.check_tables_law(test)
+    if test.dialect is Dialect.SOURCE:
+        compiled = lower_test(test)[0]
+        support.check_tables_law(compiled)
+        support.check_tables_law(dead_register_pass(compiled))

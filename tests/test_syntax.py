@@ -191,6 +191,17 @@ def test_missing_exists():
         parse_litmus(text)
 
 
+@pytest.mark.parametrize("path", FILES[:2], ids=lambda path: path.name)
+def test_leading_byte_order_mark_is_skipped(path):
+    text = path.read_text(encoding="utf-8")
+    assert parse_litmus("\ufeff" + text) == parse_litmus(text)
+    assert parse_litmus("\ufeff" + text.replace("\n", "\r\n")) \
+        == parse_litmus(text)
+    # only one: a second mark is part of the header
+    with pytest.raises(ParseError, match=r"line 1, col 1: .* got '\\ufeff"):
+        parse_litmus("\ufeff\ufeff" + text)
+
+
 def test_header_dispatch():
     with pytest.raises(ParseError, match="empty input"):
         parse_litmus("")
