@@ -108,6 +108,9 @@ class Event(NamedTuple):
     value_src: ValueSource | None = None
 
 
+_LABEL = operator.itemgetter(0)
+
+
 @dataclasses.dataclass
 class EventGraph:
     """A test's events and final register environment, and every table no
@@ -123,7 +126,9 @@ class EventGraph:
     - rows: ``same_thread``, and ``po`` and ``po_loc``, program order and
       its restriction to a thread's own accesses to one location.  Ids
       follow program order; init writes precede every event and have no
-      po-loc, since they precede everything in coherence.
+      po-loc, since they precede everything in coherence;
+    - ``final_observables``: the exists clause's observables with their
+      printed labels, sorted by label.
 
     ``memo`` holds per-graph results of the model modules, each under keys
     its own module owns; only what no rf or co choice can change belongs
@@ -189,6 +194,11 @@ class EventGraph:
         self.po_loc = [
             row & at[e.loc] if e.loc is not None and e.tid != INIT_TID else 0
             for e, row in zip(self.events, self.po)]
+        dialect = self.test.dialect
+        self.final_observables = sorted(
+            [(observable_label(obs, dialect), obs)
+             for obs in condition_observables(self.test.final)],
+            key=_LABEL)
 
     @cached_property
     def examined_choices(self) -> int:
@@ -204,14 +214,6 @@ class EventGraph:
                 orders *= math.comb(placed, len(chain))
             total += orders * (1 + placed) ** sum(len(r[2]) for r in runs)
         return total
-
-    @cached_property
-    def final_observables(self) -> list[tuple[str, object]]:
-        """The exists clause's observables with their labels, by label."""
-        dialect = self.test.dialect
-        return sorted(((observable_label(obs, dialect), obs)
-                       for obs in condition_observables(self.test.final)),
-                      key=lambda item: item[0])
 
 
 class _ThreadBuilder:

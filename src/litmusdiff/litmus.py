@@ -88,7 +88,7 @@ class SourceStmt:
     dest: str | None = None
 
     def defined_register(self) -> str | None:
-        if self.kind in (StmtKind.LOAD, StmtKind.EXCHANGE):
+        if self.kind is _LOAD or self.kind is _EXCHANGE:
             return self.dest
         return None
 
@@ -111,6 +111,21 @@ SWP_FAMILY = frozenset(
 )
 SWP_ACQUIRE = frozenset({Mnemonic.SWPA, Mnemonic.SWPAL})
 SWP_RELEASE = frozenset({Mnemonic.SWPL, Mnemonic.SWPAL})
+
+# The members that statements and validation compare against, by
+# identity.  Reading one through its enum class is an unspecialised
+# attribute lookup, and a set of members hashes each through
+# ``Enum.__hash__``, a Python-level call; module names and tuples cost
+# neither.
+_FENCE, _LOAD, _STORE, _EXCHANGE = (
+    StmtKind.FENCE, StmtKind.LOAD, StmtKind.STORE, StmtKind.EXCHANGE)
+_LOAD_ORDERS = tuple(LOAD_ORDERS)
+_STORE_ORDERS = tuple(STORE_ORDERS)
+_FENCE_ORDERS = tuple(FENCE_ORDERS)
+_MOV, _DMB = Mnemonic.MOV, Mnemonic.DMB
+_LOADS = (Mnemonic.LDR, Mnemonic.LDAR)
+_STORES = (Mnemonic.STR, Mnemonic.STLR)
+_SWPS = (Mnemonic.SWP, Mnemonic.SWPA, Mnemonic.SWPL, Mnemonic.SWPAL)
 
 
 class DmbDomain(enum.Enum):
@@ -141,14 +156,14 @@ class AsmInstr:
 
     def defined_register(self) -> str | None:
         # WZR is a value sink, not a definition.
-        if self.mnemonic in (Mnemonic.MOV, Mnemonic.LDR, Mnemonic.LDAR):
+        if self.mnemonic is _MOV or self.mnemonic in _LOADS:
             return self.dst
-        if self.mnemonic in SWP_FAMILY and self.dst != ZERO_REGISTER:
+        if self.mnemonic in _SWPS and self.dst != ZERO_REGISTER:
             return self.dst
         return None
 
     def read_registers(self) -> tuple[str, ...]:
-        if self.mnemonic in (Mnemonic.STR, Mnemonic.STLR) or self.mnemonic in SWP_FAMILY:
+        if self.mnemonic in _STORES or self.mnemonic in _SWPS:
             assert self.src is not None
             return (self.src,)
         return ()
@@ -166,14 +181,6 @@ class Thread:
 
     def binding_map(self) -> dict[str, str]:
         return dict(self.bindings)
-
-    def defined_registers(self) -> list[str]:
-        regs = []
-        for stmt in self.stmts:
-            reg = stmt.defined_register()
-            if reg is not None and reg not in regs:
-                regs.append(reg)
-        return regs
 
 
 @dataclasses.dataclass(frozen=True)
@@ -226,13 +233,18 @@ FinalCondition = Atom | Conj | Disj | Neg
 
 
 def condition_atoms(cond: FinalCondition) -> Iterator[Atom]:
-    if isinstance(cond, Atom):
-        yield cond
-    elif isinstance(cond, Neg):
-        yield from condition_atoms(cond.operand)
-    else:
-        yield from condition_atoms(cond.left)
-        yield from condition_atoms(cond.right)
+    """The condition's atoms, left to right."""
+    stack = [cond]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Atom):
+            yield node
+        elif isinstance(node, Neg):
+            stack.append(node.operand)
+        else:
+            left = node.left
+            stack.append(node.right)
+            stack.append(left)
 
 
 def condition_observables(cond: FinalCondition) -> list[Observable]:
@@ -291,23 +303,27 @@ class LitmusTest:
         return sorted(self.locations)
 
 
-_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_.+-]*$")
-_LOC_RE = re.compile(r"[a-z][A-Za-z0-9_]*$")
-_SRC_REG_RE = re.compile(r"r\d+$")
-_ASM_W_RE = re.compile(r"W(?:[12]?\d|30)$")
-_ASM_X_RE = re.compile(r"X(?:[12]?\d|30)$")
+_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_.+-]*")
+_LOC_RE = re.compile(r"[a-z][A-Za-z0-9_]*")
+# W0 to W30 and X0 to X30, written without leading zeros (W030 is no name
+# for W30); WZR is not among them.
+W_REGISTERS = frozenset(f"W{i}" for i in range(31))
+X_REGISTERS = frozenset(f"X{i}" for i in range(31))
 
 
 def is_w_register(reg: str) -> bool:
-    """Whether ``reg`` names one of W0 to W30, written without leading
-    zeros (W030 is no name for W30); WZR is not among them."""
-    return _ASM_W_RE.match(reg) is not None
+    """Whether ``reg`` names one of W0 to W30."""
+    return reg in W_REGISTERS
 
 
 def is_x_register(reg: str) -> bool:
-    """Whether ``reg`` names one of the address registers X0 to X30,
-    written without leading zeros (X00 is no name for X0)."""
-    return _ASM_X_RE.match(reg) is not None
+    """Whether ``reg`` names one of the address registers X0 to X30."""
+    return reg in X_REGISTERS
+
+
+def _is_source_register(reg: str) -> bool:
+    """Whether ``reg`` is ``r`` and one or more decimal digits (``r7``)."""
+    return reg[:1] == "r" and reg[1:].isdecimal()
 
 
 def _check_value(value: int, what: str) -> None:
@@ -317,26 +333,29 @@ def _check_value(value: int, what: str) -> None:
         )
 
 
+
+
 def _validate_source_stmt(stmt: SourceStmt, declared: set[str], defined: set[str]) -> None:
-    if stmt.kind is StmtKind.FENCE:
-        if stmt.order not in FENCE_ORDERS:
+    kind = stmt.kind
+    if kind is _FENCE:
+        if stmt.order not in _FENCE_ORDERS:
             raise ValidationError(f"fence cannot use order {stmt.order.value}")
         if stmt.location is not None or stmt.dest is not None or stmt.value is not None:
             raise ValidationError("fence takes no location, value, or register")
         return
     if stmt.location is None:
-        raise ValidationError(f"{stmt.kind.value} needs a location")
+        raise ValidationError(f"{kind.value} needs a location")
     if stmt.location not in declared:
         raise ValidationError(f"undeclared location {stmt.location!r}")
-    if stmt.kind is StmtKind.LOAD:
-        if stmt.order not in LOAD_ORDERS:
+    if kind is _LOAD:
+        if stmt.order not in _LOAD_ORDERS:
             raise ValidationError(f"load cannot use order {stmt.order.value}")
         if stmt.dest is None:
             raise ValidationError("load needs a destination register")
         if stmt.value is not None:
             raise ValidationError("load takes no stored value")
-    elif stmt.kind is StmtKind.STORE:
-        if stmt.order not in STORE_ORDERS:
+    elif kind is _STORE:
+        if stmt.order not in _STORE_ORDERS:
             raise ValidationError(f"store cannot use order {stmt.order.value}")
         if stmt.value is None:
             raise ValidationError("store needs a value")
@@ -349,7 +368,7 @@ def _validate_source_stmt(stmt: SourceStmt, declared: set[str], defined: set[str
         _check_value(stmt.value, "stored value")
     dest = stmt.defined_register()
     if dest is not None:
-        if not _SRC_REG_RE.match(dest):
+        if not _is_source_register(dest):
             raise ValidationError(f"bad source register name {dest!r}")
         if dest in defined:
             raise ValidationError(f"register {dest} defined twice")
@@ -360,102 +379,92 @@ def _validate_asm_instr(
     instr: AsmInstr, bindings: dict[str, str], defined: set[str]
 ) -> None:
     m = instr.mnemonic
-    if m is Mnemonic.DMB:
+    if m is _DMB:
         if instr.domain is None:
             raise ValidationError("DMB needs a domain")
         return
-    if m is Mnemonic.MOV:
+    if m is _MOV:
         if instr.dst == ZERO_REGISTER:
             raise ValidationError("MOV to the zero register is not supported")
         if instr.dst is None or instr.imm is None:
             raise ValidationError("MOV needs a register and an immediate")
         _check_value(instr.imm, "immediate")
-    elif m in (Mnemonic.LDR, Mnemonic.LDAR):
+    elif m in _LOADS:
         if instr.dst == ZERO_REGISTER:
             raise ValidationError(f"{m.value} to the zero register is not supported")
         if instr.dst is None or instr.addr is None:
             raise ValidationError(f"{m.value} needs a register and an address")
-    elif m in (Mnemonic.STR, Mnemonic.STLR):
+    elif m in _STORES:
         if instr.src is None or instr.addr is None:
             raise ValidationError(f"{m.value} needs a register and an address")
     else:  # SWP family
         if instr.src is None or instr.dst is None or instr.addr is None:
             raise ValidationError(f"{m.value} needs two registers and an address")
     if instr.addr is not None:
-        if not is_x_register(instr.addr):
+        if instr.addr not in X_REGISTERS:
             raise ValidationError(f"bad address register {instr.addr!r}")
         if instr.addr not in bindings:
             raise ValidationError(f"address register {instr.addr} bound to no location")
     for reg in instr.read_registers():
         if reg == ZERO_REGISTER:
             continue
-        if not is_w_register(reg):
+        if reg not in W_REGISTERS:
             raise ValidationError(f"bad register name {reg!r}")
         if reg not in defined:
             raise ValidationError(f"register {reg} read before any definition")
     dest = instr.defined_register()
     if dest is not None:
-        if not is_w_register(dest):
+        if dest not in W_REGISTERS:
             raise ValidationError(f"bad register name {dest!r}")
         defined.add(dest)
-
-
-def _validate_observable(obs: Observable, test: LitmusTest) -> None:
-    if isinstance(obs, MemoryObservable):
-        if obs.location not in test.locations:
-            raise ValidationError(f"final condition uses undeclared location {obs.location!r}")
-        return
-    try:
-        thread = test.thread(obs.thread)
-    except KeyError:
-        raise ValidationError(f"final condition names unknown thread P{obs.thread}") from None
-    if obs.register not in thread.defined_registers():
-        raise ValidationError(
-            f"final condition reads register {obs.register} never written by P{obs.thread}"
-        )
 
 
 def validate_test(test: LitmusTest) -> None:
     """Check the structural invariants; raise ValidationError on the first hole.
 
-    Meant both as the last step of parsing and as a sanity net behind
-    programmatic construction (generators, lowering).
+    It runs as the last step of every parse, lowering and dead-register
+    rewrite and on every generated test, and stands behind programmatic
+    construction too.  Register names are checked by membership in the
+    name sets above, and the final condition's registers against the
+    definitions that the statement loop collects.
     """
-    if not _NAME_RE.match(test.name):
+    if not _NAME_RE.fullmatch(test.name):
         raise ValidationError(f"bad test name {test.name!r}")
     if not test.locations:
         raise ValidationError("a test needs at least one location")
     if len(test.locations) > MAX_LOCATIONS:
         raise ValidationError(f"more than {MAX_LOCATIONS} locations")
     for loc, init in test.locations.items():
-        if not _LOC_RE.match(loc):
+        if not _LOC_RE.fullmatch(loc):
             raise ValidationError(f"bad location name {loc!r}")
-        _check_value(init, f"initial value of {loc}")
+        if not (MIN_VALUE <= init <= MAX_VALUE):  # spares the message otherwise
+            _check_value(init, f"initial value of {loc}")
     if not test.threads:
         raise ValidationError("a test needs at least one thread")
     if len(test.threads) > MAX_THREADS:
         raise ValidationError(f"more than {MAX_THREADS} threads")
     if [t.tid for t in test.threads] != list(range(len(test.threads))):
         raise ValidationError("thread ids must be P0, P1, ... without gaps")
-    declared = set(test.locations)
-    stmt_limit = (MAX_STATEMENTS_PER_THREAD if test.dialect is Dialect.SOURCE
-                  else MAX_INSTRUCTIONS_PER_THREAD)
+    declared = test.locations
+    source = test.dialect is Dialect.SOURCE
+    stmt_limit = MAX_STATEMENTS_PER_THREAD if source else MAX_INSTRUCTIONS_PER_THREAD
+    defined_by_thread: dict[int, set[str]] = {}
     for thread in test.threads:
         if len(thread.stmts) > stmt_limit:
             raise ValidationError(
                 f"P{thread.tid} has more than {stmt_limit} statements"
             )
-        if test.dialect is Dialect.SOURCE and thread.bindings:
+        if source and thread.bindings:
             raise ValidationError("source threads carry no address bindings")
-        bindings = thread.binding_map()
+        bindings = dict(thread.bindings)
         for reg, loc in bindings.items():
-            if not is_x_register(reg):
+            if reg not in X_REGISTERS:
                 raise ValidationError(f"bad address register {reg!r}")
             if loc not in declared:
                 raise ValidationError(f"address register {reg} bound to undeclared {loc!r}")
-        defined: set[str] = set()
+        defined_by_thread[thread.tid] = defined = set()
         for stmt in thread.stmts:
-            if test.dialect is Dialect.SOURCE:
+            if source:
                 if not isinstance(stmt, SourceStmt):
                     raise ValidationError("asm instruction in a source test")
                 _validate_source_stmt(stmt, declared, defined)
@@ -465,4 +474,16 @@ def validate_test(test: LitmusTest) -> None:
                 _validate_asm_instr(stmt, bindings, defined)
     for atom in condition_atoms(test.final):
         _check_value(atom.value, "final condition value")
-        _validate_observable(atom.observable, test)
+        obs = atom.observable
+        if isinstance(obs, MemoryObservable):
+            if obs.location not in declared:
+                raise ValidationError(
+                    f"final condition uses undeclared location {obs.location!r}")
+            continue
+        defined = defined_by_thread.get(obs.thread)
+        if defined is None:
+            raise ValidationError(f"final condition names unknown thread P{obs.thread}")
+        if obs.register not in defined:
+            raise ValidationError(
+                f"final condition reads register {obs.register} never written by P{obs.thread}"
+            )

@@ -32,11 +32,14 @@ from .litmus import (
     ZERO_REGISTER,
     condition_observables,
     map_condition_observables,
-    observable_label,
     validate_test,
 )
 
 SCRATCH_BASE = 15
+# Members compared by identity in the loops below (see litmus.py).
+_STORE, _LOAD, _EXCHANGE = StmtKind.STORE, StmtKind.LOAD, StmtKind.EXCHANGE
+_MOV, _DMB = Mnemonic.MOV, Mnemonic.DMB
+_SWPS = tuple(SWP_FAMILY)
 
 
 class LoweringError(LitmusError):
@@ -102,56 +105,50 @@ class Mapping:
         return Mapping(dict(data["observables"]), dict(data["locations"]))
 
 
-class _RegisterAllocator:
-    def __init__(self, floor: int):
-        self.next_value = floor
-        self.next_scratch = SCRATCH_BASE
+def _lower_thread(
+    thread: Thread, addr_regs: dict[str, str],
+    bindings: tuple[tuple[str, str], ...],
+) -> tuple[Thread, dict[str, str]]:
+    """A source thread's instructions, and where each of its registers
+    went.  Values take W<locations> up to W14, one fresh register per
+    use, and discarded exchange results take W15 upwards."""
+    next_value, next_scratch = len(addr_regs), SCRATCH_BASE
 
-    def fresh(self) -> str:
-        if self.next_value >= SCRATCH_BASE:
+    def fresh() -> str:
+        nonlocal next_value
+        if next_value >= SCRATCH_BASE:
             raise LoweringError(
                 f"register budget exhausted: thread needs more than "
                 f"W{SCRATCH_BASE - 1}")
-        reg = f"W{self.next_value}"
-        self.next_value += 1
-        return reg
+        next_value += 1
+        return f"W{next_value - 1}"
 
-    def scratch(self) -> str:
-        reg = f"W{self.next_scratch}"
-        self.next_scratch += 1
-        return reg
-
-
-def _lower_thread(
-    thread: Thread, addr_regs: dict[str, str]
-) -> tuple[Thread, dict[str, str]]:
-    alloc = _RegisterAllocator(len(addr_regs))
     instrs: list[AsmInstr] = []
     reg_map: dict[str, str] = {}
     for stmt in thread.stmts:
         assert isinstance(stmt, SourceStmt)
-        if stmt.kind is StmtKind.STORE:
-            tmp = alloc.fresh()
-            instrs.append(AsmInstr(Mnemonic.MOV, dst=tmp, imm=stmt.value))
-            instrs.append(AsmInstr(STORE_MNEMONIC[stmt.order], src=tmp,
-                                   addr=addr_regs[stmt.location]))
-        elif stmt.kind is StmtKind.LOAD:
-            dst = alloc.fresh()
-            instrs.append(AsmInstr(LOAD_MNEMONIC[stmt.order], dst=dst,
-                                   addr=addr_regs[stmt.location]))
+        kind = stmt.kind
+        if kind is _STORE:
+            tmp = fresh()
+            instrs.append(AsmInstr(_MOV, tmp, None, None, stmt.value))
+            instrs.append(AsmInstr(STORE_MNEMONIC[stmt.order], None, tmp,
+                                   addr_regs[stmt.location]))
+        elif kind is _LOAD:
+            dst = fresh()
+            instrs.append(AsmInstr(LOAD_MNEMONIC[stmt.order], dst, None,
+                                   addr_regs[stmt.location]))
             reg_map[stmt.dest] = dst
-        elif stmt.kind is StmtKind.EXCHANGE:
-            tmp = alloc.fresh()
-            instrs.append(AsmInstr(Mnemonic.MOV, dst=tmp, imm=stmt.value))
-            dst = alloc.fresh() if stmt.dest is not None else alloc.scratch()
-            instrs.append(AsmInstr(EXCHANGE_MNEMONIC[stmt.order], src=tmp,
-                                   dst=dst, addr=addr_regs[stmt.location]))
+        elif kind is _EXCHANGE:
+            tmp = fresh()
+            instrs.append(AsmInstr(_MOV, tmp, None, None, stmt.value))
             if stmt.dest is not None:
-                reg_map[stmt.dest] = dst
+                dst = reg_map[stmt.dest] = fresh()
+            else:
+                dst, next_scratch = f"W{next_scratch}", next_scratch + 1
+            instrs.append(AsmInstr(EXCHANGE_MNEMONIC[stmt.order], dst, tmp,
+                                   addr_regs[stmt.location]))
         else:
-            instrs.append(AsmInstr(Mnemonic.DMB, domain=FENCE_DOMAIN[stmt.order]))
-    bindings = tuple(sorted(addr_regs.items(), key=lambda kv: kv[1]))
-    bindings = tuple((reg, loc) for loc, reg in bindings)
+            instrs.append(AsmInstr(_DMB, domain=FENCE_DOMAIN[stmt.order]))
     return Thread(thread.tid, tuple(instrs), bindings), reg_map
 
 
@@ -162,21 +159,19 @@ def lower_test(test: LitmusTest) -> tuple[LitmusTest, Mapping]:
         raise LoweringError("only source tests can be lowered")
     locations = test.sorted_locations()
     addr_regs = {loc: f"X{i}" for i, loc in enumerate(locations)}
+    # Every thread binds every address register, in register order.
+    bindings = tuple((reg, loc) for loc, reg in
+                     sorted(addr_regs.items(), key=lambda kv: kv[1]))
 
     threads = []
+    observables: dict[str, str] = {}
     register_targets: dict[tuple[int, str], str] = {}
     for thread in test.threads:
-        lowered, reg_map = _lower_thread(thread, addr_regs)
+        lowered, reg_map = _lower_thread(thread, addr_regs, bindings)
         threads.append(lowered)
         for src_reg, asm_reg in reg_map.items():
             register_targets[(thread.tid, src_reg)] = asm_reg
-
-    observables: dict[str, str] = {}
-    for (tid, src_reg), asm_reg in register_targets.items():
-        source_label = observable_label(RegisterObservable(tid, src_reg),
-                                        Dialect.SOURCE)
-        asm_label = observable_label(RegisterObservable(tid, asm_reg), Dialect.ASM)
-        observables[source_label] = asm_label
+            observables[f"P{thread.tid}:{src_reg}"] = f"{thread.tid}:{asm_reg}"
     for loc in locations:
         observables[loc] = loc
     mapping = Mapping(observables, {loc: loc for loc in locations})
@@ -199,41 +194,41 @@ def lower_test(test: LitmusTest) -> tuple[LitmusTest, Mapping]:
     return compiled, mapping
 
 
-def _destination_live(thread: Thread, index: int, reg: str,
-                      observed: set[tuple[int, str]]) -> bool:
-    # Deliberately coarse: any later appearance as a source operand keeps
-    # the register alive, redefinitions notwithstanding.
-    for later in thread.stmts[index + 1:]:
-        if reg in later.read_registers():
-            return True
-    return (thread.tid, reg) in observed
-
-
 def dead_register_pass(test: LitmusTest) -> LitmusTest:
     """Rewrite the destination of an exchange to the zero register when the
     old value is never read and never observed.  Mirrors a compiler cleanup
-    that treats architectural registers as thread-local state."""
+    that treats architectural registers as thread-local state.
+
+    Deliberately coarse: any later appearance as a source operand keeps the
+    register alive, redefinitions notwithstanding.  Each thread is walked
+    once from the end, gathering the registers read after each exchange."""
     if test.dialect is not Dialect.ASM:
         raise LoweringError("the dead register pass runs on asm tests")
     observed = {
         (obs.thread, obs.register)
-        for obs in _register_observables(test)
+        for obs in condition_observables(test.final)
+        if isinstance(obs, RegisterObservable)
     }
     threads = []
     for thread in test.threads:
-        instrs = list(thread.stmts)
-        for i, instr in enumerate(instrs):
-            if instr.mnemonic not in SWP_FAMILY or instr.dst == ZERO_REGISTER:
+        stmts = instrs = thread.stmts
+        read_later: set[str] = set()
+        scanned = len(stmts)  # stmts[scanned:] are in read_later
+        for i in range(len(stmts) - 1, -1, -1):
+            instr = stmts[i]
+            if instr.mnemonic not in _SWPS or instr.dst == ZERO_REGISTER:
                 continue
-            if not _destination_live(thread, i, instr.dst, observed):
-                instrs[i] = dataclasses.replace(instr, dst=ZERO_REGISTER)
+            for later in stmts[i + 1:scanned]:
+                read_later.update(later.read_registers())
+            scanned = i + 1
+            if instr.dst in read_later or (thread.tid, instr.dst) in observed:
+                continue
+            if instrs is stmts:
+                instrs = list(stmts)
+            instrs[i] = AsmInstr(instr.mnemonic, ZERO_REGISTER, instr.src,
+                                 instr.addr, instr.imm, instr.domain)
         threads.append(Thread(thread.tid, tuple(instrs), thread.bindings))
     rewritten = LitmusTest(test.name, test.dialect, dict(test.locations),
                            tuple(threads), test.final)
     validate_test(rewritten)
     return rewritten
-
-
-def _register_observables(test: LitmusTest):
-    return [obs for obs in condition_observables(test.final)
-            if isinstance(obs, RegisterObservable)]

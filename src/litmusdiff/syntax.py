@@ -1,9 +1,13 @@
 """Parsing and printing for the two litmus dialects.
 
 One reader takes both.  It is line oriented: header, init block in braces,
-one block per thread, then a single ``exists`` line.  Errors carry 1-based
-line and column numbers.  ``render_litmus`` prints a canonical layout;
-parsing its output gives back a structurally equal test.
+one block per thread, then a single ``exists`` line.  Each line is stripped
+once, when the input is split, and kept with its line number and the column
+of its first character; blank lines are dropped there.  A statement line
+goes to the one pattern of its form: an asm line to that of the mnemonic it
+starts with, a source line to that of its ``atomic_*`` call.  Errors carry
+1-based line and column numbers.  ``render_litmus`` prints a canonical
+layout; parsing its output gives back a structurally equal test.
 """
 
 from __future__ import annotations
@@ -60,16 +64,14 @@ _SRC_THREAD_RE = re.compile(r"P(\d+)\s*(?:\(([^)]*)\))?\s*\{$")
 _PARAM_RE = re.compile(r"atomic_int\s*\*\s*(\w+)$")
 
 _ASM_THREAD_RE = re.compile(r"P(\d+):$")
-_MOV_RE = re.compile(r"MOV\s+(\w+)\s*,\s*#(-?\d+)$")
-_LDX_RE = re.compile(r"(LDAR|LDR)\s+(\w+)\s*,\s*\[\s*(\w+)\s*\]$")
-_STX_RE = re.compile(r"(STLR|STR)\s+(\w+)\s*,\s*\[\s*(\w+)\s*\]$")
-_SWP_RE = re.compile(r"(SWPAL|SWPA|SWPL|SWP)\s+(\w+)\s*,\s*(\w+)\s*,\s*\[\s*(\w+)\s*\]$")
-_DMB_RE = re.compile(r"DMB\s+(\w+)$")
+# Operands, matched from the end of the mnemonic.
+_MOV_RE = re.compile(r"\s+(\w+)\s*,\s*#(-?\d+)$")
+_REG_ADDR_RE = re.compile(r"\s+(\w+)\s*,\s*\[\s*(\w+)\s*\]$")
+_SWP_RE = re.compile(r"\s+(\w+)\s*,\s*(\w+)\s*,\s*\[\s*(\w+)\s*\]$")
+_DMB_RE = re.compile(r"\s+(\w+)$")
 
 _INIT_LOC_RE = re.compile(r"(\w+)\s*=\s*(-?\d+)$")
 _INIT_BIND_RE = re.compile(r"(\d+)\s*:\s*(\w+)\s*=\s*(\w+)$")
-
-_KNOWN_MNEMONICS = {m.value for m in Mnemonic}
 
 _DMB_DOMAINS = {
     "ISH": DmbDomain.SY,
@@ -79,11 +81,6 @@ _DMB_DOMAINS = {
     "ISHST": DmbDomain.ST,
     "ST": DmbDomain.ST,
 }
-
-
-def _column(raw_line: str) -> int:
-    stripped = raw_line.lstrip()
-    return len(raw_line) - len(stripped) + 1
 
 
 def _integer(token: str, line_no: int, col: int = 1) -> int:
@@ -96,30 +93,29 @@ def _integer(token: str, line_no: int, col: int = 1) -> int:
 
 
 class _Cursor:
-    """Walks the input line by line, remembering positions for errors."""
+    """Walks the non-blank lines of the input, each stripped and kept as
+    ``(text, line number, column of its first character)``."""
 
     def __init__(self, text: str):
-        self.lines = text.splitlines()
+        lines = text.splitlines()
+        self.count = len(lines)
+        self.lines = [(stripped, line_no, len(raw) - len(raw.lstrip()) + 1)
+                      for line_no, raw in enumerate(lines, 1)
+                      if (stripped := raw.strip())]
         self.index = 0
 
-    def eof(self) -> bool:
-        return self.index >= len(self.lines)
+    def peek(self) -> tuple[str, int, int] | None:
+        """Next line, without consuming it."""
+        if self.index < len(self.lines):
+            return self.lines[self.index]
+        return None
 
-    def peek(self) -> str | None:
-        """Next non-blank line, without consuming it."""
-        while self.index < len(self.lines) and not self.lines[self.index].strip():
-            self.index += 1
-        if self.eof():
-            return None
-        return self.lines[self.index]
-
-    def take(self, expectation: str) -> tuple[str, int]:
-        line = self.peek()
-        if line is None:
+    def take(self, expectation: str) -> tuple[str, int, int]:
+        if self.index >= len(self.lines):
             raise ParseError(f"unexpected end of input, expected {expectation}",
-                             len(self.lines) or 1)
+                             self.count or 1)
         self.index += 1
-        return line, self.index
+        return self.lines[self.index - 1]
 
 
 _HEADER_DIALECTS = {"C": Dialect.SOURCE, "AArch64": Dialect.ASM}
@@ -131,20 +127,21 @@ def parse_litmus(text: str) -> LitmusTest:
     cursor = _Cursor(text.removeprefix("\ufeff"))
     if cursor.peek() is None:
         raise ParseError("empty input", 1)
-    line, line_no = cursor.take("a header")
+    line, line_no, col = cursor.take("a header")
     parts = line.split()
     dialect = _HEADER_DIALECTS.get(parts[0])
     if dialect is None:
         raise ParseError(f"expected a 'C' or 'AArch64' header, got {parts[0]!r}",
-                         line_no, _column(line))
+                         line_no, col)
     if len(parts) != 2:
-        raise ParseError(f"expected '{parts[0]} <name>' header", line_no, _column(line))
+        raise ParseError(f"expected '{parts[0]} <name>' header", line_no, col)
 
     locations: dict[str, int] = {}
     bindings: dict[int, dict[str, str]] = {}
     bound_at: dict[int, int] = {}  # thread id -> line of its first binding
+    asm = dialect is Dialect.ASM
     for entry, entry_no in _parse_init_entries(cursor):
-        m = dialect is Dialect.ASM and _INIT_BIND_RE.match(entry)
+        m = asm and _INIT_BIND_RE.match(entry)
         if m:
             tid, reg = _integer(m.group(1), entry_no), m.group(2)
             if not is_x_register(reg):
@@ -166,16 +163,16 @@ def parse_litmus(text: str) -> LitmusTest:
     threads = []
     headers: dict[int, tuple[int, int]] = {}  # thread id -> line, column
     while True:
-        line, line_no = cursor.take("exists clause")
-        if line.strip().startswith("exists"):
+        line, line_no, col = cursor.take("exists clause")
+        if line.startswith("exists"):
             break
-        if dialect is Dialect.SOURCE:
-            tid, stmts = _parse_source_thread(cursor, line, line_no, locations)
+        if asm:
+            tid, stmts = _parse_asm_thread(cursor, line, line_no, col)
         else:
-            tid, stmts = _parse_asm_thread(cursor, line, line_no)
+            tid, stmts = _parse_source_thread(cursor, line, line_no, col, locations)
         if tid in headers:
-            raise ParseError(f"thread P{tid} given twice", line_no, _column(line))
-        headers[tid] = line_no, _column(line)
+            raise ParseError(f"thread P{tid} given twice", line_no, col)
+        headers[tid] = line_no, col
         threads.append(Thread(tid, stmts, tuple(bindings.get(tid, {}).items())))
     threads.sort(key=lambda t: t.tid)
     for tid in bindings:
@@ -186,7 +183,7 @@ def parse_litmus(text: str) -> LitmusTest:
         if thread.tid != expected:
             raise ParseError(f"thread P{expected} missing", *headers[thread.tid])
 
-    final = _parse_exists(cursor, line, line_no, dialect)
+    final = _parse_exists(cursor, line, line_no, col, dialect)
     test = LitmusTest(parts[1], dialect, locations, tuple(threads), final)
     validate_test(test)
     return test
@@ -205,18 +202,17 @@ def _parse_order(token: str, line_no: int, col: int) -> MemoryOrder:
 
 def _parse_init_entries(cursor: _Cursor) -> list[tuple[str, int]]:
     """Collect ``entry ;`` items between braces; each comes with its line."""
-    line, line_no = cursor.take("an initial state block in braces")
-    stripped = line.strip()
-    if not stripped.startswith("{"):
-        raise ParseError("expected '{' opening the initial state", line_no, _column(line))
-    body_parts = [(stripped[1:], line_no)]
+    line, line_no, col = cursor.take("an initial state block in braces")
+    if not line.startswith("{"):
+        raise ParseError("expected '{' opening the initial state", line_no, col)
+    body_parts = [(line[1:], line_no)]
     while "}" not in body_parts[-1][0]:
-        line, line_no = cursor.take("'}' closing the initial state")
-        body_parts.append((line.strip(), line_no))
+        line, line_no, col = cursor.take("'}' closing the initial state")
+        body_parts.append((line, line_no))
     last, last_no = body_parts[-1]
     closing = last.index("}")
     if last[closing + 1:].strip():
-        raise ParseError("unexpected text after '}'", last_no, _column(line))
+        raise ParseError("unexpected text after '}'", last_no, col)
     body_parts[-1] = (last[:closing], last_no)
 
     entries = []
@@ -228,81 +224,93 @@ def _parse_init_entries(cursor: _Cursor) -> list[tuple[str, int]]:
     return entries
 
 
-def _parse_source_stmt(raw: str, line_no: int) -> SourceStmt:
-    text = raw.strip()
-    col = _column(raw)
+def _store(m: re.Match, line_no: int, col: int) -> SourceStmt:
+    order = _parse_order(m.group(3), line_no, col + m.start(3))
+    value = _integer(m.group(2), line_no, col + m.start(2))
+    return SourceStmt(StmtKind.STORE, order, m.group(1), value)
+
+
+def _load(m: re.Match, line_no: int, col: int) -> SourceStmt:
+    order = _parse_order(m.group(3), line_no, col + m.start(3))
+    return SourceStmt(StmtKind.LOAD, order, m.group(2), None, m.group(1))
+
+
+def _exchange(m: re.Match, line_no: int, col: int) -> SourceStmt:
+    order = _parse_order(m.group(4), line_no, col + m.start(4))
+    value = _integer(m.group(3), line_no, col + m.start(3))
+    return SourceStmt(StmtKind.EXCHANGE, order, m.group(2), value, m.group(1))
+
+
+def _fence(m: re.Match, line_no: int, col: int) -> SourceStmt:
+    order = _parse_order(m.group(1), line_no, col + m.start(1))
+    if order is MemoryOrder.RELAXED:
+        raise ParseError("a relaxed fence has no effect", line_no, col + m.start(1))
+    return SourceStmt(StmtKind.FENCE, order)
+
+
+# Call name -> the pattern of its statement form and the builder of the
+# statement from a match.
+_SOURCE_FORMS = {
+    "atomic_store_explicit": (_STORE_RE, _store),
+    "atomic_load_explicit": (_LOAD_RE, _load),
+    "atomic_exchange_explicit": (_XCHG_RE, _exchange),
+    "atomic_thread_fence": (_FENCE_RE, _fence),
+}
+
+
+def _parse_source_stmt(text: str, line_no: int, col: int) -> SourceStmt:
+    # Every form is '[int r =] name(...);', so the name is what stands
+    # between the last '=' and the first '('.  A line that no form takes
+    # is sorted out by the two patterns below.
+    form = _SOURCE_FORMS.get(text.partition("(")[0].rpartition("=")[2].strip())
+    m = form[0].match(text) if form else None
+    if m:
+        return form[1](m, line_no, col)
     if _BRANCH_KEYWORD_RE.match(text):
         raise UnsupportedConstructError(
             "loops and branches are outside the supported fragment", line_no, col
         )
-
-    m = _STORE_RE.match(text)
-    if m:
-        order = _parse_order(m.group(3), line_no, col + m.start(3))
-        value = _integer(m.group(2), line_no, col + m.start(2))
-        return SourceStmt(StmtKind.STORE, order, location=m.group(1), value=value)
-    m = _LOAD_RE.match(text)
-    if m:
-        order = _parse_order(m.group(3), line_no, col + m.start(3))
-        return SourceStmt(StmtKind.LOAD, order, location=m.group(2), dest=m.group(1))
-    m = _XCHG_RE.match(text)
-    if m:
-        order = _parse_order(m.group(4), line_no, col + m.start(4))
-        return SourceStmt(
-            StmtKind.EXCHANGE, order, location=m.group(2),
-            value=_integer(m.group(3), line_no, col + m.start(3)),
-            dest=m.group(1),
-        )
-    m = _FENCE_RE.match(text)
-    if m:
-        order = _parse_order(m.group(1), line_no, col + m.start(1))
-        if order is MemoryOrder.RELAXED:
-            raise ParseError("a relaxed fence has no effect", line_no,
-                             col + m.start(1))
-        return SourceStmt(StmtKind.FENCE, order)
-
     m = _ATOMIC_CALL_RE.match(text)
     if m:
         name = m.group(1)
-        if name in ("atomic_store_explicit", "atomic_load_explicit",
-                    "atomic_exchange_explicit", "atomic_thread_fence"):
+        if name in _SOURCE_FORMS:
             raise ParseError(f"malformed {name} call", line_no, col)
         raise UnsupportedConstructError(f"unsupported operation {name}", line_no, col)
     raise ParseError("cannot parse statement", line_no, col)
 
 
 def _parse_source_thread(
-    cursor: _Cursor, header: str, line_no: int, locations: dict[str, int]
+    cursor: _Cursor, header: str, line_no: int, col: int, locations: dict[str, int]
 ) -> tuple[int, tuple[SourceStmt, ...]]:
-    m = _SRC_THREAD_RE.match(header.strip())
+    m = _SRC_THREAD_RE.match(header)
     if not m:
-        raise ParseError("expected 'Pn (...) {' or 'exists (...)'",
-                         line_no, _column(header))
-    tid = _integer(m.group(1), line_no, _column(header) + m.start(1))
+        raise ParseError("expected 'Pn (...) {' or 'exists (...)'", line_no, col)
+    tid = _integer(m.group(1), line_no, col + m.start(1))
     params = (m.group(2) or "").strip()
     if params:
         for param in params.split(","):
             pm = _PARAM_RE.match(param.strip())
             if not pm:
                 raise ParseError(f"cannot parse parameter {param.strip()!r}",
-                                 line_no, _column(header))
+                                 line_no, col)
             if pm.group(1) not in locations:
                 raise ParseError(f"undeclared location {pm.group(1)!r} in parameters",
-                                 line_no, _column(header))
+                                 line_no, col)
     stmts = []
     while True:
-        body, body_no = cursor.take("'}' closing the thread body")
-        if body.strip() == "}":
+        body, body_no, body_col = cursor.take("'}' closing the thread body")
+        if body == "}":
             return tid, tuple(stmts)
-        stmts.append(_parse_source_stmt(body, body_no))
+        stmts.append(_parse_source_stmt(body, body_no, body_col))
 
 
-def _parse_w_reg(token: str, line_no: int, col: int, writer: str = "") -> str:
-    """Check a W register operand.  ``writer`` names the mnemonic when the
+def _parse_w_reg(token: str, line_no: int, col: int,
+                 writer: Mnemonic | None = None) -> str:
+    """Check a W register operand.  ``writer`` is the mnemonic when the
     operand is a destination that the zero register cannot be."""
     if token == ZERO_REGISTER:
-        if writer:
-            raise ParseError(f"{writer} to the zero register is not supported",
+        if writer is not None:
+            raise ParseError(f"{writer.value} to the zero register is not supported",
                              line_no, col)
     elif not is_w_register(token):
         raise ParseError(f"bad register {token!r}", line_no, col)
@@ -316,59 +324,81 @@ def _parse_x_reg(token: str, line_no: int, col: int) -> str:
     return token
 
 
-def _parse_asm_instr(raw: str, line_no: int) -> AsmInstr:
-    text = raw.strip()
-    col = _column(raw)
-    head = text.split(None, 1)[0].rstrip(",")
-    if head not in _KNOWN_MNEMONICS:
-        raise ParseError(f"unknown mnemonic {head!r}", line_no, col)
+def _mov(mnemonic: Mnemonic, m: re.Match, line_no: int, col: int) -> AsmInstr:
+    dst = _parse_w_reg(m.group(1), line_no, col + m.start(1), mnemonic)
+    imm = _integer(m.group(2), line_no, col + m.start(2))
+    return AsmInstr(mnemonic, dst, None, None, imm)
 
-    m = _MOV_RE.match(text)
-    if m:
-        dst = _parse_w_reg(m.group(1), line_no, col + m.start(1), "MOV")
-        imm = _integer(m.group(2), line_no, col + m.start(2))
-        return AsmInstr(Mnemonic.MOV, dst=dst, imm=imm)
-    m = _LDX_RE.match(text)
-    if m:
-        dst = _parse_w_reg(m.group(2), line_no, col + m.start(2), m.group(1))
-        addr = _parse_x_reg(m.group(3), line_no, col + m.start(3))
-        return AsmInstr(Mnemonic[m.group(1)], dst=dst, addr=addr)
-    m = _STX_RE.match(text)
-    if m:
-        src = _parse_w_reg(m.group(2), line_no, col + m.start(2))
-        addr = _parse_x_reg(m.group(3), line_no, col + m.start(3))
-        return AsmInstr(Mnemonic[m.group(1)], src=src, addr=addr)
-    m = _SWP_RE.match(text)
-    if m:
-        src = _parse_w_reg(m.group(2), line_no, col + m.start(2))
-        dst = _parse_w_reg(m.group(3), line_no, col + m.start(3))
-        addr = _parse_x_reg(m.group(4), line_no, col + m.start(4))
-        return AsmInstr(Mnemonic[m.group(1)], src=src, dst=dst, addr=addr)
-    m = _DMB_RE.match(text)
-    if m:
-        domain = _DMB_DOMAINS.get(m.group(1))
-        if domain is None:
-            raise ParseError(f"unknown barrier domain {m.group(1)!r}",
-                             line_no, col + m.start(1))
-        return AsmInstr(Mnemonic.DMB, domain=domain)
-    raise ParseError(f"cannot parse {head} operands", line_no, col)
+
+def _ldx(mnemonic: Mnemonic, m: re.Match, line_no: int, col: int) -> AsmInstr:
+    dst = _parse_w_reg(m.group(1), line_no, col + m.start(1), mnemonic)
+    addr = _parse_x_reg(m.group(2), line_no, col + m.start(2))
+    return AsmInstr(mnemonic, dst, None, addr)
+
+
+def _stx(mnemonic: Mnemonic, m: re.Match, line_no: int, col: int) -> AsmInstr:
+    src = _parse_w_reg(m.group(1), line_no, col + m.start(1))
+    addr = _parse_x_reg(m.group(2), line_no, col + m.start(2))
+    return AsmInstr(mnemonic, None, src, addr)
+
+
+def _swp(mnemonic: Mnemonic, m: re.Match, line_no: int, col: int) -> AsmInstr:
+    src = _parse_w_reg(m.group(1), line_no, col + m.start(1))
+    dst = _parse_w_reg(m.group(2), line_no, col + m.start(2))
+    addr = _parse_x_reg(m.group(3), line_no, col + m.start(3))
+    return AsmInstr(mnemonic, dst, src, addr)
+
+
+def _dmb(mnemonic: Mnemonic, m: re.Match, line_no: int, col: int) -> AsmInstr:
+    domain = _DMB_DOMAINS.get(m.group(1))
+    if domain is None:
+        raise ParseError(f"unknown barrier domain {m.group(1)!r}",
+                         line_no, col + m.start(1))
+    return AsmInstr(mnemonic, domain=domain)
+
+
+# Mnemonic -> its member, the pattern of its operands and the builder of
+# the instruction from a match.
+_ASM_FORMS = {
+    m.value: (m, *form) for m, form in [
+        (Mnemonic.MOV, (_MOV_RE, _mov)),
+        (Mnemonic.LDR, (_REG_ADDR_RE, _ldx)),
+        (Mnemonic.LDAR, (_REG_ADDR_RE, _ldx)),
+        (Mnemonic.STR, (_REG_ADDR_RE, _stx)),
+        (Mnemonic.STLR, (_REG_ADDR_RE, _stx)),
+        (Mnemonic.SWP, (_SWP_RE, _swp)),
+        (Mnemonic.SWPA, (_SWP_RE, _swp)),
+        (Mnemonic.SWPL, (_SWP_RE, _swp)),
+        (Mnemonic.SWPAL, (_SWP_RE, _swp)),
+        (Mnemonic.DMB, (_DMB_RE, _dmb)),
+    ]
+}
 
 
 def _parse_asm_thread(
-    cursor: _Cursor, header: str, line_no: int
+    cursor: _Cursor, header: str, line_no: int, col: int
 ) -> tuple[int, tuple[AsmInstr, ...]]:
-    m = _ASM_THREAD_RE.match(header.strip())
+    m = _ASM_THREAD_RE.match(header)
     if not m:
-        raise ParseError("expected 'Pn:' or 'exists (...)'", line_no, _column(header))
-    tid = _integer(m.group(1), line_no, _column(header) + m.start(1))
+        raise ParseError("expected 'Pn:' or 'exists (...)'", line_no, col)
+    tid = _integer(m.group(1), line_no, col + m.start(1))
     stmts = []
-    while True:
-        nxt = cursor.peek()
-        if (nxt is None or nxt.strip().startswith("exists")
-                or _ASM_THREAD_RE.match(nxt.strip())):
-            return tid, tuple(stmts)
-        body, body_no = cursor.take("an instruction")
-        stmts.append(_parse_asm_instr(body, body_no))
+    while (nxt := cursor.peek()) is not None:
+        head = nxt[0].split(None, 1)[0].rstrip(",")
+        form = _ASM_FORMS.get(head)
+        if form is None:
+            # A line that is no instruction ends the thread if it starts
+            # the next thread or the exists clause.
+            if nxt[0].startswith("exists") or _ASM_THREAD_RE.match(nxt[0]):
+                break
+            raise ParseError(f"unknown mnemonic {head!r}", *nxt[1:])
+        text, body_no, body_col = cursor.take("an instruction")
+        mnemonic, pattern, build = form
+        m = pattern.match(text, len(head))
+        if not m:
+            raise ParseError(f"cannot parse {head} operands", body_no, body_col)
+        stmts.append(build(mnemonic, m, body_no, body_col))
+    return tid, tuple(stmts)
 
 
 # Final condition expressions.  Tokens: ( ) /\ \/ ~ and atoms 'obs = int'
@@ -383,15 +413,17 @@ MAX_CONDITION_DEPTH = 64
 _COND_TOKEN_RE = re.compile(
     r"\s*(/\\|\\/|~|\(|\)|=|[A-Za-z0-9_]+:[A-Za-z0-9_]+|[A-Za-z_]\w*|\d+)"
 )
+_SOURCE_THREAD_LABEL_RE = re.compile(r"P(\d+)$")
+_ASM_THREAD_LABEL_RE = re.compile(r"(\d+)$")
+_LOCATION_LABEL_RE = re.compile(r"[A-Za-z_]\w*$")
 
 
 class _CondParser:
     def __init__(self, text: str, line_no: int, offset: int, dialect: Dialect):
-        self.text = text
         self.line_no = line_no
-        self.offset = offset
-        self.dialect = dialect
-        self.tokens: list[tuple[str, int]] = []
+        self.thread_label_re = (_SOURCE_THREAD_LABEL_RE if dialect is Dialect.SOURCE
+                                else _ASM_THREAD_LABEL_RE)
+        self.tokens: list[tuple[str | None, int]] = []
         pos = 0
         while pos < len(text):
             m = _COND_TOKEN_RE.match(text, pos)
@@ -402,21 +434,16 @@ class _CondParser:
                 break
             self.tokens.append((m.group(1), offset + m.start(1) + 1))
             pos = m.end()
+        # The end of the condition, which errors past the last token name.
+        self.tokens.append((None, offset + len(text) + 1))
         self.pos = 0
         self.open = 0  # '(' and '~' enclosing the current token
 
     def _error(self, message: str) -> ParseError:
-        col = self.tokens[self.pos][1] if self.pos < len(self.tokens) else (
-            self.offset + len(self.text) + 1)
-        return ParseError(message, self.line_no, col)
-
-    def peek(self) -> str | None:
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos][0]
-        return None
+        return ParseError(message, self.line_no, self.tokens[self.pos][1])
 
     def eat(self, expected: str | None = None) -> str:
-        tok = self.peek()
+        tok = self.tokens[self.pos][0]
         if tok is None or (expected is not None and tok != expected):
             raise self._error(f"expected {expected!r}" if expected else
                               "unexpected end of condition")
@@ -425,8 +452,9 @@ class _CondParser:
 
     def parse(self) -> FinalCondition:
         cond, _ = self.disjunction()
-        if self.peek() is not None:
-            raise self._error(f"unexpected token {self.peek()!r}")
+        tok = self.tokens[self.pos][0]
+        if tok is not None:
+            raise self._error(f"unexpected token {tok!r}")
         return cond
 
     # Each rule returns its node and the node's depth in operators.  The
@@ -441,8 +469,8 @@ class _CondParser:
 
     def disjunction(self) -> tuple[FinalCondition, int]:
         node, depth = self.conjunction()
-        while self.peek() == "\\/":
-            self.eat()
+        while self.tokens[self.pos][0] == "\\/":
+            self.pos += 1
             right, right_depth = self.conjunction()
             node = Disj(node, right)
             depth = self._level(max(depth, right_depth) + 1)
@@ -450,18 +478,18 @@ class _CondParser:
 
     def conjunction(self) -> tuple[FinalCondition, int]:
         node, depth = self.unary()
-        while self.peek() == "/\\":
-            self.eat()
+        while self.tokens[self.pos][0] == "/\\":
+            self.pos += 1
             right, right_depth = self.unary()
             node = Conj(node, right)
             depth = self._level(max(depth, right_depth) + 1)
         return node, depth
 
     def unary(self) -> tuple[FinalCondition, int]:
-        tok = self.peek()
-        if tok not in ("~", "("):
+        tok = self.tokens[self.pos][0]
+        if tok != "~" and tok != "(":
             return self.atom(), 0
-        self.eat()
+        self.pos += 1
         self.open = self._level(self.open + 1, 2 * MAX_CONDITION_DEPTH)
         if tok == "~":
             node, depth = self.unary()
@@ -473,9 +501,6 @@ class _CondParser:
         return node, depth
 
     def atom(self) -> Atom:
-        tok = self.peek()
-        if tok is None:
-            raise self._error("unexpected end of condition")
         obs = self._observable(self.eat())
         self.eat("=")
         value_tok = self.eat()
@@ -487,36 +512,29 @@ class _CondParser:
     def _observable(self, tok: str) -> Observable:
         if ":" in tok:
             left, reg = tok.split(":", 1)
-            if self.dialect is Dialect.SOURCE:
-                m = re.match(r"P(\d+)$", left)
-                if not m:
-                    raise self._error(f"bad observable {tok!r}")
-            else:
-                m = re.match(r"(\d+)$", left)
-                if not m:
-                    raise self._error(f"bad observable {tok!r}")
+            m = self.thread_label_re.match(left)
+            if not m:
+                raise self._error(f"bad observable {tok!r}")
             tid = _integer(m.group(1), self.line_no,
                            self.tokens[self.pos - 1][1] + m.start(1))
             return RegisterObservable(tid, reg)
-        if not re.match(r"[A-Za-z_]\w*$", tok):
+        if not _LOCATION_LABEL_RE.match(tok):
             raise self._error(f"bad observable {tok!r}")
         return MemoryObservable(tok)
 
 
 def _parse_exists(
-    cursor: _Cursor, line: str, line_no: int, dialect: Dialect
+    cursor: _Cursor, line: str, line_no: int, col: int, dialect: Dialect
 ) -> FinalCondition:
     """Parse the exists clause on ``line``, which must end the input."""
-    rest = line.strip()[len("exists"):].strip()
+    rest = line[len("exists"):].strip()
     if not (rest.startswith("(") and rest.endswith(")")):
-        raise ParseError("exists clause must be parenthesized", line_no, _column(line))
-    inner_offset = line.index("(") + 1
-    parser = _CondParser(rest[1:-1], line_no, inner_offset, dialect)
+        raise ParseError("exists clause must be parenthesized", line_no, col)
+    parser = _CondParser(rest[1:-1], line_no, col + line.index("("), dialect)
     cond = parser.parse()
     trailing = cursor.peek()
     if trailing is not None:
-        raise ParseError("unexpected input after exists clause",
-                         cursor.index + 1, _column(trailing))
+        raise ParseError("unexpected input after exists clause", *trailing[1:])
     return cond
 
 

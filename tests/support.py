@@ -6,10 +6,12 @@ import itertools
 import math
 import operator
 import random
+import re
 
 import interleaving_oracle
 import naive_oracle
 import pytest
+import reference_reader
 from litmusdiff import execution, model_aarch64, model_c11, model_sc
 from litmusdiff.difftest import translate_outcome
 from litmusdiff.execution import (
@@ -33,6 +35,9 @@ from litmusdiff.litmus import (
     LOAD_ORDERS,
     STORE_ORDERS,
     MemoryOrder,
+    Mnemonic,
+    StmtKind,
+    validate_test,
 )
 from litmusdiff.lowering import dead_register_pass, lower_test
 from litmusdiff.model_aarch64 import aarch64_consistent
@@ -43,6 +48,7 @@ from litmusdiff.model_c11 import (
 )
 from litmusdiff.model_sc import sc_consistent
 from litmusdiff.relations import bits
+from litmusdiff.syntax import parse_litmus, render_litmus
 from litmusdiff.testgen import GenParams, Variant, generate_mp_family
 
 # Every variant crossed with a spread of orders per slot.  216 tests, each
@@ -839,3 +845,111 @@ def check_construction_law(test):
         assert [check(rebuilt) for check in checks] \
             == [check(ex) for check in checks], (test.name, fingerprint(ex))
     return len(members)
+
+
+# -- The reader and the validator against their references ----------------
+
+def raised(call, *args):
+    """``call(*args)``'s result, or the class, message, line and column of
+    what it raised."""
+    try:
+        return call(*args)
+    except Exception as exc:
+        return (type(exc), str(exc), getattr(exc, "line", None),
+                getattr(exc, "column", None))
+
+
+def check_reader_law(text):
+    """The reader and the reference read ``text``, and the printed form of
+    what they read, as equal tests."""
+    test = parse_litmus(text)
+    assert test == reference_reader.parse_litmus(text)
+    printed = render_litmus(test)
+    assert parse_litmus(printed) == reference_reader.parse_litmus(printed) == test
+
+
+# Tokens swapped in for each token of a line: register names the reader
+# must refuse or take, an order outside the fragment, punctuation and
+# numbers out of range.
+MALFORMED_TOKENS = ("WZR", "W31", "X31", "W01", "W14", "memory_order_consume",
+                    ";", "}", "{", "(", "-1", "8", "P9", "exists")
+_TOKEN_RE = re.compile(r"\w+|[^\w\s]")
+
+
+def malformed_texts(text):
+    """The texts one edit away from ``text``: a non-blank line deleted or
+    repeated, a line cut after each of its tokens but the last, or one
+    token replaced by an entry of ``MALFORMED_TOKENS``; without repeats,
+    in a fixed order."""
+    lines = text.splitlines(keepends=True)
+    edits = {}
+    for i, line in enumerate(lines):
+        def edit(*new):
+            edits.setdefault("".join([*lines[:i], *new, *lines[i + 1:]]))
+        if not line.strip():
+            continue
+        edit()
+        edit(line, line)
+        tokens = list(_TOKEN_RE.finditer(line))
+        for m in tokens[:-1]:
+            edit(line[:m.end()] + "\n")
+        for m in tokens:
+            for new in MALFORMED_TOKENS:
+                if new != m.group():
+                    edit(line[:m.start()] + new + line[m.end():])
+    edits.pop(text, None)
+    return list(edits)
+
+
+def check_malformed_reader_law(text):
+    """On every text one edit away from ``text``, the reader and the
+    reference return equal tests or raise the same class with the same
+    message, line and column.  Returns how many texts were read, and how
+    many of them each reader refused."""
+    texts = malformed_texts(text)
+    refused = 0
+    for edited in texts:
+        got = raised(parse_litmus, edited)
+        assert got == raised(reference_reader.parse_litmus, edited), edited
+        refused += isinstance(got, tuple)
+    return len(texts), refused
+
+
+_ENUM_OF_FIELD = {"kind": StmtKind, "order": MemoryOrder,
+                  "mnemonic": Mnemonic, "domain": DmbDomain}
+_INT_FIELDS = ("value", "imm")
+_INT_FIELD_VALUES = (-1, 8, 100)
+_NAME_FIELD_VALUES = ("", "r", "rx", "r00", "r0\n", "x", "z", "q0", "W14",
+                      "W29", "W31", "W01", "W1\n", "WZR", "X3", "X31", "X00",
+                      "X0\n")
+
+
+def statement_mutants(test):
+    """``test`` with one field of one statement set to None; an integer
+    field to a value out of range, a name field to a bad or unbound name,
+    an enum field to each member of its enum."""
+    for t, thread in enumerate(test.threads):
+        for i, stmt in enumerate(thread.stmts):
+            for field in dataclasses.fields(stmt):
+                enum = _ENUM_OF_FIELD.get(field.name)
+                values = (tuple(enum) if enum is not None
+                          else _INT_FIELD_VALUES if field.name in _INT_FIELDS
+                          else _NAME_FIELD_VALUES)
+                for value in (None, *values):
+                    stmts = list(thread.stmts)
+                    stmts[i] = dataclasses.replace(stmt, **{field.name: value})
+                    threads = list(test.threads)
+                    threads[t] = dataclasses.replace(thread, stmts=tuple(stmts))
+                    yield dataclasses.replace(test, threads=tuple(threads))
+
+
+def check_validation_law(test):
+    """On every statement mutant of ``test``, ``validate_test`` and the
+    reference both pass or both raise the same class with the same
+    message.  Returns how many mutants were checked."""
+    checked = 0
+    for mutant in statement_mutants(test):
+        assert raised(validate_test, mutant) == raised(
+            reference_reader.validate_test, mutant), mutant
+        checked += 1
+    return checked

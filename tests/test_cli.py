@@ -226,6 +226,19 @@ def test_diff_explicit_files_with_mapping(capsys):
     assert "Witness: P1:r0=0; y=2;" in out
 
 
+def test_diff_reads_a_mapping_file_with_a_byte_order_mark(capsys, tmp_path):
+    marked = tmp_path / "marked.mapping.json"
+    marked.write_bytes(b"\xef\xbb\xbf" + Path(MAPPING).read_bytes())
+    code, out, err = run(capsys, "diff", SOURCE, BUGGY, "--mapping", str(marked))
+    assert (code, err) == (1, "")
+    assert "Witness: P1:r0=0; y=2;" in out
+    # Only one mark is skipped.
+    marked.write_bytes(b"\xef\xbb\xbf" * 2 + Path(MAPPING).read_bytes())
+    code, out, err = run(capsys, "diff", SOURCE, BUGGY, "--mapping", str(marked))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {marked} is not a JSON mapping:")
+
+
 def test_diff_explicit_files_derived_mapping(capsys):
     code, out, _ = run(capsys, "diff", SOURCE, BUGGY)
     assert code == 1

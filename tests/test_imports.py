@@ -14,7 +14,8 @@ import litmusdiff
 MODULES = sorted(pathlib.Path(litmusdiff.__file__).parent.glob("*.py"))
 TESTS = pathlib.Path(__file__).resolve().parent
 TEST_HELPERS = [TESTS / name for name in
-                ("support.py", "naive_oracle.py", "interleaving_oracle.py")]
+                ("support.py", "naive_oracle.py", "interleaving_oracle.py",
+                 "reference_reader.py")]
 
 # Definitions that no program path calls, each with the test file that
 # calls it: the brute-force oracle projects its candidates with

@@ -27,6 +27,8 @@ from litmusdiff.litmus import (
     condition_atoms,
     condition_observables,
     evaluate_condition,
+    is_w_register,
+    is_x_register,
     map_condition_observables,
     observable_label,
     validate_test,
@@ -99,11 +101,6 @@ def test_read_registers():
                     addr="X0").read_registers() == ("W2",)
     assert AsmInstr(Mnemonic.LDR, dst="W2", addr="X0").read_registers() == ()
     assert AsmInstr(Mnemonic.DMB, domain=DmbDomain.SY).read_registers() == ()
-
-
-def test_thread_defined_registers_dedupe():
-    t = Thread(0, (load("x", "r0"), load("x", "r1"), load("x", "r0")))
-    assert t.defined_registers() == ["r0", "r1"]
 
 
 @pytest.mark.parametrize("obs,dialect,label", [
@@ -314,6 +311,50 @@ def test_registers_end_at_w30(compiled_w15):
     # a register is written without leading zeros, so W030 names no W30
     with pytest.raises(ValidationError, match="bad register name 'W030'"):
         validate_test(swpl_into("W030"))
+
+
+def test_register_names_match_in_full():
+    assert is_w_register("W1") and is_x_register("X0")
+    assert not is_w_register("W1\n")
+    assert not is_x_register("X0\n")
+
+
+def replace_stmt(test, tid, index, **changes):
+    thread = test.threads[tid]
+    stmts = list(thread.stmts)
+    stmts[index] = dataclasses.replace(stmts[index], **changes)
+    threads = list(test.threads)
+    threads[tid] = dataclasses.replace(thread, stmts=tuple(stmts))
+    return dataclasses.replace(test, threads=tuple(threads))
+
+
+# '$' also matches before a final newline, so names like these once passed,
+# and a test named 'MP\n' printed as 'C MP' and a blank line, which reads
+# back as another test.
+@pytest.mark.parametrize("change,fragment", [
+    (lambda t: dataclasses.replace(t, name="MP\n"), r"bad test name 'MP\\n'"),
+    (lambda t: dataclasses.replace(t, locations={"x\n": 0, "y": 0}),
+     r"bad location name 'x\\n'"),
+    (lambda t: replace_stmt(t, 1, 2, dest="r0\n"),
+     r"bad source register name 'r0\\n'"),
+])
+def test_source_names_ending_in_a_newline_are_rejected(discard_source, change,
+                                                       fragment):
+    with pytest.raises(ValidationError, match=fragment):
+        validate_test(change(discard_source))
+
+
+@pytest.mark.parametrize("change,fragment", [
+    (lambda t: dataclasses.replace(t, name="MP\n"), r"bad test name 'MP\\n'"),
+    (lambda t: dataclasses.replace(t, threads=(dataclasses.replace(
+        t.threads[0], bindings=(("X0\n", "x"), ("X1", "y"))), t.threads[1])),
+     r"bad address register 'X0\\n'"),
+    (lambda t: replace_stmt(t, 1, 0, dst="W2\n"), r"bad register name 'W2\\n'"),
+])
+def test_asm_names_ending_in_a_newline_are_rejected(compiled_w15, change,
+                                                    fragment):
+    with pytest.raises(ValidationError, match=fragment):
+        validate_test(change(compiled_w15))
 
 
 def test_wzr_read_is_allowed():

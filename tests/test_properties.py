@@ -643,7 +643,8 @@ def small_asm_tests(draw):
     locations = {name: draw(_VALUES) for name in names}
     threads = tuple(draw(_asm_thread(tid, names)) for tid in range(2))
     registers = [RegisterObservable(thread.tid, reg) for thread in threads
-                 for reg in thread.defined_registers()]
+                 for reg in dict.fromkeys(map(AsmInstr.defined_register,
+                                              thread.stmts)) if reg]
     observed = [MemoryObservable(draw(st.sampled_from(names))),
                 *draw(st.lists(st.sampled_from(registers), max_size=2,
                                unique=True) if registers else st.just([]))]
@@ -662,7 +663,9 @@ def test_render_parse_round_trip(test):
         compiled, _ = lower_test(test)
         subjects += [compiled, dead_register_pass(compiled)]
     for subject in subjects:
-        assert parse_litmus(render_litmus(subject)) == subject
+        text = render_litmus(subject)
+        assert parse_litmus(text) == subject
+        support.check_reader_law(text)
 
 
 # The brute-force oracle walks every coherence order and rf choice: 84
