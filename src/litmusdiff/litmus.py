@@ -333,8 +333,6 @@ def _check_value(value: int, what: str) -> None:
         )
 
 
-
-
 def _validate_source_stmt(stmt: SourceStmt, declared: set[str], defined: set[str]) -> None:
     kind = stmt.kind
     if kind is _FENCE:
