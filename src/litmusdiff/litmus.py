@@ -88,7 +88,7 @@ class SourceStmt:
     dest: str | None = None
 
     def defined_register(self) -> str | None:
-        if self.kind is _LOAD or self.kind is _EXCHANGE:
+        if self.kind in (StmtKind.LOAD, StmtKind.EXCHANGE):
             return self.dest
         return None
 
@@ -111,21 +111,6 @@ SWP_FAMILY = frozenset(
 )
 SWP_ACQUIRE = frozenset({Mnemonic.SWPA, Mnemonic.SWPAL})
 SWP_RELEASE = frozenset({Mnemonic.SWPL, Mnemonic.SWPAL})
-
-# The members that statements and validation compare against, by
-# identity.  Reading one through its enum class is an unspecialised
-# attribute lookup, and a set of members hashes each through
-# ``Enum.__hash__``, a Python-level call; module names and tuples cost
-# neither.
-_FENCE, _LOAD, _STORE, _EXCHANGE = (
-    StmtKind.FENCE, StmtKind.LOAD, StmtKind.STORE, StmtKind.EXCHANGE)
-_LOAD_ORDERS = tuple(LOAD_ORDERS)
-_STORE_ORDERS = tuple(STORE_ORDERS)
-_FENCE_ORDERS = tuple(FENCE_ORDERS)
-_MOV, _DMB = Mnemonic.MOV, Mnemonic.DMB
-_LOADS = (Mnemonic.LDR, Mnemonic.LDAR)
-_STORES = (Mnemonic.STR, Mnemonic.STLR)
-_SWPS = (Mnemonic.SWP, Mnemonic.SWPA, Mnemonic.SWPL, Mnemonic.SWPAL)
 
 
 class DmbDomain(enum.Enum):
@@ -156,14 +141,14 @@ class AsmInstr:
 
     def defined_register(self) -> str | None:
         # WZR is a value sink, not a definition.
-        if self.mnemonic is _MOV or self.mnemonic in _LOADS:
+        if self.mnemonic in (Mnemonic.MOV, Mnemonic.LDR, Mnemonic.LDAR):
             return self.dst
-        if self.mnemonic in _SWPS and self.dst != ZERO_REGISTER:
+        if self.mnemonic in SWP_FAMILY and self.dst != ZERO_REGISTER:
             return self.dst
         return None
 
     def read_registers(self) -> tuple[str, ...]:
-        if self.mnemonic in _STORES or self.mnemonic in _SWPS:
+        if self.mnemonic in (Mnemonic.STR, Mnemonic.STLR) or self.mnemonic in SWP_FAMILY:
             assert self.src is not None
             return (self.src,)
         return ()
@@ -181,6 +166,14 @@ class Thread:
 
     def binding_map(self) -> dict[str, str]:
         return dict(self.bindings)
+
+    def defined_registers(self) -> list[str]:
+        regs = []
+        for stmt in self.stmts:
+            reg = stmt.defined_register()
+            if reg is not None and reg not in regs:
+                regs.append(reg)
+        return regs
 
 
 @dataclasses.dataclass(frozen=True)
@@ -201,9 +194,14 @@ def observable_label(obs: Observable, dialect: Dialect) -> str:
     """Render an observable the way the dialect's exists clause spells it."""
     if isinstance(obs, MemoryObservable):
         return obs.location
+    return register_label(obs.thread, obs.register, dialect)
+
+
+def register_label(tid: int, register: str, dialect: Dialect) -> str:
+    """How the dialect's exists clause spells thread ``tid``'s register."""
     if dialect is Dialect.SOURCE:
-        return f"P{obs.thread}:{obs.register}"
-    return f"{obs.thread}:{obs.register}"
+        return f"P{tid}:{register}"
+    return f"{tid}:{register}"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -306,19 +304,23 @@ class LitmusTest:
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_.+-]*")
 _LOC_RE = re.compile(r"[a-z][A-Za-z0-9_]*")
 # W0 to W30 and X0 to X30, written without leading zeros (W030 is no name
-# for W30); WZR is not among them.
+# for W30); WZR is not among them.  The sets hold the ASCII spellings; the
+# patterns, whose ``\d`` takes any Unicode decimal digit as a source
+# register's digits do, answer for every other name.
 W_REGISTERS = frozenset(f"W{i}" for i in range(31))
 X_REGISTERS = frozenset(f"X{i}" for i in range(31))
+_ASM_W_RE = re.compile(r"W(?:[12]?\d|30)")
+_ASM_X_RE = re.compile(r"X(?:[12]?\d|30)")
 
 
 def is_w_register(reg: str) -> bool:
     """Whether ``reg`` names one of W0 to W30."""
-    return reg in W_REGISTERS
+    return reg in W_REGISTERS or _ASM_W_RE.fullmatch(reg) is not None
 
 
 def is_x_register(reg: str) -> bool:
     """Whether ``reg`` names one of the address registers X0 to X30."""
-    return reg in X_REGISTERS
+    return reg in X_REGISTERS or _ASM_X_RE.fullmatch(reg) is not None
 
 
 def _is_source_register(reg: str) -> bool:
@@ -334,26 +336,25 @@ def _check_value(value: int, what: str) -> None:
 
 
 def _validate_source_stmt(stmt: SourceStmt, declared: set[str], defined: set[str]) -> None:
-    kind = stmt.kind
-    if kind is _FENCE:
-        if stmt.order not in _FENCE_ORDERS:
+    if stmt.kind is StmtKind.FENCE:
+        if stmt.order not in FENCE_ORDERS:
             raise ValidationError(f"fence cannot use order {stmt.order.value}")
         if stmt.location is not None or stmt.dest is not None or stmt.value is not None:
             raise ValidationError("fence takes no location, value, or register")
         return
     if stmt.location is None:
-        raise ValidationError(f"{kind.value} needs a location")
+        raise ValidationError(f"{stmt.kind.value} needs a location")
     if stmt.location not in declared:
         raise ValidationError(f"undeclared location {stmt.location!r}")
-    if kind is _LOAD:
-        if stmt.order not in _LOAD_ORDERS:
+    if stmt.kind is StmtKind.LOAD:
+        if stmt.order not in LOAD_ORDERS:
             raise ValidationError(f"load cannot use order {stmt.order.value}")
         if stmt.dest is None:
             raise ValidationError("load needs a destination register")
         if stmt.value is not None:
             raise ValidationError("load takes no stored value")
-    elif kind is _STORE:
-        if stmt.order not in _STORE_ORDERS:
+    elif stmt.kind is StmtKind.STORE:
+        if stmt.order not in STORE_ORDERS:
             raise ValidationError(f"store cannot use order {stmt.order.value}")
         if stmt.value is None:
             raise ValidationError("store needs a value")
@@ -377,42 +378,42 @@ def _validate_asm_instr(
     instr: AsmInstr, bindings: dict[str, str], defined: set[str]
 ) -> None:
     m = instr.mnemonic
-    if m is _DMB:
+    if m is Mnemonic.DMB:
         if instr.domain is None:
             raise ValidationError("DMB needs a domain")
         return
-    if m is _MOV:
+    if m is Mnemonic.MOV:
         if instr.dst == ZERO_REGISTER:
             raise ValidationError("MOV to the zero register is not supported")
         if instr.dst is None or instr.imm is None:
             raise ValidationError("MOV needs a register and an immediate")
         _check_value(instr.imm, "immediate")
-    elif m in _LOADS:
+    elif m in (Mnemonic.LDR, Mnemonic.LDAR):
         if instr.dst == ZERO_REGISTER:
             raise ValidationError(f"{m.value} to the zero register is not supported")
         if instr.dst is None or instr.addr is None:
             raise ValidationError(f"{m.value} needs a register and an address")
-    elif m in _STORES:
+    elif m in (Mnemonic.STR, Mnemonic.STLR):
         if instr.src is None or instr.addr is None:
             raise ValidationError(f"{m.value} needs a register and an address")
     else:  # SWP family
         if instr.src is None or instr.dst is None or instr.addr is None:
             raise ValidationError(f"{m.value} needs two registers and an address")
     if instr.addr is not None:
-        if instr.addr not in X_REGISTERS:
+        if not is_x_register(instr.addr):
             raise ValidationError(f"bad address register {instr.addr!r}")
         if instr.addr not in bindings:
             raise ValidationError(f"address register {instr.addr} bound to no location")
     for reg in instr.read_registers():
         if reg == ZERO_REGISTER:
             continue
-        if reg not in W_REGISTERS:
+        if not is_w_register(reg):
             raise ValidationError(f"bad register name {reg!r}")
         if reg not in defined:
             raise ValidationError(f"register {reg} read before any definition")
     dest = instr.defined_register()
     if dest is not None:
-        if dest not in W_REGISTERS:
+        if not is_w_register(dest):
             raise ValidationError(f"bad register name {dest!r}")
         defined.add(dest)
 
@@ -435,8 +436,7 @@ def validate_test(test: LitmusTest) -> None:
     for loc, init in test.locations.items():
         if not _LOC_RE.fullmatch(loc):
             raise ValidationError(f"bad location name {loc!r}")
-        if not (MIN_VALUE <= init <= MAX_VALUE):  # spares the message otherwise
-            _check_value(init, f"initial value of {loc}")
+        _check_value(init, f"initial value of {loc}")
     if not test.threads:
         raise ValidationError("a test needs at least one thread")
     if len(test.threads) > MAX_THREADS:
@@ -456,7 +456,7 @@ def validate_test(test: LitmusTest) -> None:
             raise ValidationError("source threads carry no address bindings")
         bindings = dict(thread.bindings)
         for reg, loc in bindings.items():
-            if reg not in X_REGISTERS:
+            if not is_x_register(reg):
                 raise ValidationError(f"bad address register {reg!r}")
             if loc not in declared:
                 raise ValidationError(f"address register {reg} bound to undeclared {loc!r}")

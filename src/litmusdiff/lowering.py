@@ -32,14 +32,11 @@ from .litmus import (
     ZERO_REGISTER,
     condition_observables,
     map_condition_observables,
+    register_label,
     validate_test,
 )
 
 SCRATCH_BASE = 15
-# Members compared by identity in the loops below (see litmus.py).
-_STORE, _LOAD, _EXCHANGE = StmtKind.STORE, StmtKind.LOAD, StmtKind.EXCHANGE
-_MOV, _DMB = Mnemonic.MOV, Mnemonic.DMB
-_SWPS = tuple(SWP_FAMILY)
 
 
 class LoweringError(LitmusError):
@@ -128,19 +125,19 @@ def _lower_thread(
     for stmt in thread.stmts:
         assert isinstance(stmt, SourceStmt)
         kind = stmt.kind
-        if kind is _STORE:
+        if kind is StmtKind.STORE:
             tmp = fresh()
-            instrs.append(AsmInstr(_MOV, tmp, None, None, stmt.value))
+            instrs.append(AsmInstr(Mnemonic.MOV, tmp, None, None, stmt.value))
             instrs.append(AsmInstr(STORE_MNEMONIC[stmt.order], None, tmp,
                                    addr_regs[stmt.location]))
-        elif kind is _LOAD:
+        elif kind is StmtKind.LOAD:
             dst = fresh()
             instrs.append(AsmInstr(LOAD_MNEMONIC[stmt.order], dst, None,
                                    addr_regs[stmt.location]))
             reg_map[stmt.dest] = dst
-        elif kind is _EXCHANGE:
+        elif kind is StmtKind.EXCHANGE:
             tmp = fresh()
-            instrs.append(AsmInstr(_MOV, tmp, None, None, stmt.value))
+            instrs.append(AsmInstr(Mnemonic.MOV, tmp, None, None, stmt.value))
             if stmt.dest is not None:
                 dst = reg_map[stmt.dest] = fresh()
             else:
@@ -148,7 +145,7 @@ def _lower_thread(
             instrs.append(AsmInstr(EXCHANGE_MNEMONIC[stmt.order], dst, tmp,
                                    addr_regs[stmt.location]))
         else:
-            instrs.append(AsmInstr(_DMB, domain=FENCE_DOMAIN[stmt.order]))
+            instrs.append(AsmInstr(Mnemonic.DMB, domain=FENCE_DOMAIN[stmt.order]))
     return Thread(thread.tid, tuple(instrs), bindings), reg_map
 
 
@@ -171,7 +168,8 @@ def lower_test(test: LitmusTest) -> tuple[LitmusTest, Mapping]:
         threads.append(lowered)
         for src_reg, asm_reg in reg_map.items():
             register_targets[(thread.tid, src_reg)] = asm_reg
-            observables[f"P{thread.tid}:{src_reg}"] = f"{thread.tid}:{asm_reg}"
+            observables[register_label(thread.tid, src_reg, Dialect.SOURCE)] = \
+                register_label(thread.tid, asm_reg, Dialect.ASM)
     for loc in locations:
         observables[loc] = loc
     mapping = Mapping(observables, {loc: loc for loc in locations})
@@ -216,7 +214,7 @@ def dead_register_pass(test: LitmusTest) -> LitmusTest:
         scanned = len(stmts)  # stmts[scanned:] are in read_later
         for i in range(len(stmts) - 1, -1, -1):
             instr = stmts[i]
-            if instr.mnemonic not in _SWPS or instr.dst == ZERO_REGISTER:
+            if instr.mnemonic not in SWP_FAMILY or instr.dst == ZERO_REGISTER:
                 continue
             for later in stmts[i + 1:scanned]:
                 read_later.update(later.read_registers())

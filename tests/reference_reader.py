@@ -540,15 +540,6 @@ def condition_atoms(cond: FinalCondition) -> Iterator[Atom]:
         yield from condition_atoms(cond.right)
 
 
-def _defined_registers(thread):
-    regs = []
-    for stmt in thread.stmts:
-        reg = stmt.defined_register()
-        if reg is not None and reg not in regs:
-            regs.append(reg)
-    return regs
-
-
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_.+-]*")
 _LOC_RE = re.compile(r"[a-z][A-Za-z0-9_]*")
 _SRC_REG_RE = re.compile(r"r\d+")
@@ -667,7 +658,7 @@ def _validate_observable(obs: Observable, test: LitmusTest) -> None:
         thread = test.thread(obs.thread)
     except KeyError:
         raise ValidationError(f"final condition names unknown thread P{obs.thread}") from None
-    if obs.register not in _defined_registers(thread):
+    if obs.register not in thread.defined_registers():
         raise ValidationError(
             f"final condition reads register {obs.register} never written by P{obs.thread}"
         )

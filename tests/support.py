@@ -869,9 +869,11 @@ def check_reader_law(text):
 
 
 # Tokens swapped in for each token of a line: register names the reader
-# must refuse or take, an order outside the fragment, punctuation and
-# numbers out of range.
-MALFORMED_TOKENS = ("WZR", "W31", "X31", "W01", "W14", "memory_order_consume",
+# must refuse or take (among them names whose digit is a non-ASCII decimal
+# digit, which ``\d`` takes), an order outside the fragment, punctuation
+# and numbers out of range.
+MALFORMED_TOKENS = ("WZR", "W31", "X31", "W01", "W14", "W\u0661", "X\u0660",
+                    "r\u0661", "memory_order_consume",
                     ";", "}", "{", "(", "-1", "8", "P9", "exists")
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
 
@@ -921,7 +923,7 @@ _INT_FIELDS = ("value", "imm")
 _INT_FIELD_VALUES = (-1, 8, 100)
 _NAME_FIELD_VALUES = ("", "r", "rx", "r00", "r0\n", "x", "z", "q0", "W14",
                       "W29", "W31", "W01", "W1\n", "WZR", "X3", "X31", "X00",
-                      "X0\n")
+                      "X0\n", "W\u0661", "X\u0660", "r\u0661", "W\u0661\u0660")
 
 
 def statement_mutants(test):

@@ -19,12 +19,14 @@ TEST_HELPERS = [TESTS / name for name in
 
 # Definitions that no program path calls, each with the test file that
 # calls it: the brute-force oracle projects its candidates with
-# final_state, tests write expected outcomes with Outcome.from_dict, and
-# the generator tests pin each family's size.
+# final_state, tests write expected outcomes with Outcome.from_dict, the
+# generator tests pin each family's size, and the reference validator and
+# the random asm tests list a thread's definitions with defined_registers.
 CALLED_ONLY_FROM_TESTS = {
     "final_state": "naive_oracle.py",
     "from_dict": "test_difftest.py",
     "combination_count": "test_testgen.py",
+    "defined_registers": "test_litmus.py",
 }
 
 

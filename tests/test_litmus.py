@@ -103,6 +103,11 @@ def test_read_registers():
     assert AsmInstr(Mnemonic.DMB, domain=DmbDomain.SY).read_registers() == ()
 
 
+def test_thread_defined_registers_dedupe():
+    t = Thread(0, (load("x", "r0"), load("x", "r1"), load("x", "r0")))
+    assert t.defined_registers() == ["r0", "r1"]
+
+
 @pytest.mark.parametrize("obs,dialect,label", [
     (RegisterObservable(1, "r0"), Dialect.SOURCE, "P1:r0"),
     (RegisterObservable(1, "W3"), Dialect.ASM, "1:W3"),
@@ -317,6 +322,22 @@ def test_register_names_match_in_full():
     assert is_w_register("W1") and is_x_register("X0")
     assert not is_w_register("W1\n")
     assert not is_x_register("X0\n")
+
+
+# ``\d`` takes any Unicode decimal digit: W and X names with such a digit
+# pass, as source register names do, and the leading-zero rule holds.
+def test_register_names_take_any_decimal_digit(discard_source, compiled_w15):
+    assert is_w_register("W\u0661") and is_x_register("X\u0660")
+    assert is_w_register("W2\u0669") and not is_w_register("W\u0660\u0661")
+    assert not is_w_register("W\u0661\n")
+    validate_test(replace_stmt(compiled_w15, 1, 1, dst="W1\u0665"))
+    validate_test(dataclasses.replace(compiled_w15, threads=(
+        dataclasses.replace(compiled_w15.threads[0], bindings=(
+            ("X0", "x"), ("X1", "y"), ("X\u0660", "x"))),
+        compiled_w15.threads[1])))
+    validate_test(dataclasses.replace(
+        replace_stmt(discard_source, 1, 2, dest="r\u0661"),
+        final=Atom(RegisterObservable(1, "r\u0661"), 0)))
 
 
 def replace_stmt(test, tid, index, **changes):

@@ -643,8 +643,7 @@ def small_asm_tests(draw):
     locations = {name: draw(_VALUES) for name in names}
     threads = tuple(draw(_asm_thread(tid, names)) for tid in range(2))
     registers = [RegisterObservable(thread.tid, reg) for thread in threads
-                 for reg in dict.fromkeys(map(AsmInstr.defined_register,
-                                              thread.stmts)) if reg]
+                 for reg in thread.defined_registers()]
     observed = [MemoryObservable(draw(st.sampled_from(names))),
                 *draw(st.lists(st.sampled_from(registers), max_size=2,
                                unique=True) if registers else st.just([]))]

@@ -15,10 +15,10 @@ INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
 
 # Valid input: the goldens, the 18 benchmark inputs, and the corpus with
 # its lowerings and rewrites.  Malformed input: every text one edit away
-# from a golden, an input or a sampled corpus text: 77,020 texts (37,466
-# from the 21 files), of which 71,654 are refused.  Programmatic tests:
+# from a golden, an input or a sampled corpus text: 92,422 texts (44,963
+# from the 21 files), of which 87,023 are refused.  Programmatic tests:
 # each statement of the same texts with one field set to None, out of range
-# or to a bad name: 23,054.
+# or to a bad name: 26,658.
 READER_FILES = [*sorted(golden_path("").glob("*.litmus")),
                 *sorted(INPUTS.glob("*/*.litmus"))]
 
@@ -62,3 +62,19 @@ def test_validation_equals_the_reference_on_statement_mutants(path):
 def test_validation_equals_the_reference_on_corpus_mutants(corpus):
     for text in printed_corpus(corpus, step=27):
         support.check_validation_law(parse_litmus(text))
+
+
+
+
+# ``\d`` takes any Unicode decimal digit, so these names are registers in
+# the reader as in the reference (the exists clause reads none of them).
+def test_registers_with_non_ascii_digits_read_as_in_the_reference():
+    source = golden_path("mp-xchg-discard.litmus").read_text()
+    asm = golden_path("mp-xchg-discard-compiled-w15.litmus").read_text()
+    extra_load = "  int r\u0661 = atomic_load_explicit(y, memory_order_relaxed);\n"
+    for text, name in (
+            (source.replace("  int r0", extra_load + "  int r0"), "r\u0661"),
+            (asm.replace("W15", "W1\u0665"), "W1\u0665"),
+            (asm.replace("X0", "X\u0660"), "X\u0660")):
+        support.check_reader_law(text)
+        assert name in render_litmus(parse_litmus(text))
