@@ -423,9 +423,9 @@ def validate_test(test: LitmusTest) -> None:
 
     It runs as the last step of every parse, lowering and dead-register
     rewrite and on every generated test, and stands behind programmatic
-    construction too.  Register names are checked by membership in the
-    name sets above, and the final condition's registers against the
-    definitions that the statement loop collects.
+    construction too.  W and X names are looked up in the name sets
+    above before any pattern is tried, and the final condition's registers
+    are checked against the definitions that the statement loop collects.
     """
     if not _NAME_RE.fullmatch(test.name):
         raise ValidationError(f"bad test name {test.name!r}")
