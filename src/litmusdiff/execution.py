@@ -57,9 +57,6 @@ from .litmus import (
     MemoryOrder,
     Mnemonic,
     StmtKind,
-    SWP_ACQUIRE,
-    SWP_FAMILY,
-    SWP_RELEASE,
     ZERO_REGISTER,
     condition_observables,
     observable_label,
@@ -111,10 +108,40 @@ class Event(NamedTuple):
 _LABEL = operator.itemgetter(0)
 
 
-@dataclasses.dataclass
+_READ, _WRITE, _FENCE = EventKind.READ, EventKind.WRITE, EventKind.FENCE
+# What a statement makes besides one event of a kind: an exchange, a read
+# then a write, or, for MOV, register state alone.
+_EXCHANGE, _MOV = "exchange", "mov"
+_SOURCE_FORMS = {StmtKind.LOAD: _READ, StmtKind.STORE: _WRITE,
+                 StmtKind.EXCHANGE: _EXCHANGE, StmtKind.FENCE: _FENCE}
+# (acquire, release, seq_cst) of a source statement of each memory order.
+_ORDER_FLAGS = {
+    MemoryOrder.RELAXED: (False, False, False),
+    MemoryOrder.ACQUIRE: (True, False, False),
+    MemoryOrder.RELEASE: (False, True, False),
+    MemoryOrder.ACQ_REL: (True, True, False),
+    MemoryOrder.SEQ_CST: (True, True, True),
+}
+# (form, acquire, release) of each mnemonic; no instruction is seq_cst.
+_ASM_FORMS = {
+    Mnemonic.MOV: (_MOV, False, False),
+    Mnemonic.LDR: (_READ, False, False), Mnemonic.LDAR: (_READ, True, False),
+    Mnemonic.STR: (_WRITE, False, False), Mnemonic.STLR: (_WRITE, False, True),
+    Mnemonic.SWP: (_EXCHANGE, False, False),
+    Mnemonic.SWPA: (_EXCHANGE, True, False),
+    Mnemonic.SWPL: (_EXCHANGE, False, True),
+    Mnemonic.SWPAL: (_EXCHANGE, True, True),
+    Mnemonic.DMB: (_FENCE, False, False),
+}
+_ZERO = ("const", 0)
+# Events are made with every field given in order, as tuples.
+_tuple_new = tuple.__new__
+
+
 class EventGraph:
-    """A test's events and final register environment, and every table no
-    rf or co choice can change, all made in one pass over the events:
+    """A test's events and final register environment (``final_defs``,
+    ``(tid, register) -> value source``), and every table no rf or co
+    choice can change, all made in one pass over the test's statements:
 
     - ``reads``, ``writes``, ``fences``, and ``masks`` of each kind (``R``,
       ``W``, ``F``), of the init writes and of each bool field of ``Event``;
@@ -130,77 +157,124 @@ class EventGraph:
     - ``final_observables``: the exists clause's observables with their
       printed labels, sorted by label.
 
+    Init writes come first, one per location in sorted order; then each
+    thread's statements in order.  A statement's form and ordering flags
+    come from one table per statement kind and memory order (source) or
+    per mnemonic (asm).  An exchange is a read then a write of its value at
+    consecutive ids, both tagged with the read's id, and binds its
+    destination, unless none or WZR, to the read's result; MOV produces no
+    event, only register state.
+
     ``memo`` holds per-graph results of the model modules, each under keys
     its own module owns; only what no rf or co choice can change belongs
     there."""
 
-    test: LitmusTest
-    events: tuple[Event, ...]
-    # final register environment per thread: (tid, register) -> value source
-    final_defs: dict[tuple[int, str], ValueSource]
-
-    def __post_init__(self) -> None:
-        reads, writes, fences, rmw_pairs = [], [], [], []
-        self.masks = masks = dict.fromkeys(("R", "W", "F", "init", "acquire",
-                                            "release", "seq_cst", "zero_dest"), 0)
-        self.shapes, self.exchanges, self.value_srcs = {}, {}, {}
-        threads, at, open_runs = {}, {}, {}
-        for e in self.events:
-            eid, tid, kind, loc, acquire, release, seq_cst, rmw, zero_dest, \
-                _, value_src = e
-            bit = 1 << eid
-            threads[tid] = threads.get(tid, 0) | bit
-            masks["acquire"] |= acquire << eid
-            masks["release"] |= release << eid
-            masks["seq_cst"] |= seq_cst << eid
-            if kind is EventKind.FENCE:
-                fences.append(e)
-                masks["F"] |= bit
-                continue
-            at[loc] = at.get(loc, 0) | bit
-            key = (loc, tid)
-            if kind is EventKind.READ:
-                reads.append(e)
-                masks["R"] |= bit
-                masks["zero_dest"] |= zero_dest << eid
-                if rmw is None:
-                    init, chains, runs = self.shapes[loc]
-                    run = open_runs.get(key)
-                    if run is None:
-                        a = chains[tid][-1] if tid in chains else init
-                        run = open_runs[key] = [a, None, []]
-                        runs.append(run)
-                    run[2].append(eid)
-                continue
+    def __init__(self, test: LitmusTest):
+        events, reads, writes, fences, rmw_pairs = [], [], [], [], []
+        shapes, exchanges, value_srcs, at, defs = {}, {}, {}, {}, {}
+        for eid, loc in enumerate(test.sorted_locations()):
+            value = ("const", test.locations[loc])
+            e = _tuple_new(Event, (eid, INIT_TID, _WRITE, loc, False, False,
+                                   False, None, False, None, value))
+            events.append(e)
             writes.append(e)
-            masks["W"] |= bit
-            self.value_srcs[eid] = value_src
-            if tid == INIT_TID:
-                masks["init"] |= bit
-                self.shapes[loc], self.exchanges[loc] = (eid, {}, []), []
-                continue
-            self.shapes[loc][1].setdefault(tid, []).append(eid)
-            if key in open_runs:
-                open_runs.pop(key)[1] = eid
-            if rmw is not None:
-                self.exchanges[loc].append((rmw, eid))
-                rmw_pairs.append((rmw, eid))
-        self.reads, self.writes, self.fences = map(tuple, (reads, writes, fences))
-        self.rmw_pairs, self.memo = tuple(rmw_pairs), {}
-        everything = (1 << len(self.events)) - 1
-        self.same_thread = [threads[e.tid] for e in self.events]
-        self.po = [(everything if e.tid == INIT_TID else threads[e.tid])
-                   & -(2 << e.eid) for e in self.events]
-        self.po_loc = [
-            row & at[e.loc] if e.loc is not None and e.tid != INIT_TID else 0
-            for e, row in zip(self.events, self.po)]
-        dialect = self.test.dialect
+            value_srcs[eid] = value
+            shapes[loc], exchanges[loc], at[loc] = (eid, {}, []), [], 1 << eid
+        inits = len(events)
+        init_mask = written = (1 << inits) - 1
+        same_thread = [init_mask] * inits
+        read = fenced = acquire = release = seq_cst = zero_dest = 0
+        source = test.dialect is Dialect.SOURCE
+        for thread in test.threads:
+            tid, start = thread.tid, len(events)
+            bindings, open_runs = thread.binding_map(), {}
+            for stmt in thread.stmts:
+                if source:
+                    form = _SOURCE_FORMS[stmt.kind]
+                    acq, rel, sc = _ORDER_FLAGS[stmt.order]
+                    loc, dest, domain = stmt.location, stmt.dest, None
+                    value = ("const", stmt.value)
+                else:
+                    form, acq, rel = _ASM_FORMS[stmt.mnemonic]
+                    dest, reg, sc = stmt.dst, stmt.src, False
+                    if form is _MOV:
+                        defs[tid, dest] = ("const", stmt.imm)
+                        continue
+                    loc, domain = bindings.get(stmt.addr), stmt.domain
+                    value = (None if reg is None else _ZERO
+                             if reg == ZERO_REGISTER else defs[tid, reg])
+                eid = len(events)
+                seq_cst |= sc << eid
+                if form is _FENCE:
+                    e = _tuple_new(Event, (eid, tid, _FENCE, None, acq, rel,
+                                           sc, None, False, domain, None))
+                    events.append(e)
+                    fences.append(e)
+                    fenced |= 1 << eid
+                    acquire |= acq << eid
+                    release |= rel << eid
+                    continue
+                rmw = None
+                if form is not _WRITE:
+                    zero = form is _EXCHANGE and dest == ZERO_REGISTER
+                    rmw = eid if form is _EXCHANGE else None
+                    e = _tuple_new(Event, (eid, tid, _READ, loc, acq, False,
+                                           sc, rmw, zero, None, None))
+                    events.append(e)
+                    reads.append(e)
+                    read |= 1 << eid
+                    acquire |= acq << eid
+                    zero_dest |= zero << eid
+                    at[loc] |= 1 << eid
+                    if dest is not None and not zero:
+                        defs[tid, dest] = ("read", eid)
+                    if rmw is None:
+                        run = open_runs.get(loc)
+                        if run is None:
+                            init, chains, runs = shapes[loc]
+                            chain = chains.get(tid)
+                            run = open_runs[loc] = [
+                                chain[-1] if chain else init, None, []]
+                            runs.append(run)
+                        run[2].append(eid)
+                        continue
+                    eid += 1
+                    seq_cst |= sc << eid
+                e = _tuple_new(Event, (eid, tid, _WRITE, loc, False, rel, sc,
+                                       rmw, False, None, value))
+                events.append(e)
+                writes.append(e)
+                written |= 1 << eid
+                release |= rel << eid
+                at[loc] |= 1 << eid
+                value_srcs[eid] = value
+                shapes[loc][1].setdefault(tid, []).append(eid)
+                run = open_runs.pop(loc, None)
+                if run is not None:
+                    run[1] = eid
+                if rmw is not None:
+                    exchanges[loc].append((rmw, eid))
+                    rmw_pairs.append((rmw, eid))
+            end = len(events)
+            same_thread += [(1 << end) - (1 << start)] * (end - start)
+        everything = (1 << len(events)) - 1
+        self.po = po = [(everything if eid < inits else row) & -(2 << eid)
+                        for eid, row in enumerate(same_thread)]
+        self.po_loc = [0] * inits + [row & at.get(e.loc, 0) for e, row
+                                     in zip(events[inits:], po[inits:])]
+        self.test, self.final_defs, self.same_thread = test, defs, same_thread
+        self.events, self.reads, self.writes, self.fences, self.rmw_pairs = \
+            map(tuple, (events, reads, writes, fences, rmw_pairs))
+        self.shapes, self.exchanges, self.value_srcs, self.memo = \
+            shapes, exchanges, value_srcs, {}
+        self.masks = {"R": read, "W": written, "F": fenced, "init": init_mask,
+                      "acquire": acquire, "release": release,
+                      "seq_cst": seq_cst, "zero_dest": zero_dest}
         self.final_observables = sorted(
-            [(observable_label(obs, dialect), obs)
-             for obs in condition_observables(self.test.final)],
-            key=_LABEL)
+            [(observable_label(obs, test.dialect), obs)
+             for obs in condition_observables(test.final)], key=_LABEL)
 
-    @cached_property
+    @property
     def examined_choices(self) -> int:
         """A budget worked out from the shape, not the number of choices
         the search makes: per location, the interleavings of its threads'
@@ -216,98 +290,10 @@ class EventGraph:
         return total
 
 
-class _ThreadBuilder:
-    """Appends a thread's events and tracks its register environment."""
-
-    def __init__(self, tid: int, events: list[Event]):
-        self.tid = tid
-        self.events = events
-        self.env: dict[str, ValueSource] = {}
-
-    def add(self, kind: EventKind, **fields) -> int:
-        eid = len(self.events)
-        self.events.append(Event(eid, self.tid, kind, **fields))
-        return eid
-
-    def exchange(self, loc: str, dest: str | None, value_src: ValueSource, *,
-                 acquire: bool, release: bool, seq_cst: bool = False) -> None:
-        """A read then a write of ``value_src`` at consecutive ids, both
-        tagged with the read's id, and ``dest`` bound to the read's result.
-        No destination, or WZR (a read that writes no register), binds none."""
-        zero = dest == ZERO_REGISTER
-        eid = self.add(EventKind.READ, loc=loc, acquire=acquire,
-                       seq_cst=seq_cst, rmw=len(self.events), zero_dest=zero)
-        self.add(EventKind.WRITE, loc=loc, release=release, seq_cst=seq_cst,
-                 rmw=eid, value_src=value_src)
-        if dest is not None and not zero:
-            self.env[dest] = ("read", eid)
-
-
-def _source_events(thread, builder: _ThreadBuilder) -> None:
-    for stmt in thread.stmts:
-        order = stmt.order
-        acq = order in (MemoryOrder.ACQUIRE, MemoryOrder.ACQ_REL, MemoryOrder.SEQ_CST)
-        rel = order in (MemoryOrder.RELEASE, MemoryOrder.ACQ_REL, MemoryOrder.SEQ_CST)
-        sc = order is MemoryOrder.SEQ_CST
-        if stmt.kind is StmtKind.STORE:
-            builder.add(EventKind.WRITE, loc=stmt.location, release=rel,
-                        seq_cst=sc, value_src=("const", stmt.value))
-        elif stmt.kind is StmtKind.LOAD:
-            eid = builder.add(EventKind.READ, loc=stmt.location, acquire=acq,
-                              seq_cst=sc)
-            builder.env[stmt.dest] = ("read", eid)
-        elif stmt.kind is StmtKind.EXCHANGE:
-            builder.exchange(stmt.location, stmt.dest, ("const", stmt.value),
-                             acquire=acq, release=rel, seq_cst=sc)
-        else:
-            builder.add(EventKind.FENCE, acquire=acq, release=rel, seq_cst=sc)
-
-
-def _asm_events(thread, builder: _ThreadBuilder) -> None:
-    bindings = thread.binding_map()
-
-    def register_value(reg: str) -> ValueSource:
-        if reg == ZERO_REGISTER:
-            return ("const", 0)
-        return builder.env[reg]
-
-    for instr in thread.stmts:
-        m = instr.mnemonic
-        if m is Mnemonic.MOV:
-            builder.env[instr.dst] = ("const", instr.imm)
-        elif m in (Mnemonic.LDR, Mnemonic.LDAR):
-            eid = builder.add(EventKind.READ, loc=bindings[instr.addr],
-                              acquire=m is Mnemonic.LDAR)
-            builder.env[instr.dst] = ("read", eid)
-        elif m in (Mnemonic.STR, Mnemonic.STLR):
-            builder.add(EventKind.WRITE, loc=bindings[instr.addr],
-                        release=m is Mnemonic.STLR,
-                        value_src=register_value(instr.src))
-        elif m in SWP_FAMILY:
-            builder.exchange(bindings[instr.addr], instr.dst,
-                             register_value(instr.src),
-                             acquire=m in SWP_ACQUIRE, release=m in SWP_RELEASE)
-        else:
-            builder.add(EventKind.FENCE, domain=instr.domain)
-
-
 def build_events(test: LitmusTest) -> EventGraph:
-    """Turn the program into events.  Init writes come first, one per
-    location in sorted order; MOV produces no event, only register state."""
-    events: list[Event] = []
-    for loc in test.sorted_locations():
-        events.append(Event(len(events), INIT_TID, EventKind.WRITE, loc=loc,
-                            value_src=("const", test.locations[loc])))
-    final_defs: dict[tuple[int, str], ValueSource] = {}
-    for thread in test.threads:
-        builder = _ThreadBuilder(thread.tid, events)
-        if test.dialect is Dialect.SOURCE:
-            _source_events(thread, builder)
-        else:
-            _asm_events(thread, builder)
-        for reg, src in builder.env.items():
-            final_defs[(thread.tid, reg)] = src
-    return EventGraph(test, tuple(events), final_defs)
+    """Turn the program into events and the graph's tables
+    (``EventGraph``)."""
+    return EventGraph(test)
 
 
 class Execution:
@@ -467,37 +453,37 @@ def _location_choices(graph: EventGraph, loc: str, drawn) -> dict:
     ``drawn`` with its rf source's.
     """
     init, chains, runs = graph.shapes[loc]
-    drawn_loc = loc in drawn
-    plain = [r for *_, reads in runs for r in reads]
     exchanges = graph.exchanges[loc]
-    rf_reads = [*plain, *(r for r, _ in exchanges)]
+    plain = [r for run in runs for r in run[2]]
+    rf_reads = plain + [r for r, _ in exchanges]
     signed = [(i, r) for i, r in enumerate(rf_reads) if r in drawn]
     value_src = graph.value_srcs
     groups: dict[tuple, list] = {}
     for tail in _merges(list(chains.values())):
         co = (init, *tail)
-        fixed = [(r, co[co.index(w) - 1]) for r, w in exchanges]
-        last = ((loc, value_src[co[-1]]),) if drawn_loc else ()
+        last = ((loc, value_src[co[-1]]),) if loc in drawn else ()
+        fixed = [co[co.index(w) - 1] for _, w in exchanges]
         windows = [itertools.combinations_with_replacement(
             co[co.index(a):len(co) if b is None else co.index(b)], len(reads))
             for a, b, reads in runs]
         for picked in itertools.product(*windows):
-            rf = (*zip(plain, itertools.chain(*picked)), *fixed)
-            signature = last + tuple(
-                [(r, value_src[rf[i][1]]) for i, r in signed])
-            groups.setdefault(signature, []).append((co, rf))
+            sources = (*itertools.chain(*picked), *fixed)
+            signature = last
+            for i, r in signed:
+                signature += ((r, value_src[sources[i]]),)
+            groups.setdefault(signature, []).append(
+                (co, tuple(zip(rf_reads, sources))))
     return groups
 
 
-def _class_outcome(combo, terms):
+def _class_outcome(signatures, terms):
     """The outcome, as its items, of every candidate whose location choices
-    have the signatures of ``combo`` (pairs of a signature and its group),
-    with the signatures' value sources resolved to constants; None when
-    the drawn reads' values copy themselves through rf and never settle.
-    Every read on such a copy cycle is drawn, so only then does some
-    candidate's value go unsettled."""
+    have the given signatures, and the signatures' value sources resolved
+    to constants; None when the drawn reads' values copy themselves through
+    rf and never settle.  Every read on such a copy cycle is drawn, so only
+    then does some candidate's value go unsettled."""
     sources: dict = {}
-    for signature, _ in combo:
+    for signature in signatures:
         sources.update(signature)
     for key, src in sources.items():
         hops = 0
@@ -522,9 +508,6 @@ class _Group:
         self.choices, self.size = choices, size
         self.slots: list = [None] * len(choices)
 
-    def __len__(self) -> int:
-        return len(self.choices)
-
     def rows(self, i: int) -> tuple[Rows, Rows]:
         rows = self.slots[i]
         if rows is None:
@@ -542,20 +525,22 @@ class Product:
     sorted location, all of one signature, crossed.  Its candidates share
     the class's outcome and its resolved value sources."""
 
-    def __init__(self, graph: EventGraph, groups: list[_Group], sources):
+    def __init__(self, graph: EventGraph, groups: tuple[_Group, ...],
+                 sources):
         self.graph, self.groups, self.sources = graph, groups, sources
 
     def __len__(self) -> int:
-        return math.prod(map(len, self.groups))
+        return math.prod([len(group.choices) for group in self.groups])
 
     def __iter__(self) -> Iterator[Execution]:
         graph, groups, sources = self.graph, self.groups, self.sources
-        for picked in itertools.product(*[range(len(g)) for g in groups]):
+        for picked in itertools.product(
+                *[range(len(group.choices)) for group in groups]):
             execution = Execution.__new__(Execution)
             execution.graph, execution.sources = graph, sources
             execution.choices = [g.choices[i] for g, i in zip(groups, picked)]
             execution.com, execution.eco_before = _union(
-                [g.rows(i) for g, i in zip(groups, picked)])
+                map(_Group.rows, groups, picked))
             yield execution
 
     def meet(self) -> Execution:
@@ -590,7 +575,8 @@ def enumerate_candidates(
     choices, added once they are grouped.
     """
     limit = DEFAULT_MAX_CANDIDATES if max_candidates is None else max_candidates
-    _charge(graph.examined_choices, limit)
+    examined = graph.examined_choices
+    _charge(examined, limit)
     # Where each label's final value comes from: a register's value source,
     # or ("read", location) for the value of the location's co-last write.
     terms = [(label, ("read", obs.location) if isinstance(obs, MemoryObservable)
@@ -601,18 +587,23 @@ def enumerate_candidates(
     drawn.update(key for kind, key in graph.value_srcs.values()
                  if kind == "read")
     size = len(graph.events)
-    groups = [{signature: _Group(choices, size) for signature, choices
-               in _location_choices(graph, loc, drawn).items()}
-              for loc in graph.test.sorted_locations()]
-    _charge(graph.examined_choices + math.prod(
-        sum(map(len, group.values())) for group in groups), limit)
+    # Per location, its choices by signature, and a group of each; a product
+    # over the former yields signatures, over the latter their groups.
+    signatures, groups = [], []
+    for loc in graph.test.sorted_locations():
+        choices = _location_choices(graph, loc, drawn)
+        signatures.append(choices)
+        groups.append([_Group(group, size) for group in choices.values()])
+    _charge(examined + math.prod(
+        [sum(map(len, choices.values())) for choices in signatures]), limit)
     classes: dict[tuple, list] = {}
-    for combo in itertools.product(*(group.items() for group in groups)):
+    for combo, members in zip(itertools.product(*signatures),
+                              itertools.product(*groups)):
         resolved = _class_outcome(combo, terms)
         if resolved is not None:
             items, sources = resolved
-            classes.setdefault(items, []).append(Product(
-                graph, [group for _, group in combo], sources))
+            classes.setdefault(items, []).append(
+                Product(graph, members, sources))
     for items, products in classes.items():
         yield Outcome(items), products
 

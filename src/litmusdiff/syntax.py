@@ -411,7 +411,7 @@ def _parse_asm_thread(
 MAX_CONDITION_DEPTH = 64
 
 _COND_TOKEN_RE = re.compile(
-    r"\s*(/\\|\\/|~|\(|\)|=|[A-Za-z0-9_]+:[A-Za-z0-9_]+|[A-Za-z_]\w*|\d+)"
+    r"\s*(/\\|\\/|~|\(|\)|=|\w+:\w+|[A-Za-z_]\w*|\d+)"
 )
 _SOURCE_THREAD_LABEL_RE = re.compile(r"P(\d+)$")
 _ASM_THREAD_LABEL_RE = re.compile(r"(\d+)$")

@@ -391,7 +391,7 @@ def _parse_asm_thread(
 MAX_CONDITION_DEPTH = 64
 
 _COND_TOKEN_RE = re.compile(
-    r"\s*(/\\|\\/|~|\(|\)|=|[A-Za-z0-9_]+:[A-Za-z0-9_]+|[A-Za-z_]\w*|\d+)"
+    r"\s*(/\\|\\/|~|\(|\)|=|\w+:\w+|[A-Za-z_]\w*|\d+)"
 )
 
 

@@ -19,6 +19,7 @@ from litmusdiff.execution import (
     MODEL_AARCH64,
     MODEL_C11,
     MODEL_SC,
+    Event,
     EventKind,
     Execution,
     allowed_outcomes,
@@ -34,6 +35,10 @@ from litmusdiff.litmus import (
     FENCE_ORDERS,
     LOAD_ORDERS,
     STORE_ORDERS,
+    SWP_ACQUIRE,
+    SWP_FAMILY,
+    SWP_RELEASE,
+    ZERO_REGISTER,
     MemoryOrder,
     Mnemonic,
     StmtKind,
@@ -389,6 +394,121 @@ def check_row_work_law(test, model, **flags):
     assert len(set(built)) == len(built), test.name
     assert len(set(anded)) == len(anded), test.name
     return len(built), len(anded)
+
+
+class _ThreadBuilder:
+    """Appends a thread's events and tracks its register environment."""
+
+    def __init__(self, tid, events):
+        self.tid = tid
+        self.events = events
+        self.env = {}
+
+    def add(self, kind, **fields):
+        eid = len(self.events)
+        self.events.append(Event(eid, self.tid, kind, **fields))
+        return eid
+
+    def exchange(self, loc, dest, value_src, *, acquire, release,
+                 seq_cst=False):
+        """A read then a write of ``value_src`` at consecutive ids, both
+        tagged with the read's id, and ``dest`` bound to the read's result.
+        No destination, or WZR (a read that writes no register), binds none."""
+        zero = dest == ZERO_REGISTER
+        eid = self.add(EventKind.READ, loc=loc, acquire=acquire,
+                       seq_cst=seq_cst, rmw=len(self.events), zero_dest=zero)
+        self.add(EventKind.WRITE, loc=loc, release=release, seq_cst=seq_cst,
+                 rmw=eid, value_src=value_src)
+        if dest is not None and not zero:
+            self.env[dest] = ("read", eid)
+
+
+def _source_events(thread, builder):
+    for stmt in thread.stmts:
+        order = stmt.order
+        acq = order in (MemoryOrder.ACQUIRE, MemoryOrder.ACQ_REL,
+                        MemoryOrder.SEQ_CST)
+        rel = order in (MemoryOrder.RELEASE, MemoryOrder.ACQ_REL,
+                        MemoryOrder.SEQ_CST)
+        sc = order is MemoryOrder.SEQ_CST
+        if stmt.kind is StmtKind.STORE:
+            builder.add(EventKind.WRITE, loc=stmt.location, release=rel,
+                        seq_cst=sc, value_src=("const", stmt.value))
+        elif stmt.kind is StmtKind.LOAD:
+            eid = builder.add(EventKind.READ, loc=stmt.location, acquire=acq,
+                              seq_cst=sc)
+            builder.env[stmt.dest] = ("read", eid)
+        elif stmt.kind is StmtKind.EXCHANGE:
+            builder.exchange(stmt.location, stmt.dest, ("const", stmt.value),
+                             acquire=acq, release=rel, seq_cst=sc)
+        else:
+            builder.add(EventKind.FENCE, acquire=acq, release=rel, seq_cst=sc)
+
+
+def _asm_events(thread, builder):
+    bindings = thread.binding_map()
+
+    def register_value(reg):
+        if reg == ZERO_REGISTER:
+            return ("const", 0)
+        return builder.env[reg]
+
+    for instr in thread.stmts:
+        m = instr.mnemonic
+        if m is Mnemonic.MOV:
+            builder.env[instr.dst] = ("const", instr.imm)
+        elif m in (Mnemonic.LDR, Mnemonic.LDAR):
+            eid = builder.add(EventKind.READ, loc=bindings[instr.addr],
+                              acquire=m is Mnemonic.LDAR)
+            builder.env[instr.dst] = ("read", eid)
+        elif m in (Mnemonic.STR, Mnemonic.STLR):
+            builder.add(EventKind.WRITE, loc=bindings[instr.addr],
+                        release=m is Mnemonic.STLR,
+                        value_src=register_value(instr.src))
+        elif m in SWP_FAMILY:
+            builder.exchange(bindings[instr.addr], instr.dst,
+                             register_value(instr.src),
+                             acquire=m in SWP_ACQUIRE,
+                             release=m in SWP_RELEASE)
+        else:
+            builder.add(EventKind.FENCE, domain=instr.domain)
+
+
+def reference_build_events(test):
+    """The reference for the events and final register environment
+    ``build_events`` makes: one keyword-built ``Event`` per ``add`` call
+    of a per-thread builder, a statement at a time.  Init writes come
+    first, one per location in sorted order; MOV produces no event, only
+    register state.  Returns the events and ``final_defs``."""
+    events = []
+    for loc in test.sorted_locations():
+        events.append(Event(len(events), INIT_TID, EventKind.WRITE, loc=loc,
+                            value_src=("const", test.locations[loc])))
+    final_defs = {}
+    for thread in test.threads:
+        builder = _ThreadBuilder(thread.tid, events)
+        if test.dialect is Dialect.SOURCE:
+            _source_events(thread, builder)
+        else:
+            _asm_events(thread, builder)
+        for reg, src in builder.env.items():
+            final_defs[(thread.tid, reg)] = src
+    return tuple(events), final_defs
+
+
+def check_build_events_law(test):
+    """``build_events`` makes the events and ``final_defs`` of
+    ``reference_build_events``, field by field and type by type, with
+    ``final_defs`` in its order."""
+    graph = build_events(test)
+    events, final_defs = reference_build_events(test)
+    assert graph.events == events, test.name
+    assert [tuple(map(type, e)) for e in graph.events] \
+        == [tuple(map(type, e)) for e in events], test.name
+    assert type(graph.events) is tuple
+    assert all(type(e) is Event for e in graph.events), test.name
+    assert list(graph.final_defs.items()) == list(final_defs.items()), \
+        test.name
 
 
 def event_mask(events):

@@ -446,6 +446,26 @@ def test_graph_tables_equal_the_reference(test):
     support.check_tables_law(test)
 
 
+# ``build_events`` makes each event positionally from per-order and
+# per-mnemonic tables; the reference adds them one keyword call at a time.
+@pytest.mark.parametrize(
+    "test", [*LADDER, *(lower_test(test)[0] for test in LADDER), *ASM_INPUTS,
+             *GOLDEN],
+    ids=lambda test: test.name)
+def test_events_equal_the_reference_builder(test):
+    support.check_build_events_law(test)
+
+
+def test_events_equal_the_reference_builder_on_redefined_registers():
+    # No input above defines an asm register twice; here W2 is bound by a
+    # MOV, a load and an exchange, and ``final_defs`` keeps its first place.
+    support.check_build_events_law(parse_litmus("\n".join([
+        "AArch64 redefine", "", "{", "  x = 0;", "  0:X0 = x;", "}", "",
+        "P0:", "  MOV W2, #1", "  MOV W3, #2", "  MOV W4, #3",
+        "  STR W2, [X0]", "  MOV W2, #4", "  LDR W2, [X0]", "  MOV W3, #5",
+        "  SWP W4, W2, [X0]", "", "exists (0:W2 = 0 /\\ 0:W3 = 5)", ""])))
+
+
 def test_location_search_makes_fewer_choices_than_the_budget():
     # The shape's budget counts every rf tuple of every coherence order;
     # the search makes only the coherent ones.
@@ -485,6 +505,13 @@ def test_graph_tables_equal_the_reference_across_corpus(test):
     compiled = lower_test(test)[0]
     for subject in (test, compiled, dead_register_pass(compiled)):
         support.check_tables_law(subject)
+
+
+@pytest.mark.parametrize("test", CORPUS, ids=IDS)
+def test_events_equal_the_reference_builder_across_corpus(test):
+    compiled = lower_test(test)[0]
+    for subject in (test, compiled, dead_register_pass(compiled)):
+        support.check_build_events_law(subject)
 
 
 @pytest.mark.parametrize("test", CORPUS, ids=IDS)
@@ -814,3 +841,14 @@ def test_graph_tables_equal_the_reference_on_random_tests(test):
         compiled = lower_test(test)[0]
         support.check_tables_law(compiled)
         support.check_tables_law(dead_register_pass(compiled))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(small_source_tests(max_stmts=3, max_threads=3),
+                 small_asm_tests(), release_acquire_chains()))
+def test_events_equal_the_reference_builder_on_random_tests(test):
+    support.check_build_events_law(test)
+    if test.dialect is Dialect.SOURCE:
+        compiled = lower_test(test)[0]
+        support.check_build_events_law(compiled)
+        support.check_build_events_law(dead_register_pass(compiled))

@@ -461,6 +461,22 @@ def test_reader_error_positions(text, line, column, message):
     assert str(err.value) == f"line {line}, col {column}: {message}"
 
 
+# A condition names registers as statements spell them, any Unicode
+# decimal digit included; the name checks are validate_test's.
+@pytest.mark.parametrize("name, old, new, observable", [
+    ("mp-xchg-discard.litmus", "r0", "r\u0661",
+     RegisterObservable(1, "r\u0661")),
+    ("mp-xchg-discard-compiled-w15.litmus", "W3", "W\u0661",
+     RegisterObservable(1, "W\u0661")),
+], ids=["source", "asm"])
+def test_unicode_digit_registers_round_trip(name, old, new, observable):
+    text = golden_path(name).read_text().replace(old, new)
+    test = parse_litmus(text)
+    assert test.final.left == Atom(observable, 0)
+    assert render_litmus(test) == text
+    assert parse_litmus(render_litmus(test)) == test
+
+
 def test_empty_asm_thread_round_trips():
     text = "\n".join([
         "AArch64 t", "", "{", "  x = 0;", "  0:X0 = x;", "}", "",
