@@ -124,11 +124,25 @@ def derive_mapping(source: LitmusTest, compiled: LitmusTest) -> Mapping:
     return Mapping(pairs, locations)
 
 
-def _check_alignment(source: LitmusTest, mapping: Mapping) -> None:
+def _check_alignment(source: LitmusTest, compiled: LitmusTest,
+                     mapping: Mapping) -> None:
+    """Every observable of the source condition has an entry, and none is
+    paired with an observable of the compiled condition of the other kind,
+    register or memory, which ``derive_mapping`` refuses too."""
+    kinds = {True: "memory location", False: "register"}
+    compiled_memory = {observable_label(obs, Dialect.ASM):
+                       isinstance(obs, MemoryObservable)
+                       for obs in condition_observables(compiled.final)}
     for obs in condition_observables(source.final):
         label = observable_label(obs, Dialect.SOURCE)
         if label not in mapping.observables:
             raise MappingError(f"mapping has no entry for {label!r}")
+        memory = isinstance(obs, MemoryObservable)
+        asm_label = mapping.observables[label]
+        if compiled_memory.get(asm_label, memory) != memory:
+            raise MappingError(
+                f"mapping pairs {kinds[memory]} {label!r} with "
+                f"{kinds[not memory]} {asm_label!r}")
 
 
 def check_refinement(
@@ -149,7 +163,7 @@ def check_refinement(
             raise LitmusError("refinement check needs an asm test second")
         if mapping is None:
             mapping = derive_mapping(source, compiled)
-        _check_alignment(source, mapping)
+        _check_alignment(source, compiled, mapping)
         source_set = allowed_outcomes(source, MODEL_C11,
                                       max_candidates=max_candidates)
         compiled_set = allowed_outcomes(compiled, MODEL_AARCH64,

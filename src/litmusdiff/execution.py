@@ -16,18 +16,17 @@ of what an earlier read of its thread returned.  So a candidate's final
 state, and whether its values settle at all, follow from a few terms of its
 location choices: the value source of each observed location's co-last
 write and of the rf source of each read that an observed register or a
-copying write draws on.  Choices are grouped by those terms, and each
-combination of groups is resolved to its outcome and to the constant each
-term comes to before any candidate is built; combinations whose values never
-settle (a read feeding its own rf source through a cycle of copies) are
-dropped there.  The enumerator yields each outcome once, with its products:
-a product is one group per location, and its candidates, built lazily, are
-the groups' choices crossed.  A built candidate carries only the ``com``
-and ``eco_before`` rows the models read, the unions of its choices' rows,
-and its class's resolved sources; rf, co and values follow on demand.  A
-choice's rows take one walk up and one walk down its coherence order, and
-are built at most once per enumeration, however many candidates and meets
-use them.
+copying write draws on.  Choices are grouped by those terms, their
+signature, and a product is one group per location.  Where no write copies,
+each product is an outcome of its own, read off its signatures when
+reached; otherwise all are resolved first and grouped by outcome, and those
+whose values never settle (a read feeding its own rf source through a cycle
+of copies) are dropped.  A product's candidates, its groups' choices
+crossed, are built lazily, the first directly.  A candidate carries only
+the ``com`` and ``eco_before`` rows the models read, the unions of its
+choices' rows, and its class's resolved sources; rf, co and values follow
+on demand.  A choice's rows take one walk up and one walk down its
+coherence order, and are built at most once per enumeration.
 
 The models are antitone in ``(com, eco_before)``: removing edges never
 turns a consistent execution inconsistent.  A product's ``meet`` has, per
@@ -45,7 +44,7 @@ import enum
 import itertools
 import math
 import operator
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterator, NamedTuple
 
 from .litmus import (
@@ -58,7 +57,7 @@ from .litmus import (
     Mnemonic,
     StmtKind,
     ZERO_REGISTER,
-    condition_observables,
+    condition_atoms,
     observable_label,
 )
 from .relations import Rows
@@ -103,9 +102,6 @@ class Event(NamedTuple):
     zero_dest: bool = False
     domain: DmbDomain | None = None
     value_src: ValueSource | None = None
-
-
-_LABEL = operator.itemgetter(0)
 
 
 _READ, _WRITE, _FENCE = EventKind.READ, EventKind.WRITE, EventKind.FENCE
@@ -158,10 +154,8 @@ class EventGraph:
       printed labels, sorted by label.
 
     Init writes come first, one per location in sorted order; then each
-    thread's statements in order.  A statement's form and ordering flags
-    come from one table per statement kind and memory order (source) or
-    per mnemonic (asm).  An exchange is a read then a write of its value at
-    consecutive ids, both tagged with the read's id, and binds its
+    thread's statements in order.  An exchange is a read then a write of its
+    value at consecutive ids, both tagged with the read's id, and binds its
     destination, unless none or WZR, to the read's result; MOV produces no
     event, only register state.
 
@@ -270,9 +264,9 @@ class EventGraph:
         self.masks = {"R": read, "W": written, "F": fenced, "init": init_mask,
                       "acquire": acquire, "release": release,
                       "seq_cst": seq_cst, "zero_dest": zero_dest}
-        self.final_observables = sorted(
-            [(observable_label(obs, test.dialect), obs)
-             for obs in condition_observables(test.final)], key=_LABEL)
+        self.final_observables = sorted({
+            observable_label(atom.observable, test.dialect): atom.observable
+            for atom in condition_atoms(test.final)}.items())
 
     @property
     def examined_choices(self) -> int:
@@ -286,7 +280,7 @@ class EventGraph:
             for chain in chains.values():
                 placed += len(chain)
                 orders *= math.comb(placed, len(chain))
-            total += orders * (1 + placed) ** sum(len(r[2]) for r in runs)
+            total += orders * (1 + placed) ** sum([len(r[2]) for r in runs])
         return total
 
 
@@ -366,8 +360,9 @@ def atomicity_holds(execution: Execution) -> bool:
 
 def _union(rows) -> tuple[Rows, Rows]:
     """The unions of ``(com, eco_before)`` pairs of rows."""
-    (com, before), *rest = rows
-    for more_com, more_before in rest:
+    rows = iter(rows)
+    com, before = next(rows)
+    for more_com, more_before in rows:
         com = list(map(operator.or_, com, more_com))
         before = list(map(operator.or_, before, more_before))
     return com, before
@@ -391,10 +386,9 @@ def _location_rows(co, rf, size: int) -> tuple[Rows, Rows]:
     readers, and for a reader of the write the write too.  One walk down
     gathers ``com``: the writes co-after a write, and for the write alone
     its own readers."""
-    readers: dict[int, list[int]] = {w: [] for w in co}
+    readers: dict[int, list[int]] = {}
     for r, w in rf:
-        if w in readers:
-            readers[w].append(r)
+        readers.setdefault(w, []).append(r)
     com = [0] * size
     before = [0] * size
     below = 0
@@ -402,13 +396,13 @@ def _location_rows(co, rf, size: int) -> tuple[Rows, Rows]:
         before[w] = below
         below |= 1 << w
         own = below
-        for r in readers[w]:
+        for r in readers.get(w, ()):
             before[r] = own
             below |= 1 << r
     above = 0
     for w in reversed(co):
         row = above
-        for r in readers[w]:
+        for r in readers.get(w, ()):
             com[r] = above
             row |= 1 << r
         com[w] = row
@@ -416,58 +410,56 @@ def _location_rows(co, rf, size: int) -> tuple[Rows, Rows]:
     return com, before
 
 
-def _merges(chains: list[list[int]]) -> Iterator[tuple[int, ...]]:
+def _merges(chains: list[list[int]]) -> list[tuple[int, ...]]:
     """Every interleaving of the chains that keeps each chain's own order:
     the first chain takes any set of slots, a merge of the rest the others."""
     if len(chains) <= 1:
-        yield tuple(chains[0]) if chains else ()
-        return
-    first = chains[0]
-    size = sum(map(len, chains))
+        return [tuple(chains[0]) if chains else ()]
+    first, size, merges = chains[0], sum(map(len, chains)), []
     for tail in _merges(chains[1:]):
         for slots in itertools.combinations(range(size), len(first)):
             merged = list(tail)
             for slot, w in zip(slots, first):
                 merged.insert(slot, w)
-            yield tuple(merged)
+            merges.append(tuple(merged))
+    return merges
 
 
 def _location_choices(graph: EventGraph, loc: str, drawn) -> dict:
     """The coherent ``(co, rf)`` choices on one location, grouped by
-    signature; ``EventGraph.examined_choices`` is a budget from the shape,
-    not the number made.  A coherence order is init, then a merge of the
-    threads' write chains (CoWW); an exchange read reads the write just
-    before its own (atomicity).  Coherence binds only a thread's own
-    accesses: a run of its plain reads between its writes ``a`` and ``b``
-    (``EventGraph.shapes``) reads from ``co[pos(a):pos(b)]``, from init
-    without ``a`` and to the end without ``b`` (CoWR, CoRW), and never
-    below an earlier read's source (CoRR).  So its sources are the
-    ``combinations_with_replacement`` of that window, and the rf choices
-    the product of the runs'.  Exchanges add no bound beyond their write: a
-    read po-before one reads below its write, one po-after at or above it,
-    and the write directly follows the exchange read.  Runs list the plain
-    reads in id order and windows are in co order, so the choices come in
-    the order of ``itertools.product(co, repeat=len(plain))``, filtered.  A
-    signature is all the outcome can read of a choice: the co-last write's
-    value source if the location is in ``drawn``, then each read in
-    ``drawn`` with its rf source's.
-    """
+    signature.  A coherence order is init, then a merge of the threads'
+    write chains (CoWW); an exchange read reads the write just before its
+    own (atomicity).  Coherence binds only a thread's own accesses: a run of
+    its plain reads between its writes ``a`` and ``b`` (``EventGraph.shapes``)
+    reads from ``co[pos(a):pos(b)]``, from init without ``a`` and to the end
+    without ``b`` (CoWR, CoRW), and never below an earlier read's source
+    (CoRR).  So its sources are the ``combinations_with_replacement`` of
+    that window, and the rf choices the product of the runs'.  Exchanges
+    add no bound beyond their write: a read po-before one reads below its
+    write, one po-after at or above it, and the write directly follows the
+    exchange read.  Runs list the plain reads in id order and windows are in
+    co order, so the choices come in the order of
+    ``itertools.product(co, repeat=len(plain))``, filtered.  A signature is
+    all the outcome can read of a choice: the co-last write's value source
+    if the location is in ``drawn``, then each read in ``drawn`` with its
+    rf source's."""
     init, chains, runs = graph.shapes[loc]
-    exchanges = graph.exchanges[loc]
-    plain = [r for run in runs for r in run[2]]
-    rf_reads = plain + [r for r, _ in exchanges]
+    exchanges, value_src = graph.exchanges[loc], graph.value_srcs
+    rf_reads = [r for run in runs for r in run[2]]
+    if exchanges:
+        rf_reads += [r for r, _ in exchanges]
     signed = [(i, r) for i, r in enumerate(rf_reads) if r in drawn]
-    value_src = graph.value_srcs
     groups: dict[tuple, list] = {}
-    for tail in _merges(list(chains.values())):
+    for tail in _merges([*chains.values()]):
         co = (init, *tail)
         last = ((loc, value_src[co[-1]]),) if loc in drawn else ()
-        fixed = [co[co.index(w) - 1] for _, w in exchanges]
+        fixed = tuple([co[co.index(w) - 1] for _, w in exchanges]
+                      ) if exchanges else ()
         windows = [itertools.combinations_with_replacement(
             co[co.index(a):len(co) if b is None else co.index(b)], len(reads))
-            for a, b, reads in runs]
+            for a, b, reads in runs] if runs else ()
         for picked in itertools.product(*windows):
-            sources = (*itertools.chain(*picked), *fixed)
+            sources = sum(picked, ()) + fixed
             signature = last
             for i, r in signed:
                 signature += ((r, value_src[sources[i]]),)
@@ -476,25 +468,20 @@ def _location_choices(graph: EventGraph, loc: str, drawn) -> dict:
     return groups
 
 
-def _class_outcome(signatures, terms):
-    """The outcome, as its items, of every candidate whose location choices
-    have the given signatures, and the signatures' value sources resolved
-    to constants; None when the drawn reads' values copy themselves through
-    rf and never settle.  Every read on such a copy cycle is drawn, so only
-    then does some candidate's value go unsettled."""
-    sources: dict = {}
-    for signature in signatures:
-        sources.update(signature)
+def _settled(sources: dict) -> bool:
+    """Resolve a combination's signature entries in place to constants;
+    False when the drawn reads' values copy themselves through rf and never
+    settle.  Every read on such a copy cycle is drawn, so only then does
+    some candidate's value go unsettled."""
     for key, src in sources.items():
         hops = 0
         while src[0] == "read":
             hops += 1
             if hops > len(sources):
-                return None
+                return False
             src = sources[src[1]]
         sources[key] = src
-    return tuple([(label, sources[src[1]][1] if src[0] == "read" else src[1])
-                  for label, src in terms]), sources
+    return True
 
 
 class _Group:
@@ -505,11 +492,10 @@ class _Group:
     used and at most once."""
 
     def __init__(self, choices: list, size: int):
-        self.choices, self.size = choices, size
-        self.slots: list = [None] * len(choices)
+        self.choices, self.size, self.slots = choices, size, {}
 
     def rows(self, i: int) -> tuple[Rows, Rows]:
-        rows = self.slots[i]
+        rows = self.slots.get(i)
         if rows is None:
             rows = self.slots[i] = _location_rows(*self.choices[i], self.size)
         return rows
@@ -525,8 +511,7 @@ class Product:
     sorted location, all of one signature, crossed.  Its candidates share
     the class's outcome and its resolved value sources."""
 
-    def __init__(self, graph: EventGraph, groups: tuple[_Group, ...],
-                 sources):
+    def __init__(self, graph: EventGraph, groups: tuple[_Group, ...], sources):
         self.graph, self.groups, self.sources = graph, groups, sources
 
     def __len__(self) -> int:
@@ -536,12 +521,19 @@ class Product:
         graph, groups, sources = self.graph, self.groups, self.sources
         for picked in itertools.product(
                 *[range(len(group.choices)) for group in groups]):
-            execution = Execution.__new__(Execution)
-            execution.graph, execution.sources = graph, sources
+            execution = Execution.of_rows(graph, map(_Group.rows, groups, picked))
+            execution.sources = sources
             execution.choices = [g.choices[i] for g, i in zip(groups, picked)]
-            execution.com, execution.eco_before = _union(
-                map(_Group.rows, groups, picked))
             yield execution
+
+    def first(self) -> Execution:
+        """The first candidate, each group's first choice, built directly."""
+        groups, execution = self.groups, _new(Execution)
+        execution.graph, execution.sources = self.graph, self.sources
+        execution.choices = [group.choices[0] for group in groups]
+        execution.com, execution.eco_before = _union(
+            [group.rows(0) for group in groups])
+        return execution
 
     def meet(self) -> Execution:
         """The intersection of the candidates: per location, the AND of the
@@ -560,12 +552,11 @@ def enumerate_candidates(
     graph: EventGraph, max_candidates: int | None = None
 ) -> Iterator[tuple[Outcome, list[Product]]]:
     """Yield each outcome of the coherent, value-consistent candidate
-    executions once, with the products whose candidates have it, in order.
-
-    Each combination of the groups of ``_location_choices`` is resolved
-    once (``_class_outcome``), and combinations with value cycles are
-    dropped there.  A candidate is built only when its product's iterator
-    reaches it.  A choice's ``_location_rows`` are built when a built
+    executions once, with its products in the order of ``itertools.product``
+    over the locations' groups of ``_location_choices``.  Without copies each
+    product is an outcome of its own, made when reached; with copies all are
+    resolved (``_settled``) before the first outcome, and those with value
+    cycles are dropped.  A choice's ``_location_rows`` are built when a
     candidate or a meet first uses them, and a group's AND when a meet
     holding it is first checked; both at most once per call.
 
@@ -584,13 +575,13 @@ def enumerate_candidates(
              for label, obs in graph.final_observables]
     # The reads whose rf source the outcome or a copying write draws on.
     drawn = {key for _, (kind, key) in terms if kind == "read"}
-    drawn.update(key for kind, key in graph.value_srcs.values()
-                 if kind == "read")
+    copies = [key for kind, key in graph.value_srcs.values() if kind == "read"]
+    drawn.update(copies)
     size = len(graph.events)
     # Per location, its choices by signature, and a group of each; a product
     # over the former yields signatures, over the latter their groups.
     signatures, groups = [], []
-    for loc in graph.test.sorted_locations():
+    for loc in graph.shapes:
         choices = _location_choices(graph, loc, drawn)
         signatures.append(choices)
         groups.append([_Group(group, size) for group in choices.values()])
@@ -599,16 +590,25 @@ def enumerate_candidates(
     classes: dict[tuple, list] = {}
     for combo, members in zip(itertools.product(*signatures),
                               itertools.product(*groups)):
-        resolved = _class_outcome(combo, terms)
-        if resolved is not None:
-            items, sources = resolved
-            classes.setdefault(items, []).append(
-                Product(graph, members, sources))
+        sources = dict(itertools.chain.from_iterable(combo))
+        if copies and not _settled(sources):
+            continue
+        items = tuple([(label, sources[key][1] if kind == "read" else key)
+                       for label, (kind, key) in terms])
+        product = Product(graph, members, sources)
+        if copies:
+            classes.setdefault(items, []).append(product)
+            continue
+        # Without copies every signature entry is a constant some label
+        # reads, so each product is an outcome of its own.
+        outcome = _new(Outcome)
+        _set_items(outcome, items)
+        yield outcome, [product]
     for items, products in classes.items():
         yield Outcome(items), products
 
 
-@dataclasses.dataclass(frozen=True, order=True)
+@dataclasses.dataclass(frozen=True, order=True, slots=True)
 class Outcome:
     """Final values of the observables named by the exists clause, keyed by
     their printed labels and sorted lexicographically."""
@@ -621,6 +621,11 @@ class Outcome:
     @staticmethod
     def from_dict(values: dict[str, int]) -> "Outcome":
         return Outcome(tuple(sorted(values.items())))
+
+
+# The frozen ``__init__`` stores through ``object.__setattr__``; the
+# enumerator, making one outcome per class, sets the slot directly.
+_new, _set_items = object.__new__, Outcome.items.__set__
 
 
 @dataclasses.dataclass(frozen=True)
@@ -670,19 +675,15 @@ def allowed_outcomes(
     if model == MODEL_C11:
         if test.dialect is not Dialect.SOURCE:
             raise DialectMismatchError("the c11 model applies to source tests only")
-        from .model_c11 import c11_consistent
-        consistent = c11_consistent
+        from .model_c11 import c11_consistent as consistent
     elif model == MODEL_AARCH64:
         if test.dialect is not Dialect.ASM:
             raise DialectMismatchError("the aarch64 model applies to asm tests only")
         from .model_aarch64 import aarch64_consistent
-
-        def consistent(execution):
-            return aarch64_consistent(
-                execution, legacy_zero_register=legacy_zero_register)
+        consistent = partial(
+            aarch64_consistent, legacy_zero_register=legacy_zero_register)
     elif model == MODEL_SC:
-        from .model_sc import sc_consistent
-        consistent = sc_consistent
+        from .model_sc import sc_consistent as consistent
     else:
         raise LitmusError(f"unknown model {model!r}")
     if legacy_zero_register and model != MODEL_AARCH64:
@@ -690,11 +691,10 @@ def allowed_outcomes(
             f"legacy_zero_register applies to the {MODEL_AARCH64} model only")
 
     def allows(product: Product) -> bool:
-        candidates = iter(product)
-        if consistent(next(candidates)):
+        if consistent(product.first()):
             return True
-        return ((len(product) == 1 or consistent(product.meet()))
-                and any(map(consistent, candidates)))
+        return (len(product) > 1 and consistent(product.meet())
+                and any(map(consistent, itertools.islice(product, 1, None))))
 
     classes = enumerate_candidates(build_events(test), max_candidates)
     return OutcomeSet(test.name, model, frozenset(

@@ -39,6 +39,7 @@ from litmusdiff.litmus import (
     SWP_FAMILY,
     SWP_RELEASE,
     ZERO_REGISTER,
+    MemoryObservable,
     MemoryOrder,
     Mnemonic,
     StmtKind,
@@ -645,6 +646,46 @@ def check_tables_law(test):
         for legacy in (False, True):
             assert model_aarch64.barrier_order(graph, legacy) \
                 == reference_barrier_order(graph, legacy), (test.name, legacy)
+
+
+def event_fields(graph):
+    """Per event, what the rf and co search and the outcome read of it."""
+    return [(e.eid, e.tid, e.kind, e.loc, e.rmw, e.value_src)
+            for e in graph.events]
+
+
+def observed_sources(graph):
+    """Per label of the exists clause, what its final value comes from: a
+    location's co-last write, or a register's value source."""
+    return {label: ("location", obs.location)
+            if isinstance(obs, MemoryObservable)
+            else graph.final_defs[(obs.thread, obs.register)]
+            for label, obs in graph.final_observables}
+
+
+def check_event_correspondence_law(test):
+    """``build_events`` of a source test, of its lowering and of the
+    lowering's dead-register rewrite agree event by event on
+    ``event_fields``, and on ``rmw_pairs``, ``shapes``, ``exchanges`` and
+    ``value_srcs``, dict order included; every observable of the source
+    condition that the lowering's mapping pairs reads the same location or
+    value source on all three.  So a compiled execution names the source
+    events it runs.  Returns the number of events."""
+    compiled, mapping = lower_test(test)
+    source, *lowered = [build_events(subject) for subject in
+                        (test, compiled, dead_register_pass(compiled))]
+    observed = observed_sources(source)
+    for graph in lowered:
+        assert event_fields(graph) == event_fields(source), test.name
+        for name in ("rmw_pairs", "shapes", "exchanges", "value_srcs"):
+            assert ordered(getattr(graph, name)) \
+                == ordered(getattr(source, name)), (test.name, name)
+        asm_observed = observed_sources(graph)
+        for label, asm_label in mapping.observables.items():
+            if label in observed:
+                assert asm_observed[asm_label] == observed[label], \
+                    (test.name, label, asm_label)
+    return len(source.events)
 
 
 def hand_execution(test, rf, co):

@@ -489,6 +489,19 @@ def test_diff_rejects_a_mapping_that_loses_a_source_observable(
                    "observables; check the mapping\n")
 
 
+def test_diff_rejects_a_mapping_that_pairs_a_register_with_memory(
+        capsys, tmp_path):
+    mapping = tmp_path / "crossed.mapping.json"
+    mapping.write_text(json.dumps({
+        "observables": {"P1:r0": "y", "y": "1:W3"},
+        "locations": {"x": "x", "y": "y"}}))
+    code, out, err = run(capsys, "diff", SOURCE, FIXED, "--mapping",
+                         str(mapping))
+    assert (code, out) == (2, "")
+    assert err == ("error: mapping pairs register 'P1:r0' with memory "
+                   "location 'y'\n")
+
+
 COMMANDS = ["simulate", "compile", "diff", "generate"]
 
 # Help, usage errors, the dash tokens argparse reads before a subcommand,

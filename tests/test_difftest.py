@@ -159,6 +159,22 @@ def test_error_on_mapping_to_wrong_labels(discard_source, compiled_w15):
     assert "1:W3" in verdict.diagnostic
 
 
+@pytest.mark.parametrize("observables, pair", [
+    ({"P1:r0": "y", "y": "1:W3"}, "register 'P1:r0' with memory location 'y'"),
+    ({"P1:r0": "1:W3", "y": "1:W3"},
+     "memory location 'y' with register '1:W3'"),
+], ids=["register-to-memory", "memory-to-register"])
+def test_error_on_mapping_across_registers_and_memory(
+        discard_source, compiled_w15, observables, pair):
+    # Without the check the first mapping reads as a bug with the witnesses
+    # P1:r0=1; y=0; and P1:r0=2; y=1;.  derive_mapping refuses such a
+    # pairing, and so does an explicit mapping.
+    mapping = Mapping(observables, {"x": "x", "y": "y"})
+    verdict = check_refinement(discard_source, compiled_w15, mapping)
+    assert verdict.status is VerdictStatus.ERROR
+    assert verdict.diagnostic == f"mapping pairs {pair}"
+
+
 def test_verdict_json_shapes():
     bug = Verdict(VerdictStatus.BUG, (WEAK,), 3, 4)
     assert bug.to_json_dict() == {

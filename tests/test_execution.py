@@ -400,6 +400,29 @@ def test_a_rejected_meet_rejects_its_product(model, golden, exists):
         assert meets > 0
 
 
+def test_outcome_value_semantics(discard_source):
+    # Outcomes the enumerator makes and outcomes made by hand behave as one
+    # value type: frozen, equal and hashed alike exactly when their items
+    # are, never equal to a bare tuple, and ordered by their items.
+    compiled, _ = lower_test(discard_source)
+    made = [outcome for test in (discard_source, compiled)
+            for outcome, _ in execution.enumerate_candidates(
+                build_events(test))]
+    outcomes = made + [Outcome(tuple(o.items)) for o in made] + [
+        Outcome.from_dict({"P1:r0": 0, "y": 2}), Outcome(())]
+    for outcome in outcomes:
+        with pytest.raises(AttributeError):
+            outcome.items = ()
+        assert outcome != outcome.items and outcome != (outcome.items,)
+    for a, b in itertools.product(outcomes, repeat=2):
+        assert (a == b) == (a.items == b.items)
+        assert (a != b) == (a.items != b.items)
+        assert (a < b) == (a.items < b.items)
+        if a == b:
+            assert hash(a) == hash(b)
+    assert len(set(outcomes)) == len({o.items for o in outcomes})
+
+
 def test_outcome_json_round_trip():
     o = Outcome.from_dict({"y": 2, "P1:r0": 0})
     assert o.items == (("P1:r0", 0), ("y", 2))

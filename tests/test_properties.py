@@ -287,6 +287,17 @@ def test_sc_model_call_and_meet_laws_on_large_inputs(
     support.check_row_work_law(test, "sc")
 
 
+def test_events_correspond_across_lowering():
+    # The whole exchange family, the ladder sources and the golden source:
+    # a compiled event is the source event of the same id.
+    family = [test for test, _ in generate_mp_family(support.EXCHANGE_FAMILY)]
+    golden = parse_litmus(golden_path("mp-xchg-discard.litmus").read_text())
+    subjects = [*family, *LADDER, golden]
+    assert len(family) == 2025
+    assert sum(map(support.check_event_correspondence_law, subjects)) \
+        > len(subjects)
+
+
 def test_mp_family_products_hold_one_candidate():
     # So the MP family, which the mp-corpus benchmark samples, never has a
     # meet to check: its model calls stay one per candidate.
@@ -734,6 +745,12 @@ def test_single_location_model_collapses_to_interleavings(test):
     # interleaving outcomes
     assert allowed_outcomes(test, "c11").outcomes \
         == interleaving_outcomes(test)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_source_tests(max_threads=3))
+def test_events_correspond_across_lowering_on_random_tests(test):
+    support.check_event_correspondence_law(test)
 
 
 @settings(max_examples=40, deadline=None)
