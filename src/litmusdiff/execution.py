@@ -453,8 +453,8 @@ def _location_choices(graph: EventGraph, loc: str, drawn) -> dict:
     for tail in _merges([*chains.values()]):
         co = (init, *tail)
         last = ((loc, value_src[co[-1]]),) if loc in drawn else ()
-        fixed = tuple([co[co.index(w) - 1] for _, w in exchanges]
-                      ) if exchanges else ()
+        fixed = (tuple([co[co.index(w) - 1] for _, w in exchanges])
+                 if exchanges else ())
         windows = [itertools.combinations_with_replacement(
             co[co.index(a):len(co) if b is None else co.index(b)], len(reads))
             for a, b, reads in runs] if runs else ()
