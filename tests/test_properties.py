@@ -402,6 +402,26 @@ def test_outcomes_match_brute_force_on_copying_asm(name):
 
 
 @pytest.mark.parametrize(
+    "test", [*LADDER, *(lower_test(test)[0] for test in LADDER), *ASM_INPUTS,
+             *map(parse_litmus, COPY_TESTS.values())],
+    ids=lambda test: test.name)
+def test_first_candidate_is_the_products_first_member(test):
+    # Product.first() builds the first member without the product's
+    # iterator: the same choices, class sources and rows, and no meet.
+    products = [product for _, products in
+                enumerate_candidates(build_events(test))
+                for product in products]
+    for product in products:
+        first, member = product.first(), next(iter(product))
+        assert not support.is_meet(first), test.name
+        assert first.choices == member.choices, test.name
+        assert first.sources is member.sources, test.name
+        assert support.rows_of(first) == support.rows_of(member), test.name
+        assert support.fingerprint(first) == support.fingerprint(member)
+    assert products
+
+
+@pytest.mark.parametrize(
     "test", [*LADDER, *(lower_test(test)[0] for test in LADDER), *ASM_INPUTS],
     ids=lambda test: test.name)
 def test_dropping_edges_keeps_candidates_consistent(test):
