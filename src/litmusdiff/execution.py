@@ -17,9 +17,9 @@ state, and whether its values settle at all, follow from a few terms of its
 location choices: the value source of each observed location's co-last
 write and of the rf source of each read that an observed register or a
 copying write draws on.  Choices are grouped by those terms, their
-signature, and a product is one group per location.  Where no write copies,
-each product is an outcome of its own, read off its signatures when
-reached; otherwise all are resolved first and grouped by outcome, and those
+signature, and a product is one group per location.  Every product is
+read off its signatures and grouped by outcome before the first outcome is
+yielded; where writes copy, their sources are resolved first, and products
 whose values never settle (a read feeding its own rf source through a cycle
 of copies) are dropped.  A product's candidates, its groups' choices
 crossed, are built lazily, the first directly.  A candidate carries only
@@ -48,13 +48,13 @@ from functools import cached_property, partial
 from typing import Iterator, NamedTuple
 
 from .litmus import (
+    ASM_FORMS,
     Dialect,
     DmbDomain,
     LitmusError,
     LitmusTest,
     MemoryObservable,
     MemoryOrder,
-    Mnemonic,
     StmtKind,
     ZERO_REGISTER,
     condition_atoms,
@@ -104,12 +104,11 @@ class Event(NamedTuple):
     value_src: ValueSource | None = None
 
 
+# Enum members read through their class cost about 0.1 us each (Python
+# 3.11), so the statement loop reads these instead.
 _READ, _WRITE, _FENCE = EventKind.READ, EventKind.WRITE, EventKind.FENCE
-# What a statement makes besides one event of a kind: an exchange, a read
-# then a write, or, for MOV, register state alone.
-_EXCHANGE, _MOV = "exchange", "mov"
-_SOURCE_FORMS = {StmtKind.LOAD: _READ, StmtKind.STORE: _WRITE,
-                 StmtKind.EXCHANGE: _EXCHANGE, StmtKind.FENCE: _FENCE}
+_STORE_STMT, _EXCHANGE_STMT, _FENCE_STMT = (
+    StmtKind.STORE, StmtKind.EXCHANGE, StmtKind.FENCE)
 # (acquire, release, seq_cst) of a source statement of each memory order.
 _ORDER_FLAGS = {
     MemoryOrder.RELAXED: (False, False, False),
@@ -118,20 +117,7 @@ _ORDER_FLAGS = {
     MemoryOrder.ACQ_REL: (True, True, False),
     MemoryOrder.SEQ_CST: (True, True, True),
 }
-# (form, acquire, release) of each mnemonic; no instruction is seq_cst.
-_ASM_FORMS = {
-    Mnemonic.MOV: (_MOV, False, False),
-    Mnemonic.LDR: (_READ, False, False), Mnemonic.LDAR: (_READ, True, False),
-    Mnemonic.STR: (_WRITE, False, False), Mnemonic.STLR: (_WRITE, False, True),
-    Mnemonic.SWP: (_EXCHANGE, False, False),
-    Mnemonic.SWPA: (_EXCHANGE, True, False),
-    Mnemonic.SWPL: (_EXCHANGE, False, True),
-    Mnemonic.SWPAL: (_EXCHANGE, True, True),
-    Mnemonic.DMB: (_FENCE, False, False),
-}
 _ZERO = ("const", 0)
-# Events are made with every field given in order, as tuples.
-_tuple_new = tuple.__new__
 
 
 class EventGraph:
@@ -168,8 +154,8 @@ class EventGraph:
         shapes, exchanges, value_srcs, at, defs = {}, {}, {}, {}, {}
         for eid, loc in enumerate(test.sorted_locations()):
             value = ("const", test.locations[loc])
-            e = _tuple_new(Event, (eid, INIT_TID, _WRITE, loc, False, False,
-                                   False, None, False, None, value))
+            e = Event(eid, INIT_TID, _WRITE, loc, False, False, False, None,
+                      False, None, value)
             events.append(e)
             writes.append(e)
             value_srcs[eid] = value
@@ -184,14 +170,14 @@ class EventGraph:
             bindings, open_runs = thread.binding_map(), {}
             for stmt in thread.stmts:
                 if source:
-                    form = _SOURCE_FORMS[stmt.kind]
+                    kind = stmt.kind
                     acq, rel, sc = _ORDER_FLAGS[stmt.order]
                     loc, dest, domain = stmt.location, stmt.dest, None
                     value = ("const", stmt.value)
                 else:
-                    form, acq, rel = _ASM_FORMS[stmt.mnemonic]
+                    kind, acq, rel = ASM_FORMS[stmt.mnemonic]
                     dest, reg, sc = stmt.dst, stmt.src, False
-                    if form is _MOV:
+                    if kind is None:
                         defs[tid, dest] = ("const", stmt.imm)
                         continue
                     loc, domain = bindings.get(stmt.addr), stmt.domain
@@ -199,9 +185,9 @@ class EventGraph:
                              if reg == ZERO_REGISTER else defs[tid, reg])
                 eid = len(events)
                 seq_cst |= sc << eid
-                if form is _FENCE:
-                    e = _tuple_new(Event, (eid, tid, _FENCE, None, acq, rel,
-                                           sc, None, False, domain, None))
+                if kind is _FENCE_STMT:
+                    e = Event(eid, tid, _FENCE, None, acq, rel, sc, None,
+                              False, domain, None)
                     events.append(e)
                     fences.append(e)
                     fenced |= 1 << eid
@@ -209,11 +195,12 @@ class EventGraph:
                     release |= rel << eid
                     continue
                 rmw = None
-                if form is not _WRITE:
-                    zero = form is _EXCHANGE and dest == ZERO_REGISTER
-                    rmw = eid if form is _EXCHANGE else None
-                    e = _tuple_new(Event, (eid, tid, _READ, loc, acq, False,
-                                           sc, rmw, zero, None, None))
+                if kind is not _STORE_STMT:
+                    exchange = kind is _EXCHANGE_STMT
+                    zero = exchange and dest == ZERO_REGISTER
+                    rmw = eid if exchange else None
+                    e = Event(eid, tid, _READ, loc, acq, False, sc, rmw, zero,
+                              None, None)
                     events.append(e)
                     reads.append(e)
                     read |= 1 << eid
@@ -234,8 +221,8 @@ class EventGraph:
                         continue
                     eid += 1
                     seq_cst |= sc << eid
-                e = _tuple_new(Event, (eid, tid, _WRITE, loc, False, rel, sc,
-                                       rmw, False, None, value))
+                e = Event(eid, tid, _WRITE, loc, False, rel, sc, rmw, False,
+                          None, value)
                 events.append(e)
                 writes.append(e)
                 written |= 1 << eid
@@ -528,11 +515,11 @@ class Product:
 
     def first(self) -> Execution:
         """The first candidate, each group's first choice, built directly."""
-        groups, execution = self.groups, _new(Execution)
-        execution.graph, execution.sources = self.graph, self.sources
+        groups = self.groups
+        execution = Execution.of_rows(
+            self.graph, [group.rows(0) for group in groups])
+        execution.sources = self.sources
         execution.choices = [group.choices[0] for group in groups]
-        execution.com, execution.eco_before = _union(
-            [group.rows(0) for group in groups])
         return execution
 
     def meet(self) -> Execution:
@@ -553,12 +540,13 @@ def enumerate_candidates(
 ) -> Iterator[tuple[Outcome, list[Product]]]:
     """Yield each outcome of the coherent, value-consistent candidate
     executions once, with its products in the order of ``itertools.product``
-    over the locations' groups of ``_location_choices``.  Without copies each
-    product is an outcome of its own, made when reached; with copies all are
-    resolved (``_settled``) before the first outcome, and those with value
-    cycles are dropped.  A choice's ``_location_rows`` are built when a
-    candidate or a meet first uses them, and a group's AND when a meet
-    holding it is first checked; both at most once per call.
+    over the locations' groups of ``_location_choices``.  Every combination
+    of groups is grouped by outcome before the first outcome is yielded;
+    where writes copy, each is resolved first (``_settled``) and those with
+    value cycles are dropped.  A
+    choice's ``_location_rows`` are built when a candidate or a meet first
+    uses them, and a group's AND when a meet holding it is first checked;
+    both at most once per call.
 
     Raises ResourceLimitError, before the first class, once the budget
     exceeds ``max_candidates``: the shape's ``EventGraph.examined_choices``,
@@ -595,15 +583,7 @@ def enumerate_candidates(
             continue
         items = tuple([(label, sources[key][1] if kind == "read" else key)
                        for label, (kind, key) in terms])
-        product = Product(graph, members, sources)
-        if copies:
-            classes.setdefault(items, []).append(product)
-            continue
-        # Without copies every signature entry is a constant some label
-        # reads, so each product is an outcome of its own.
-        outcome = _new(Outcome)
-        _set_items(outcome, items)
-        yield outcome, [product]
+        classes.setdefault(items, []).append(Product(graph, members, sources))
     for items, products in classes.items():
         yield Outcome(items), products
 
@@ -621,11 +601,6 @@ class Outcome:
     @staticmethod
     def from_dict(values: dict[str, int]) -> "Outcome":
         return Outcome(tuple(sorted(values.items())))
-
-
-# The frozen ``__init__`` stores through ``object.__setattr__``; the
-# enumerator, making one outcome per class, sets the slot directly.
-_new, _set_items = object.__new__, Outcome.items.__set__
 
 
 @dataclasses.dataclass(frozen=True)

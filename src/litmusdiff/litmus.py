@@ -106,9 +106,36 @@ class Mnemonic(enum.Enum):
     DMB = "DMB"
 
 
+# What each instruction is: (the statement kind it acts as, whether it
+# acquires, whether it releases).  MOV's kind is None: it makes no event,
+# only register state.  No instruction is seq_cst.
+ASM_FORMS = {
+    Mnemonic.MOV: (None, False, False),
+    Mnemonic.LDR: (StmtKind.LOAD, False, False),
+    Mnemonic.LDAR: (StmtKind.LOAD, True, False),
+    Mnemonic.STR: (StmtKind.STORE, False, False),
+    Mnemonic.STLR: (StmtKind.STORE, False, True),
+    Mnemonic.SWP: (StmtKind.EXCHANGE, False, False),
+    Mnemonic.SWPA: (StmtKind.EXCHANGE, True, False),
+    Mnemonic.SWPL: (StmtKind.EXCHANGE, False, True),
+    Mnemonic.SWPAL: (StmtKind.EXCHANGE, True, True),
+    Mnemonic.DMB: (StmtKind.FENCE, False, False),
+}
+# The operand fields an instruction of each kind takes, those it does not
+# take, and how an error names the former when one is missing.
+_ASM_FIELDS = ("dst", "src", "addr", "imm", "domain")
+ASM_OPERANDS = {
+    kind: (fields, tuple(f for f in _ASM_FIELDS if f not in fields), needs)
+    for kind, fields, needs in [
+        (None, ("dst", "imm"), "a register and an immediate"),
+        (StmtKind.LOAD, ("dst", "addr"), "a register and an address"),
+        (StmtKind.STORE, ("src", "addr"), "a register and an address"),
+        (StmtKind.EXCHANGE, ("src", "dst", "addr"), "two registers and an address"),
+        (StmtKind.FENCE, ("domain",), "a domain"),
+    ]
+}
 SWP_FAMILY = frozenset(
-    {Mnemonic.SWP, Mnemonic.SWPA, Mnemonic.SWPL, Mnemonic.SWPAL}
-)
+    m for m, (kind, _, _) in ASM_FORMS.items() if kind is StmtKind.EXCHANGE)
 SWP_ACQUIRE = frozenset({Mnemonic.SWPA, Mnemonic.SWPAL})
 SWP_RELEASE = frozenset({Mnemonic.SWPL, Mnemonic.SWPAL})
 
@@ -121,16 +148,8 @@ class DmbDomain(enum.Enum):
 
 @dataclasses.dataclass(frozen=True)
 class AsmInstr:
-    """One AArch64 instruction.
-
-    Field use depends on the mnemonic:
-
-    * MOV: dst, imm
-    * LDR/LDAR: dst, addr
-    * STR/STLR: src, addr
-    * SWP family: src, dst, addr
-    * DMB: domain
-    """
+    """One AArch64 instruction.  Its mnemonic's row of ``ASM_FORMS`` gives
+    its kind, and ``ASM_OPERANDS`` the fields that kind takes."""
 
     mnemonic: Mnemonic
     dst: str | None = None
@@ -139,16 +158,21 @@ class AsmInstr:
     imm: int | None = None
     domain: DmbDomain | None = None
 
+    @property
+    def kind(self) -> StmtKind | None:
+        """The statement kind the instruction acts as; None for MOV."""
+        return ASM_FORMS[self.mnemonic][0]
+
     def defined_register(self) -> str | None:
         # WZR is a value sink, not a definition.
-        if self.mnemonic in (Mnemonic.MOV, Mnemonic.LDR, Mnemonic.LDAR):
-            return self.dst
-        if self.mnemonic in SWP_FAMILY and self.dst != ZERO_REGISTER:
+        kind = self.kind
+        if kind is None or kind is StmtKind.LOAD or (
+                kind is StmtKind.EXCHANGE and self.dst != ZERO_REGISTER):
             return self.dst
         return None
 
     def read_registers(self) -> tuple[str, ...]:
-        if self.mnemonic in (Mnemonic.STR, Mnemonic.STLR) or self.mnemonic in SWP_FAMILY:
+        if self.kind in (StmtKind.STORE, StmtKind.EXCHANGE):
             assert self.src is not None
             return (self.src,)
         return ()
@@ -336,6 +360,10 @@ def _check_value(value: int, what: str) -> None:
 
 
 def _validate_source_stmt(stmt: SourceStmt, declared: set[str], defined: set[str]) -> None:
+    if not isinstance(stmt.kind, StmtKind):
+        raise ValidationError(f"unknown statement kind {stmt.kind!r}")
+    if not isinstance(stmt.order, MemoryOrder):
+        raise ValidationError(f"unknown memory order {stmt.order!r}")
     if stmt.kind is StmtKind.FENCE:
         if stmt.order not in FENCE_ORDERS:
             raise ValidationError(f"fence cannot use order {stmt.order.value}")
@@ -378,27 +406,22 @@ def _validate_asm_instr(
     instr: AsmInstr, bindings: dict[str, str], defined: set[str]
 ) -> None:
     m = instr.mnemonic
-    if m is Mnemonic.DMB:
-        if instr.domain is None:
-            raise ValidationError("DMB needs a domain")
+    if not isinstance(m, Mnemonic):
+        raise ValidationError(f"unknown mnemonic {m!r}")
+    kind = instr.kind
+    if (kind is None or kind is StmtKind.LOAD) and instr.dst == ZERO_REGISTER:
+        raise ValidationError(f"{m.value} to the zero register is not supported")
+    operands, untaken, needs = ASM_OPERANDS[kind]
+    for field in operands:
+        if getattr(instr, field) is None:
+            raise ValidationError(f"{m.value} needs {needs}")
+    for field in untaken:
+        if getattr(instr, field) is not None:
+            raise ValidationError(f"{m.value} takes no {field} operand")
+    if kind is StmtKind.FENCE:  # no address, no registers
         return
-    if m is Mnemonic.MOV:
-        if instr.dst == ZERO_REGISTER:
-            raise ValidationError("MOV to the zero register is not supported")
-        if instr.dst is None or instr.imm is None:
-            raise ValidationError("MOV needs a register and an immediate")
+    if kind is None:
         _check_value(instr.imm, "immediate")
-    elif m in (Mnemonic.LDR, Mnemonic.LDAR):
-        if instr.dst == ZERO_REGISTER:
-            raise ValidationError(f"{m.value} to the zero register is not supported")
-        if instr.dst is None or instr.addr is None:
-            raise ValidationError(f"{m.value} needs a register and an address")
-    elif m in (Mnemonic.STR, Mnemonic.STLR):
-        if instr.src is None or instr.addr is None:
-            raise ValidationError(f"{m.value} needs a register and an address")
-    else:  # SWP family
-        if instr.src is None or instr.dst is None or instr.addr is None:
-            raise ValidationError(f"{m.value} needs two registers and an address")
     if instr.addr is not None:
         if not is_x_register(instr.addr):
             raise ValidationError(f"bad address register {instr.addr!r}")

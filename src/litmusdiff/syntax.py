@@ -15,6 +15,7 @@ from __future__ import annotations
 import re
 
 from .litmus import (
+    ASM_FORMS,
     AsmInstr,
     Atom,
     Conj,
@@ -35,7 +36,6 @@ from .litmus import (
     RegisterObservable,
     SourceStmt,
     StmtKind,
-    SWP_FAMILY,
     Thread,
     UnsupportedConstructError,
     ZERO_REGISTER,
@@ -357,22 +357,18 @@ def _dmb(mnemonic: Mnemonic, m: re.Match, line_no: int, col: int) -> AsmInstr:
     return AsmInstr(mnemonic, domain=domain)
 
 
-# Mnemonic -> its member, the pattern of its operands and the builder of
-# the instruction from a match.
-_ASM_FORMS = {
-    m.value: (m, *form) for m, form in [
-        (Mnemonic.MOV, (_MOV_RE, _mov)),
-        (Mnemonic.LDR, (_REG_ADDR_RE, _ldx)),
-        (Mnemonic.LDAR, (_REG_ADDR_RE, _ldx)),
-        (Mnemonic.STR, (_REG_ADDR_RE, _stx)),
-        (Mnemonic.STLR, (_REG_ADDR_RE, _stx)),
-        (Mnemonic.SWP, (_SWP_RE, _swp)),
-        (Mnemonic.SWPA, (_SWP_RE, _swp)),
-        (Mnemonic.SWPL, (_SWP_RE, _swp)),
-        (Mnemonic.SWPAL, (_SWP_RE, _swp)),
-        (Mnemonic.DMB, (_DMB_RE, _dmb)),
-    ]
+# Statement kind of an instruction (None for MOV) -> the pattern of its
+# operands and the builder of the instruction from a match.
+_OPERAND_FORMS = {
+    None: (_MOV_RE, _mov),
+    StmtKind.LOAD: (_REG_ADDR_RE, _ldx),
+    StmtKind.STORE: (_REG_ADDR_RE, _stx),
+    StmtKind.EXCHANGE: (_SWP_RE, _swp),
+    StmtKind.FENCE: (_DMB_RE, _dmb),
 }
+# Mnemonic as written -> its member and its kind's pattern and builder.
+_MNEMONICS = {m.value: (m, *_OPERAND_FORMS[kind])
+              for m, (kind, _, _) in ASM_FORMS.items()}
 
 
 def _parse_asm_thread(
@@ -385,7 +381,7 @@ def _parse_asm_thread(
     stmts = []
     while (nxt := cursor.peek()) is not None:
         head = nxt[0].split(None, 1)[0].rstrip(",")
-        form = _ASM_FORMS.get(head)
+        form = _MNEMONICS.get(head)
         if form is None:
             # A line that is no instruction ends the thread if it starts
             # the next thread or the exists clause.
@@ -576,16 +572,16 @@ def _render_source_stmt(stmt: SourceStmt) -> str:
 
 
 def _render_asm_instr(instr: AsmInstr) -> str:
-    m = instr.mnemonic
-    if m is Mnemonic.MOV:
-        return f"MOV {instr.dst}, #{instr.imm}"
-    if m in (Mnemonic.LDR, Mnemonic.LDAR):
-        return f"{m.value} {instr.dst}, [{instr.addr}]"
-    if m in (Mnemonic.STR, Mnemonic.STLR):
-        return f"{m.value} {instr.src}, [{instr.addr}]"
-    if m in SWP_FAMILY:
-        return f"{m.value} {instr.src}, {instr.dst}, [{instr.addr}]"
-    return f"DMB {instr.domain.value}"
+    m, kind = instr.mnemonic.value, instr.kind
+    if kind is None:
+        return f"{m} {instr.dst}, #{instr.imm}"
+    if kind is StmtKind.LOAD:
+        return f"{m} {instr.dst}, [{instr.addr}]"
+    if kind is StmtKind.STORE:
+        return f"{m} {instr.src}, [{instr.addr}]"
+    if kind is StmtKind.EXCHANGE:
+        return f"{m} {instr.src}, {instr.dst}, [{instr.addr}]"
+    return f"{m} {instr.domain.value}"
 
 
 def _reg_index(reg: str) -> int:

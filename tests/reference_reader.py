@@ -567,6 +567,10 @@ def _check_value(value: int, what: str) -> None:
 
 
 def _validate_source_stmt(stmt: SourceStmt, declared: set[str], defined: set[str]) -> None:
+    if stmt.kind not in list(StmtKind):
+        raise ValidationError(f"unknown statement kind {stmt.kind!r}")
+    if stmt.order not in list(MemoryOrder):
+        raise ValidationError(f"unknown memory order {stmt.order!r}")
     if stmt.kind is StmtKind.FENCE:
         if stmt.order not in FENCE_ORDERS:
             raise ValidationError(f"fence cannot use order {stmt.order.value}")
@@ -605,31 +609,46 @@ def _validate_source_stmt(stmt: SourceStmt, declared: set[str], defined: set[str
         defined.add(dest)
 
 
+def _check_unused(instr: AsmInstr, *fields: str) -> None:
+    """Refuse an operand field, of those given in field order, that the
+    instruction's mnemonic does not take."""
+    for field in fields:
+        if getattr(instr, field) is not None:
+            raise ValidationError(f"{instr.mnemonic.value} takes no {field} operand")
+
+
 def _validate_asm_instr(
     instr: AsmInstr, bindings: dict[str, str], defined: set[str]
 ) -> None:
     m = instr.mnemonic
+    if m not in list(Mnemonic):
+        raise ValidationError(f"unknown mnemonic {m!r}")
     if m is Mnemonic.DMB:
         if instr.domain is None:
             raise ValidationError("DMB needs a domain")
+        _check_unused(instr, "dst", "src", "addr", "imm")
         return
     if m is Mnemonic.MOV:
         if instr.dst == ZERO_REGISTER:
             raise ValidationError("MOV to the zero register is not supported")
         if instr.dst is None or instr.imm is None:
             raise ValidationError("MOV needs a register and an immediate")
+        _check_unused(instr, "src", "addr", "domain")
         _check_value(instr.imm, "immediate")
     elif m in (Mnemonic.LDR, Mnemonic.LDAR):
         if instr.dst == ZERO_REGISTER:
             raise ValidationError(f"{m.value} to the zero register is not supported")
         if instr.dst is None or instr.addr is None:
             raise ValidationError(f"{m.value} needs a register and an address")
+        _check_unused(instr, "src", "imm", "domain")
     elif m in (Mnemonic.STR, Mnemonic.STLR):
         if instr.src is None or instr.addr is None:
             raise ValidationError(f"{m.value} needs a register and an address")
+        _check_unused(instr, "dst", "imm", "domain")
     else:  # SWP family
         if instr.src is None or instr.dst is None or instr.addr is None:
             raise ValidationError(f"{m.value} needs two registers and an address")
+        _check_unused(instr, "imm", "domain")
     if instr.addr is not None:
         if not is_x_register(instr.addr):
             raise ValidationError(f"bad address register {instr.addr!r}")

@@ -13,7 +13,7 @@ import naive_oracle
 import pytest
 import reference_reader
 from litmusdiff import execution, model_aarch64, model_c11, model_sc
-from litmusdiff.difftest import translate_outcome
+from litmusdiff.difftest import check_refinement, translate_outcome
 from litmusdiff.execution import (
     INIT_TID,
     MODEL_AARCH64,
@@ -34,6 +34,7 @@ from litmusdiff.litmus import (
     DmbDomain,
     FENCE_ORDERS,
     LOAD_ORDERS,
+    LitmusError,
     STORE_ORDERS,
     SWP_ACQUIRE,
     SWP_FAMILY,
@@ -1104,6 +1105,33 @@ def statement_mutants(test):
                     threads = list(test.threads)
                     threads[t] = dataclasses.replace(thread, stmts=tuple(stmts))
                     yield dataclasses.replace(test, threads=tuple(threads))
+
+
+def check_malformed_statement_law(test):
+    """On every statement mutant of ``test``, either ``validate_test``
+    refuses it with a ``LitmusError``, or nothing but ``LitmusError`` comes
+    out of ``allowed_outcomes`` under the dialect's model and under sc, nor,
+    for a source test, out of ``lower_test`` and ``check_refinement``.
+    Returns how many mutants were checked and how many were accepted."""
+    native = MODEL_C11 if test.dialect is Dialect.SOURCE else MODEL_AARCH64
+    checked = accepted = 0
+    for mutant in statement_mutants(test):
+        checked += 1
+        try:
+            validate_test(mutant)
+        except LitmusError:
+            continue
+        accepted += 1
+        calls = [functools.partial(allowed_outcomes, mutant, native),
+                 functools.partial(allowed_outcomes, mutant, MODEL_SC)]
+        if mutant.dialect is Dialect.SOURCE:
+            calls.append(lambda: check_refinement(mutant, *lower_test(mutant)))
+        for call in calls:
+            try:
+                call()
+            except LitmusError:
+                pass
+    return checked, accepted
 
 
 def check_validation_law(test):

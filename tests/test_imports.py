@@ -1,7 +1,8 @@
 """Every name a package module imports is used in that module, every
-function, method and property the package defines is referenced in it, and
-every one the shared test helpers define is referenced by some test or
-benchmark file."""
+function, method and property the package defines is referenced in it,
+every name a package module binds at module level is read in the package,
+and every definition the shared test helpers make is referenced by some
+test or benchmark file."""
 
 import ast
 import pathlib
@@ -27,6 +28,13 @@ CALLED_ONLY_FROM_TESTS = {
     "from_dict": "test_difftest.py",
     "combination_count": "test_testgen.py",
     "defined_registers": "test_litmus.py",
+}
+# Module-level names that no package module reads, each with the test file
+# that reads it: the brute-force oracle keeps its own acquire and release
+# sets of the SWP family, spelled out rather than derived from ASM_FORMS.
+READ_ONLY_FROM_TESTS = {
+    "SWP_ACQUIRE": "naive_oracle.py",
+    "SWP_RELEASE": "naive_oracle.py",
 }
 
 
@@ -133,3 +141,69 @@ def test_every_test_helper_is_referenced():
                if path not in TEST_HELPERS]
     assert dead_definitions([path.read_text() for path in TEST_HELPERS],
                             [path.read_text() for path in readers]) == []
+
+
+def bound_names(tree):
+    """Names that the top-level assignments and class definitions of
+    ``tree`` bind, dunder names aside."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = getattr(node, "targets", None) or [node.target]
+            names += [n.id for target in targets for n in ast.walk(target)
+                      if isinstance(n, ast.Name)]
+    return [name for name in names
+            if not (name.startswith("__") and name.endswith("__"))]
+
+
+def reads(tree):
+    """How often each name is read as a variable or an attribute, or
+    imported by name, in ``tree``."""
+    found = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            found.update(a.name for a in node.names)
+    return found
+
+
+def dead_module_names(sources):
+    """Module-level names bound in ``sources`` that nothing reads: a
+    private one (leading underscore) in its own source, a public one in
+    any of them.  The scan goes by name, like ``dead_definitions``."""
+    trees = [ast.parse(source) for source in sources]
+    own = [reads(tree) for tree in trees]
+    total = sum(own, Counter())
+    return sorted(
+        name for tree, found in zip(trees, own) for name in bound_names(tree)
+        if not (found if name.startswith("_") else total)[name])
+
+
+def test_scanner_finds_dead_module_names():
+    source = "\n".join([
+        "import os",
+        "_used, _unused = 1, 2",
+        "PUBLIC: int = _used",
+        "LEFT = os.sep",
+        "__version__ = '1'",
+        "class Shape: pass",
+        "class Kept: pass",
+        "print(Kept, [LEFT for _ in ()])",
+    ])
+    assert dead_module_names([source]) == ["PUBLIC", "Shape", "_unused"]
+    # a public name counts as read in any module, a private one only in
+    # its own
+    assert dead_module_names([source, "from m import PUBLIC\n_unused"]) \
+        == ["Shape", "_unused"]
+
+
+def test_every_module_level_name_is_read():
+    assert dead_module_names(path.read_text() for path in MODULES) \
+        == sorted(READ_ONLY_FROM_TESTS)
+    for name, reader in READ_ONLY_FROM_TESTS.items():
+        assert name in (TESTS / reader).read_text(), (name, reader)

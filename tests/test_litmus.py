@@ -4,7 +4,9 @@ import dataclasses
 
 import pytest
 
+from litmusdiff.execution import build_events
 from litmusdiff.litmus import (
+    ASM_FORMS,
     Atom,
     AsmInstr,
     Conj,
@@ -226,6 +228,15 @@ def too_many_stmts(n):
      "never written"),
     (lambda: source_test(final=Atom(RegisterObservable(0, "r0"), 8)),
      "final condition value"),
+    (lambda: source_test(threads=(Thread(0, (
+        SourceStmt(None, MemoryOrder.RELAXED, location="x", value=1,
+                   dest="r0"),)),)), "unknown statement kind None"),
+    (lambda: source_test(threads=(Thread(0, (
+        SourceStmt(StmtKind.FENCE, None), load("x", "r0"))),)),
+     "unknown memory order None"),
+    (lambda: source_test(threads=(Thread(0, (
+        SourceStmt(StmtKind.EXCHANGE, "relaxed", location="x", value=1,
+                   dest="r0"),)),)), "unknown memory order 'relaxed'"),
 ])
 def test_source_validation_rejects(build, fragment):
     with pytest.raises(ValidationError, match=fragment):
@@ -239,6 +250,25 @@ def asm_thread(*instrs, bindings=(("X0", "x"),)):
 @pytest.mark.parametrize("build,fragment", [
     (lambda: asm_test(threads=asm_thread(
         AsmInstr(Mnemonic.DMB))), "DMB needs a domain"),
+    (lambda: asm_test(threads=asm_thread(
+        AsmInstr(None, dst="W2", imm=1))), "unknown mnemonic None"),
+    (lambda: asm_test(threads=asm_thread(
+        AsmInstr(Mnemonic.MOV, dst="W2", imm=1),
+        AsmInstr(Mnemonic.DMB, src="W2", domain=DmbDomain.SY))),
+     "DMB takes no src operand"),
+    (lambda: asm_test(threads=asm_thread(
+        AsmInstr(Mnemonic.MOV, dst="W3", imm=1),
+        AsmInstr(Mnemonic.LDR, dst="W2", src="W3", addr="X0"))),
+     "LDR takes no src operand"),
+    (lambda: asm_test(threads=asm_thread(
+        AsmInstr(Mnemonic.STR, dst="W2", src=ZERO_REGISTER, addr="X0")),
+        final=Atom(MemoryObservable("x"), 0)), "STR takes no dst operand"),
+    (lambda: asm_test(threads=asm_thread(
+        AsmInstr(Mnemonic.MOV, dst="W2", addr="X0", imm=1)),
+        final=Atom(MemoryObservable("x"), 0)), "MOV takes no addr operand"),
+    (lambda: asm_test(threads=asm_thread(
+        AsmInstr(Mnemonic.SWPA, dst="W2", src=ZERO_REGISTER, addr="X0",
+                 domain=DmbDomain.LD))), "SWPA takes no domain operand"),
     (lambda: asm_test(threads=asm_thread(
         AsmInstr(Mnemonic.MOV, dst=ZERO_REGISTER, imm=1)),
         final=Atom(MemoryObservable("x"), 0)), "zero register"),
@@ -382,3 +412,43 @@ def test_wzr_read_is_allowed():
     validate_test(asm_test(
         threads=asm_thread(AsmInstr(Mnemonic.STR, src=ZERO_REGISTER, addr="X0")),
         final=Atom(MemoryObservable("x"), 0)))
+
+
+# -- the instruction table -------------------------------------------------
+
+# Operand values that make a valid instruction of each kind; W0 holds a
+# MOV's value before any instruction reads it.
+KIND_OPERANDS = {
+    None: dict(dst="W1", imm=1),
+    StmtKind.LOAD: dict(dst="W1", addr="X0"),
+    StmtKind.STORE: dict(src="W0", addr="X0"),
+    StmtKind.EXCHANGE: dict(src="W0", dst="W1", addr="X0"),
+    StmtKind.FENCE: dict(domain=DmbDomain.SY),
+}
+# Events an instruction of each kind makes: an exchange a read and a write.
+KIND_EVENTS = {None: 0, StmtKind.LOAD: 1, StmtKind.STORE: 1,
+               StmtKind.EXCHANGE: 2, StmtKind.FENCE: 1}
+
+
+def test_every_mnemonic_has_one_form():
+    assert list(ASM_FORMS) == list(Mnemonic)
+    for kind, acquire, release in ASM_FORMS.values():
+        assert kind is None or isinstance(kind, StmtKind)
+        assert isinstance(acquire, bool) and isinstance(release, bool)
+
+
+@pytest.mark.parametrize("mnemonic", list(Mnemonic), ids=lambda m: m.value)
+def test_each_mnemonic_round_trips_and_builds(mnemonic):
+    kind = ASM_FORMS[mnemonic][0]
+    instr = AsmInstr(mnemonic, **KIND_OPERANDS[kind])
+    assert instr.kind is kind
+    test = asm_test(threads=asm_thread(
+        AsmInstr(Mnemonic.MOV, dst="W0", imm=1), instr),
+        final=Atom(MemoryObservable("x"), 0))
+    validate_test(test)
+    assert parse_litmus(render_litmus(test)) == test
+    graph = build_events(test)
+    assert len(graph.events) == 1 + KIND_EVENTS[kind]
+    _, acquire, release = ASM_FORMS[mnemonic]
+    assert any(e.acquire for e in graph.events) == acquire
+    assert any(e.release for e in graph.events) == release

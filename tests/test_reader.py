@@ -64,6 +64,13 @@ def test_validation_equals_the_reference_on_corpus_mutants(corpus):
         support.check_validation_law(parse_litmus(text))
 
 
+@pytest.mark.parametrize("path", READER_FILES, ids=lambda path: path.name)
+def test_malformed_statements_fail_cleanly(path):
+    checked, accepted = support.check_malformed_statement_law(
+        parse_litmus(path.read_text()))
+    assert 0 < accepted < checked
+
+
 
 
 # ``\d`` takes any Unicode decimal digit, so these names are registers in
