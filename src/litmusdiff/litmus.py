@@ -330,7 +330,7 @@ _LOC_RE = re.compile(r"[a-z][A-Za-z0-9_]*")
 # W0 to W30 and X0 to X30, written without leading zeros (W030 is no name
 # for W30); WZR is not among them.  The sets hold the ASCII spellings; the
 # patterns, whose ``\d`` takes any Unicode decimal digit as a source
-# register's digits do, answer for every other name.
+# register's digits do, answer for every other string.
 W_REGISTERS = frozenset(f"W{i}" for i in range(31))
 X_REGISTERS = frozenset(f"X{i}" for i in range(31))
 _ASM_W_RE = re.compile(r"W(?:[12]?\d|30)")
@@ -339,20 +339,28 @@ _ASM_X_RE = re.compile(r"X(?:[12]?\d|30)")
 
 def is_w_register(reg: str) -> bool:
     """Whether ``reg`` names one of W0 to W30."""
-    return reg in W_REGISTERS or _ASM_W_RE.fullmatch(reg) is not None
+    try:
+        return reg in W_REGISTERS or _ASM_W_RE.fullmatch(reg) is not None
+    except TypeError:  # reg is no string
+        return False
 
 
 def is_x_register(reg: str) -> bool:
     """Whether ``reg`` names one of the address registers X0 to X30."""
-    return reg in X_REGISTERS or _ASM_X_RE.fullmatch(reg) is not None
+    try:
+        return reg in X_REGISTERS or _ASM_X_RE.fullmatch(reg) is not None
+    except TypeError:  # reg is no string
+        return False
 
 
 def _is_source_register(reg: str) -> bool:
     """Whether ``reg`` is ``r`` and one or more decimal digits (``r7``)."""
-    return reg[:1] == "r" and reg[1:].isdecimal()
+    return isinstance(reg, str) and reg[:1] == "r" and reg[1:].isdecimal()
 
 
 def _check_value(value: int, what: str) -> None:
+    if type(value) is not int:  # a bool is no value either
+        raise ValidationError(f"{what} {value!r} is not an integer")
     if not (MIN_VALUE <= value <= MAX_VALUE):
         raise ValidationError(
             f"{what} {value} outside supported range {MIN_VALUE}..{MAX_VALUE}"
@@ -372,7 +380,7 @@ def _validate_source_stmt(stmt: SourceStmt, declared: set[str], defined: set[str
         return
     if stmt.location is None:
         raise ValidationError(f"{stmt.kind.value} needs a location")
-    if stmt.location not in declared:
+    if not isinstance(stmt.location, str) or stmt.location not in declared:
         raise ValidationError(f"undeclared location {stmt.location!r}")
     if stmt.kind is StmtKind.LOAD:
         if stmt.order not in LOAD_ORDERS:
@@ -419,6 +427,8 @@ def _validate_asm_instr(
         if getattr(instr, field) is not None:
             raise ValidationError(f"{m.value} takes no {field} operand")
     if kind is StmtKind.FENCE:  # no address, no registers
+        if not isinstance(instr.domain, DmbDomain):
+            raise ValidationError(f"unknown barrier domain {instr.domain!r}")
         return
     if kind is None:
         _check_value(instr.imm, "immediate")

@@ -5,17 +5,22 @@ one block per thread, then a single ``exists`` line.  Each line is stripped
 once, when the input is split, and kept with its line number and the column
 of its first character; blank lines are dropped there.  A statement line
 goes to the one pattern of its form: an asm line to that of the mnemonic it
-starts with, a source line to that of its ``atomic_*`` call.  Errors carry
+starts with, a source line to that of its ``atomic_*`` call.  Those patterns
+and the printer come from one table per dialect: ``_SOURCE_CALLS`` spells
+each source call, and ``_OPERAND_FIELDS`` each asm operand, which an
+instruction writes in its kind's ``ASM_OPERANDS`` order.  Errors carry
 1-based line and column numbers.  ``render_litmus`` prints a canonical
 layout; parsing its output gives back a structurally equal test.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 
 from .litmus import (
     ASM_FORMS,
+    ASM_OPERANDS,
     AsmInstr,
     Atom,
     Conj,
@@ -47,40 +52,17 @@ _ORDER_BY_TOKEN = {f"memory_order_{o.value}": o for o in MemoryOrder}
 _BRANCH_KEYWORD_RE = re.compile(r"(for|while|if|do|switch|goto)\b")
 _ATOMIC_CALL_RE = re.compile(r"(?:int\s+r\d+\s*=\s*)?(atomic_\w+)\s*\(")
 
-_STORE_RE = re.compile(
-    r"atomic_store_explicit\s*\(\s*(\w+)\s*,\s*(-?\d+)\s*,\s*(\w+)\s*\)\s*;$"
-)
-_LOAD_RE = re.compile(
-    r"int\s+(\w+)\s*=\s*atomic_load_explicit\s*\(\s*(\w+)\s*,\s*(\w+)\s*\)\s*;$"
-)
-_XCHG_RE = re.compile(
-    r"(?:int\s+(\w+)\s*=\s*)?atomic_exchange_explicit"
-    r"\s*\(\s*(\w+)\s*,\s*(-?\d+)\s*,\s*(\w+)\s*\)\s*;$"
-)
-_FENCE_RE = re.compile(r"atomic_thread_fence\s*\(\s*(\w+)\s*\)\s*;$")
-
 # The parameter list is optional; P0 { ... } is accepted too.
 _SRC_THREAD_RE = re.compile(r"P(\d+)\s*(?:\(([^)]*)\))?\s*\{$")
 _PARAM_RE = re.compile(r"atomic_int\s*\*\s*(\w+)$")
 
 _ASM_THREAD_RE = re.compile(r"P(\d+):$")
-# Operands, matched from the end of the mnemonic.
-_MOV_RE = re.compile(r"\s+(\w+)\s*,\s*#(-?\d+)$")
-_REG_ADDR_RE = re.compile(r"\s+(\w+)\s*,\s*\[\s*(\w+)\s*\]$")
-_SWP_RE = re.compile(r"\s+(\w+)\s*,\s*(\w+)\s*,\s*\[\s*(\w+)\s*\]$")
-_DMB_RE = re.compile(r"\s+(\w+)$")
 
 _INIT_LOC_RE = re.compile(r"(\w+)\s*=\s*(-?\d+)$")
 _INIT_BIND_RE = re.compile(r"(\d+)\s*:\s*(\w+)\s*=\s*(\w+)$")
 
-_DMB_DOMAINS = {
-    "ISH": DmbDomain.SY,
-    "SY": DmbDomain.SY,
-    "ISHLD": DmbDomain.LD,
-    "LD": DmbDomain.LD,
-    "ISHST": DmbDomain.ST,
-    "ST": DmbDomain.ST,
-}
+# A barrier domain is written as printed (ISH) or by its alias (SY).
+_DMB_DOMAINS = {spelling: d for d in DmbDomain for spelling in (d.value, d.name)}
 
 
 def _integer(token: str, line_no: int, col: int = 1) -> int:
@@ -224,48 +206,51 @@ def _parse_init_entries(cursor: _Cursor) -> list[tuple[str, int]]:
     return entries
 
 
-def _store(m: re.Match, line_no: int, col: int) -> SourceStmt:
-    order = _parse_order(m.group(3), line_no, col + m.start(3))
-    value = _integer(m.group(2), line_no, col + m.start(2))
-    return SourceStmt(StmtKind.STORE, order, m.group(1), value)
-
-
-def _load(m: re.Match, line_no: int, col: int) -> SourceStmt:
-    order = _parse_order(m.group(3), line_no, col + m.start(3))
-    return SourceStmt(StmtKind.LOAD, order, m.group(2), None, m.group(1))
-
-
-def _exchange(m: re.Match, line_no: int, col: int) -> SourceStmt:
-    order = _parse_order(m.group(4), line_no, col + m.start(4))
-    value = _integer(m.group(3), line_no, col + m.start(3))
-    return SourceStmt(StmtKind.EXCHANGE, order, m.group(2), value, m.group(1))
-
-
-def _fence(m: re.Match, line_no: int, col: int) -> SourceStmt:
-    order = _parse_order(m.group(1), line_no, col + m.start(1))
-    if order is MemoryOrder.RELAXED:
-        raise ParseError("a relaxed fence has no effect", line_no, col + m.start(1))
-    return SourceStmt(StmtKind.FENCE, order)
-
-
-# Call name -> the pattern of its statement form and the builder of the
-# statement from a match.
-_SOURCE_FORMS = {
-    "atomic_store_explicit": (_STORE_RE, _store),
-    "atomic_load_explicit": (_LOAD_RE, _load),
-    "atomic_exchange_explicit": (_XCHG_RE, _exchange),
-    "atomic_thread_fence": (_FENCE_RE, _fence),
+# Each source statement is one call, written
+# '[int <dest> =] <name>(<arguments>, <memory order>);'.  Statement kind ->
+# the call's name, whether the call binds a register, and the fields of its
+# arguments before the memory order, which always comes last.
+_SOURCE_CALLS = {
+    StmtKind.STORE: ("atomic_store_explicit", "never", ("location", "value")),
+    StmtKind.LOAD: ("atomic_load_explicit", "always", ("location",)),
+    StmtKind.EXCHANGE: ("atomic_exchange_explicit", "optionally", ("location", "value")),
+    StmtKind.FENCE: ("atomic_thread_fence", "never", ()),
 }
+_BIND = r"int\s+(?P<dest>\w+)\s*=\s*"
+_BINDS = {"always": _BIND, "optionally": f"(?:{_BIND})?", "never": ""}
+_ARGUMENTS = {"location": r"\w+", "value": r"-?\d+", "order": r"\w+"}
+
+
+def _call_pattern(name: str, binds: str, args: tuple[str, ...]) -> re.Pattern:
+    """The pattern of a statement line that is one call of ``name``."""
+    arguments = r"\s*,\s*".join(f"(?P<{field}>{_ARGUMENTS[field]})"
+                                 for field in (*args, "order"))
+    return re.compile(rf"{_BINDS[binds]}{name}\s*\(\s*{arguments}\s*\)\s*;$")
+
+
+# Call name -> the statement kind it makes and the pattern of its line.
+_SOURCE_FORMS = {name: (kind, _call_pattern(name, binds, args))
+                 for kind, (name, binds, args) in _SOURCE_CALLS.items()}
 
 
 def _parse_source_stmt(text: str, line_no: int, col: int) -> SourceStmt:
     # Every form is '[int r =] name(...);', so the name is what stands
     # between the last '=' and the first '('.  A line that no form takes
-    # is sorted out by the two patterns below.
+    # is sorted out by the two patterns below.  The memory order is read
+    # before the value.
     form = _SOURCE_FORMS.get(text.partition("(")[0].rpartition("=")[2].strip())
-    m = form[0].match(text) if form else None
+    m = form[1].match(text) if form else None
     if m:
-        return form[1](m, line_no, col)
+        kind, at = form[0], col + m.start("order")
+        order = _parse_order(m["order"], line_no, at)
+        if order is MemoryOrder.RELAXED and kind is StmtKind.FENCE:
+            raise ParseError("a relaxed fence has no effect", line_no, at)
+        fields = m.groupdict()
+        value = fields.get("value")
+        if value is not None:
+            value = _integer(value, line_no, col + m.start("value"))
+        return SourceStmt(kind, order, fields.get("location"), value,
+                          fields.get("dest"))
     if _BRANCH_KEYWORD_RE.match(text):
         raise UnsupportedConstructError(
             "loops and branches are outside the supported fragment", line_no, col
@@ -324,51 +309,44 @@ def _parse_x_reg(token: str, line_no: int, col: int) -> str:
     return token
 
 
-def _mov(mnemonic: Mnemonic, m: re.Match, line_no: int, col: int) -> AsmInstr:
-    dst = _parse_w_reg(m.group(1), line_no, col + m.start(1), mnemonic)
-    imm = _integer(m.group(2), line_no, col + m.start(2))
-    return AsmInstr(mnemonic, dst, None, None, imm)
-
-
-def _ldx(mnemonic: Mnemonic, m: re.Match, line_no: int, col: int) -> AsmInstr:
-    dst = _parse_w_reg(m.group(1), line_no, col + m.start(1), mnemonic)
-    addr = _parse_x_reg(m.group(2), line_no, col + m.start(2))
-    return AsmInstr(mnemonic, dst, None, addr)
-
-
-def _stx(mnemonic: Mnemonic, m: re.Match, line_no: int, col: int) -> AsmInstr:
-    src = _parse_w_reg(m.group(1), line_no, col + m.start(1))
-    addr = _parse_x_reg(m.group(2), line_no, col + m.start(2))
-    return AsmInstr(mnemonic, None, src, addr)
-
-
-def _swp(mnemonic: Mnemonic, m: re.Match, line_no: int, col: int) -> AsmInstr:
-    src = _parse_w_reg(m.group(1), line_no, col + m.start(1))
-    dst = _parse_w_reg(m.group(2), line_no, col + m.start(2))
-    addr = _parse_x_reg(m.group(3), line_no, col + m.start(3))
-    return AsmInstr(mnemonic, dst, src, addr)
-
-
-def _dmb(mnemonic: Mnemonic, m: re.Match, line_no: int, col: int) -> AsmInstr:
-    domain = _DMB_DOMAINS.get(m.group(1))
+def _parse_domain(token: str, line_no: int, col: int) -> DmbDomain:
+    """Check a barrier domain operand, which may be spelled by its alias."""
+    domain = _DMB_DOMAINS.get(token)
     if domain is None:
-        raise ParseError(f"unknown barrier domain {m.group(1)!r}",
-                         line_no, col + m.start(1))
-    return AsmInstr(mnemonic, domain=domain)
+        raise ParseError(f"unknown barrier domain {token!r}", line_no, col)
+    return domain
 
 
-# Statement kind of an instruction (None for MOV) -> the pattern of its
-# operands and the builder of the instruction from a match.
-_OPERAND_FORMS = {
-    None: (_MOV_RE, _mov),
-    StmtKind.LOAD: (_REG_ADDR_RE, _ldx),
-    StmtKind.STORE: (_REG_ADDR_RE, _stx),
-    StmtKind.EXCHANGE: (_SWP_RE, _swp),
-    StmtKind.FENCE: (_DMB_RE, _dmb),
+# Each instruction is written '<mnemonic> <operand>, <operand>, ...', its
+# operands in its kind's ``ASM_OPERANDS`` order.  Operand field -> the
+# pattern of the operand, its printed form and the check that reads it.
+_OPERAND_FIELDS = {
+    "dst": (r"(?P<dst>\w+)", "{}", _parse_w_reg),
+    "src": (r"(?P<src>\w+)", "{}", _parse_w_reg),
+    "addr": (r"\[\s*(?P<addr>\w+)\s*\]", "[{}]", _parse_x_reg),
+    "imm": (r"#(?P<imm>-?\d+)", "#{}", _integer),
+    "domain": (r"(?P<domain>\w+)", "{.value}", _parse_domain),
 }
-# Mnemonic as written -> its member and its kind's pattern and builder.
-_MNEMONICS = {m.value: (m, *_OPERAND_FORMS[kind])
-              for m, (kind, _, _) in ASM_FORMS.items()}
+
+
+def _mnemonic_form(mnemonic: Mnemonic) -> tuple:
+    """The member, the operand pattern (matched from the end of the
+    mnemonic) and the operand fields of ``mnemonic``, each field with its
+    check.  Only an exchange may write the zero register, which discards
+    the value it reads."""
+    kind = ASM_FORMS[mnemonic][0]
+    fields = ASM_OPERANDS[kind][0]
+    pattern = r"\s*,\s*".join(_OPERAND_FIELDS[field][0] for field in fields)
+    checks = tuple(
+        (field, functools.partial(_parse_w_reg, writer=mnemonic)
+         if field == "dst" and kind is not StmtKind.EXCHANGE
+         else _OPERAND_FIELDS[field][2])
+        for field in fields)
+    return mnemonic, re.compile(rf"\s+{pattern}$"), checks
+
+
+# Mnemonic as written -> its member, operand pattern and checked fields.
+_MNEMONICS = {m.value: _mnemonic_form(m) for m in Mnemonic}
 
 
 def _parse_asm_thread(
@@ -389,11 +367,14 @@ def _parse_asm_thread(
                 break
             raise ParseError(f"unknown mnemonic {head!r}", *nxt[1:])
         text, body_no, body_col = cursor.take("an instruction")
-        mnemonic, pattern, build = form
+        mnemonic, pattern, checks = form
         m = pattern.match(text, len(head))
         if not m:
             raise ParseError(f"cannot parse {head} operands", body_no, body_col)
-        stmts.append(build(mnemonic, m, body_no, body_col))
+        operands = {}
+        for field, check in checks:
+            operands[field] = check(m[field], body_no, body_col + m.start(field))
+        stmts.append(AsmInstr(mnemonic, **operands))
     return tid, tuple(stmts)
 
 
@@ -558,30 +539,17 @@ def render_condition(cond: FinalCondition, dialect: Dialect, _prec: int = _PREC_
 
 
 def _render_source_stmt(stmt: SourceStmt) -> str:
-    order = f"memory_order_{stmt.order.value}"
-    if stmt.kind is StmtKind.STORE:
-        return f"atomic_store_explicit({stmt.location}, {stmt.value}, {order});"
-    if stmt.kind is StmtKind.LOAD:
-        return f"int {stmt.dest} = atomic_load_explicit({stmt.location}, {order});"
-    if stmt.kind is StmtKind.EXCHANGE:
-        call = f"atomic_exchange_explicit({stmt.location}, {stmt.value}, {order});"
-        if stmt.dest is not None:
-            return f"int {stmt.dest} = {call}"
-        return call
-    return f"atomic_thread_fence({order});"
+    name, _, args = _SOURCE_CALLS[stmt.kind]
+    arguments = "".join(f"{getattr(stmt, field)}, " for field in args)
+    call = f"{name}({arguments}memory_order_{stmt.order.value});"
+    return call if stmt.dest is None else f"int {stmt.dest} = {call}"
 
 
 def _render_asm_instr(instr: AsmInstr) -> str:
-    m, kind = instr.mnemonic.value, instr.kind
-    if kind is None:
-        return f"{m} {instr.dst}, #{instr.imm}"
-    if kind is StmtKind.LOAD:
-        return f"{m} {instr.dst}, [{instr.addr}]"
-    if kind is StmtKind.STORE:
-        return f"{m} {instr.src}, [{instr.addr}]"
-    if kind is StmtKind.EXCHANGE:
-        return f"{m} {instr.src}, {instr.dst}, [{instr.addr}]"
-    return f"{m} {instr.domain.value}"
+    name = instr.mnemonic.value
+    operands = ", ".join(_OPERAND_FIELDS[field][1].format(getattr(instr, field))
+                         for field, _ in _MNEMONICS[name][2])
+    return f"{name} {operands}"
 
 
 def _reg_index(reg: str) -> int:

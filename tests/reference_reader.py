@@ -4,9 +4,12 @@ laws compare against (``tests/test_properties.py``).
 
 The reader tries each statement pattern in turn and strips lines again as
 it peeks; the validator checks names by regex, and each atom of the final
-condition against a fresh list of its thread's definitions.  The one
-intended difference from the code they came from: the five name patterns
-must match in full, where ``$`` also let a name end in a newline.
+condition against a fresh list of its thread's definitions.  The
+intended differences from the code they came from: the five name patterns
+must match in full, where ``$`` also let a name end in a newline, and the
+validator refuses a field of the wrong type (a name that is no string, a
+value that is no integer or is a bool, a domain that is no ``DmbDomain``),
+which that code let through or crashed on.
 """
 
 from __future__ import annotations
@@ -550,16 +553,18 @@ _ASM_X_RE = re.compile(r"X(?:[12]?\d|30)")
 def is_w_register(reg: str) -> bool:
     """Whether ``reg`` names one of W0 to W30, written without leading
     zeros (W030 is no name for W30); WZR is not among them."""
-    return _ASM_W_RE.fullmatch(reg) is not None
+    return isinstance(reg, str) and _ASM_W_RE.fullmatch(reg) is not None
 
 
 def is_x_register(reg: str) -> bool:
     """Whether ``reg`` names one of the address registers X0 to X30,
     written without leading zeros (X00 is no name for X0)."""
-    return _ASM_X_RE.fullmatch(reg) is not None
+    return isinstance(reg, str) and _ASM_X_RE.fullmatch(reg) is not None
 
 
 def _check_value(value: int, what: str) -> None:
+    if type(value) is not int:  # a bool is no value either
+        raise ValidationError(f"{what} {value!r} is not an integer")
     if not (MIN_VALUE <= value <= MAX_VALUE):
         raise ValidationError(
             f"{what} {value} outside supported range {MIN_VALUE}..{MAX_VALUE}"
@@ -579,7 +584,7 @@ def _validate_source_stmt(stmt: SourceStmt, declared: set[str], defined: set[str
         return
     if stmt.location is None:
         raise ValidationError(f"{stmt.kind.value} needs a location")
-    if stmt.location not in declared:
+    if not isinstance(stmt.location, str) or stmt.location not in declared:
         raise ValidationError(f"undeclared location {stmt.location!r}")
     if stmt.kind is StmtKind.LOAD:
         if stmt.order not in LOAD_ORDERS:
@@ -602,7 +607,7 @@ def _validate_source_stmt(stmt: SourceStmt, declared: set[str], defined: set[str
         _check_value(stmt.value, "stored value")
     dest = stmt.defined_register()
     if dest is not None:
-        if not _SRC_REG_RE.fullmatch(dest):
+        if not (isinstance(dest, str) and _SRC_REG_RE.fullmatch(dest)):
             raise ValidationError(f"bad source register name {dest!r}")
         if dest in defined:
             raise ValidationError(f"register {dest} defined twice")
@@ -627,6 +632,8 @@ def _validate_asm_instr(
         if instr.domain is None:
             raise ValidationError("DMB needs a domain")
         _check_unused(instr, "dst", "src", "addr", "imm")
+        if not isinstance(instr.domain, DmbDomain):
+            raise ValidationError(f"unknown barrier domain {instr.domain!r}")
         return
     if m is Mnemonic.MOV:
         if instr.dst == ZERO_REGISTER:

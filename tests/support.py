@@ -1082,21 +1082,24 @@ def check_malformed_reader_law(text):
 _ENUM_OF_FIELD = {"kind": StmtKind, "order": MemoryOrder,
                   "mnemonic": Mnemonic, "domain": DmbDomain}
 _INT_FIELDS = ("value", "imm")
-_INT_FIELD_VALUES = (-1, 8, 100)
+_INT_FIELD_VALUES = (-1, 8, 100, "1", True, 1.0)
 _NAME_FIELD_VALUES = ("", "r", "rx", "r00", "r0\n", "x", "z", "q0", "W14",
                       "W29", "W31", "W01", "W1\n", "WZR", "X3", "X31", "X00",
-                      "X0\n", "W\u0661", "X\u0660", "r\u0661", "W\u0661\u0660")
+                      "X0\n", "W\u0661", "X\u0660", "r\u0661", "W\u0661\u0660",
+                      0, b"x", ["x"])
 
 
 def statement_mutants(test):
     """``test`` with one field of one statement set to None; an integer
-    field to a value out of range, a name field to a bad or unbound name,
-    an enum field to each member of its enum."""
+    field to a value out of range or of another type, a name field to a bad
+    or unbound name or to no string, an enum field to each member of its
+    enum and to each member's value, a string."""
     for t, thread in enumerate(test.threads):
         for i, stmt in enumerate(thread.stmts):
             for field in dataclasses.fields(stmt):
                 enum = _ENUM_OF_FIELD.get(field.name)
-                values = (tuple(enum) if enum is not None
+                values = ((*enum, *(member.value for member in enum))
+                          if enum is not None
                           else _INT_FIELD_VALUES if field.name in _INT_FIELDS
                           else _NAME_FIELD_VALUES)
                 for value in (None, *values):
@@ -1111,7 +1114,8 @@ def check_malformed_statement_law(test):
     """On every statement mutant of ``test``, either ``validate_test``
     refuses it with a ``LitmusError``, or nothing but ``LitmusError`` comes
     out of ``allowed_outcomes`` under the dialect's model and under sc, nor,
-    for a source test, out of ``lower_test`` and ``check_refinement``.
+    for a source test, out of ``lower_test`` and ``check_refinement``, and
+    ``render_litmus`` prints it as a text that reads back as the mutant.
     Returns how many mutants were checked and how many were accepted."""
     native = MODEL_C11 if test.dialect is Dialect.SOURCE else MODEL_AARCH64
     checked = accepted = 0
@@ -1131,6 +1135,7 @@ def check_malformed_statement_law(test):
                 call()
             except LitmusError:
                 pass
+        assert parse_litmus(render_litmus(mutant)) == mutant, mutant
     return checked, accepted
 
 

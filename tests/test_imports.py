@@ -21,13 +21,16 @@ TEST_HELPERS = [TESTS / name for name in
 # Definitions that no program path calls, each with the test file that
 # calls it: the brute-force oracle projects its candidates with
 # final_state, tests write expected outcomes with Outcome.from_dict, the
-# generator tests pin each family's size, and the reference validator and
-# the random asm tests list a thread's definitions with defined_registers.
+# generator tests pin each family's size, the reference validator and
+# the random asm tests list a thread's definitions with defined_registers,
+# and the reference validator finds a thread by its id with
+# LitmusTest.thread.
 CALLED_ONLY_FROM_TESTS = {
     "final_state": "naive_oracle.py",
     "from_dict": "test_difftest.py",
     "combination_count": "test_testgen.py",
     "defined_registers": "test_litmus.py",
+    "thread": "reference_reader.py",
 }
 # Module-level names that no package module reads, each with the test file
 # that reads it: the brute-force oracle keeps its own acquire and release
@@ -92,20 +95,54 @@ def references(tree):
     return found
 
 
+def method_references(tree):
+    """How often each name is called as an attribute (``x.name(...)``) in
+    ``tree``, and how often each ``(class, name)`` is read as
+    ``Class.name``."""
+    found = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            found[node.func.attr] += 1
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            found[node.value.id, node.attr] += 1
+    return found
+
+
+def is_property(node):
+    """Whether the function ``node`` is decorated as a property."""
+    return any(getattr(d, "id", getattr(d, "attr", "")).endswith("property")
+               for d in node.decorator_list)
+
+
 def dead_definitions(sources, readers=()):
-    """Functions, methods and properties defined in ``sources`` whose name
-    nothing outside their own body, in ``sources`` or ``readers``,
-    references.  Dunder methods are exempt.  The scan goes by name, so a
-    variable or attribute of the same name anywhere counts as a
-    reference."""
+    """Functions, methods and properties defined in ``sources`` that nothing
+    outside their own body, in ``sources`` or ``readers``, references.
+    Dunder methods are exempt.  A plain method counts as referenced only
+    where it is called or read off its own class; a function or property
+    goes by name, so a variable or attribute of the same name anywhere
+    counts as a reference."""
     trees = [ast.parse(source) for source in sources]
-    total = sum(map(references, [*trees, *map(ast.parse, readers)]),
-                Counter())
-    return sorted(
-        node.name for tree in trees for node in ast.walk(tree)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and not (node.name.startswith("__") and node.name.endswith("__"))
-        and total[node.name] == references(node)[node.name])
+    every = [*trees, *map(ast.parse, readers)]
+    total = sum(map(references, every), Counter())
+    calls = sum(map(method_references, every), Counter())
+
+    def dead(node, owner):
+        if owner is None or is_property(node):
+            return total[node.name] == references(node)[node.name]
+        own = method_references(node)
+        keys = (node.name, (owner, node.name))
+        return sum(calls[k] for k in keys) == sum(own[k] for k in keys)
+
+    found = []
+    for tree in trees:
+        owners = {id(item): node.name for node in ast.walk(tree)
+                  if isinstance(node, ast.ClassDef) for item in node.body}
+        found += [
+            node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))
+            and dead(node, owners.get(id(node)))]
+    return sorted(found)
 
 
 def test_scanner_finds_dead_definitions():
@@ -124,7 +161,14 @@ def test_scanner_finds_dead_definitions():
     ])
     assert dead_definitions([source, "def used(): pass"]) \
         == ["caller", "method", "recursive"]
-    assert dead_definitions([source], ["caller()", "used()", "C().method"]) \
+    assert dead_definitions([source], ["caller()", "used()", "C().method()"]) \
+        == ["recursive"]
+    # A plain method goes by calls and reads off its own class: neither an
+    # attribute of another object nor a variable of its name refers to it.
+    assert dead_definitions([source], ["caller()", "used()", "x.method",
+                                       "D.method", "method = C().size"]) \
+        == ["method", "recursive"]
+    assert dead_definitions([source], ["caller()", "used()", "f(C.method)"]) \
         == ["recursive"]
 
 

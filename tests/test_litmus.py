@@ -1,6 +1,7 @@
 """Structural checks on the shared litmus AST and its validator."""
 
 import dataclasses
+import re
 
 import pytest
 
@@ -13,6 +14,8 @@ from litmusdiff.litmus import (
     Dialect,
     Disj,
     DmbDomain,
+    FENCE_ORDERS,
+    LOAD_ORDERS,
     LitmusTest,
     MAX_INSTRUCTIONS_PER_THREAD,
     MAX_STATEMENTS_PER_THREAD,
@@ -21,6 +24,7 @@ from litmusdiff.litmus import (
     Mnemonic,
     Neg,
     RegisterObservable,
+    STORE_ORDERS,
     SourceStmt,
     StmtKind,
     Thread,
@@ -408,6 +412,39 @@ def test_asm_names_ending_in_a_newline_are_rejected(compiled_w15, change,
         validate_test(change(compiled_w15))
 
 
+# A field of the wrong type fails validation: a DMB domain given as the
+# string 'ISHLD' would act as ISHST in the model, and a store of True would
+# print as a call that does not read back.
+@pytest.mark.parametrize("tid,index,changes,fragment", [
+    (1, 2, dict(domain="ISHLD"), "unknown barrier domain 'ISHLD'"),
+    (1, 2, dict(domain="ISH"), "unknown barrier domain 'ISH'"),
+    (1, 0, dict(imm=True), "immediate True is not an integer"),
+    (1, 0, dict(imm="2"), "immediate '2' is not an integer"),
+    (1, 1, dict(dst=15), "bad register name 15"),
+    (1, 1, dict(src=b"W2"), "bad register name b'W2'"),
+    (0, 1, dict(addr=1), "bad address register 1"),
+    (0, 1, dict(addr=["X0"]), "bad address register ['X0']"),
+])
+def test_asm_fields_of_the_wrong_type_are_rejected(compiled_w15, tid, index,
+                                                   changes, fragment):
+    with pytest.raises(ValidationError, match=re.escape(fragment)):
+        validate_test(replace_stmt(compiled_w15, tid, index, **changes))
+
+
+@pytest.mark.parametrize("tid,index,changes,fragment", [
+    (0, 0, dict(value=True), "stored value True is not an integer"),
+    (0, 0, dict(value=1.0), "stored value 1.0 is not an integer"),
+    (0, 0, dict(value="1"), "stored value '1' is not an integer"),
+    (0, 0, dict(location=b"x"), "undeclared location b'x'"),
+    (1, 2, dict(location=["x"]), "undeclared location ['x']"),
+    (1, 2, dict(dest=0), "bad source register name 0"),
+])
+def test_source_fields_of_the_wrong_type_are_rejected(discard_source, tid,
+                                                      index, changes, fragment):
+    with pytest.raises(ValidationError, match=re.escape(fragment)):
+        validate_test(replace_stmt(discard_source, tid, index, **changes))
+
+
 def test_wzr_read_is_allowed():
     validate_test(asm_test(
         threads=asm_thread(AsmInstr(Mnemonic.STR, src=ZERO_REGISTER, addr="X0")),
@@ -437,6 +474,21 @@ def test_every_mnemonic_has_one_form():
         assert isinstance(acquire, bool) and isinstance(release, bool)
 
 
+# The line each mnemonic prints with its kind's operands above.
+PRINTED_LINE = {
+    Mnemonic.MOV: "MOV W1, #1",
+    Mnemonic.LDR: "LDR W1, [X0]",
+    Mnemonic.LDAR: "LDAR W1, [X0]",
+    Mnemonic.STR: "STR W0, [X0]",
+    Mnemonic.STLR: "STLR W0, [X0]",
+    Mnemonic.SWP: "SWP W0, W1, [X0]",
+    Mnemonic.SWPA: "SWPA W0, W1, [X0]",
+    Mnemonic.SWPL: "SWPL W0, W1, [X0]",
+    Mnemonic.SWPAL: "SWPAL W0, W1, [X0]",
+    Mnemonic.DMB: "DMB ISH",
+}
+
+
 @pytest.mark.parametrize("mnemonic", list(Mnemonic), ids=lambda m: m.value)
 def test_each_mnemonic_round_trips_and_builds(mnemonic):
     kind = ASM_FORMS[mnemonic][0]
@@ -446,9 +498,49 @@ def test_each_mnemonic_round_trips_and_builds(mnemonic):
         AsmInstr(Mnemonic.MOV, dst="W0", imm=1), instr),
         final=Atom(MemoryObservable("x"), 0))
     validate_test(test)
-    assert parse_litmus(render_litmus(test)) == test
+    text = render_litmus(test)
+    assert f"\nP0:\n  MOV W0, #1\n  {PRINTED_LINE[mnemonic]}\n\n" in text
+    assert parse_litmus(text) == test
     graph = build_events(test)
     assert len(graph.events) == 1 + KIND_EVENTS[kind]
     _, acquire, release = ASM_FORMS[mnemonic]
     assert any(e.acquire for e in graph.events) == acquire
     assert any(e.release for e in graph.events) == release
+
+
+# The line each source statement prints, for every kind and legal order,
+# with and without a destination where the call may bind one.
+ORDER_TOKEN = {
+    MemoryOrder.RELAXED: "memory_order_relaxed",
+    MemoryOrder.ACQUIRE: "memory_order_acquire",
+    MemoryOrder.RELEASE: "memory_order_release",
+    MemoryOrder.ACQ_REL: "memory_order_acq_rel",
+    MemoryOrder.SEQ_CST: "memory_order_seq_cst",
+}
+SOURCE_LINES = [
+    *[(SourceStmt(StmtKind.STORE, order, "x", 1),
+       f"atomic_store_explicit(x, 1, {token});")
+      for order, token in ORDER_TOKEN.items() if order in STORE_ORDERS],
+    *[(SourceStmt(StmtKind.LOAD, order, "x", dest="r0"),
+       f"int r0 = atomic_load_explicit(x, {token});")
+      for order, token in ORDER_TOKEN.items() if order in LOAD_ORDERS],
+    *[(SourceStmt(StmtKind.EXCHANGE, order, "x", 1),
+       f"atomic_exchange_explicit(x, 1, {token});")
+      for order, token in ORDER_TOKEN.items()],
+    *[(SourceStmt(StmtKind.EXCHANGE, order, "x", 1, "r0"),
+       f"int r0 = atomic_exchange_explicit(x, 1, {token});")
+      for order, token in ORDER_TOKEN.items()],
+    *[(SourceStmt(StmtKind.FENCE, order), f"atomic_thread_fence({token});")
+      for order, token in ORDER_TOKEN.items() if order in FENCE_ORDERS],
+]
+
+
+@pytest.mark.parametrize("stmt,line", SOURCE_LINES,
+                         ids=[line for _, line in SOURCE_LINES])
+def test_each_source_statement_prints_its_line(stmt, line):
+    test = source_test(threads=(Thread(0, (stmt,)),),
+                       final=Atom(MemoryObservable("x"), 0))
+    validate_test(test)
+    text = render_litmus(test)
+    assert f"\nP0 (atomic_int* x) {{\n  {line}\n}}\n" in text
+    assert parse_litmus(text) == test

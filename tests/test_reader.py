@@ -17,8 +17,8 @@ INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
 # its lowerings and rewrites.  Malformed input: every text one edit away
 # from a golden, an input or a sampled corpus text: 92,422 texts (44,963
 # from the 21 files), of which 87,023 are refused.  Programmatic tests:
-# each statement of the same texts with one field set to None, out of range
-# or to a bad name: 26,658.
+# each statement of the same texts with one field set to None, out of range,
+# to a bad name or to a value of the wrong type: 34,297.
 READER_FILES = [*sorted(golden_path("").glob("*.litmus")),
                 *sorted(INPUTS.glob("*/*.litmus"))]
 
