@@ -40,17 +40,15 @@ AND is taken once and shared, and a meet only unions its groups' ANDs.
 from __future__ import annotations
 
 import dataclasses
-import enum
 import itertools
 import math
 import operator
 from functools import cached_property, partial
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .litmus import (
     ASM_FORMS,
     Dialect,
-    DmbDomain,
     LitmusError,
     LitmusTest,
     MemoryObservable,
@@ -60,7 +58,7 @@ from .litmus import (
     condition_atoms,
     observable_label,
 )
-from .relations import Rows
+from .relations import Rows, bits
 
 MODEL_C11 = "c11"
 MODEL_AARCH64 = "aarch64"
@@ -68,8 +66,6 @@ MODEL_SC = "sc"
 KNOWN_MODELS = (MODEL_C11, MODEL_AARCH64, MODEL_SC)
 
 DEFAULT_MAX_CANDIDATES = 1_000_000
-
-INIT_TID = -1
 
 
 class ResourceLimitError(LitmusError):
@@ -80,33 +76,8 @@ class DialectMismatchError(LitmusError):
     pass
 
 
-class EventKind(enum.Enum):
-    READ = "R"
-    WRITE = "W"
-    FENCE = "F"
-
-
-# A value source is ("const", k) or ("read", eid of the read it copies).
-ValueSource = tuple
-
-
-class Event(NamedTuple):
-    eid: int
-    tid: int
-    kind: EventKind
-    loc: str | None = None
-    acquire: bool = False
-    release: bool = False
-    seq_cst: bool = False
-    rmw: int | None = None
-    zero_dest: bool = False
-    domain: DmbDomain | None = None
-    value_src: ValueSource | None = None
-
-
 # Enum members read through their class cost about 0.1 us each (Python
 # 3.11), so the statement loop reads these instead.
-_READ, _WRITE, _FENCE = EventKind.READ, EventKind.WRITE, EventKind.FENCE
 _STORE_STMT, _EXCHANGE_STMT, _FENCE_STMT = (
     StmtKind.STORE, StmtKind.EXCHANGE, StmtKind.FENCE)
 # (acquire, release, seq_cst) of a source statement of each memory order.
@@ -121,17 +92,22 @@ _ZERO = ("const", 0)
 
 
 class EventGraph:
-    """A test's events and final register environment (``final_defs``,
-    ``(tid, register) -> value source``), and every table no rf or co
-    choice can change, all made in one pass over the test's statements:
+    """A test's events, each kept only as an id: bits in the graph's masks
+    and entries in its tables.  The final register environment
+    (``final_defs``, ``(tid, register) -> value source``) and every table
+    no rf or co choice can change are made in one pass over the test's
+    statements.  A value source is ``("const", k)``, or ``("read", r)``:
+    a copy of what the read ``r`` returned.
 
-    - ``reads``, ``writes``, ``fences``, and ``masks`` of each kind (``R``,
-      ``W``, ``F``), of the init writes and of each bool field of ``Event``;
+    - ``masks`` of each kind (``R``, ``W``, ``F``), of the init writes and
+      of each flag: ``acquire``, ``release``, ``seq_cst`` and
+      ``zero_dest`` (an exchange read whose destination is WZR);
     - ``shapes``: per location, in program order, its init write, a write
       chain per thread, and runs ``[a, b, reads]``: a thread's plain
       (non-exchange) reads between its writes ``a`` (or init) and ``b`` (or
       None); its ``exchanges``, (read, write) pairs, all in ``rmw_pairs``;
       and each write's value source in ``value_srcs``;
+    - ``domains``: each fence's barrier domain, None for a source fence;
     - rows: ``same_thread``, and ``po`` and ``po_loc``, program order and
       its restriction to a thread's own accesses to one location.  Ids
       follow program order; init writes precede every event and have no
@@ -141,7 +117,7 @@ class EventGraph:
 
     Init writes come first, one per location in sorted order; then each
     thread's statements in order.  An exchange is a read then a write of its
-    value at consecutive ids, both tagged with the read's id, and binds its
+    value at consecutive ids, the pair in ``rmw_pairs``, and binds its
     destination, unless none or WZR, to the read's result; MOV produces no
     event, only register state.
 
@@ -150,23 +126,18 @@ class EventGraph:
     there."""
 
     def __init__(self, test: LitmusTest):
-        events, reads, writes, fences, rmw_pairs = [], [], [], [], []
+        rmw_pairs, domains = [], {}
         shapes, exchanges, value_srcs, at, defs = {}, {}, {}, {}, {}
         for eid, loc in enumerate(test.sorted_locations()):
-            value = ("const", test.locations[loc])
-            e = Event(eid, INIT_TID, _WRITE, loc, False, False, False, None,
-                      False, None, value)
-            events.append(e)
-            writes.append(e)
-            value_srcs[eid] = value
+            value_srcs[eid] = ("const", test.locations[loc])
             shapes[loc], exchanges[loc], at[loc] = (eid, {}, []), [], 1 << eid
-        inits = len(events)
+        eid = inits = len(shapes)
         init_mask = written = (1 << inits) - 1
         same_thread = [init_mask] * inits
         read = fenced = acquire = release = seq_cst = zero_dest = 0
         source = test.dialect is Dialect.SOURCE
         for thread in test.threads:
-            tid, start = thread.tid, len(events)
+            tid, start = thread.tid, eid
             bindings, open_runs = thread.binding_map(), {}
             for stmt in thread.stmts:
                 if source:
@@ -183,33 +154,24 @@ class EventGraph:
                     loc, domain = bindings.get(stmt.addr), stmt.domain
                     value = (None if reg is None else _ZERO
                              if reg == ZERO_REGISTER else defs[tid, reg])
-                eid = len(events)
                 seq_cst |= sc << eid
                 if kind is _FENCE_STMT:
-                    e = Event(eid, tid, _FENCE, None, acq, rel, sc, None,
-                              False, domain, None)
-                    events.append(e)
-                    fences.append(e)
+                    domains[eid] = domain
                     fenced |= 1 << eid
                     acquire |= acq << eid
                     release |= rel << eid
+                    eid += 1
                     continue
-                rmw = None
                 if kind is not _STORE_STMT:
                     exchange = kind is _EXCHANGE_STMT
                     zero = exchange and dest == ZERO_REGISTER
-                    rmw = eid if exchange else None
-                    e = Event(eid, tid, _READ, loc, acq, False, sc, rmw, zero,
-                              None, None)
-                    events.append(e)
-                    reads.append(e)
                     read |= 1 << eid
                     acquire |= acq << eid
                     zero_dest |= zero << eid
                     at[loc] |= 1 << eid
                     if dest is not None and not zero:
                         defs[tid, dest] = ("read", eid)
-                    if rmw is None:
+                    if not exchange:
                         run = open_runs.get(loc)
                         if run is None:
                             init, chains, runs = shapes[loc]
@@ -218,13 +180,13 @@ class EventGraph:
                                 chain[-1] if chain else init, None, []]
                             runs.append(run)
                         run[2].append(eid)
+                        eid += 1
                         continue
+                    pair = eid, eid + 1
+                    exchanges[loc].append(pair)
+                    rmw_pairs.append(pair)
                     eid += 1
                     seq_cst |= sc << eid
-                e = Event(eid, tid, _WRITE, loc, False, rel, sc, rmw, False,
-                          None, value)
-                events.append(e)
-                writes.append(e)
                 written |= 1 << eid
                 release |= rel << eid
                 at[loc] |= 1 << eid
@@ -233,19 +195,17 @@ class EventGraph:
                 run = open_runs.pop(loc, None)
                 if run is not None:
                     run[1] = eid
-                if rmw is not None:
-                    exchanges[loc].append((rmw, eid))
-                    rmw_pairs.append((rmw, eid))
-            end = len(events)
-            same_thread += [(1 << end) - (1 << start)] * (end - start)
-        everything = (1 << len(events)) - 1
-        self.po = po = [(everything if eid < inits else row) & -(2 << eid)
-                        for eid, row in enumerate(same_thread)]
-        self.po_loc = [0] * inits + [row & at.get(e.loc, 0) for e, row
-                                     in zip(events[inits:], po[inits:])]
+                eid += 1
+            same_thread += [(1 << eid) - (1 << start)] * (eid - start)
+        everything = (1 << eid) - 1
+        self.po = po = [(everything if e < inits else row) & -(2 << e)
+                        for e, row in enumerate(same_thread)]
+        self.po_loc = po_loc = [0] * eid
+        for mask in at.values():
+            for e in bits(mask & ~init_mask):
+                po_loc[e] = po[e] & mask
         self.test, self.final_defs, self.same_thread = test, defs, same_thread
-        self.events, self.reads, self.writes, self.fences, self.rmw_pairs = \
-            map(tuple, (events, reads, writes, fences, rmw_pairs))
+        self.rmw_pairs, self.domains = tuple(rmw_pairs), domains
         self.shapes, self.exchanges, self.value_srcs, self.memo = \
             shapes, exchanges, value_srcs, {}
         self.masks = {"R": read, "W": written, "F": fenced, "init": init_mask,
@@ -288,7 +248,7 @@ class Execution:
         self.graph, self.rf, self.co = graph, rf, co
         self.values, self.registers = values, registers
         self.com, self.eco_before = _union([_location_rows(
-            order, rf.items(), len(graph.events)) for order in co.values()])
+            order, rf.items(), len(graph.po)) for order in co.values()])
 
     @classmethod
     def of_rows(cls, graph: EventGraph, rows) -> Execution:
@@ -565,7 +525,7 @@ def enumerate_candidates(
     drawn = {key for _, (kind, key) in terms if kind == "read"}
     copies = [key for kind, key in graph.value_srcs.values() if kind == "read"]
     drawn.update(copies)
-    size = len(graph.events)
+    size = len(graph.po)
     # Per location, its choices by signature, and a group of each; a product
     # over the former yields signatures, over the latter their groups.
     signatures, groups = [], []

@@ -43,17 +43,17 @@ def _barrier_ordered(graph, legacy_zero_register: bool) -> Rows:
     acquires = register_reads & masks["acquire"]
     releases = masks["W"] & masks["release"]
 
-    bob = [0] * len(graph.events)
-    for f in graph.fences:
-        if f.domain is DmbDomain.SY:
+    bob = [0] * len(po)
+    for f, domain in graph.domains.items():
+        if domain is DmbDomain.SY:
             before, after = memory, memory
-        elif f.domain is DmbDomain.LD:
+        elif domain is DmbDomain.LD:
             before, after = register_reads, memory
         else:
             before, after = writes, writes
         for a in bits(before):
-            if po[a] >> f.eid & 1:
-                bob[a] |= po[f.eid] & after
+            if po[a] >> f & 1:
+                bob[a] |= po[f] & after
     # An acquire orders everything after it, a release everything before.
     for e in bits(memory):
         bob[e] |= po[e] & (memory if acquires >> e & 1 else releases)

@@ -41,7 +41,7 @@ def _sync_sets(graph):
     heads = [(w, w) for w in bits(writes & masks["release"])]
     heads += [(f, w) for f in bits(fences & masks["release"])
               for w in bits(po[f] & writes)]
-    ends = [0] * len(graph.events)
+    ends = [0] * len(po)
     for r in bits(reads):
         ends[r] = (acquire & 1 << r) | (po[r] & fences & acquire)
     return (heads, ends, dict(graph.rmw_pairs), reads, writes,

@@ -6,16 +6,18 @@ once, when the input is split, and kept with its line number and the column
 of its first character; blank lines are dropped there.  A statement line
 goes to the one pattern of its form: an asm line to that of the mnemonic it
 starts with, a source line to that of its ``atomic_*`` call.  Those patterns
-and the printer come from one table per dialect: ``_SOURCE_CALLS`` spells
-each source call, and ``_OPERAND_FIELDS`` each asm operand, which an
-instruction writes in its kind's ``ASM_OPERANDS`` order.  Errors carry
-1-based line and column numbers.  ``render_litmus`` prints a canonical
-layout; parsing its output gives back a structurally equal test.
+and the printer's templates, built once at import, come from one table per
+dialect: ``_SOURCE_CALLS`` spells each source call, and ``_OPERAND_FIELDS``
+each asm operand, which an instruction writes in its kind's
+``ASM_OPERANDS`` order.  Errors carry 1-based line and column numbers.
+``render_litmus`` prints a canonical layout; parsing its output gives back
+a structurally equal test.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 import re
 
 from .litmus import (
@@ -231,6 +233,14 @@ def _call_pattern(name: str, binds: str, args: tuple[str, ...]) -> re.Pattern:
 # Call name -> the statement kind it makes and the pattern of its line.
 _SOURCE_FORMS = {name: (kind, _call_pattern(name, binds, args))
                  for kind, (name, binds, args) in _SOURCE_CALLS.items()}
+# Statement kind -> the %-template of its call and the reader of the
+# statement fields it prints.  A reader of one field (a fence's, and a
+# DMB's below) returns that field alone, a string, which ``%`` takes as
+# the template's one argument.
+_SOURCE_TEMPLATES = {
+    kind: (name + "(" + "%s, " * len(args) + "memory_order_%s);",
+           operator.attrgetter(*args, "order.value"))
+    for kind, (name, _, args) in _SOURCE_CALLS.items()}
 
 
 def _parse_source_stmt(text: str, line_no: int, col: int) -> SourceStmt:
@@ -319,21 +329,23 @@ def _parse_domain(token: str, line_no: int, col: int) -> DmbDomain:
 
 # Each instruction is written '<mnemonic> <operand>, <operand>, ...', its
 # operands in its kind's ``ASM_OPERANDS`` order.  Operand field -> the
-# pattern of the operand, its printed form and the check that reads it.
+# pattern of the operand, its printed form (a %-template) with what it
+# prints of the field, and the check that reads it.
 _OPERAND_FIELDS = {
-    "dst": (r"(?P<dst>\w+)", "{}", _parse_w_reg),
-    "src": (r"(?P<src>\w+)", "{}", _parse_w_reg),
-    "addr": (r"\[\s*(?P<addr>\w+)\s*\]", "[{}]", _parse_x_reg),
-    "imm": (r"#(?P<imm>-?\d+)", "#{}", _integer),
-    "domain": (r"(?P<domain>\w+)", "{.value}", _parse_domain),
+    "dst": (r"(?P<dst>\w+)", ("%s", ""), _parse_w_reg),
+    "src": (r"(?P<src>\w+)", ("%s", ""), _parse_w_reg),
+    "addr": (r"\[\s*(?P<addr>\w+)\s*\]", ("[%s]", ""), _parse_x_reg),
+    "imm": (r"#(?P<imm>-?\d+)", ("#%s", ""), _integer),
+    "domain": (r"(?P<domain>\w+)", ("%s", ".value"), _parse_domain),
 }
 
 
 def _mnemonic_form(mnemonic: Mnemonic) -> tuple:
     """The member, the operand pattern (matched from the end of the
-    mnemonic) and the operand fields of ``mnemonic``, each field with its
-    check.  Only an exchange may write the zero register, which discards
-    the value it reads."""
+    mnemonic), the operand fields of ``mnemonic``, each field with its
+    check, and the %-template of its line with the reader of the
+    instruction fields it prints.  Only an exchange may write the zero
+    register, which discards the value it reads."""
     kind = ASM_FORMS[mnemonic][0]
     fields = ASM_OPERANDS[kind][0]
     pattern = r"\s*,\s*".join(_OPERAND_FIELDS[field][0] for field in fields)
@@ -342,10 +354,15 @@ def _mnemonic_form(mnemonic: Mnemonic) -> tuple:
          if field == "dst" and kind is not StmtKind.EXCHANGE
          else _OPERAND_FIELDS[field][2])
         for field in fields)
-    return mnemonic, re.compile(rf"\s+{pattern}$"), checks
+    printed = [_OPERAND_FIELDS[field][1] for field in fields]
+    template = f"{mnemonic.value} " + ", ".join(form for form, _ in printed)
+    read = operator.attrgetter(*[field + suffix for field, (_, suffix)
+                                 in zip(fields, printed)])
+    return mnemonic, re.compile(rf"\s+{pattern}$"), checks, template, read
 
 
-# Mnemonic as written -> its member, operand pattern and checked fields.
+# Mnemonic as written -> its member, operand pattern, checked fields, and
+# printed template and fields.
 _MNEMONICS = {m.value: _mnemonic_form(m) for m in Mnemonic}
 
 
@@ -367,7 +384,7 @@ def _parse_asm_thread(
                 break
             raise ParseError(f"unknown mnemonic {head!r}", *nxt[1:])
         text, body_no, body_col = cursor.take("an instruction")
-        mnemonic, pattern, checks = form
+        mnemonic, pattern, checks, *_ = form
         m = pattern.match(text, len(head))
         if not m:
             raise ParseError(f"cannot parse {head} operands", body_no, body_col)
@@ -539,17 +556,14 @@ def render_condition(cond: FinalCondition, dialect: Dialect, _prec: int = _PREC_
 
 
 def _render_source_stmt(stmt: SourceStmt) -> str:
-    name, _, args = _SOURCE_CALLS[stmt.kind]
-    arguments = "".join(f"{getattr(stmt, field)}, " for field in args)
-    call = f"{name}({arguments}memory_order_{stmt.order.value});"
+    template, read = _SOURCE_TEMPLATES[stmt.kind]
+    call = template % read(stmt)
     return call if stmt.dest is None else f"int {stmt.dest} = {call}"
 
 
 def _render_asm_instr(instr: AsmInstr) -> str:
-    name = instr.mnemonic.value
-    operands = ", ".join(_OPERAND_FIELDS[field][1].format(getattr(instr, field))
-                         for field, _ in _MNEMONICS[name][2])
-    return f"{name} {operands}"
+    *_, template, read = _MNEMONICS[instr.mnemonic.value]
+    return template % read(instr)
 
 
 def _reg_index(reg: str) -> int:

@@ -1,12 +1,14 @@
 """Corpus construction and outcome plumbing shared across test modules."""
 
 import dataclasses
+import enum
 import functools
 import itertools
 import math
 import operator
 import random
 import re
+from typing import NamedTuple
 
 import interleaving_oracle
 import naive_oracle
@@ -15,12 +17,9 @@ import reference_reader
 from litmusdiff import execution, model_aarch64, model_c11, model_sc
 from litmusdiff.difftest import check_refinement, translate_outcome
 from litmusdiff.execution import (
-    INIT_TID,
     MODEL_AARCH64,
     MODEL_C11,
     MODEL_SC,
-    Event,
-    EventKind,
     Execution,
     allowed_outcomes,
     atomicity_holds,
@@ -300,7 +299,7 @@ def check_location_rows_law(test):
     Returns the number of choices, so callers can tell the law was not
     vacuous."""
     graph = build_events(test)
-    size = len(graph.events)
+    size = len(graph.po)
     checked = 0
     for loc in test.sorted_locations():
         groups = execution._location_choices(graph, loc, set())
@@ -317,14 +316,17 @@ def filtered_location_choices(graph, loc, drawn):
     every event keyed (twice its co position for a write, one more than
     its rf source's key for a read) and each tuple where some po-loc pair
     goes down in key dropped (CoWR, CoRW, CoRR), grouped by the same
-    signatures."""
+    signatures.  The location's reads and writes are those of
+    ``reference_build_events``."""
     init, chains, _ = graph.shapes[loc]
-    plain = [e.eid for e in graph.reads if e.loc == loc and e.rmw is None]
-    exchanges = [(r, w) for r, w in graph.rmw_pairs
-                 if graph.events[r].loc == loc]
+    events, _ = reference_build_events(graph.test)
+    own = [e for e in events if e.loc == loc]
+    plain = [e.eid for e in own if e.kind is EventKind.READ and e.rmw is None]
+    exchanges = [(e.rmw, e.eid) for e in own
+                 if e.kind is EventKind.WRITE and e.rmw is not None]
     rf_reads = [*plain, *(r for r, _ in exchanges)]
     signed = [(i, r) for i, r in enumerate(rf_reads) if r in drawn]
-    value_src = {w: graph.events[w].value_src
+    value_src = {w: events[w].value_src
                  for w in (init, *itertools.chain(*chains.values()))}
     po_loc = [(a, b) for a in (*value_src, *rf_reads)
               for b in bits(graph.po_loc[a])]
@@ -362,7 +364,7 @@ def check_location_choices_law(test):
     graph = build_events(test)
     made = 0
     for loc in test.sorted_locations():
-        for drawn in (set(), {e.eid for e in graph.reads}):
+        for drawn in (set(), set(bits(graph.masks["R"]))):
             groups = execution._location_choices(graph, loc, drawn)
             assert list(groups.items()) == list(filtered_location_choices(
                 graph, loc, drawn).items()), (test.name, loc, drawn)
@@ -396,6 +398,34 @@ def check_row_work_law(test, model, **flags):
     assert len(set(built)) == len(built), test.name
     assert len(set(anded)) == len(anded), test.name
     return len(built), len(anded)
+
+
+INIT_TID = -1
+
+
+class EventKind(enum.Enum):
+    READ = "R"
+    WRITE = "W"
+    FENCE = "F"
+
+
+class Event(NamedTuple):
+    """One event as ``reference_build_events`` makes it, every property a
+    field.  ``build_events`` keeps no such record: ``check_tables_law``
+    reads each field back off the graph's masks and tables.  A value
+    source is ``("const", k)`` or ``("read", eid of the read it
+    copies)``."""
+    eid: int
+    tid: int
+    kind: EventKind
+    loc: str | None = None
+    acquire: bool = False
+    release: bool = False
+    seq_cst: bool = False
+    rmw: int | None = None
+    zero_dest: bool = False
+    domain: DmbDomain | None = None
+    value_src: tuple | None = None
 
 
 class _ThreadBuilder:
@@ -498,34 +528,17 @@ def reference_build_events(test):
     return tuple(events), final_defs
 
 
-def check_build_events_law(test):
-    """``build_events`` makes the events and ``final_defs`` of
-    ``reference_build_events``, field by field and type by type, with
-    ``final_defs`` in its order."""
-    graph = build_events(test)
-    events, final_defs = reference_build_events(test)
-    assert graph.events == events, test.name
-    assert [tuple(map(type, e)) for e in graph.events] \
-        == [tuple(map(type, e)) for e in events], test.name
-    assert type(graph.events) is tuple
-    assert all(type(e) is Event for e in graph.events), test.name
-    assert list(graph.final_defs.items()) == list(final_defs.items()), \
-        test.name
-
-
 def event_mask(events):
     """The mask of the events' ids."""
     return sum(1 << e.eid for e in events)
 
 
-def reference_tables(graph):
+def reference_tables(test):
     """The reference for the tables ``EventGraph`` makes in one pass over
-    its events: each derived on its own from ``graph.events``, one walk or
-    more per table, the way the graph once derived them lazily."""
-    events = graph.events
-    reads = tuple(e for e in events if e.kind is EventKind.READ)
-    writes = tuple(e for e in events if e.kind is EventKind.WRITE)
-    fences = tuple(e for e in events if e.kind is EventKind.FENCE)
+    the statements: each derived on its own from the events and
+    ``final_defs`` of ``reference_build_events``, one walk or more per
+    table, the way the graph once derived them lazily."""
+    events, final_defs = reference_build_events(test)
     shapes = {}
     open_runs = {}
     for e in events:
@@ -542,6 +555,7 @@ def reference_tables(graph):
                 a = chains[e.tid][-1] if e.tid in chains else init
                 runs.append(open_runs.setdefault(key, [a, None, []]))
             open_runs[key][2].append(e.eid)
+    writes = [e for e in events if e.kind is EventKind.WRITE]
     rmw_pairs = tuple((w.rmw, w.eid) for w in writes if w.rmw is not None)
     of = {}
     for e in events:
@@ -556,57 +570,60 @@ def reference_tables(graph):
             at[e.loc] = at.get(e.loc, 0) | 1 << e.eid
     po_loc = [row & at[e.loc] if e.loc is not None and e.tid != INIT_TID
               else 0 for e, row in zip(events, po)]
-    masks = {"R": event_mask(reads), "W": event_mask(writes),
-             "F": event_mask(fences),
-             "init": event_mask(e for e in events if e.tid == INIT_TID)}
+    masks = {kind.value: event_mask(e for e in events if e.kind is kind)
+             for kind in EventKind}
+    masks["init"] = event_mask(e for e in events if e.tid == INIT_TID)
     for flag in ("acquire", "release", "seq_cst", "zero_dest"):
         masks[flag] = event_mask(e for e in events if getattr(e, flag))
     return {
-        "reads": reads, "writes": writes, "fences": fences, "masks": masks,
-        "shapes": shapes,
+        "masks": masks, "shapes": shapes,
         "exchanges": {loc: [(r, w) for r, w in rmw_pairs
                             if events[r].loc == loc] for loc in shapes},
         "rmw_pairs": rmw_pairs,
         "value_srcs": {w.eid: w.value_src for w in writes},
+        "domains": {e.eid: e.domain for e in events
+                    if e.kind is EventKind.FENCE},
         "same_thread": same_thread, "po": po, "po_loc": po_loc,
+        "final_defs": final_defs,
     }
 
 
-def reference_sync_sets(graph):
-    """The reference for ``model_c11._sync_sets``, over
-    ``reference_tables``: release heads, acquire ends per read, the rmw
-    map, and the read, write and seq_cst masks."""
-    tables = reference_tables(graph)
-    po, writes, fences = tables["po"], tables["writes"], tables["fences"]
+def reference_sync_sets(events, po):
+    """The reference for ``model_c11._sync_sets``, over the events of
+    ``reference_build_events`` and the ``po`` of ``reference_tables``:
+    release heads, acquire ends per read, the rmw map, and the read,
+    write and seq_cst masks."""
+    reads, writes, fences = ([e for e in events if e.kind is kind]
+                             for kind in EventKind)
     heads = [(w.eid, w.eid) for w in writes if w.release]
     heads += [(f.eid, w) for f in fences if f.release
               for w in bits(po[f.eid] & event_mask(writes))]
     acquire_fences = event_mask(f for f in fences if f.acquire)
-    ends = [0] * len(graph.events)
-    for r in tables["reads"]:
+    ends = [0] * len(events)
+    for r in reads:
         ends[r.eid] = ((1 << r.eid if r.acquire else 0)
                        | po[r.eid] & acquire_fences)
-    return (heads, ends, dict(tables["rmw_pairs"]),
-            event_mask(tables["reads"]), event_mask(writes),
-            event_mask(e for e in graph.events if e.seq_cst))
+    return (heads, ends, {w.rmw: w.eid for w in writes if w.rmw is not None},
+            event_mask(reads), event_mask(writes),
+            event_mask(e for e in events if e.seq_cst))
 
 
-def reference_barrier_order(graph, legacy_zero_register):
-    """The reference for ``model_aarch64._barrier_ordered``, over
+def reference_barrier_order(events, po, legacy_zero_register):
+    """The reference for ``model_aarch64._barrier_ordered``, over the
+    events of ``reference_build_events`` and the ``po`` of
     ``reference_tables``."""
-    tables = reference_tables(graph)
-    po, writes = tables["po"], tables["writes"]
-    memory = event_mask(e for e in graph.events
+    reads, writes, fences = ([e for e in events if e.kind is kind]
+                             for kind in EventKind)
+    memory = event_mask(e for e in events
                         if e.kind is not EventKind.FENCE
                         and e.tid != INIT_TID)
     own_writes = event_mask(w for w in writes if w.tid != INIT_TID)
-    reads = [r for r in tables["reads"]
-             if legacy_zero_register or not r.zero_dest]
+    reads = [r for r in reads if legacy_zero_register or not r.zero_dest]
     register_reads = event_mask(reads)
     acquires = event_mask(r for r in reads if r.acquire)
     releases = event_mask(w for w in writes if w.release)
-    bob = [0] * len(graph.events)
-    for f in tables["fences"]:
+    bob = [0] * len(events)
+    for f in fences:
         if f.domain is DmbDomain.SY:
             before, after = memory, memory
         elif f.domain is DmbDomain.LD:
@@ -631,28 +648,66 @@ def ordered(table):
     return table
 
 
+def events_from_tables(graph):
+    """Every event read back as an ``Event``, each field off the tables
+    ``check_tables_law`` compares: ``eid`` off the row's index; ``kind``
+    off the R/W/F masks; ``loc`` off ``shapes`` (init writes, write chains
+    and runs of plain reads) and ``exchanges``; ``tid`` off ``same_thread``,
+    as the lowest id of the event's thread (the chain keys in ``shapes``
+    carry the number of each thread that writes); the flags off their
+    masks; ``rmw`` off ``rmw_pairs``; ``value_src`` off ``value_srcs``; and
+    ``domain`` off ``domains``.  Every field of ``Event`` is read back."""
+    masks = graph.masks
+    locs = {}
+    for loc, (init, chains, runs) in graph.shapes.items():
+        for eid in (init, *itertools.chain(*chains.values(),
+                                           *(run[2] for run in runs),
+                                           *graph.exchanges[loc])):
+            locs[eid] = loc
+    rmw = {eid: r for r, w in graph.rmw_pairs for eid in (r, w)}
+    events = []
+    for eid, row in enumerate(graph.same_thread):
+        kinds = [kind for kind in EventKind if masks[kind.value] >> eid & 1]
+        assert len(kinds) == 1, (graph.test.name, eid, kinds)
+        fields = {
+            "eid": eid, "tid": (row & -row).bit_length() - 1,
+            "kind": kinds[0], "loc": locs.get(eid), "rmw": rmw.get(eid),
+            "domain": graph.domains.get(eid),
+            "value_src": graph.value_srcs.get(eid),
+            **{flag: bool(masks[flag] >> eid & 1) for flag in
+               ("acquire", "release", "seq_cst", "zero_dest")}}
+        assert sorted(fields) == sorted(Event._fields)
+        events.append(Event(**fields))
+    return events
+
+
 def check_tables_law(test):
-    """``build_events`` makes the tables of ``reference_tables``, with
-    their types and in their order, and the models' per-graph memos equal
-    their references: c11's sync sets on a source test, aarch64's bob
-    under either zero-register reading on an asm test."""
+    """``build_events`` makes the tables and ``final_defs`` of
+    ``reference_tables``, with their types and in their order; those
+    tables carry every field of every event of ``reference_build_events``
+    (``events_from_tables``, with each event's thread named by its lowest
+    id); and the models' per-graph memos equal their references: c11's
+    sync sets on a source test, aarch64's bob under either zero-register
+    reading on an asm test."""
     graph = build_events(test)
-    reference = reference_tables(graph)
+    reference = reference_tables(test)
     assert ordered({name: getattr(graph, name) for name in reference}) \
         == ordered(reference), test.name
+    events, _ = reference_build_events(test)
+    first = {}
+    for e in events:
+        first.setdefault(e.tid, e.eid)
+    assert events_from_tables(graph) \
+        == [e._replace(tid=first[e.tid]) for e in events], test.name
+    po = reference["po"]
     if test.dialect is Dialect.SOURCE:
         assert model_c11._graph_sync_sets(graph) \
-            == reference_sync_sets(graph), test.name
+            == reference_sync_sets(events, po), test.name
     else:
         for legacy in (False, True):
             assert model_aarch64.barrier_order(graph, legacy) \
-                == reference_barrier_order(graph, legacy), (test.name, legacy)
-
-
-def event_fields(graph):
-    """Per event, what the rf and co search and the outcome read of it."""
-    return [(e.eid, e.tid, e.kind, e.loc, e.rmw, e.value_src)
-            for e in graph.events]
+                == reference_barrier_order(events, po, legacy), \
+                (test.name, legacy)
 
 
 def observed_sources(graph):
@@ -664,21 +719,27 @@ def observed_sources(graph):
             for label, obs in graph.final_observables}
 
 
+# What the rf and co search and the outcome read of an event graph, apart
+# from its observables.
+SEARCHED_TABLES = ("same_thread", "po", "po_loc", "rmw_pairs", "shapes",
+                   "exchanges", "value_srcs")
+
+
 def check_event_correspondence_law(test):
     """``build_events`` of a source test, of its lowering and of the
-    lowering's dead-register rewrite agree event by event on
-    ``event_fields``, and on ``rmw_pairs``, ``shapes``, ``exchanges`` and
-    ``value_srcs``, dict order included; every observable of the source
-    condition that the lowering's mapping pairs reads the same location or
-    value source on all three.  So a compiled execution names the source
-    events it runs.  Returns the number of events."""
+    lowering's dead-register rewrite agree on the R, W and F masks and on
+    ``SEARCHED_TABLES``, dict order included; every observable of the
+    source condition that the lowering's mapping pairs reads the same
+    location or value source on all three.  So a compiled execution names
+    the source events it runs.  Returns the number of events."""
     compiled, mapping = lower_test(test)
     source, *lowered = [build_events(subject) for subject in
                         (test, compiled, dead_register_pass(compiled))]
     observed = observed_sources(source)
     for graph in lowered:
-        assert event_fields(graph) == event_fields(source), test.name
-        for name in ("rmw_pairs", "shapes", "exchanges", "value_srcs"):
+        for kind in ("R", "W", "F"):
+            assert graph.masks[kind] == source.masks[kind], (test.name, kind)
+        for name in SEARCHED_TABLES:
             assert ordered(getattr(graph, name)) \
                 == ordered(getattr(source, name)), (test.name, name)
         asm_observed = observed_sources(graph)
@@ -686,7 +747,7 @@ def check_event_correspondence_law(test):
             if label in observed:
                 assert asm_observed[asm_label] == observed[label], \
                     (test.name, label, asm_label)
-    return len(source.events)
+    return len(source.po)
 
 
 def hand_execution(test, rf, co):

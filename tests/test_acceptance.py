@@ -117,6 +117,6 @@ def test_model_laws_hold_across_corpus(corpus):
             <= support.lowered_outcomes(test, dead=True), test.name
 
         for subject in (test, lower_test(test)[0]):
-            assert len(build_events(subject).events) <= 8, subject.name
+            assert len(build_events(subject).po) <= 8, subject.name
             support.check_class_law(subject)
         support.assert_outcomes_match_brute_force(test)

@@ -19,7 +19,6 @@ from litmusdiff import (
 )
 from litmusdiff.execution import (
     DialectMismatchError,
-    INIT_TID,
     Outcome,
     OutcomeSet,
     ResourceLimitError,
@@ -27,8 +26,9 @@ from litmusdiff.execution import (
     build_events,
     final_state,
 )
-from litmusdiff.litmus import LitmusError
+from litmusdiff.litmus import DmbDomain, LitmusError
 from litmusdiff.lowering import lower_test
+from litmusdiff.relations import bits
 from litmusdiff.syntax import parse_litmus
 from support import candidates, pairs
 
@@ -37,20 +37,25 @@ def outcome_set(items):
     return {Outcome.from_dict(dict(i)) for i in items}
 
 
+def masked(graph):
+    """Each of the graph's masks as the list of its ids."""
+    return {name: list(bits(mask)) for name, mask in graph.masks.items()}
+
+
 def test_event_layout_canonical_source(discard_source):
     graph = build_events(discard_source)
-    kinds = [(e.tid, e.kind.value, e.loc) for e in graph.events]
-    assert kinds == [
-        (INIT_TID, "W", "x"), (INIT_TID, "W", "y"),
-        (0, "W", "x"), (0, "W", "y"),
-        (1, "R", "y"), (1, "W", "y"), (1, "F", None), (1, "R", "x"),
-    ]
+    masks = masked(graph)
+    assert (masks["init"], masks["W"], masks["R"], masks["F"]) \
+        == ([0, 1], [0, 1, 2, 3, 5], [4, 7], [6])
+    # init, then P0's two stores, then P1's exchange, fence and load
+    assert graph.same_thread == [0b11] * 2 + [0b1100] * 2 + [0b11110000] * 4
+    assert graph.shapes == {"x": (0, {0: [2]}, [[0, None, [7]]]),
+                            "y": (1, {0: [3], 1: [5]}, [])}
+    assert graph.exchanges == {"x": [], "y": [(4, 5)]}
     assert graph.rmw_pairs == ((4, 5),)
-    xchg_read, xchg_write = graph.events[4], graph.events[5]
-    assert not xchg_read.acquire  # release exchange orders only its write
-    assert xchg_write.release
-    assert graph.events[6].acquire
-    assert graph.events[3].release
+    # a release exchange orders only its write
+    assert (masks["acquire"], masks["release"]) == ([6], [3, 5])
+    assert graph.domains == {6: None}
     assert graph.final_defs == {(1, "r0"): ("read", 7)}
 
 
@@ -68,21 +73,21 @@ def test_program_order(discard_source):
 
 def test_mov_produces_no_event(compiled_w15):
     graph = build_events(compiled_w15)
-    assert len(graph.events) == 8
-    assert [e.kind.value for e in graph.events] == \
-        ["W", "W", "W", "W", "R", "W", "F", "R"]
+    assert len(graph.po) == 8
+    masks = masked(graph)
+    assert (masks["W"], masks["R"], masks["F"]) \
+        == ([0, 1, 2, 3, 5], [4, 7], [6])
     # ids skip nothing: MOV only touched register state
-    assert [e.eid for e in graph.events if e.tid == 0] == [2, 3]
-    swp_read = graph.events[4]
+    assert list(bits(graph.same_thread[2])) == [2, 3]
     assert graph.final_defs[(1, "W15")] == ("read", 4)
-    assert not swp_read.zero_dest
-    assert graph.events[2].value_src == ("const", 1)
+    assert masks["zero_dest"] == []
+    assert graph.value_srcs[2] == ("const", 1)
+    assert graph.domains == {6: DmbDomain.LD}
 
 
 def test_zero_destination_flag(compiled_wzr):
     graph = build_events(compiled_wzr)
-    swp_read = graph.events[4]
-    assert swp_read.zero_dest
+    assert masked(graph)["zero_dest"] == [4]
     assert (1, "W15") not in graph.final_defs
 
 
@@ -93,9 +98,8 @@ def test_exchange_stores_its_source_before_binding_its_destination():
         "exists (0:W2 = 0 /\\ x = 1)", "",
     ]))
     graph = build_events(test)
-    read, write = graph.events[1:]
-    assert (read.rmw, write.rmw) == (1, 1)
-    assert write.value_src == ("const", 1)   # the old W2, not the read
+    assert graph.rmw_pairs == ((1, 2),)
+    assert graph.value_srcs[2] == ("const", 1)   # the old W2, not the read
     assert graph.final_defs == {(0, "W2"): ("read", 1)}
     assert allowed_outcomes(test, "aarch64").outcomes \
         == outcome_set([[("0:W2", 0), ("x", 1)]])
@@ -107,7 +111,7 @@ def test_store_of_zero_register_is_constant():
         "P0:", "  STR WZR, [X0]", "", "exists (x = 0)", "",
     ]))
     graph = build_events(test)
-    assert graph.events[1].value_src == ("const", 0)
+    assert graph.value_srcs[1] == ("const", 0)
 
 
 def test_candidate_count_canonical(discard_source):

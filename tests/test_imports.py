@@ -1,6 +1,7 @@
 """Every name a package module imports is used in that module, every
 function, method and property the package defines is referenced in it,
 every name a package module binds at module level is read in the package,
+every attribute a package class sets on ``self`` is read in the package,
 and every definition the shared test helpers make is referenced by some
 test or benchmark file."""
 
@@ -38,6 +39,13 @@ CALLED_ONLY_FROM_TESTS = {
 READ_ONLY_FROM_TESTS = {
     "SWP_ACQUIRE": "naive_oracle.py",
     "SWP_RELEASE": "naive_oracle.py",
+}
+# Attributes a package class sets on ``self`` that no package module reads,
+# each with the test file that reads it: the reader tests pin the position
+# a ParseError carries.
+SET_ONLY_FOR_TESTS = {
+    "ParseError.line": "test_syntax.py",
+    "ParseError.column": "test_syntax.py",
 }
 
 
@@ -251,3 +259,56 @@ def test_every_module_level_name_is_read():
         == sorted(READ_ONLY_FROM_TESTS)
     for name, reader in READ_ONLY_FROM_TESTS.items():
         assert name in (TESTS / reader).read_text(), (name, reader)
+
+
+def unread_attributes(sources):
+    """``Class.attribute`` for each attribute that a method of a class in
+    ``sources`` sets on ``self`` and that nothing in ``sources`` reads.
+    The scan goes by name, like ``dead_definitions``: a read of an
+    attribute of that name off any object counts, and an augmented
+    assignment (``self.n += 1``) counts as a store alone."""
+    trees = [ast.parse(source) for source in sources]
+    loaded = {node.attr for tree in trees for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Load)}
+    found = set()
+    for tree in trees:
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                found.update(
+                    f"{cls.name}.{node.attr}" for node in ast.walk(cls)
+                    if isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "self" and node.attr not in loaded)
+    return sorted(found)
+
+
+def test_scanner_finds_unread_attributes():
+    source = "\n".join([
+        "class Pair:",
+        "    def __init__(self, a, b):",
+        "        self.first, self.second = a, b",
+        "        self.count = 0",
+        "        self.kept = []",
+        "    def bump(self):",
+        "        self.count += 1",
+        "        self.kept.append(self)",
+        "class Other:",
+        "    def __init__(self, pair):",
+        "        pair.extra = 1",
+        "        self.first = pair",
+        "print(Pair(1, 2).second)",
+    ])
+    assert unread_attributes([source]) \
+        == ["Other.first", "Pair.count", "Pair.first"]
+    # a read in any of the sources counts, off any object
+    assert unread_attributes([source, "f(x.first)"]) == ["Pair.count"]
+
+
+def test_every_attribute_set_on_self_is_read():
+    assert unread_attributes(path.read_text() for path in MODULES) \
+        == sorted(SET_ONLY_FOR_TESTS)
+    for name, reader in SET_ONLY_FOR_TESTS.items():
+        attribute = name.split(".")[1]
+        assert f".{attribute}" in (TESTS / reader).read_text(), (name, reader)

@@ -502,10 +502,10 @@ def test_each_mnemonic_round_trips_and_builds(mnemonic):
     assert f"\nP0:\n  MOV W0, #1\n  {PRINTED_LINE[mnemonic]}\n\n" in text
     assert parse_litmus(text) == test
     graph = build_events(test)
-    assert len(graph.events) == 1 + KIND_EVENTS[kind]
+    assert len(graph.po) == 1 + KIND_EVENTS[kind]
     _, acquire, release = ASM_FORMS[mnemonic]
-    assert any(e.acquire for e in graph.events) == acquire
-    assert any(e.release for e in graph.events) == release
+    assert bool(graph.masks["acquire"]) == acquire
+    assert bool(graph.masks["release"]) == release
 
 
 # The line each source statement prints, for every kind and legal order,

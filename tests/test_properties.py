@@ -477,20 +477,10 @@ def test_graph_tables_equal_the_reference(test):
     support.check_tables_law(test)
 
 
-# ``build_events`` makes each event positionally from per-order and
-# per-mnemonic tables; the reference adds them one keyword call at a time.
-@pytest.mark.parametrize(
-    "test", [*LADDER, *(lower_test(test)[0] for test in LADDER), *ASM_INPUTS,
-             *GOLDEN],
-    ids=lambda test: test.name)
-def test_events_equal_the_reference_builder(test):
-    support.check_build_events_law(test)
-
-
-def test_events_equal_the_reference_builder_on_redefined_registers():
+def test_graph_tables_equal_the_reference_on_redefined_registers():
     # No input above defines an asm register twice; here W2 is bound by a
     # MOV, a load and an exchange, and ``final_defs`` keeps its first place.
-    support.check_build_events_law(parse_litmus("\n".join([
+    support.check_tables_law(parse_litmus("\n".join([
         "AArch64 redefine", "", "{", "  x = 0;", "  0:X0 = x;", "}", "",
         "P0:", "  MOV W2, #1", "  MOV W3, #2", "  MOV W4, #3",
         "  STR W2, [X0]", "  MOV W2, #4", "  LDR W2, [X0]", "  MOV W3, #5",
@@ -536,13 +526,6 @@ def test_graph_tables_equal_the_reference_across_corpus(test):
     compiled = lower_test(test)[0]
     for subject in (test, compiled, dead_register_pass(compiled)):
         support.check_tables_law(subject)
-
-
-@pytest.mark.parametrize("test", CORPUS, ids=IDS)
-def test_events_equal_the_reference_builder_across_corpus(test):
-    compiled = lower_test(test)[0]
-    for subject in (test, compiled, dead_register_pass(compiled)):
-        support.check_build_events_law(subject)
 
 
 @pytest.mark.parametrize("test", CORPUS, ids=IDS)
@@ -878,14 +861,3 @@ def test_graph_tables_equal_the_reference_on_random_tests(test):
         compiled = lower_test(test)[0]
         support.check_tables_law(compiled)
         support.check_tables_law(dead_register_pass(compiled))
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.one_of(small_source_tests(max_stmts=3, max_threads=3),
-                 small_asm_tests(), release_acquire_chains()))
-def test_events_equal_the_reference_builder_on_random_tests(test):
-    support.check_build_events_law(test)
-    if test.dialect is Dialect.SOURCE:
-        compiled = lower_test(test)[0]
-        support.check_build_events_law(compiled)
-        support.check_build_events_law(dead_register_pass(compiled))
