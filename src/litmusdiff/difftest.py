@@ -12,7 +12,15 @@ from __future__ import annotations
 import dataclasses
 import enum
 
-from .execution import MODEL_AARCH64, MODEL_C11, Outcome, allowed_outcomes
+from . import execution
+from .execution import (
+    MODEL_AARCH64,
+    MODEL_C11,
+    Outcome,
+    allowed_outcomes,
+    corresponds,
+    list_classes,
+)
 from .litmus import (
     Atom,
     Conj,
@@ -155,7 +163,11 @@ def check_refinement(
 ) -> Verdict:
     """Compare outcome sets; compiled behaviour outside the source set is a
     bug witness.  Infrastructure failures come back as an error verdict
-    rather than an exception."""
+    rather than an exception.  When the two event graphs correspond
+    (``corresponds``, as a test and its lowering do), the source graph's
+    outcome classes are listed once and both models check the same groups
+    of choices, so each choice's rows are built once for both sides;
+    otherwise each side is searched on its own."""
     try:
         if source.dialect is not Dialect.SOURCE:
             raise LitmusError("refinement check needs a source test first")
@@ -164,11 +176,18 @@ def check_refinement(
         if mapping is None:
             mapping = derive_mapping(source, compiled)
         _check_alignment(source, compiled, mapping)
+        # build_events is read off its module, where per-layer tracing
+        # wraps it, as for the calls allowed_outcomes makes.
+        graph, compiled_graph = map(execution.build_events, (source, compiled))
+        listing = (list_classes(graph, max_candidates) if corresponds(
+            graph, compiled_graph, mapping.observables) else None)
         source_set = allowed_outcomes(source, MODEL_C11,
-                                      max_candidates=max_candidates)
+                                      max_candidates=max_candidates,
+                                      events=(graph, listing))
         compiled_set = allowed_outcomes(compiled, MODEL_AARCH64,
                                         max_candidates=max_candidates,
-                                        legacy_zero_register=legacy_zero_register)
+                                        legacy_zero_register=legacy_zero_register,
+                                        events=(compiled_graph, listing))
         translated = {translate_outcome(o, mapping)
                       for o in compiled_set.outcomes}
         source_labels = {label for o in source_set.outcomes for label, _ in o.items}

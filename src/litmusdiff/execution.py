@@ -26,7 +26,10 @@ crossed, are built lazily, the first directly.  A candidate carries only
 the ``com`` and ``eco_before`` rows the models read, the unions of its
 choices' rows, and its class's resolved sources; rf, co and values follow
 on demand.  A choice's rows take one walk up and one walk down its
-coherence order, and are built at most once per enumeration.
+coherence order, and are built at most once per listing of the classes.
+Two graphs that agree on everything the listing reads (``corresponds``),
+such as a source test and its lowering, share one listing: each labels its
+classes and checks its groups under its own model.
 
 The models are antitone in ``(com, eco_before)``: removing edges never
 turns a consistent execution inconsistent.  A product's ``meet`` has, per
@@ -495,34 +498,37 @@ def _charge(examined: int, limit: int) -> None:
             f"candidate executions exceed the limit of {limit}")
 
 
-def enumerate_candidates(
-    graph: EventGraph, max_candidates: int | None = None
-) -> Iterator[tuple[Outcome, list[Product]]]:
-    """Yield each outcome of the coherent, value-consistent candidate
-    executions once, with its products in the order of ``itertools.product``
-    over the locations' groups of ``_location_choices``.  Every combination
-    of groups is grouped by outcome before the first outcome is yielded;
-    where writes copy, each is resolved first (``_settled``) and those with
-    value cycles are dropped.  A
-    choice's ``_location_rows`` are built when a candidate or a meet first
-    uses them, and a group's AND when a meet holding it is first checked;
-    both at most once per call.
+def _terms(graph: EventGraph) -> list[tuple[str, tuple]]:
+    """Where each label's final value comes from: a register's value source,
+    or ("read", location) for the value of the location's co-last write."""
+    return [(label, ("read", obs.location) if isinstance(obs, MemoryObservable)
+             else graph.final_defs[(obs.thread, obs.register)])
+            for label, obs in graph.final_observables]
 
-    Raises ResourceLimitError, before the first class, once the budget
-    exceeds ``max_candidates``: the shape's ``EventGraph.examined_choices``,
-    checked before any search, plus the combinations of the coherent
-    choices, added once they are grouped.
+
+def list_classes(graph: EventGraph,
+                 max_candidates: int | None = None) -> tuple[list, dict]:
+    """The label-free half of ``enumerate_candidates``: the distinct value
+    sources of the graph's observables, and the classes of the coherent,
+    value-consistent candidates, keyed by the tuple of those sources' final
+    values, each the list of its products' ``(groups, sources)``.  The
+    classes come in the order of ``itertools.product`` over the locations'
+    groups of ``_location_choices``, each with its products in that order.
+    Every combination of groups is grouped before the listing returns;
+    where writes copy, each is resolved first (``_settled``) and those with
+    value cycles are dropped.
+
+    Raises ResourceLimitError once the budget exceeds ``max_candidates``:
+    the shape's ``EventGraph.examined_choices``, checked before any search,
+    plus the combinations of the coherent choices, added once they are
+    grouped.
     """
     limit = DEFAULT_MAX_CANDIDATES if max_candidates is None else max_candidates
     examined = graph.examined_choices
     _charge(examined, limit)
-    # Where each label's final value comes from: a register's value source,
-    # or ("read", location) for the value of the location's co-last write.
-    terms = [(label, ("read", obs.location) if isinstance(obs, MemoryObservable)
-              else graph.final_defs[(obs.thread, obs.register)])
-             for label, obs in graph.final_observables]
+    keys = list(dict.fromkeys([src for _, src in _terms(graph)]))
     # The reads whose rf source the outcome or a copying write draws on.
-    drawn = {key for _, (kind, key) in terms if kind == "read"}
+    drawn = {key for kind, key in keys if kind == "read"}
     copies = [key for kind, key in graph.value_srcs.values() if kind == "read"]
     drawn.update(copies)
     size = len(graph.po)
@@ -541,11 +547,51 @@ def enumerate_candidates(
         sources = dict(itertools.chain.from_iterable(combo))
         if copies and not _settled(sources):
             continue
-        items = tuple([(label, sources[key][1] if kind == "read" else key)
-                       for label, (kind, key) in terms])
-        classes.setdefault(items, []).append(Product(graph, members, sources))
-    for items, products in classes.items():
-        yield Outcome(items), products
+        values = tuple([sources[key][1] if kind == "read" else key
+                        for kind, key in keys])
+        classes.setdefault(values, []).append((members, sources))
+    return keys, classes
+
+
+def corresponds(graph: EventGraph, other: EventGraph,
+                observables: dict[str, str]) -> bool:
+    """Whether ``graph``'s listing (``list_classes``) lists ``other``'s
+    classes too: the graphs have as many events and equal ``shapes``,
+    ``exchanges``, ``value_srcs`` and ``rmw_pairs``, and ``observables``
+    pairs the labels of ``graph``'s exists clause one to one with
+    ``other``'s, each with the same value source.  Then both searches make
+    the same choices, groups and combinations, and each class's outcome
+    under ``other``'s labels is read off the same values."""
+    if (len(graph.po) != len(other.po) or graph.shapes != other.shapes
+            or graph.exchanges != other.exchanges
+            or graph.value_srcs != other.value_srcs
+            or graph.rmw_pairs != other.rmw_pairs):
+        return False
+    terms = _terms(graph)
+    paired = {observables.get(label): src for label, src in terms}
+    return len(paired) == len(terms) and paired == dict(_terms(other))
+
+
+def enumerate_candidates(
+    graph: EventGraph, max_candidates: int | None = None, *, listing=None
+) -> Iterator[tuple[Outcome, list[Product]]]:
+    """Yield each outcome of the coherent, value-consistent candidate
+    executions once, with its products, in the order of ``list_classes``;
+    ``listing``, when given, is a listing of a graph that ``corresponds``
+    to this one, and its classes are labelled and rebound to this graph
+    without a search of its own.  A choice's ``_location_rows`` are built
+    when a candidate or a meet first uses them, and a group's AND when a
+    meet holding it is first checked; both at most once per listing.
+
+    Raises ResourceLimitError, before the first class, as ``list_classes``
+    does.
+    """
+    keys, classes = (list_classes(graph, max_candidates) if listing is None
+                     else listing)
+    at = [(label, keys.index(src)) for label, src in _terms(graph)]
+    for values, members in classes.items():
+        yield (Outcome(tuple([(label, values[i]) for label, i in at])),
+               [Product(graph, *member) for member in members])
 
 
 @dataclasses.dataclass(frozen=True, order=True, slots=True)
@@ -596,6 +642,7 @@ def allowed_outcomes(
     *,
     max_candidates: int | None = None,
     legacy_zero_register: bool = False,
+    events: tuple[EventGraph, tuple | None] | None = None,
 ) -> OutcomeSet:
     """Outcome set of a test under one of the axiomatic models: ``c11`` for
     source tests, ``aarch64`` for asm tests and ``sc`` for either.  An
@@ -606,7 +653,11 @@ def allowed_outcomes(
     checked next; since the models are antitone, a rejected meet rejects
     the whole product.  ``max_candidates`` bounds the choices examined, as
     in ``enumerate_candidates``, under every model; ``legacy_zero_register``
-    applies to the aarch64 model only, and under another is an error."""
+    applies to the aarch64 model only, and under another is an error.
+    ``events``, which only ``check_refinement`` passes, is ``test``'s event
+    graph, already built, and a listing (``list_classes``) of a graph that
+    ``corresponds`` to it, which the outcome set is then read off, or None
+    to list the graph's own classes."""
     if model == MODEL_C11:
         if test.dialect is not Dialect.SOURCE:
             raise DialectMismatchError("the c11 model applies to source tests only")
@@ -631,7 +682,8 @@ def allowed_outcomes(
         return (len(product) > 1 and consistent(product.meet())
                 and any(map(consistent, itertools.islice(product, 1, None))))
 
-    classes = enumerate_candidates(build_events(test), max_candidates)
+    graph, listing = (build_events(test), None) if events is None else events
+    classes = enumerate_candidates(graph, max_candidates, listing=listing)
     return OutcomeSet(test.name, model, frozenset(
         outcome for outcome, products in classes
         if any(map(allows, products))))

@@ -4,6 +4,7 @@ import dataclasses
 import enum
 import functools
 import itertools
+import json
 import math
 import operator
 import random
@@ -14,8 +15,12 @@ import interleaving_oracle
 import naive_oracle
 import pytest
 import reference_reader
-from litmusdiff import execution, model_aarch64, model_c11, model_sc
-from litmusdiff.difftest import check_refinement, translate_outcome
+from litmusdiff import difftest, execution, model_aarch64, model_c11, model_sc
+from litmusdiff.difftest import (
+    check_refinement,
+    derive_mapping,
+    translate_outcome,
+)
 from litmusdiff.execution import (
     MODEL_AARCH64,
     MODEL_C11,
@@ -24,6 +29,7 @@ from litmusdiff.execution import (
     allowed_outcomes,
     atomicity_holds,
     build_events,
+    corresponds,
     eco_respected,
     enumerate_candidates,
     final_state,
@@ -898,6 +904,96 @@ def check_model_call_law(test, model, **flags):
     assert projected == [], test.name
     meets = sum(call[0] == "meet" for call in calls)
     return len(calls) - meets, meets
+
+
+def two_search(call, *args, **kwargs):
+    """``call`` with ``check_refinement``'s correspondence predicate forced
+    false, so that each side is searched on its own: the reference for the
+    shared path."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(difftest, "corresponds", lambda *_: False)
+        return call(*args, **kwargs)
+
+
+def shares_listing(source, compiled, mapping=None):
+    """Whether ``check_refinement`` lists the source graph's classes once
+    for both sides on this pair."""
+    if mapping is None:
+        mapping = derive_mapping(source, compiled)
+    return corresponds(build_events(source), build_events(compiled),
+                       mapping.observables)
+
+
+def check_shared_search_law(source, compiled, mapping=None, **flags):
+    """``check_refinement`` gives the same verdict, in text and in JSON,
+    whether it lists the source graph's classes once for both sides or
+    searches each side on its own.  Returns whether the pair takes the
+    shared path."""
+    verdict = check_refinement(source, compiled, mapping, **flags)
+    reference = two_search(check_refinement, source, compiled, mapping,
+                           **flags)
+    assert repr(verdict) == repr(reference), source.name
+    assert json.dumps(verdict.to_json_dict()) \
+        == json.dumps(reference.to_json_dict()), source.name
+    return shares_listing(source, compiled, mapping)
+
+
+def check_shared_work_law(source, compiled, mapping, **flags):
+    """On the shared path ``check_refinement`` builds each choice's
+    ``_location_rows`` at most once for both sides, and each model sees
+    the calls, in order, that ``allowed_outcomes`` alone shows it.
+    Returns the numbers of rows built by the shared and by the two-search
+    path."""
+    rows = execution._location_rows
+    built, calls = [], {MODEL_C11: [], MODEL_AARCH64: []}
+
+    def counted_rows(co, rf, size):
+        built.append((co, tuple(rf)))
+        return rows(co, rf, size)
+
+    def spy(model):
+        check = getattr(*MODEL_CHECKS[model])
+
+        def counted(ex, **kwargs):
+            calls[model].append(("meet", *rows_of(ex)) if is_meet(ex)
+                                else fingerprint(ex))
+            return check(ex, **kwargs)
+        return counted
+
+    def run(call, *args, **kwargs):
+        built.clear()
+        for seen in calls.values():
+            seen.clear()
+        call(*args, **kwargs)
+        return len(built), len(set(built)), \
+            {model: list(seen) for model, seen in calls.items()}
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(execution, "_location_rows", counted_rows)
+        for model in calls:
+            patch.setattr(*MODEL_CHECKS[model], spy(model))
+        shared, distinct, shared_calls = run(
+            check_refinement, source, compiled, mapping, **flags)
+        reference, *_ = run(two_search, check_refinement, source, compiled,
+                            mapping, **flags)
+        _, _, alone = run(allowed_outcomes, source, MODEL_C11)
+        _, _, compiled_alone = run(allowed_outcomes, compiled, MODEL_AARCH64,
+                                   **flags)
+    assert shared == distinct, source.name
+    assert shared_calls == {MODEL_C11: alone[MODEL_C11],
+                            MODEL_AARCH64: compiled_alone[MODEL_AARCH64]}, \
+        source.name
+    return shared, reference
+
+
+def budget(test):
+    """The candidate budget ``check_refinement`` charges on a test: the
+    shape's ``examined_choices`` plus the combinations of its coherent
+    choices."""
+    graph = build_events(test)
+    return graph.examined_choices + math.prod([
+        sum(map(len, execution._location_choices(graph, loc, set()).values()))
+        for loc in graph.shapes])
 
 
 def dialect_predicates(test):

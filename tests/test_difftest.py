@@ -1,9 +1,12 @@
 """Refinement verdicts over the golden pipeline and mapping plumbing."""
 
 import dataclasses
+from pathlib import Path
 
 import pytest
 
+import support
+from litmusdiff import cli, golden_path
 from litmusdiff.difftest import (
     Verdict,
     VerdictStatus,
@@ -12,7 +15,9 @@ from litmusdiff.difftest import (
     translate_outcome,
 )
 from litmusdiff.execution import Outcome, allowed_outcomes
+from litmusdiff.litmus import Atom, Conj, MemoryObservable
 from litmusdiff.lowering import Mapping, MappingError, lower_test
+from litmusdiff.syntax import parse_litmus
 
 WEAK = Outcome.from_dict({"P1:r0": 0, "y": 2})
 
@@ -185,3 +190,126 @@ def test_verdict_json_shapes():
     }
     error = Verdict(VerdictStatus.ERROR, diagnostic="boom")
     assert error.to_json_dict() == {"status": "error", "diagnostic": "boom"}
+
+
+LADDER = Path(__file__).resolve().parent.parent / "perfbench" / "inputs" / "ladder"
+
+
+def read_golden(name):
+    return golden_path(name).read_text()
+
+
+GOLDEN_PAIRS = [(name, legacy) for name in ("w15", "wzr")
+                for legacy in (False, True)]
+GOLDEN_IDS = [f"{name}-{'legacy' if legacy else 'arm'}"
+              for name, legacy in GOLDEN_PAIRS]
+
+
+@pytest.mark.parametrize("name, legacy", GOLDEN_PAIRS, ids=GOLDEN_IDS)
+def test_golden_pair_shares_one_listing(discard_source, golden_mapping,
+                                        name, legacy):
+    compiled = parse_litmus(read_golden(f"mp-xchg-discard-compiled-{name}.litmus"))
+    assert support.check_shared_search_law(
+        discard_source, compiled, golden_mapping, legacy_zero_register=legacy)
+    assert support.check_shared_search_law(
+        discard_source, compiled, legacy_zero_register=legacy)
+
+
+@pytest.mark.parametrize("name, legacy", GOLDEN_PAIRS, ids=GOLDEN_IDS)
+def test_golden_pair_builds_each_choice_rows_once(discard_source,
+                                                  golden_mapping, name, legacy):
+    # The source graph has 4 choices over its two locations, and both
+    # sides use every one: 4 rows built for both sides, where the two
+    # searches build 8.
+    compiled = parse_litmus(read_golden(f"mp-xchg-discard-compiled-{name}.litmus"))
+    assert support.check_shared_work_law(
+        discard_source, compiled, golden_mapping,
+        legacy_zero_register=legacy) == (4, 8)
+
+
+@pytest.mark.parametrize("name, legacy", GOLDEN_PAIRS, ids=GOLDEN_IDS)
+@pytest.mark.parametrize("form", ["text", "json"])
+def test_golden_diff_prints_the_same_on_either_path(capsys, name, legacy, form):
+    golden = golden_path("")
+    argv = ["diff", str(golden / "mp-xchg-discard.litmus"),
+            str(golden / f"mp-xchg-discard-compiled-{name}.litmus"),
+            "--mapping", str(golden / "mp-xchg-discard-compiled.mapping.json"),
+            "--format", form]
+    if legacy:
+        argv.append("--legacy-zero-register")
+    printed = []
+    for call in (cli.main, lambda argv: support.two_search(cli.main, argv)):
+        code = call(argv)
+        printed.append((code, *capsys.readouterr()))
+    assert printed[0] == printed[1]
+    assert printed[0][0] == (1 if (name, legacy) == ("wzr", False) else 0)
+
+
+W15 = read_golden("mp-xchg-discard-compiled-w15.litmus")
+# Compiled files whose event graph does not correspond to the golden
+# source's, each with its mapping and the verdict it gives under both
+# zero-register readings.  The fence comes last, so only the event count
+# tells the graphs apart; renaming x reorders the locations; a different
+# init value changes an init write's value source; and a condition on the
+# exchange's result in place of the load's maps P1:r0 to a register of
+# another value source.
+NOT_CORRESPONDING = {
+    "extra-dmb": (W15.replace("  LDR W3, [X0]\n", "  LDR W3, [X0]\n  DMB ISH\n"),
+                  {"P1:r0": "1:W3", "x": "x", "y": "y"}, {"x": "x", "y": "y"},
+                  (3, 3)),
+    "renamed-x": (W15.replace("x = 0; y = 0;", "y = 0; z = 0;")
+                  .replace("= x;", "= z;"),
+                  {"P1:r0": "1:W3", "x": "z", "y": "y"}, {"x": "z", "y": "y"},
+                  (3, 3)),
+    "init-x": (W15.replace("x = 0; y = 0;", "x = 1; y = 0;"),
+               {"P1:r0": "1:W3", "x": "x", "y": "y"}, {"x": "x", "y": "y"},
+               (3, 2)),
+    "other-register": (W15.replace("exists (1:W3 = 0", "exists (1:W15 = 0"),
+                       {"P1:r0": "1:W15", "x": "x", "y": "y"},
+                       {"x": "x", "y": "y"}, (3, 2)),
+}
+
+
+@pytest.mark.parametrize("legacy", [False, True], ids=["arm", "legacy"])
+@pytest.mark.parametrize("name", NOT_CORRESPONDING)
+def test_pairs_that_do_not_correspond_take_two_searches(discard_source, name,
+                                                        legacy):
+    text, observables, locations, counts = NOT_CORRESPONDING[name]
+    compiled, mapping = parse_litmus(text), Mapping(observables, locations)
+    assert not support.check_shared_search_law(
+        discard_source, compiled, mapping, legacy_zero_register=legacy)
+    verdict = check_refinement(discard_source, compiled, mapping,
+                               legacy_zero_register=legacy)
+    assert verdict == Verdict(VerdictStatus.PASS, (), *counts)
+
+
+@pytest.mark.parametrize("offset", [0, 1], ids=["at-budget", "one-below"])
+def test_limit_reads_the_same_on_either_path(offset):
+    source = parse_litmus(
+        (LADDER / "mp-relseq-4t.litmus").read_text())
+    compiled, mapping = lower_test(source)
+    limit = support.budget(source) - offset
+    assert support.budget(compiled) == limit + offset
+    verdict = check_refinement(source, compiled, mapping,
+                               max_candidates=limit)
+    assert support.check_shared_search_law(source, compiled, mapping,
+                                           max_candidates=limit)
+    if offset:
+        assert verdict == Verdict(
+            VerdictStatus.ERROR,
+            diagnostic=f"candidate executions exceed the limit of {limit}")
+    else:
+        assert verdict.status is VerdictStatus.PASS
+
+
+def test_mapping_two_labels_to_one_takes_two_searches(discard_source):
+    # The source classes split on both x and y, the compiled ones on y
+    # alone, so the listing is not the compiled test's; the mapping is
+    # refused on either path.
+    x, y = Atom(MemoryObservable("x"), 1), Atom(MemoryObservable("y"), 2)
+    source = dataclasses.replace(discard_source, final=Conj(x, y))
+    compiled = dataclasses.replace(lower_test(discard_source)[0], final=y)
+    mapping = Mapping({"x": "y", "y": "y"}, {"x": "x", "y": "y"})
+    assert not support.check_shared_search_law(source, compiled, mapping)
+    assert check_refinement(source, compiled, mapping) == Verdict(
+        VerdictStatus.ERROR, diagnostic="mapping sends both 'x' and 'y' to 'y'")

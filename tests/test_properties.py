@@ -757,6 +757,31 @@ def test_interleavings_allowed_by_aarch64_on_random_asm(test):
             test, "aarch64", legacy_zero_register=legacy).outcomes
 
 
+def test_one_listing_serves_both_sides_across_lowering():
+    # The subjects of test_events_correspond_across_lowering, each lowered
+    # plain and with the dead-register rewrite: every pair shares the
+    # source graph's listing, and its verdict is the two searches' one.
+    family = [test for test, _ in generate_mp_family(support.EXCHANGE_FAMILY)]
+    golden = parse_litmus(golden_path("mp-xchg-discard.litmus").read_text())
+    pairs = 0
+    for test in [*family, *LADDER, golden]:
+        compiled, mapping = lower_test(test)
+        for subject in (compiled, dead_register_pass(compiled)):
+            assert support.check_shared_search_law(test, subject, mapping), \
+                test.name
+            pairs += 1
+    assert pairs == 2 * (2025 + len(LADDER) + 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_source_tests(max_threads=3))
+def test_one_listing_serves_both_sides_on_random_tests(test):
+    compiled, mapping = lower_test(test)
+    for subject in (compiled, dead_register_pass(compiled)):
+        assert support.check_shared_search_law(test, subject, mapping)
+        assert support.check_shared_search_law(test, subject)
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_asm_tests(), st.integers(0, 2**32 - 1))
 def test_dropping_edges_keeps_candidates_consistent_on_random_asm(test,
