@@ -19,6 +19,7 @@ from .execution import (
     Outcome,
     allowed_outcomes,
     corresponds,
+    final_sources,
     list_classes,
 )
 from .litmus import (
@@ -69,21 +70,11 @@ class Verdict:
         return out
 
 
-def translate_outcome(outcome: Outcome, mapping: Mapping) -> Outcome:
-    """Rewrite a compiled outcome into source vocabulary."""
-    inverted: dict[str, str] = {}
-    for source_label, asm_label in mapping.observables.items():
-        if asm_label in inverted:
-            raise MappingError(
-                f"mapping sends both {inverted[asm_label]!r} and "
-                f"{source_label!r} to {asm_label!r}")
-        inverted[asm_label] = source_label
-    items = []
-    for asm_label, value in outcome.items:
-        if asm_label not in inverted:
-            raise MappingError(f"no source observable maps to {asm_label!r}")
-        items.append((inverted[asm_label], value))
-    return Outcome(tuple(sorted(items)))
+def translate_outcome(outcome: Outcome, labels: dict[str, str]) -> Outcome:
+    """Rewrite a compiled outcome into source vocabulary through ``labels``,
+    the compiled-to-source label map that ``_check_mapping`` returns."""
+    return Outcome(tuple(sorted([(labels[label], value)
+                                 for label, value in outcome.items])))
 
 
 def derive_mapping(source: LitmusTest, compiled: LitmusTest) -> Mapping:
@@ -132,25 +123,47 @@ def derive_mapping(source: LitmusTest, compiled: LitmusTest) -> Mapping:
     return Mapping(pairs, locations)
 
 
-def _check_alignment(source: LitmusTest, compiled: LitmusTest,
-                     mapping: Mapping) -> None:
-    """Every observable of the source condition has an entry, and none is
-    paired with an observable of the compiled condition of the other kind,
-    register or memory, which ``derive_mapping`` refuses too."""
+def _check_mapping(source: LitmusTest, compiled: LitmusTest,
+                   mapping: Mapping) -> dict[str, str]:
+    """Check ``mapping`` against both exists clauses and return the map from
+    each compiled observable's label to the source label it stands for.
+    Every source observable has an entry of its own kind, register or
+    memory, as ``derive_mapping`` pairs them; no two entries share a
+    compiled label; the compiled labels read back as the source ones; and
+    mapped locations start from the same values."""
     kinds = {True: "memory location", False: "register"}
-    compiled_memory = {observable_label(obs, Dialect.ASM):
-                       isinstance(obs, MemoryObservable)
-                       for obs in condition_observables(compiled.final)}
-    for obs in condition_observables(source.final):
-        label = observable_label(obs, Dialect.SOURCE)
+    ours, theirs = ({observable_label(obs, test.dialect):
+                     isinstance(obs, MemoryObservable)
+                     for obs in condition_observables(test.final)}
+                    for test in (source, compiled))
+    for label, memory in ours.items():
         if label not in mapping.observables:
             raise MappingError(f"mapping has no entry for {label!r}")
-        memory = isinstance(obs, MemoryObservable)
         asm_label = mapping.observables[label]
-        if compiled_memory.get(asm_label, memory) != memory:
+        if theirs.get(asm_label, memory) != memory:
             raise MappingError(
                 f"mapping pairs {kinds[memory]} {label!r} with "
                 f"{kinds[not memory]} {asm_label!r}")
+    inverted: dict[str, str] = {}
+    for label, asm_label in mapping.observables.items():
+        first = inverted.setdefault(asm_label, label)
+        if first != label:
+            raise MappingError(f"mapping sends both {first!r} and {label!r} "
+                               f"to {asm_label!r}")
+    unmapped = sorted(theirs.keys() - inverted.keys())
+    if unmapped:
+        raise MappingError(f"no source observable maps to {unmapped[0]!r}")
+    labels = {asm_label: inverted[asm_label] for asm_label in theirs}
+    if set(labels.values()) != ours.keys():
+        raise MappingError("translated outcomes do not range over the "
+                           "source observables; check the mapping")
+    for loc, asm_loc in mapping.locations.items():
+        start, asm_start = source.locations.get(loc), compiled.locations.get(asm_loc)
+        if None not in (start, asm_start) and start != asm_start:
+            raise MappingError(
+                f"mapping pairs location {loc!r}, initially {start}, with "
+                f"{asm_loc!r}, initially {asm_start}")
+    return labels
 
 
 def check_refinement(
@@ -162,12 +175,12 @@ def check_refinement(
     legacy_zero_register: bool = False,
 ) -> Verdict:
     """Compare outcome sets; compiled behaviour outside the source set is a
-    bug witness.  Infrastructure failures come back as an error verdict
-    rather than an exception.  When the two event graphs correspond
-    (``corresponds``, as a test and its lowering do), the source graph's
-    outcome classes are listed once and both models check the same groups
-    of choices, so each choice's rows are built once for both sides;
-    otherwise each side is searched on its own."""
+    bug witness.  Infrastructure failures, a bad mapping first, come back
+    as an error verdict rather than an exception.  When the two event
+    graphs correspond (``corresponds``, as a test and its lowering do), the
+    source graph's outcome classes are listed once and both models check
+    the same groups of choices, so each choice's rows are built once for
+    both sides; otherwise each side is searched on its own."""
     try:
         if source.dialect is not Dialect.SOURCE:
             raise LitmusError("refinement check needs a source test first")
@@ -175,12 +188,20 @@ def check_refinement(
             raise LitmusError("refinement check needs an asm test second")
         if mapping is None:
             mapping = derive_mapping(source, compiled)
-        _check_alignment(source, compiled, mapping)
+        labels = _check_mapping(source, compiled, mapping)
         # build_events is read off its module, where per-layer tracing
         # wraps it, as for the calls allowed_outcomes makes.
         graph, compiled_graph = map(execution.build_events, (source, compiled))
-        listing = (list_classes(graph, max_candidates) if corresponds(
-            graph, compiled_graph, mapping.observables) else None)
+        listing = None
+        if corresponds(graph, compiled_graph):
+            theirs = final_sources(compiled_graph)
+            for label, src in final_sources(graph).items():
+                asm_label = mapping.observables[label]
+                if theirs[asm_label] != src:
+                    raise MappingError(
+                        f"mapping pairs {label!r} with {asm_label!r}, which "
+                        "takes its final value from another event")
+            listing = list_classes(graph, max_candidates)
         source_set = allowed_outcomes(source, MODEL_C11,
                                       max_candidates=max_candidates,
                                       events=(graph, listing))
@@ -188,15 +209,8 @@ def check_refinement(
                                         max_candidates=max_candidates,
                                         legacy_zero_register=legacy_zero_register,
                                         events=(compiled_graph, listing))
-        translated = {translate_outcome(o, mapping)
+        translated = {translate_outcome(o, labels)
                       for o in compiled_set.outcomes}
-        source_labels = {label for o in source_set.outcomes for label, _ in o.items}
-        for o in translated:
-            labels = {label for label, _ in o.items}
-            if source_set.outcomes and labels != source_labels:
-                raise MappingError(
-                    "translated outcomes do not range over the source "
-                    "observables; check the mapping")
         witnesses = tuple(sorted(translated - source_set.outcomes))
     except LitmusError as exc:
         return Verdict(VerdictStatus.ERROR, diagnostic=str(exc))

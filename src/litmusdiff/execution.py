@@ -498,12 +498,12 @@ def _charge(examined: int, limit: int) -> None:
             f"candidate executions exceed the limit of {limit}")
 
 
-def _terms(graph: EventGraph) -> list[tuple[str, tuple]]:
+def final_sources(graph: EventGraph) -> dict[str, tuple]:
     """Where each label's final value comes from: a register's value source,
     or ("read", location) for the value of the location's co-last write."""
-    return [(label, ("read", obs.location) if isinstance(obs, MemoryObservable)
-             else graph.final_defs[(obs.thread, obs.register)])
-            for label, obs in graph.final_observables]
+    return {label: ("read", obs.location) if isinstance(obs, MemoryObservable)
+            else graph.final_defs[(obs.thread, obs.register)]
+            for label, obs in graph.final_observables}
 
 
 def list_classes(graph: EventGraph,
@@ -526,7 +526,7 @@ def list_classes(graph: EventGraph,
     limit = DEFAULT_MAX_CANDIDATES if max_candidates is None else max_candidates
     examined = graph.examined_choices
     _charge(examined, limit)
-    keys = list(dict.fromkeys([src for _, src in _terms(graph)]))
+    keys = list(dict.fromkeys(final_sources(graph).values()))
     # The reads whose rf source the outcome or a copying write draws on.
     drawn = {key for kind, key in keys if kind == "read"}
     copies = [key for kind, key in graph.value_srcs.values() if kind == "read"]
@@ -553,23 +553,18 @@ def list_classes(graph: EventGraph,
     return keys, classes
 
 
-def corresponds(graph: EventGraph, other: EventGraph,
-                observables: dict[str, str]) -> bool:
+def corresponds(graph: EventGraph, other: EventGraph) -> bool:
     """Whether ``graph``'s listing (``list_classes``) lists ``other``'s
-    classes too: the graphs have as many events and equal ``shapes``,
-    ``exchanges``, ``value_srcs`` and ``rmw_pairs``, and ``observables``
-    pairs the labels of ``graph``'s exists clause one to one with
-    ``other``'s, each with the same value source.  Then both searches make
-    the same choices, groups and combinations, and each class's outcome
-    under ``other``'s labels is read off the same values."""
-    if (len(graph.po) != len(other.po) or graph.shapes != other.shapes
-            or graph.exchanges != other.exchanges
-            or graph.value_srcs != other.value_srcs
-            or graph.rmw_pairs != other.rmw_pairs):
-        return False
-    terms = _terms(graph)
-    paired = {observables.get(label): src for label, src in terms}
-    return len(paired) == len(terms) and paired == dict(_terms(other))
+    classes too, labels aside: the graphs have as many events and equal
+    ``shapes``, ``exchanges``, ``value_srcs`` and ``rmw_pairs``.  Then both
+    searches make the same choices, groups and combinations, and where the
+    labels of the two exists clauses pair one to one, each with the same
+    ``final_sources`` entry, each class's outcome under ``other``'s labels
+    is read off the same values."""
+    return (len(graph.po) == len(other.po) and graph.shapes == other.shapes
+            and graph.exchanges == other.exchanges
+            and graph.value_srcs == other.value_srcs
+            and graph.rmw_pairs == other.rmw_pairs)
 
 
 def enumerate_candidates(
@@ -578,17 +573,19 @@ def enumerate_candidates(
     """Yield each outcome of the coherent, value-consistent candidate
     executions once, with its products, in the order of ``list_classes``;
     ``listing``, when given, is a listing of a graph that ``corresponds``
-    to this one, and its classes are labelled and rebound to this graph
-    without a search of its own.  A choice's ``_location_rows`` are built
-    when a candidate or a meet first uses them, and a group's AND when a
-    meet holding it is first checked; both at most once per listing.
+    to this one and whose labels pair one to one with this graph's, each
+    with the same value source, and its classes are labelled and rebound to
+    this graph without a search of its own.  A choice's ``_location_rows``
+    are built when a candidate or a meet first uses them, and a group's AND
+    when a meet holding it is first checked; both at most once per listing.
 
     Raises ResourceLimitError, before the first class, as ``list_classes``
     does.
     """
     keys, classes = (list_classes(graph, max_candidates) if listing is None
                      else listing)
-    at = [(label, keys.index(src)) for label, src in _terms(graph)]
+    at = [(label, keys.index(src))
+          for label, src in final_sources(graph).items()]
     for values, members in classes.items():
         yield (Outcome(tuple([(label, values[i]) for label, i in at])),
                [Product(graph, *member) for member in members])

@@ -18,7 +18,6 @@ import reference_reader
 from litmusdiff import difftest, execution, model_aarch64, model_c11, model_sc
 from litmusdiff.difftest import (
     check_refinement,
-    derive_mapping,
     translate_outcome,
 )
 from litmusdiff.execution import (
@@ -29,10 +28,10 @@ from litmusdiff.execution import (
     allowed_outcomes,
     atomicity_holds,
     build_events,
-    corresponds,
     eco_respected,
     enumerate_candidates,
     final_state,
+    list_classes,
 )
 from litmusdiff.litmus import (
     Dialect,
@@ -49,6 +48,8 @@ from litmusdiff.litmus import (
     MemoryOrder,
     Mnemonic,
     StmtKind,
+    condition_observables,
+    observable_label,
     validate_test,
 )
 from litmusdiff.lowering import dead_register_pass, lower_test
@@ -120,7 +121,8 @@ def lowered_outcomes(test, *, dead=False, legacy=False):
         compiled = dead_register_pass(compiled)
     raw = allowed_outcomes(compiled, MODEL_AARCH64,
                            legacy_zero_register=legacy).outcomes
-    return frozenset(translate_outcome(o, mapping) for o in raw)
+    labels = {asm: label for label, asm in mapping.observables.items()}
+    return frozenset(translate_outcome(o, labels) for o in raw)
 
 
 def strengthen(test):
@@ -907,35 +909,49 @@ def check_model_call_law(test, model, **flags):
 
 
 def two_search(call, *args, **kwargs):
-    """``call`` with ``check_refinement``'s correspondence predicate forced
-    false, so that each side is searched on its own: the reference for the
-    shared path."""
+    """``call`` with ``check_refinement``'s shared listing withheld, so that
+    each side is searched on its own: the reference for the shared path.
+    Every check before the listing still runs."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(difftest, "corresponds", lambda *_: False)
+        patch.setattr(difftest, "list_classes", lambda *_: None)
         return call(*args, **kwargs)
-
-
-def shares_listing(source, compiled, mapping=None):
-    """Whether ``check_refinement`` lists the source graph's classes once
-    for both sides on this pair."""
-    if mapping is None:
-        mapping = derive_mapping(source, compiled)
-    return corresponds(build_events(source), build_events(compiled),
-                       mapping.observables)
 
 
 def check_shared_search_law(source, compiled, mapping=None, **flags):
     """``check_refinement`` gives the same verdict, in text and in JSON,
     whether it lists the source graph's classes once for both sides or
     searches each side on its own.  Returns whether the pair takes the
-    shared path."""
-    verdict = check_refinement(source, compiled, mapping, **flags)
+    shared path, that is, whether ``check_refinement`` lists them."""
+    listed = []
+
+    def listing(graph, max_candidates):
+        listed.append(graph)
+        return list_classes(graph, max_candidates)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(difftest, "list_classes", listing)
+        verdict = check_refinement(source, compiled, mapping, **flags)
     reference = two_search(check_refinement, source, compiled, mapping,
                            **flags)
     assert repr(verdict) == repr(reference), source.name
     assert json.dumps(verdict.to_json_dict()) \
         == json.dumps(reference.to_json_dict()), source.name
-    return shares_listing(source, compiled, mapping)
+    return bool(listed)
+
+
+def check_mapping_law(source, compiled, mapping):
+    """``check_refinement``'s mapping check accepts ``mapping`` on this
+    pair, and reads each observable of the compiled condition back as the
+    source observable the mapping sends to it, one to one onto the source
+    condition's."""
+    labels = difftest._check_mapping(source, compiled, mapping)
+    observed = [{observable_label(obs, test.dialect)
+                 for obs in condition_observables(test.final)}
+                for test in (source, compiled)]
+    assert labels.keys() == observed[1], source.name
+    assert sorted(labels.values()) == sorted(observed[0]), source.name
+    assert all(mapping.observables[label] == asm
+               for asm, label in labels.items()), source.name
 
 
 def check_shared_work_law(source, compiled, mapping, **flags):

@@ -6,13 +6,12 @@ from pathlib import Path
 import pytest
 
 import support
-from litmusdiff import cli, golden_path
+from litmusdiff import cli, difftest, execution, golden_path
 from litmusdiff.difftest import (
     Verdict,
     VerdictStatus,
     check_refinement,
     derive_mapping,
-    translate_outcome,
 )
 from litmusdiff.execution import Outcome, allowed_outcomes
 from litmusdiff.litmus import Atom, Conj, MemoryObservable
@@ -22,21 +21,27 @@ from litmusdiff.syntax import parse_litmus
 WEAK = Outcome.from_dict({"P1:r0": 0, "y": 2})
 
 
-def test_translate_outcome(golden_mapping):
-    got = translate_outcome(Outcome.from_dict({"1:W3": 0, "y": 2}),
-                            golden_mapping)
-    assert got == WEAK
+def read_golden(name):
+    return golden_path(name).read_text()
 
 
-def test_translate_rejects_double_mapping():
-    mapping = Mapping({"P1:r0": "1:W3", "P1:r1": "1:W3"}, {})
-    with pytest.raises(MappingError, match="sends both"):
-        translate_outcome(Outcome.from_dict({"1:W3": 0}), mapping)
+W15 = read_golden("mp-xchg-discard-compiled-w15.litmus")
+WZR = read_golden("mp-xchg-discard-compiled-wzr.litmus")
+GOLDEN = {"P1:r0": "1:W3", "x": "x", "y": "y"}
+LOCATIONS = {"x": "x", "y": "y"}
+# The w15 file with its condition on the exchange's result, which holds
+# the value the SWPL read from y, in place of the load's.
+OTHER_REGISTER = W15.replace("exists (1:W3 = 0", "exists (1:W15 = 0")
 
 
-def test_translate_rejects_unmapped_label(golden_mapping):
-    with pytest.raises(MappingError, match="no source observable"):
-        translate_outcome(Outcome.from_dict({"1:W9": 0}), golden_mapping)
+def test_translate_outcome(discard_source):
+    # The compiled witness 1:W3=0; a=2; reads back in source labels as
+    # P1:r0=0; y=2;, where the compiled test calls y a.
+    renamed = parse_litmus(WZR.replace("y = 0;", "a = 0;")
+                           .replace("= y;", "= a;").replace("y = 2)", "a = 2)"))
+    mapping = Mapping({"P1:r0": "1:W3", "y": "a"}, {"x": "x", "y": "a"})
+    assert check_refinement(discard_source, renamed, mapping) == Verdict(
+        VerdictStatus.BUG, (WEAK,), 3, 4)
 
 
 def test_derive_mapping_from_goldens(discard_source, compiled_w15):
@@ -149,37 +154,6 @@ def test_error_on_candidate_limit(discard_source, compiled_w15):
     assert "limit" in verdict.diagnostic
 
 
-def test_error_on_incomplete_mapping(discard_source, compiled_w15):
-    mapping = Mapping({"y": "y"}, {"x": "x", "y": "y"})
-    verdict = check_refinement(discard_source, compiled_w15, mapping)
-    assert verdict.status is VerdictStatus.ERROR
-    assert "no entry for 'P1:r0'" in verdict.diagnostic
-
-
-def test_error_on_mapping_to_wrong_labels(discard_source, compiled_w15):
-    mapping = Mapping({"P1:r0": "1:W15", "x": "x", "y": "y"},
-                      {"x": "x", "y": "y"})
-    verdict = check_refinement(discard_source, compiled_w15, mapping)
-    assert verdict.status is VerdictStatus.ERROR
-    assert "1:W3" in verdict.diagnostic
-
-
-@pytest.mark.parametrize("observables, pair", [
-    ({"P1:r0": "y", "y": "1:W3"}, "register 'P1:r0' with memory location 'y'"),
-    ({"P1:r0": "1:W3", "y": "1:W3"},
-     "memory location 'y' with register '1:W3'"),
-], ids=["register-to-memory", "memory-to-register"])
-def test_error_on_mapping_across_registers_and_memory(
-        discard_source, compiled_w15, observables, pair):
-    # Without the check the first mapping reads as a bug with the witnesses
-    # P1:r0=1; y=0; and P1:r0=2; y=1;.  derive_mapping refuses such a
-    # pairing, and so does an explicit mapping.
-    mapping = Mapping(observables, {"x": "x", "y": "y"})
-    verdict = check_refinement(discard_source, compiled_w15, mapping)
-    assert verdict.status is VerdictStatus.ERROR
-    assert verdict.diagnostic == f"mapping pairs {pair}"
-
-
 def test_verdict_json_shapes():
     bug = Verdict(VerdictStatus.BUG, (WEAK,), 3, 4)
     assert bug.to_json_dict() == {
@@ -195,10 +169,6 @@ def test_verdict_json_shapes():
 LADDER = Path(__file__).resolve().parent.parent / "perfbench" / "inputs" / "ladder"
 
 
-def read_golden(name):
-    return golden_path(name).read_text()
-
-
 GOLDEN_PAIRS = [(name, legacy) for name in ("w15", "wzr")
                 for legacy in (False, True)]
 GOLDEN_IDS = [f"{name}-{'legacy' if legacy else 'arm'}"
@@ -209,6 +179,7 @@ GOLDEN_IDS = [f"{name}-{'legacy' if legacy else 'arm'}"
 def test_golden_pair_shares_one_listing(discard_source, golden_mapping,
                                         name, legacy):
     compiled = parse_litmus(read_golden(f"mp-xchg-discard-compiled-{name}.litmus"))
+    support.check_mapping_law(discard_source, compiled, golden_mapping)
     assert support.check_shared_search_law(
         discard_source, compiled, golden_mapping, legacy_zero_register=legacy)
     assert support.check_shared_search_law(
@@ -245,28 +216,17 @@ def test_golden_diff_prints_the_same_on_either_path(capsys, name, legacy, form):
     assert printed[0][0] == (1 if (name, legacy) == ("wzr", False) else 0)
 
 
-W15 = read_golden("mp-xchg-discard-compiled-w15.litmus")
 # Compiled files whose event graph does not correspond to the golden
 # source's, each with its mapping and the verdict it gives under both
 # zero-register readings.  The fence comes last, so only the event count
-# tells the graphs apart; renaming x reorders the locations; a different
-# init value changes an init write's value source; and a condition on the
-# exchange's result in place of the load's maps P1:r0 to a register of
-# another value source.
+# tells the graphs apart; renaming x reorders the locations.
 NOT_CORRESPONDING = {
     "extra-dmb": (W15.replace("  LDR W3, [X0]\n", "  LDR W3, [X0]\n  DMB ISH\n"),
-                  {"P1:r0": "1:W3", "x": "x", "y": "y"}, {"x": "x", "y": "y"},
-                  (3, 3)),
+                  GOLDEN, LOCATIONS, (3, 3)),
     "renamed-x": (W15.replace("x = 0; y = 0;", "y = 0; z = 0;")
                   .replace("= x;", "= z;"),
                   {"P1:r0": "1:W3", "x": "z", "y": "y"}, {"x": "z", "y": "y"},
                   (3, 3)),
-    "init-x": (W15.replace("x = 0; y = 0;", "x = 1; y = 0;"),
-               {"P1:r0": "1:W3", "x": "x", "y": "y"}, {"x": "x", "y": "y"},
-               (3, 2)),
-    "other-register": (W15.replace("exists (1:W3 = 0", "exists (1:W15 = 0"),
-                       {"P1:r0": "1:W15", "x": "x", "y": "y"},
-                       {"x": "x", "y": "y"}, (3, 2)),
 }
 
 
@@ -281,6 +241,80 @@ def test_pairs_that_do_not_correspond_take_two_searches(discard_source, name,
     verdict = check_refinement(discard_source, compiled, mapping,
                                legacy_zero_register=legacy)
     assert verdict == Verdict(VerdictStatus.PASS, (), *counts)
+
+
+INIT_X = W15.replace("x = 0; y = 0;", "x = 1; y = 0;")
+# Every diagnostic of the mapping check, each with the compiled file and
+# the mapping (None: derived) that draw it.  Without the kind check the
+# register-to-memory mapping reads as a bug with the witnesses P1:r0=1;
+# y=0; and P1:r0=2; y=1;.
+MAPPING_ERRORS = {
+    "no-entry": (W15, {"y": "y"}, "mapping has no entry for 'P1:r0'"),
+    "register-to-memory": (
+        W15, {"P1:r0": "y", "y": "1:W3"},
+        "mapping pairs register 'P1:r0' with memory location 'y'"),
+    "memory-to-register": (
+        W15, {"P1:r0": "1:W3", "y": "1:W3"},
+        "mapping pairs memory location 'y' with register '1:W3'"),
+    "double-mapping": (W15, {"P1:r0": "1:W3", "P1:r1": "1:W3", "y": "y"},
+                       "mapping sends both 'P1:r0' and 'P1:r1' to '1:W3'"),
+    "wrong-labels": (W15, {"P1:r0": "1:W15", "x": "x", "y": "y"},
+                     "no source observable maps to '1:W3'"),
+    "unmapped-label": (OTHER_REGISTER, GOLDEN,
+                       "no source observable maps to '1:W15'"),
+    "lost-label": (W15, {"P1:r0": "1:W3", "x": "y", "y": "z"},
+                   "translated outcomes do not range over the source "
+                   "observables; check the mapping"),
+    "initial-value": (INIT_X, GOLDEN,
+                      "mapping pairs location 'x', initially 0, with 'x', "
+                      "initially 1"),
+    "initial-value-derived": (INIT_X, None,
+                              "mapping pairs location 'x', initially 0, "
+                              "with 'x', initially 1"),
+}
+
+
+@pytest.mark.parametrize("name", MAPPING_ERRORS)
+def test_mapping_errors_come_before_the_event_graphs(discard_source, name):
+    # No graph is built, so no search runs, and a mapping error wins over
+    # the candidate limit, which the graphs are needed to charge.
+    text, observables, diagnostic = MAPPING_ERRORS[name]
+    mapping = None if observables is None else Mapping(observables, LOCATIONS)
+
+    def build_events(test):
+        raise AssertionError(f"build_events({test.name})")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(execution, "build_events", build_events)
+        for limit in (None, 1):
+            verdict = check_refinement(discard_source, parse_litmus(text),
+                                       mapping, max_candidates=limit)
+            assert verdict == Verdict(VerdictStatus.ERROR,
+                                      diagnostic=diagnostic)
+
+
+@pytest.mark.parametrize("derived", [False, True], ids=["sidecar", "derived"])
+def test_error_on_a_register_of_another_event(discard_source, derived):
+    # The graphs agree on every table the search reads, but P1:r0 holds
+    # the load of x and 1:W15 the exchange's read of y: an error verdict,
+    # before any search and so before the candidate limit too.
+    mapping = None if derived else Mapping(
+        {**GOLDEN, "P1:r0": "1:W15"}, LOCATIONS)
+
+    def search(*args, **kwargs):
+        raise AssertionError("searched")
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("list_classes", "allowed_outcomes"):
+            patch.setattr(difftest, name, search)
+        for limit in (None, 1):
+            verdict = check_refinement(discard_source,
+                                       parse_litmus(OTHER_REGISTER), mapping,
+                                       max_candidates=limit)
+            assert verdict == Verdict(
+                VerdictStatus.ERROR,
+                diagnostic="mapping pairs 'P1:r0' with '1:W15', which takes "
+                "its final value from another event")
 
 
 @pytest.mark.parametrize("offset", [0, 1], ids=["at-budget", "one-below"])
@@ -302,7 +336,7 @@ def test_limit_reads_the_same_on_either_path(offset):
         assert verdict.status is VerdictStatus.PASS
 
 
-def test_mapping_two_labels_to_one_takes_two_searches(discard_source):
+def test_mapping_two_labels_to_one_is_refused_on_either_path(discard_source):
     # The source classes split on both x and y, the compiled ones on y
     # alone, so the listing is not the compiled test's; the mapping is
     # refused on either path.

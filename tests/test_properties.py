@@ -759,14 +759,16 @@ def test_interleavings_allowed_by_aarch64_on_random_asm(test):
 
 def test_one_listing_serves_both_sides_across_lowering():
     # The subjects of test_events_correspond_across_lowering, each lowered
-    # plain and with the dead-register rewrite: every pair shares the
-    # source graph's listing, and its verdict is the two searches' one.
+    # plain and with the dead-register rewrite: the mapping check accepts
+    # the lowering's mapping, every pair shares the source graph's listing,
+    # and its verdict is the two searches' one.
     family = [test for test, _ in generate_mp_family(support.EXCHANGE_FAMILY)]
     golden = parse_litmus(golden_path("mp-xchg-discard.litmus").read_text())
     pairs = 0
     for test in [*family, *LADDER, golden]:
         compiled, mapping = lower_test(test)
         for subject in (compiled, dead_register_pass(compiled)):
+            support.check_mapping_law(test, subject, mapping)
             assert support.check_shared_search_law(test, subject, mapping), \
                 test.name
             pairs += 1
@@ -778,6 +780,7 @@ def test_one_listing_serves_both_sides_across_lowering():
 def test_one_listing_serves_both_sides_on_random_tests(test):
     compiled, mapping = lower_test(test)
     for subject in (compiled, dead_register_pass(compiled)):
+        support.check_mapping_law(test, subject, mapping)
         assert support.check_shared_search_law(test, subject, mapping)
         assert support.check_shared_search_law(test, subject)
 
