@@ -13,15 +13,7 @@ import dataclasses
 import enum
 
 from . import execution
-from .execution import (
-    MODEL_AARCH64,
-    MODEL_C11,
-    Outcome,
-    allowed_outcomes,
-    corresponds,
-    final_sources,
-    list_classes,
-)
+from .execution import MODEL_AARCH64, MODEL_C11, Outcome, Search, allowed_outcomes
 from .litmus import (
     Atom,
     Conj,
@@ -130,7 +122,9 @@ def _check_mapping(source: LitmusTest, compiled: LitmusTest,
     Every source observable has an entry of its own kind, register or
     memory, as ``derive_mapping`` pairs them; no two entries share a
     compiled label; the compiled labels read back as the source ones; and
-    mapped locations start from the same values."""
+    each location pair, from ``locations``, from a memory observable's
+    entry or by name, joins locations that both tests declare and that
+    start from the same value."""
     kinds = {True: "memory location", False: "register"}
     ours, theirs = ({observable_label(obs, test.dialect):
                      isinstance(obs, MemoryObservable)
@@ -157,9 +151,23 @@ def _check_mapping(source: LitmusTest, compiled: LitmusTest,
     if set(labels.values()) != ours.keys():
         raise MappingError("translated outcomes do not range over the "
                            "source observables; check the mapping")
-    for loc, asm_loc in mapping.locations.items():
-        start, asm_start = source.locations.get(loc), compiled.locations.get(asm_loc)
-        if None not in (start, asm_start) and start != asm_start:
+    pairs = [*mapping.locations.items()]
+    pairs += [(label, mapping.observables[label])
+              for label, memory in ours.items() if memory]
+    # A source location with no entry in ``locations`` pairs with the
+    # compiled location of its name, if there is one, as in derive_mapping.
+    pairs += [(loc, loc) for loc in source.locations
+              if loc not in mapping.locations and loc in compiled.locations]
+    for loc, asm_loc in pairs:
+        if loc not in source.locations:
+            raise MappingError(f"mapping pairs location {loc!r}, which the "
+                               "source test does not declare")
+        if asm_loc not in compiled.locations:
+            raise MappingError(f"mapping pairs location {loc!r} with "
+                               f"{asm_loc!r}, which the compiled test does "
+                               "not declare")
+        start, asm_start = source.locations[loc], compiled.locations[asm_loc]
+        if start != asm_start:
             raise MappingError(
                 f"mapping pairs location {loc!r}, initially {start}, with "
                 f"{asm_loc!r}, initially {asm_start}")
@@ -176,11 +184,11 @@ def check_refinement(
 ) -> Verdict:
     """Compare outcome sets; compiled behaviour outside the source set is a
     bug witness.  Infrastructure failures, a bad mapping first, come back
-    as an error verdict rather than an exception.  When the two event
-    graphs correspond (``corresponds``, as a test and its lowering do), the
-    source graph's outcome classes are listed once and both models check
-    the same groups of choices, so each choice's rows are built once for
-    both sides; otherwise each side is searched on its own."""
+    as an error verdict rather than an exception.  The compiled graph's
+    search is shared from the source graph's (``Search.share``): where the
+    graphs correspond, as a test and its lowering do, the source classes
+    are listed once and both models check the same groups of choices, so
+    each choice's rows are built once for both sides."""
     try:
         if source.dialect is not Dialect.SOURCE:
             raise LitmusError("refinement check needs a source test first")
@@ -191,24 +199,13 @@ def check_refinement(
         labels = _check_mapping(source, compiled, mapping)
         # build_events is read off its module, where per-layer tracing
         # wraps it, as for the calls allowed_outcomes makes.
-        graph, compiled_graph = map(execution.build_events, (source, compiled))
-        listing = None
-        if corresponds(graph, compiled_graph):
-            theirs = final_sources(compiled_graph)
-            for label, src in final_sources(graph).items():
-                asm_label = mapping.observables[label]
-                if theirs[asm_label] != src:
-                    raise MappingError(
-                        f"mapping pairs {label!r} with {asm_label!r}, which "
-                        "takes its final value from another event")
-            listing = list_classes(graph, max_candidates)
-        source_set = allowed_outcomes(source, MODEL_C11,
-                                      max_candidates=max_candidates,
-                                      events=(graph, listing))
+        search = Search(execution.build_events(source), max_candidates)
+        compiled_search = search.share(execution.build_events(compiled),
+                                       mapping.observables)
+        source_set = allowed_outcomes(source, MODEL_C11, search=search)
         compiled_set = allowed_outcomes(compiled, MODEL_AARCH64,
-                                        max_candidates=max_candidates,
                                         legacy_zero_register=legacy_zero_register,
-                                        events=(compiled_graph, listing))
+                                        search=compiled_search)
         translated = {translate_outcome(o, labels)
                       for o in compiled_set.outcomes}
         witnesses = tuple(sorted(translated - source_set.outcomes))

@@ -27,9 +27,9 @@ the ``com`` and ``eco_before`` rows the models read, the unions of its
 choices' rows, and its class's resolved sources; rf, co and values follow
 on demand.  A choice's rows take one walk up and one walk down its
 coherence order, and are built at most once per listing of the classes.
-Two graphs that agree on everything the listing reads (``corresponds``),
-such as a source test and its lowering, share one listing: each labels its
-classes and checks its groups under its own model.
+Graphs that agree on everything the listing reads, such as a source test
+and its lowerings, share one ``Search`` listing (``Search.share``): each
+labels its classes and checks its groups under its own model.
 
 The models are antitone in ``(com, eco_before)``: removing edges never
 turns a consistent execution inconsistent.  A product's ``meet`` has, per
@@ -61,6 +61,7 @@ from .litmus import (
     condition_atoms,
     observable_label,
 )
+from .lowering import MappingError
 from .relations import Rows, bits
 
 MODEL_C11 = "c11"
@@ -506,84 +507,93 @@ def final_sources(graph: EventGraph) -> dict[str, tuple]:
             for label, obs in graph.final_observables}
 
 
-def list_classes(graph: EventGraph,
-                 max_candidates: int | None = None) -> tuple[list, dict]:
-    """The label-free half of ``enumerate_candidates``: the distinct value
-    sources of the graph's observables, and the classes of the coherent,
-    value-consistent candidates, keyed by the tuple of those sources' final
-    values, each the list of its products' ``(groups, sources)``.  The
-    classes come in the order of ``itertools.product`` over the locations'
-    groups of ``_location_choices``, each with its products in that order.
-    Every combination of groups is grouped before the listing returns;
-    where writes copy, each is resolved first (``_settled``) and those with
-    value cycles are dropped.
+class Search:
+    """The search of one event graph's outcome classes under a candidate
+    limit (None: ``DEFAULT_MAX_CANDIDATES``): its ``listing``, made on
+    first use, or, for a search that ``share`` made, its origin's."""
 
-    Raises ResourceLimitError once the budget exceeds ``max_candidates``:
-    the shape's ``EventGraph.examined_choices``, checked before any search,
-    plus the combinations of the coherent choices, added once they are
-    grouped.
-    """
-    limit = DEFAULT_MAX_CANDIDATES if max_candidates is None else max_candidates
-    examined = graph.examined_choices
-    _charge(examined, limit)
-    keys = list(dict.fromkeys(final_sources(graph).values()))
-    # The reads whose rf source the outcome or a copying write draws on.
-    drawn = {key for kind, key in keys if kind == "read"}
-    copies = [key for kind, key in graph.value_srcs.values() if kind == "read"]
-    drawn.update(copies)
-    size = len(graph.po)
-    # Per location, its choices by signature, and a group of each; a product
-    # over the former yields signatures, over the latter their groups.
-    signatures, groups = [], []
-    for loc in graph.shapes:
-        choices = _location_choices(graph, loc, drawn)
-        signatures.append(choices)
-        groups.append([_Group(group, size) for group in choices.values()])
-    _charge(examined + math.prod(
-        [sum(map(len, choices.values())) for choices in signatures]), limit)
-    classes: dict[tuple, list] = {}
-    for combo, members in zip(itertools.product(*signatures),
-                              itertools.product(*groups)):
-        sources = dict(itertools.chain.from_iterable(combo))
-        if copies and not _settled(sources):
-            continue
-        values = tuple([sources[key][1] if kind == "read" else key
-                        for kind, key in keys])
-        classes.setdefault(values, []).append((members, sources))
-    return keys, classes
+    def __init__(self, graph: EventGraph, max_candidates: int | None = None):
+        self.graph, self.limit, self.origin = graph, max_candidates, None
 
+    @cached_property
+    def listing(self) -> tuple[list, dict]:
+        """The distinct value sources of the graph's observables, and the
+        classes of the coherent, value-consistent candidates, keyed by the
+        tuple of those sources' final values, each the list of its
+        products' ``(groups, sources)``, in ``itertools.product`` order
+        over the locations' groups of ``_location_choices``.  All are
+        grouped before the listing is made; where writes copy, each is
+        resolved first (``_settled``) and those with value cycles dropped.
 
-def corresponds(graph: EventGraph, other: EventGraph) -> bool:
-    """Whether ``graph``'s listing (``list_classes``) lists ``other``'s
-    classes too, labels aside: the graphs have as many events and equal
-    ``shapes``, ``exchanges``, ``value_srcs`` and ``rmw_pairs``.  Then both
-    searches make the same choices, groups and combinations, and where the
-    labels of the two exists clauses pair one to one, each with the same
-    ``final_sources`` entry, each class's outcome under ``other``'s labels
-    is read off the same values."""
-    return (len(graph.po) == len(other.po) and graph.shapes == other.shapes
-            and graph.exchanges == other.exchanges
-            and graph.value_srcs == other.value_srcs
-            and graph.rmw_pairs == other.rmw_pairs)
+        Raises ResourceLimitError once the budget exceeds the limit: the
+        shape's ``EventGraph.examined_choices``, checked before any search,
+        plus the combinations of the coherent choices, once grouped.
+        """
+        if self.origin is not None:
+            return self.origin.listing
+        graph = self.graph
+        limit = DEFAULT_MAX_CANDIDATES if self.limit is None else self.limit
+        examined = graph.examined_choices
+        _charge(examined, limit)
+        keys = list(dict.fromkeys(final_sources(graph).values()))
+        # The reads whose rf source the outcome or a copying write draws on.
+        drawn = {key for kind, key in keys if kind == "read"}
+        copies = [key for kind, key in graph.value_srcs.values() if kind == "read"]
+        drawn.update(copies)
+        size = len(graph.po)
+        # Per location, its choices by signature, and a group of each; a
+        # product over the former yields signatures, over the latter groups.
+        signatures, groups = [], []
+        for loc in graph.shapes:
+            choices = _location_choices(graph, loc, drawn)
+            signatures.append(choices)
+            groups.append([_Group(group, size) for group in choices.values()])
+        _charge(examined + math.prod(
+            [sum(map(len, choices.values())) for choices in signatures]), limit)
+        classes: dict[tuple, list] = {}
+        for combo, members in zip(itertools.product(*signatures),
+                                  itertools.product(*groups)):
+            sources = dict(itertools.chain.from_iterable(combo))
+            if copies and not _settled(sources):
+                continue
+            values = tuple([sources[key][1] if kind == "read" else key
+                            for kind, key in keys])
+            classes.setdefault(values, []).append((members, sources))
+        return keys, classes
+
+    def share(self, graph: EventGraph, pairs: dict[str, str]) -> Search:
+        """A search of ``graph``, to whose labels ``pairs`` sends this
+        graph's one to one.  Where the graphs have as many events and equal
+        ``shapes``, ``exchanges``, ``value_srcs`` and ``rmw_pairs``, both
+        make the same choices, groups and combinations, so it reads this
+        listing, and each class's outcome in ``graph``'s labels is read off
+        the same values; a pair whose labels take their final values from
+        different sources (``final_sources``) is then a MappingError.
+        Otherwise it lists ``graph``'s classes on its own."""
+        search, mine = Search(graph, self.limit), self.graph
+        if (len(mine.po) == len(graph.po) and mine.shapes == graph.shapes
+                and mine.exchanges == graph.exchanges
+                and mine.value_srcs == graph.value_srcs
+                and mine.rmw_pairs == graph.rmw_pairs):
+            theirs = final_sources(graph)
+            for label, src in final_sources(mine).items():
+                if theirs[pairs[label]] != src:
+                    raise MappingError(
+                        f"mapping pairs {label!r} with {pairs[label]!r}, "
+                        "which takes its final value from another event")
+            search.origin = self
+        return search
 
 
 def enumerate_candidates(
-    graph: EventGraph, max_candidates: int | None = None, *, listing=None
-) -> Iterator[tuple[Outcome, list[Product]]]:
-    """Yield each outcome of the coherent, value-consistent candidate
-    executions once, with its products, in the order of ``list_classes``;
-    ``listing``, when given, is a listing of a graph that ``corresponds``
-    to this one and whose labels pair one to one with this graph's, each
-    with the same value source, and its classes are labelled and rebound to
-    this graph without a search of its own.  A choice's ``_location_rows``
-    are built when a candidate or a meet first uses them, and a group's AND
-    when a meet holding it is first checked; both at most once per listing.
-
-    Raises ResourceLimitError, before the first class, as ``list_classes``
-    does.
-    """
-    keys, classes = (list_classes(graph, max_candidates) if listing is None
-                     else listing)
+        search: Search) -> Iterator[tuple[Outcome, list[Product]]]:
+    """Yield each outcome of the coherent, value-consistent candidates of
+    the search's graph once, with its products, in ``listing`` order.  A
+    choice's ``_location_rows`` are built when a candidate or a meet first
+    uses them, a group's AND when a meet holding it is first checked, both
+    at most once per listing, however many searches share it.  Raises
+    ResourceLimitError, before the first class, as the listing does."""
+    graph, (keys, classes) = search.graph, search.listing
     at = [(label, keys.index(src))
           for label, src in final_sources(graph).items()]
     for values, members in classes.items():
@@ -639,7 +649,7 @@ def allowed_outcomes(
     *,
     max_candidates: int | None = None,
     legacy_zero_register: bool = False,
-    events: tuple[EventGraph, tuple | None] | None = None,
+    search: Search | None = None,
 ) -> OutcomeSet:
     """Outcome set of a test under one of the axiomatic models: ``c11`` for
     source tests, ``aarch64`` for asm tests and ``sc`` for either.  An
@@ -649,12 +659,11 @@ def allowed_outcomes(
     holds more than one candidate and its first is rejected, its meet is
     checked next; since the models are antitone, a rejected meet rejects
     the whole product.  ``max_candidates`` bounds the choices examined, as
-    in ``enumerate_candidates``, under every model; ``legacy_zero_register``
-    applies to the aarch64 model only, and under another is an error.
-    ``events``, which only ``check_refinement`` passes, is ``test``'s event
-    graph, already built, and a listing (``list_classes``) of a graph that
-    ``corresponds`` to it, which the outcome set is then read off, or None
-    to list the graph's own classes."""
+    in ``Search``, under every model; ``legacy_zero_register`` applies to
+    the aarch64 model only, and under another is an error.  ``search``, a
+    ``Search`` of ``test``'s event graph, already built, with its own
+    limit, is what the outcome set is read off; None searches the test's
+    graph under ``max_candidates``."""
     if model == MODEL_C11:
         if test.dialect is not Dialect.SOURCE:
             raise DialectMismatchError("the c11 model applies to source tests only")
@@ -679,8 +688,9 @@ def allowed_outcomes(
         return (len(product) > 1 and consistent(product.meet())
                 and any(map(consistent, itertools.islice(product, 1, None))))
 
-    graph, listing = (build_events(test), None) if events is None else events
-    classes = enumerate_candidates(graph, max_candidates, listing=listing)
+    if search is None:
+        search = Search(build_events(test), max_candidates)
+    classes = enumerate_candidates(search)
     return OutcomeSet(test.name, model, frozenset(
         outcome for outcome, products in classes
         if any(map(allows, products))))

@@ -25,13 +25,13 @@ from litmusdiff.execution import (
     MODEL_C11,
     MODEL_SC,
     Execution,
+    Search,
     allowed_outcomes,
     atomicity_holds,
     build_events,
     eco_respected,
     enumerate_candidates,
     final_state,
-    list_classes,
 )
 from litmusdiff.litmus import (
     Dialect,
@@ -788,7 +788,7 @@ def coherent_naive_fingerprints(test):
 def candidates(graph, limit=None):
     """Every candidate the enumerator yields, class by class and product
     by product."""
-    return [ex for _, products in enumerate_candidates(graph, limit)
+    return [ex for _, products in enumerate_candidates(Search(graph, limit))
             for product in products for ex in product]
 
 
@@ -803,7 +803,7 @@ def check_class_law(test):
     together are the coherent brute-force candidates, each once.  Returns
     the numbers of classes and of candidates."""
     classes = [(outcome, list(products)) for outcome, products
-               in enumerate_candidates(build_events(test))]
+               in enumerate_candidates(Search(build_events(test)))]
     outcomes = [outcome for outcome, _ in classes]
     assert len(set(outcomes)) == len(outcomes), test.name
     fingerprints = []
@@ -883,7 +883,7 @@ def check_model_call_law(test, model, **flags):
     check = getattr(module, name)
     graph = build_events(test)
     expected, allowed = [], set()
-    for outcome, products in enumerate_candidates(graph):
+    for outcome, products in enumerate_candidates(Search(graph)):
         for product in products:
             calls, ok = expected_calls(
                 graph, list(product), functools.partial(check, **flags))
@@ -911,9 +911,16 @@ def check_model_call_law(test, model, **flags):
 def two_search(call, *args, **kwargs):
     """``call`` with ``check_refinement``'s shared listing withheld, so that
     each side is searched on its own: the reference for the shared path.
-    Every check before the listing still runs."""
+    ``Search.share`` still makes every check, then returns a search of the
+    compiled graph's own."""
+    share = Search.share
+
+    def own(search, graph, pairs):
+        share(search, graph, pairs)
+        return Search(graph, search.limit)
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(difftest, "list_classes", lambda *_: None)
+        patch.setattr(Search, "share", own)
         return call(*args, **kwargs)
 
 
@@ -921,22 +928,59 @@ def check_shared_search_law(source, compiled, mapping=None, **flags):
     """``check_refinement`` gives the same verdict, in text and in JSON,
     whether it lists the source graph's classes once for both sides or
     searches each side on its own.  Returns whether the pair takes the
-    shared path, that is, whether ``check_refinement`` lists them."""
-    listed = []
+    shared path, that is, whether ``Search.share`` hands the compiled
+    graph's search the source search's listing."""
+    share, shared = Search.share, []
 
-    def listing(graph, max_candidates):
-        listed.append(graph)
-        return list_classes(graph, max_candidates)
+    def spy(search, graph, pairs):
+        found = share(search, graph, pairs)
+        shared.append(found.origin is search)
+        return found
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(difftest, "list_classes", listing)
+        patch.setattr(Search, "share", spy)
         verdict = check_refinement(source, compiled, mapping, **flags)
     reference = two_search(check_refinement, source, compiled, mapping,
                            **flags)
     assert repr(verdict) == repr(reference), source.name
     assert json.dumps(verdict.to_json_dict()) \
         == json.dumps(reference.to_json_dict()), source.name
-    return bool(listed)
+    return shared == [True]
+
+
+def check_one_listing_law(source):
+    """One ``Search`` of the source graph serves its c11 outcome set and
+    every variant of its lowering: plain and with the dead-register
+    rewrite, each under both zero-register readings.  Each outcome set
+    read off the shared listing is the one ``allowed_outcomes`` finds on
+    its own, and each choice's rows are built at most once across them
+    all.  Returns the number of variants."""
+    compiled, mapping = lower_test(source)
+    variants = [(subject, legacy)
+                for subject in (compiled, dead_register_pass(compiled))
+                for legacy in (False, True)]
+    alone = [allowed_outcomes(source, MODEL_C11)] + [
+        allowed_outcomes(subject, MODEL_AARCH64, legacy_zero_register=legacy)
+        for subject, legacy in variants]
+    rows, built = execution._location_rows, []
+
+    def counted_rows(co, rf, size):
+        built.append((co, tuple(rf)))
+        return rows(co, rf, size)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(execution, "_location_rows", counted_rows)
+        search = Search(build_events(source))
+        shared = [allowed_outcomes(source, MODEL_C11, search=search)]
+        for subject, legacy in variants:
+            lowered = search.share(build_events(subject), mapping.observables)
+            assert lowered.origin is search, subject.name
+            shared.append(allowed_outcomes(
+                subject, MODEL_AARCH64, legacy_zero_register=legacy,
+                search=lowered))
+    assert shared == alone, source.name
+    assert len(built) == len(set(built)), source.name
+    return len(variants)
 
 
 def check_mapping_law(source, compiled, mapping):
@@ -1031,7 +1075,7 @@ def check_meet_law(test, predicates=None):
     if predicates is None:
         predicates = dialect_predicates(test)
     meets = rejected = 0
-    for _, products in enumerate_candidates(build_events(test)):
+    for _, products in enumerate_candidates(Search(build_events(test))):
         for product in products:
             if len(product) == 1:
                 continue

@@ -489,6 +489,28 @@ def test_diff_rejects_a_mapping_that_loses_a_source_observable(
                    "observables; check the mapping\n")
 
 
+@pytest.mark.parametrize("compiled, locations, message", [
+    ("x = 1; y = 0;", {},
+     "mapping pairs location 'x', initially 0, with 'x', initially 1"),
+    ("x = 0; y = 0;", {"x": "q", "nope": "y"},
+     "mapping pairs location 'x' with 'q', which the compiled test does not "
+     "declare"),
+], ids=["init-x-no-locations", "undeclared-locations"])
+def test_diff_rejects_a_mapping_whose_locations_do_not_match(
+        capsys, tmp_path, compiled, locations, message):
+    # A source location with no entry pairs with the compiled one of its
+    # name, and every location an entry names must be declared.
+    path = tmp_path / "compiled.litmus"
+    path.write_text(Path(FIXED).read_text().replace("x = 0; y = 0;", compiled))
+    mapping = tmp_path / "locations.mapping.json"
+    mapping.write_text(json.dumps({
+        "observables": {"P1:r0": "1:W3", "x": "x", "y": "y"},
+        "locations": locations}))
+    code, out, err = run(capsys, "diff", SOURCE, str(path), "--mapping",
+                         str(mapping))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_diff_rejects_a_mapping_that_pairs_a_register_with_memory(
         capsys, tmp_path):
     mapping = tmp_path / "crossed.mapping.json"

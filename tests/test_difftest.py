@@ -244,8 +244,11 @@ def test_pairs_that_do_not_correspond_take_two_searches(discard_source, name,
 
 
 INIT_X = W15.replace("x = 0; y = 0;", "x = 1; y = 0;")
-# Every diagnostic of the mapping check, each with the compiled file and
-# the mapping (None: derived) that draw it.  Without the kind check the
+INIT_A = W15.replace("x = 0; y = 0;", "x = 0; a = 1;").replace(
+    "= y;", "= a;").replace("y = 2)", "a = 2)")
+# Every diagnostic of the mapping check, each with the compiled file, the
+# observables (None: a derived mapping) and, where they are not LOCATIONS,
+# the locations that draw it.  Without the kind check the
 # register-to-memory mapping reads as a bug with the witnesses P1:r0=1;
 # y=0; and P1:r0=2; y=1;.
 MAPPING_ERRORS = {
@@ -271,6 +274,23 @@ MAPPING_ERRORS = {
     "initial-value-derived": (INIT_X, None,
                               "mapping pairs location 'x', initially 0, "
                               "with 'x', initially 1"),
+    # A mapping pairs locations by every entry of its locations, by every
+    # memory observable's entry, and a source location with no entry with
+    # the compiled location of its name.  Each pair must join two declared
+    # locations that start from the same value.  INIT_A renames y to a,
+    # which starts from 1, so only the observable's entry pairs y.
+    "omitted-location": (
+        INIT_X, GOLDEN,
+        "mapping pairs location 'x', initially 0, with 'x', initially 1", {}),
+    "undeclared-compiled-location": (
+        W15, GOLDEN, "mapping pairs location 'x' with 'q', which the "
+        "compiled test does not declare", {"x": "q", "nope": "y"}),
+    "undeclared-source-location": (
+        W15, GOLDEN, "mapping pairs location 'nope', which the source test "
+        "does not declare", {"nope": "y"}),
+    "observed-location": (
+        INIT_A, {"P1:r0": "1:W3", "y": "a"},
+        "mapping pairs location 'y', initially 0, with 'a', initially 1", {}),
 }
 
 
@@ -278,8 +298,9 @@ MAPPING_ERRORS = {
 def test_mapping_errors_come_before_the_event_graphs(discard_source, name):
     # No graph is built, so no search runs, and a mapping error wins over
     # the candidate limit, which the graphs are needed to charge.
-    text, observables, diagnostic = MAPPING_ERRORS[name]
-    mapping = None if observables is None else Mapping(observables, LOCATIONS)
+    text, observables, diagnostic, locations = (*MAPPING_ERRORS[name],
+                                                LOCATIONS)[:4]
+    mapping = None if observables is None else Mapping(observables, locations)
 
     def build_events(test):
         raise AssertionError(f"build_events({test.name})")
@@ -293,11 +314,35 @@ def test_mapping_errors_come_before_the_event_graphs(discard_source, name):
                                       diagnostic=diagnostic)
 
 
+@pytest.mark.parametrize("legacy", [False, True], ids=["arm", "legacy"])
+def test_an_omitted_location_pairs_by_name(discard_source, legacy):
+    # With no locations at all, x and y pair by name: the golden pairs
+    # give the sidecar's verdicts.  Where the compiled test has no
+    # location of the name, the source location pairs with none, as a
+    # derived mapping leaves it.
+    for name in ("w15", "wzr"):
+        compiled = parse_litmus(
+            read_golden(f"mp-xchg-discard-compiled-{name}.litmus"))
+        assert check_refinement(discard_source, compiled,
+                                Mapping(GOLDEN, {}),
+                                legacy_zero_register=legacy) \
+            == check_refinement(discard_source, compiled,
+                                Mapping(GOLDEN, LOCATIONS),
+                                legacy_zero_register=legacy)
+    renamed, observables, locations, counts = NOT_CORRESPONDING["renamed-x"]
+    compiled = parse_litmus(renamed)
+    assert derive_mapping(discard_source, compiled).locations == {"y": "y"}
+    assert check_refinement(discard_source, compiled,
+                            Mapping(observables, {}),
+                            legacy_zero_register=legacy) \
+        == Verdict(VerdictStatus.PASS, (), *counts)
+
+
 @pytest.mark.parametrize("derived", [False, True], ids=["sidecar", "derived"])
 def test_error_on_a_register_of_another_event(discard_source, derived):
     # The graphs agree on every table the search reads, but P1:r0 holds
     # the load of x and 1:W15 the exchange's read of y: an error verdict,
-    # before any search and so before the candidate limit too.
+    # before any listing is made and so before the candidate limit too.
     mapping = None if derived else Mapping(
         {**GOLDEN, "P1:r0": "1:W15"}, LOCATIONS)
 
@@ -305,8 +350,8 @@ def test_error_on_a_register_of_another_event(discard_source, derived):
         raise AssertionError("searched")
 
     with pytest.MonkeyPatch.context() as patch:
-        for name in ("list_classes", "allowed_outcomes"):
-            patch.setattr(difftest, name, search)
+        patch.setattr(execution.Search, "listing", property(search))
+        patch.setattr(difftest, "allowed_outcomes", search)
         for limit in (None, 1):
             verdict = check_refinement(discard_source,
                                        parse_litmus(OTHER_REGISTER), mapping,

@@ -411,7 +411,7 @@ def test_outcome_value_semantics(discard_source):
     compiled, _ = lower_test(discard_source)
     made = [outcome for test in (discard_source, compiled)
             for outcome, _ in execution.enumerate_candidates(
-                build_events(test))]
+                execution.Search(build_events(test)))]
     outcomes = made + [Outcome(tuple(o.items)) for o in made] + [
         Outcome.from_dict({"P1:r0": 0, "y": 2}), Outcome(())]
     for outcome in outcomes:

@@ -1,9 +1,9 @@
 """Every name a package module imports is used in that module, every
-function, method and property the package defines is referenced in it,
-every name a package module binds at module level is read in the package,
-every attribute a package class sets on ``self`` is read in the package,
-and every definition the shared test helpers make is referenced by some
-test or benchmark file."""
+function, method, property and constructor the package defines is
+referenced in it, every name a package module binds at module level is
+read in the package, every attribute a package class sets on ``self`` is
+read in the package, and every definition the shared test helpers make is
+referenced by some test or benchmark file."""
 
 import ast
 import pathlib
@@ -24,9 +24,11 @@ TEST_HELPERS = [TESTS / name for name in
 # final_state, tests write expected outcomes with Outcome.from_dict, the
 # generator tests pin each family's size, the reference validator and
 # the random asm tests list a thread's definitions with defined_registers,
-# and the reference validator finds a thread by its id with
-# LitmusTest.thread.
+# the reference validator finds a thread by its id with LitmusTest.thread,
+# and the hand-built candidates and the row laws build an Execution from
+# rf and co.
 CALLED_ONLY_FROM_TESTS = {
+    "Execution.__init__": "support.py",
     "final_state": "naive_oracle.py",
     "from_dict": "test_difftest.py",
     "combination_count": "test_testgen.py",
@@ -106,11 +108,16 @@ def references(tree):
 def method_references(tree):
     """How often each name is called as an attribute (``x.name(...)``) in
     ``tree``, and how often each ``(class, name)`` is read as
-    ``Class.name``."""
+    ``Class.name``; a call of a name, ``Class(...)`` or ``m.Class(...)``,
+    reads ``(Class, "__init__")``."""
     found = Counter()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            found[node.func.attr] += 1
+        if isinstance(node, ast.Call):
+            if isinstance(node.func, ast.Attribute):
+                found[node.func.attr] += 1
+                found[node.func.attr, "__init__"] += 1
+            elif isinstance(node.func, ast.Name):
+                found[node.func.id, "__init__"] += 1
         elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
             found[node.value.id, node.attr] += 1
     return found
@@ -125,10 +132,12 @@ def is_property(node):
 def dead_definitions(sources, readers=()):
     """Functions, methods and properties defined in ``sources`` that nothing
     outside their own body, in ``sources`` or ``readers``, references.
-    Dunder methods are exempt.  A plain method counts as referenced only
-    where it is called or read off its own class; a function or property
-    goes by name, so a variable or attribute of the same name anywhere
-    counts as a reference."""
+    Dunder methods other than ``__init__`` are exempt.  A plain method
+    counts as referenced only where it is called or read off its own
+    class, and a constructor, reported as ``Class.__init__``, only where
+    its class is called or its ``__init__`` read off it; a function or
+    property goes by name, so a variable or attribute of the same name
+    anywhere counts as a reference."""
     trees = [ast.parse(source) for source in sources]
     every = [*trees, *map(ast.parse, readers)]
     total = sum(map(references, every), Counter())
@@ -138,18 +147,24 @@ def dead_definitions(sources, readers=()):
         if owner is None or is_property(node):
             return total[node.name] == references(node)[node.name]
         own = method_references(node)
-        keys = (node.name, (owner, node.name))
+        keys = (((owner, node.name),) if node.name == "__init__"
+                else (node.name, (owner, node.name)))
         return sum(calls[k] for k in keys) == sum(own[k] for k in keys)
 
     found = []
     for tree in trees:
         owners = {id(item): node.name for node in ast.walk(tree)
                   if isinstance(node, ast.ClassDef) for item in node.body}
-        found += [
-            node.name for node in ast.walk(tree)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and not (node.name.startswith("__") and node.name.endswith("__"))
-            and dead(node, owners.get(id(node)))]
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            owner, name = owners.get(id(node)), node.name
+            if name == "__init__" and owner is not None:
+                name = f"{owner}.__init__"
+            elif name.startswith("__") and name.endswith("__"):
+                continue
+            if dead(node, owner):
+                found.append(name)
     return sorted(found)
 
 
@@ -168,7 +183,7 @@ def test_scanner_finds_dead_definitions():
         "    def method(self): return self.size",
     ])
     assert dead_definitions([source, "def used(): pass"]) \
-        == ["caller", "method", "recursive"]
+        == ["C.__init__", "caller", "method", "recursive"]
     assert dead_definitions([source], ["caller()", "used()", "C().method()"]) \
         == ["recursive"]
     # A plain method goes by calls and reads off its own class: neither an
@@ -177,14 +192,24 @@ def test_scanner_finds_dead_definitions():
                                        "D.method", "method = C().size"]) \
         == ["method", "recursive"]
     assert dead_definitions([source], ["caller()", "used()", "f(C.method)"]) \
-        == ["recursive"]
+        == ["C.__init__", "recursive"]
+    # A constructor goes by calls of its class, plain or off a module, and
+    # reads of its __init__ off the class: neither a read of the class nor
+    # another object's __init__ refers to it.
+    for reader in ("m.C()", "C.__init__(c)"):
+        assert dead_definitions([source], ["f(C.method)", reader]) \
+            == ["caller", "recursive"]
+    for reader in ("f(C)", "super().__init__()", "D()"):
+        assert dead_definitions([source], ["f(C.method)", reader]) \
+            == ["C.__init__", "caller", "recursive"]
 
 
 def test_every_definition_is_referenced():
     assert dead_definitions(path.read_text() for path in MODULES) \
         == sorted(CALLED_ONLY_FROM_TESTS)
     for name, caller in CALLED_ONLY_FROM_TESTS.items():
-        assert name in (TESTS / caller).read_text(), (name, caller)
+        called = name.replace(".__init__", "(")
+        assert called in (TESTS / caller).read_text(), (name, caller)
 
 
 def test_every_test_helper_is_referenced():

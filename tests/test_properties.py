@@ -15,6 +15,7 @@ rejected has no consistent candidate, and the model calls that this
 saves are pinned on the larger inputs.
 """
 
+import dataclasses
 import functools
 from pathlib import Path
 
@@ -26,6 +27,7 @@ import support
 from interleaving_oracle import interleaving_outcomes
 from litmusdiff import golden_path
 from litmusdiff.execution import (
+    Search,
     allowed_outcomes,
     build_events,
     enumerate_candidates,
@@ -305,7 +307,7 @@ def test_mp_family_products_hold_one_candidate():
         compiled, _ = lower_test(test)
         for subject in (test, compiled, dead_register_pass(compiled)):
             assert all(len(product) == 1 for _, products
-                       in enumerate_candidates(build_events(subject))
+                       in enumerate_candidates(Search(build_events(subject)))
                        for product in products), subject.name
 
 
@@ -409,7 +411,7 @@ def test_first_candidate_is_the_products_first_member(test):
     # Product.first() builds the first member without the product's
     # iterator: the same choices, class sources and rows, and no meet.
     products = [product for _, products in
-                enumerate_candidates(build_events(test))
+                enumerate_candidates(Search(build_events(test)))
                 for product in products]
     for product in products:
         first, member = product.first(), next(iter(product))
@@ -773,6 +775,16 @@ def test_one_listing_serves_both_sides_across_lowering():
                 test.name
             pairs += 1
     assert pairs == 2 * (2025 + len(LADDER) + 1)
+
+
+def test_one_listing_serves_many_lowerings():
+    # A seeded sample of 200 exchange-family tests, each with its four
+    # lowered variants: plain and dead-register, under both zero-register
+    # readings.
+    sample = generate_mp_family(dataclasses.replace(
+        support.EXCHANGE_FAMILY, limit=200, seed=31))
+    assert sum(support.check_one_listing_law(test)
+               for test, _ in sample) == 800
 
 
 @settings(max_examples=100, deadline=None)
